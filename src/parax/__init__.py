@@ -6,7 +6,6 @@ from .elliptic import (
     BoundarySpec,
     FaceBC,
     IncompatibleDataError,
-    SolverError,
     SolverSettings,
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,

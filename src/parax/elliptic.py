@@ -1,11 +1,17 @@
 """Reusable elliptic kernels: 2D Poisson, 3D anisotropic Poisson, 2D div-curl.
 
 The scalar solvers discretize  sum_d c_d d^2u/dx_d^2 = f  on the tensor grid
-with per-face Dirichlet or Neumann conditions.  Neumann faces are eliminated
-through ghost nodes and the boundary rows are rescaled by the dual-cell
-fraction, which keeps the assembled matrix symmetric positive (semi-)definite.
-Systems small enough are solved by a cached sparse LU; larger ones by Jacobi
-preconditioned conjugate gradients.
+with per-face Dirichlet or Neumann conditions.  Dirichlet nodes drop out of
+the unknowns and Neumann faces are eliminated through ghost nodes, so the
+operator is a Kronecker sum of 1D second differences, one per axis, and any
+mix of face kinds keeps that structure.  Each 1D operator turns symmetric
+when scaled by the square root of its dual-cell weights (1/2 at end nodes);
+its eigendecomposition is cached.  A solve is then one contraction per axis
+into the joint eigenbasis, a division by the summed eigenvalues, and one
+contraction per axis back: the fast diagonalization method (Lynch, Rice &
+Thomas, Numer. Math. 6, 1964), direct and exact to rounding.  The 2D solver
+runs the same kernel on the trailing two axes, so a (nzeta, ny, nx) volume
+solves every transverse slice in one call.
 
 The div-curl solver prescribes div A, curl A and the tangential trace A.tau
 on Gamma.  It splits A = grad p + curl q:  q absorbs the curl source through
@@ -16,13 +22,12 @@ tangential trace along Gamma.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fields import ScalarField, VectorField2, same_mesh
 from .mesh import FACE_ORDER, Mesh
@@ -33,7 +38,6 @@ from .operators import (
     div_perp,
     gamma_ccw_faces,
     grad_perp,
-    norms,
 )
 
 log = logging.getLogger(__name__)
@@ -41,17 +45,9 @@ log = logging.getLogger(__name__)
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
-# face name -> array axis, for 2D (ny, nx) and 3D (nzeta, ny, nx) layouts
-_FACE_AXIS_2D = {"x_lo": 1, "x_hi": 1, "y_lo": 0, "y_hi": 0}
-_FACE_AXIS_3D = {"x_lo": 2, "x_hi": 2, "y_lo": 1, "y_hi": 1, "zeta_lo": 0, "zeta_hi": 0}
-
-
-class SolverError(RuntimeError):
-    """Iterative solve failed; carries the residual history."""
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history or []
+# face name -> array axis, counted from the end: (..., nzeta, ny, nx)
+_FACE_AXIS = {"x_lo": -1, "x_hi": -1, "y_lo": -2, "y_hi": -2, "zeta_lo": -3, "zeta_hi": -3}
+_AXIS_FACES = {-1: ("x_lo", "x_hi"), -2: ("y_lo", "y_hi"), -3: ("zeta_lo", "zeta_hi")}
 
 
 class IncompatibleDataError(ValueError):
@@ -74,7 +70,7 @@ class BoundarySpec:
 
     @classmethod
     def uniform(cls, kind: str, value=0.0, volumetric: bool = False) -> "BoundarySpec":
-        names = _FACE_AXIS_3D if volumetric else _FACE_AXIS_2D
+        names = _FACE_AXIS if volumetric else FACE_ORDER
         return cls({f: FaceBC(kind, value) for f in names})
 
     def with_face(self, name: str, bc: FaceBC) -> "BoundarySpec":
@@ -88,264 +84,176 @@ class BoundarySpec:
 
 @dataclass(frozen=True)
 class SolverSettings:
-    tolerance: float = 1e-10       # relative residual target
-    max_iterations: int | None = None  # None -> 10 * sqrt(n_unknowns)
+    tolerance: float = 1e-10       # fixed-point trace gap that ends the sweeps
     max_fixed_point: int = 20      # sweeps of the same-order boundary coupling
-    direct_threshold: int = 4096   # at most this many unknowns -> sparse LU
     compat_rtol: float = 1e-2      # solvability-condition mismatch allowance
 
     def __post_init__(self):
         if not 0.0 < self.tolerance < 1.0:
             raise ValueError("tolerance must lie in (0, 1)")
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if self.max_fixed_point < 1:
+            raise ValueError("max_fixed_point must be >= 1")
 
 
-def _shifted(arr: np.ndarray, axis: int, off: int, fill) -> np.ndarray:
-    out = np.full_like(arr, fill)
-    src = [slice(None)] * arr.ndim
-    dst = [slice(None)] * arr.ndim
-    if off == 1:
-        dst[axis], src[axis] = slice(0, -1), slice(1, None)
-    else:
-        dst[axis], src[axis] = slice(1, None), slice(0, -1)
-    out[tuple(dst)] = arr[tuple(src)]
+# -- the separable direct kernel ------------------------------------------------
+
+def _unknown_range(n: int, kind_lo: str, kind_hi: str) -> slice:
+    """Nodes of one axis that are unknowns: all but the Dirichlet ends."""
+    return slice(1 if kind_lo == DIRICHLET else 0, n - 1 if kind_hi == DIRICHLET else n)
+
+
+def _end_weights(m: int, kind_lo: str, kind_hi: str) -> np.ndarray:
+    """Dual-cell weights of one axis's unknowns: 1/2 at Neumann end nodes."""
+    w = np.ones(m)
+    if kind_lo == NEUMANN:
+        w[0] = 0.5
+    if kind_hi == NEUMANN:
+        w[-1] = 0.5
+    return w
+
+
+@functools.lru_cache(maxsize=32)
+def _axis_eig(n: int, h: float, coeff: float, kind_lo: str, kind_hi: str):
+    """(eigenvalues, to-eigenbasis, from-eigenbasis) of coeff * d^2/dx^2 on
+    the unknowns of one axis with n nodes.
+
+    The operator D has W D symmetric for the end weights W, so
+    S = W^1/2 D W^-1/2 = Q diag(lam) Q^T gives D = (W^-1/2 Q) diag(lam) (Q^T W^1/2).
+    With Neumann at both ends the constant is the zero mode; it comes last.
+    """
+    rng = _unknown_range(n, kind_lo, kind_hi)
+    m = rng.stop - rng.start
+    if m < 1:
+        raise ValueError("no unknowns: all faces Dirichlet on a degenerate grid?")
+    D = np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
+    if kind_lo == NEUMANN:
+        D[0, 1] = 2.0  # ghost node mirrors the inner neighbor
+    if kind_hi == NEUMANN:
+        D[-1, -2] = 2.0
+    D *= coeff / h**2
+    s = np.sqrt(_end_weights(m, kind_lo, kind_hi))
+    S = s[:, None] * D / s[None, :]
+    lam, Q = np.linalg.eigh(0.5 * (S + S.T))
+    if kind_lo == kind_hi == NEUMANN:
+        lam[-1] = 0.0
+    to_modes = Q.T * s[None, :]
+    from_modes = Q / s[:, None]
+    for a in (lam, to_modes, from_modes):
+        a.flags.writeable = False
+    return lam, to_modes, from_modes
+
+
+def _along(M: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Apply the square matrix M along one (negative) axis of g, as one GEMM
+    or one batch of GEMMs over the leading axes."""
+    g = np.ascontiguousarray(g)
+    n = g.shape[axis]
+    if axis == -1:
+        return (g.reshape(-1, n) @ M.T).reshape(g.shape)
+    lead = int(np.prod(g.shape[:axis]))
+    return np.matmul(M, g.reshape(lead, n, -1)).reshape(g.shape)
+
+
+def _apply(u: np.ndarray, spacings, coeffs, kinds) -> np.ndarray:
+    """sum_d c_d d^2u/dx_d^2 over the trailing axes, matrix-free, with Neumann
+    ends ghost-eliminated; rows at Dirichlet ends are left zero."""
+    out = np.zeros_like(u)
+    nd = len(spacings)
+    for d, (h, c, (lo, hi)) in enumerate(zip(spacings, coeffs, kinds)):
+        a = np.moveaxis(u, d - nd, -1)
+        o = np.moveaxis(out, d - nd, -1)
+        s = c / h**2
+        o[..., 1:-1] += s * (a[..., :-2] - 2.0 * a[..., 1:-1] + a[..., 2:])
+        if lo == NEUMANN:
+            o[..., 0] += 2.0 * s * (a[..., 1] - a[..., 0])
+        if hi == NEUMANN:
+            o[..., -1] += 2.0 * s * (a[..., -2] - a[..., -1])
     return out
-
-
-def _face_slice(shape_len: int, axis: int, lo: bool):
-    idx = [slice(None)] * shape_len
-    idx[axis] = 0 if lo else -1
-    return tuple(idx)
-
-
-class _Stencil:
-    """Assembled reduced system for one (shape, spacings, coeffs, bc kinds)."""
-
-    def __init__(self, shape, spacings, coeffs, kinds):
-        self.shape = shape
-        self.spacings = spacings
-        self.coeffs = coeffs
-        self.kinds = kinds  # {axis: (kind_lo, kind_hi)}
-        ndim = len(shape)
-
-        dir_mask = np.zeros(shape, dtype=bool)
-        for ax in range(ndim):
-            lo, hi = kinds[ax]
-            if lo == DIRICHLET:
-                dir_mask[_face_slice(ndim, ax, True)] = True
-            if hi == DIRICHLET:
-                dir_mask[_face_slice(ndim, ax, False)] = True
-        self.dir_mask = dir_mask
-        self.unk_mask = ~dir_mask
-        self.n_unknowns = int(self.unk_mask.sum())
-        if self.n_unknowns == 0:
-            raise ValueError("no unknowns: all faces Dirichlet on a degenerate grid?")
-
-        ids = np.full(shape, -1, dtype=np.int64)
-        ids[self.unk_mask] = np.arange(self.n_unknowns)
-        self.ids = ids
-
-        # dual-cell row weight: 1/2 per Neumann-face membership per axis
-        w = np.ones(shape)
-        pos = np.indices(shape)
-        for ax in range(ndim):
-            at_lo = pos[ax] == 0
-            at_hi = pos[ax] == shape[ax] - 1
-            w = np.where(at_lo | at_hi, 0.5 * w, w)
-        self.w = w
-
-        rows, cols, vals = [], [], []
-        diag = np.zeros(self.n_unknowns)
-        row_of_unk = ids[self.unk_mask]
-
-        for ax in range(ndim):
-            c_over_h2 = coeffs[ax] / spacings[ax] ** 2
-            p = pos[ax]
-            n_ax = shape[ax]
-            for off in (+1, -1):
-                nb_ids = _shifted(ids, ax, off, -1)
-                at_end = p == (0 if off == -1 else n_ax - 1)
-                # interior-along-axis nodes couple once; boundary (Neumann)
-                # nodes couple to the single inner neighbor with doubled weight
-                coup = np.where(at_end, 0.0, c_over_h2)
-                opp_end = p == (n_ax - 1 if off == -1 else 0)
-                coup = coup + np.where(opp_end, c_over_h2, 0.0)  # ghost doubling
-                sel = self.unk_mask & (coup != 0.0)
-                nb = nb_ids[sel]
-                valid = nb >= 0
-                r = ids[sel]
-                rows.append(r[valid])
-                cols.append(nb[valid])
-                vals.append((coup[sel] * self.w[sel])[valid])
-            diag_contrib = np.full(shape, -2.0 * c_over_h2)
-            diag += (diag_contrib * self.w)[self.unk_mask]
-
-        rows.append(row_of_unk)
-        cols.append(row_of_unk)
-        vals.append(diag)
-        L = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.n_unknowns, self.n_unknowns),
-        ).tocsr()
-        self.A = (-L).tocsr()  # SPD (PSD for pure Neumann)
-
-        self.pure_neumann = not dir_mask.any()
-        self._lu = None
-        asym = abs(self.A - self.A.T).max()
-        if asym > 1e-9 * max(abs(self.A).max(), 1.0):
-            raise AssertionError(f"assembled operator not symmetric: {asym}")
-
-    def lu(self):
-        if self._lu is None:
-            if self.pure_neumann:
-                # bordered system pins the mean while keeping the solve exact
-                ones = np.ones((self.n_unknowns, 1))
-                K = sp.bmat([[self.A, ones], [ones.T, None]], format="csc")
-                self._lu = spla.splu(K)
-            else:
-                self._lu = spla.splu(self.A.tocsc())
-        return self._lu
-
-
-_STENCIL_CACHE: dict[tuple, _Stencil] = {}
-
-
-def _stencil(shape, spacings, coeffs, kinds) -> _Stencil:
-    key = (shape, spacings, coeffs, tuple(sorted(kinds.items())))
-    st = _STENCIL_CACHE.get(key)
-    if st is None:
-        if len(_STENCIL_CACHE) > 64:
-            _STENCIL_CACHE.clear()
-        st = _Stencil(shape, spacings, coeffs, kinds)
-        _STENCIL_CACHE[key] = st
-    return st
-
-
-def _face_value_array(value, shape, ndim, axis) -> np.ndarray:
-    face_shape = tuple(s for a, s in enumerate(shape) if a != axis)
-    v = np.asarray(value, dtype=float)
-    return np.broadcast_to(v, face_shape)
 
 
 def _solve_scalar(
-    mesh: Mesh,
-    rhs_values: np.ndarray,
+    values: np.ndarray,
+    spacings: tuple[float, ...],
+    coeffs: tuple[float, ...],
     bc: BoundarySpec,
-    coeffs,
     settings: SolverSettings,
-    x0: np.ndarray | None = None,
     info_out: dict | None = None,
 ) -> np.ndarray:
-    """Core scalar solve; returns the full nodal array including Dirichlet values."""
-    shape = rhs_values.shape
-    ndim = len(shape)
-    face_axis = _FACE_AXIS_2D if ndim == 2 else _FACE_AXIS_3D
-    if ndim == 2:
-        spacings = (mesh.hy, mesh.hx)
-    else:
-        spacings = (mesh.hzeta, mesh.hy, mesh.hx)
+    """Solve sum_d c_d d^2u/dx_d^2 = values over the trailing len(spacings)
+    axes; leading axes are independent problems.  Returns the full nodal
+    array including Dirichlet values."""
+    nd = len(spacings)
+    axes = range(-nd, 0)
+    invalid = set(bc.faces) - {f for ax in axes for f in _AXIS_FACES[ax]}
+    if invalid:
+        raise ValueError(f"faces {sorted(invalid)} not valid for a {nd}D solve")
+    kinds = [tuple(bc.kind(f) for f in _AXIS_FACES[ax]) for ax in axes]
+    shape = values.shape
 
-    kinds = {}
-    for ax in range(ndim):
-        lo_face = [f for f, a in face_axis.items() if a == ax and f.endswith("_lo")][0]
-        hi_face = lo_face.replace("_lo", "_hi")
-        kinds[ax] = (bc.kind(lo_face), bc.kind(hi_face))
-
-    st = _stencil(shape, spacings, tuple(coeffs), kinds)
-
-    # move boundary data to the right-hand side
-    rhs_mod = rhs_values.astype(float).copy()
-    dval = np.zeros(shape)
+    # boundary data: Dirichlet values in u, Neumann fluxes onto the rhs (the
+    # ghost elimination adds 2*c*g/h on the operator side)
+    f = np.array(values, dtype=float)
+    u = np.zeros(shape)
     for name, fbc in bc.faces.items():
-        if name not in face_axis:
-            raise ValueError(f"face {name!r} not valid for a {ndim}D solve")
-        ax = face_axis[name]
-        lo = name.endswith("_lo")
-        fs = _face_slice(ndim, ax, lo)
-        vals = _face_value_array(fbc.value, shape, ndim, ax)
+        ax = _FACE_AXIS[name]
+        face = [slice(None)] * nd
+        face[ax] = 0 if name.endswith("_lo") else -1
+        fs = (Ellipsis, *face)
+        vals = np.broadcast_to(np.asarray(fbc.value, dtype=float), u[fs].shape)
         if fbc.kind == DIRICHLET:
-            dval[fs] = vals
+            u[fs] = vals
         else:
-            # ghost elimination adds 2*c*g/h on the operator side
-            rhs_mod[fs] = rhs_mod[fs] - 2.0 * coeffs[ax] * vals / spacings[ax]
+            f[fs] -= 2.0 * coeffs[ax] * vals / spacings[ax]
 
-    for ax in range(ndim):
-        c_over_h2 = coeffs[ax] / spacings[ax] ** 2
-        for off in (+1, -1):
-            nb_dir = _shifted(st.dir_mask, ax, off, False)
-            nb_val = _shifted(dval, ax, off, 0.0)
-            sel = st.unk_mask & nb_dir
-            if sel.any():
-                rhs_mod[sel] -= c_over_h2 * nb_val[sel]
+    inner = (Ellipsis, *(_unknown_range(shape[ax], *kinds[ax]) for ax in axes))
+    # Dirichlet values enter through the stencils of their unknown neighbors
+    g = f[inner]
+    if u.any():
+        g = g - _apply(u, spacings, coeffs, kinds)[inner]
+    eigs = [_axis_eig(shape[ax], spacings[ax], coeffs[ax], *kinds[ax]) for ax in axes]
+    w = functools.reduce(np.multiply.outer, [_end_weights(len(e[0]), *k)
+                                             for e, k in zip(eigs, kinds)])
+    trailing = tuple(axes)
 
-    b = -(st.w * rhs_mod)[st.unk_mask]
-
-    scale = float(np.max(np.abs(b))) if b.size else 0.0
-    if st.pure_neumann:
-        defect = float(b.sum())
-        ref = float(np.abs(b).sum()) + 1e-300
-        if abs(defect) > settings.compat_rtol * max(ref, 1e-12):
+    pure_neumann = all(k == (NEUMANN, NEUMANN) for k in kinds)
+    if pure_neumann:
+        # solvability: the weighted rhs must sum to zero on each problem
+        b = w * g
+        defect = b.sum(axis=trailing, keepdims=True)
+        ref = np.abs(b).sum(axis=trailing, keepdims=True)
+        if np.any(np.abs(defect) > settings.compat_rtol * np.maximum(ref, 1e-12)):
+            worst = np.argmax(np.abs(defect) / np.maximum(ref, 1e-300))
             raise IncompatibleDataError(
-                f"pure-Neumann data incompatible: defect {defect:.3e} vs scale {ref:.3e}"
+                f"pure-Neumann data incompatible: defect {defect.flat[worst]:.3e} "
+                f"vs scale {ref.flat[worst]:.3e}"
             )
-        b = b - defect / st.n_unknowns
+        g = (b - defect / w.size) / w
 
-    n = st.n_unknowns
-    history: list[float] = []
-    if n <= settings.direct_threshold:
-        lu = st.lu()
-        if st.pure_neumann:
-            u = lu.solve(np.concatenate([b, [0.0]]))[:-1]
-        else:
-            u = lu.solve(b)
-        method = "lu"
-        iterations = 0
-    else:
-        maxiter = settings.max_iterations or int(10 * np.sqrt(n)) + 10
-        d = st.A.diagonal()
-        M = sp.diags(1.0 / d)
-        counter = {"k": 0}
+    x = g
+    for ax, (_, to_modes, _) in zip(axes, eigs):
+        x = _along(to_modes, x, ax)
+    lam_sum = functools.reduce(np.add.outer, [e[0] for e in eigs])
+    if pure_neumann:
+        lam_sum = lam_sum.copy()
+        lam_sum[(-1,) * nd] = np.inf  # drop the constant mode
+    x = x / lam_sum
+    for ax, (_, _, from_modes) in zip(axes, eigs):
+        x = _along(from_modes, x, ax)
+    if pure_neumann:
+        x = x - (w * x).sum(axis=trailing, keepdims=True) / w.sum()
 
-        def cb(_xk):
-            counter["k"] += 1
-
-        if x0 is not None and x0.shape == st.unk_mask.shape:
-            x0 = x0[st.unk_mask]
-        u, code = spla.cg(
-            st.A, b, x0=x0, rtol=settings.tolerance, atol=0.0, maxiter=maxiter,
-            M=M, callback=cb,
-        )
-        method = "cg"
-        iterations = counter["k"]
-        if code > 0:
-            # rerun briefly to collect a residual history for the report
-            res = [float(np.linalg.norm(b))]
-
-            def cb2(xk):
-                res.append(float(np.linalg.norm(b - st.A @ xk)))
-
-            spla.cg(st.A, b, x0=x0, rtol=settings.tolerance, atol=0.0,
-                    maxiter=min(maxiter, 50), M=M, callback=cb2)
-            raise SolverError(
-                f"CG failed to reach rtol={settings.tolerance} in {maxiter} iterations",
-                history=res,
-            )
-
-    if st.pure_neumann:
-        u = u - np.sum(u * st.w[st.unk_mask]) / np.sum(st.w[st.unk_mask])
-
-    bn = np.linalg.norm(b)
-    rel = float(np.linalg.norm(b - st.A @ u) / bn) if bn > 0 else 0.0
     if info_out is not None:
+        x_full = np.zeros(shape)
+        x_full[inner] = x
+        res = w * (_apply(x_full, spacings, coeffs, kinds)[inner] - g)
+        bn = np.linalg.norm(w * g)
         info_out.update(
-            method=method, iterations=iterations, relative_residual=rel,
-            n_unknowns=n, history=history,
+            method="fdm",
+            relative_residual=float(np.linalg.norm(res) / bn) if bn > 0 else 0.0,
+            n_unknowns=x.size,
         )
-
-    out = dval.copy()
-    out[st.unk_mask] = u
-    return out
+    u[inner] = x
+    return u
 
 
 def solve_poisson_2d(
@@ -354,16 +262,16 @@ def solve_poisson_2d(
     settings: SolverSettings | None = None,
     info_out: dict | None = None,
 ) -> ScalarField:
-    """Solve lap u = rhs on one transverse slice.
+    """Solve lap_perp u = rhs on one transverse slice, or on every slice of a
+    volume at once (face data then per slice, shaped (nzeta, nface)).
 
     Pure-Neumann problems must satisfy the discrete compatibility condition
     and come back gauge-fixed to zero weighted mean.
     """
-    settings = settings or SolverSettings()
-    if rhs.is3d:
-        raise ValueError("solve_poisson_2d expects a single transverse slice")
-    vals = _solve_scalar(rhs.mesh, rhs.values, bc, (1.0, 1.0), settings, info_out=info_out)
-    return ScalarField(rhs.mesh, vals)
+    m = rhs.mesh
+    vals = _solve_scalar(rhs.values, (m.hy, m.hx), (1.0, 1.0), bc,
+                         settings or SolverSettings(), info_out)
+    return ScalarField(m, vals)
 
 
 def solve_anisotropic_poisson_3d(
@@ -371,27 +279,28 @@ def solve_anisotropic_poisson_3d(
     rhs: ScalarField,
     bc: BoundarySpec,
     settings: SolverSettings | None = None,
-    x0: np.ndarray | None = None,
     info_out: dict | None = None,
 ) -> ScalarField:
     """Solve (lap_perp + kappa d^2/dzeta^2) u = rhs over Omega x (0, Z)."""
-    settings = settings or SolverSettings()
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa = 1 - beta^2 must lie in (0, 1), got {kappa}")
     if not rhs.is3d:
         raise ValueError("solve_anisotropic_poisson_3d expects a volumetric field")
-    vals = _solve_scalar(
-        rhs.mesh, rhs.values, bc, (kappa, 1.0, 1.0), settings, x0=x0, info_out=info_out
-    )
-    return ScalarField(rhs.mesh, vals)
+    m = rhs.mesh
+    vals = _solve_scalar(rhs.values, (m.hzeta, m.hy, m.hx), (kappa, 1.0, 1.0), bc,
+                         settings or SolverSettings(), info_out)
+    return ScalarField(m, vals)
 
+
+# -- div-curl reconstruction ------------------------------------------------------
 
 def _corner_bilinear(mesh: Mesh, values: np.ndarray):
     """Coefficients (alpha, beta, gamma, delta) of the bilinear interpolant
     alpha + beta*xt + gamma*yt + delta*xt*yt of the four corner values,
-    in local coordinates xt = x - x0, yt = y - y0."""
-    c00, c10 = values[0, 0], values[0, -1]
-    c01, c11 = values[-1, 0], values[-1, -1]
+    in local coordinates xt = x - x0, yt = y - y0.  Each is shaped
+    (..., 1, 1) so that it broadcasts over the slices of a volume."""
+    c00, c10 = values[..., :1, :1], values[..., :1, -1:]
+    c01, c11 = values[..., -1:, :1], values[..., -1:, -1:]
     a, b = mesh.a, mesh.b
     return c00, (c10 - c00) / a, (c01 - c00) / b, (c11 - c10 - c01 + c00) / (a * b)
 
@@ -407,101 +316,115 @@ def _particular_field(mesh: Mesh, div_coeffs, curl_coeffs) -> VectorField2:
     xt, yt = X - mesh.x0, Y - mesh.y0
     da, db_, dg, dd = div_coeffs
     ca, cb, cg, cd = curl_coeffs
+    # monomials on the slice first: each per-slice coefficient then costs
+    # one multiply over the volume
+    x2, y2, xy = xt**2 / 2, yt**2 / 2, xt * yt
     # divergence part: (int d dxt, 0) plus a curl-free fix keeping curl zero
-    ux = da * xt + db_ * xt**2 / 2 + dg * xt * yt + dd * xt**2 * yt / 2
-    uy = dg * xt**2 / 2 + dd * xt**3 / 6
+    ux = da * xt + db_ * x2 + dg * xy + dd * (x2 * yt)
+    uy = dg * x2 + dd * (xt**3 / 6)
     # curl part: (-int c dyt, 0) plus a divergence-free fix keeping div zero
-    vx = -(ca * yt + cb * xt * yt + cg * yt**2 / 2 + cd * xt * yt**2 / 2)
-    vy = cb * yt**2 / 2 + cd * yt**3 / 6
+    vx = -(ca * yt + cb * xy + cg * y2 + cd * (xt * y2))
+    vy = cb * y2 + cd * (yt**3 / 6)
     return VectorField2(mesh, ux + vx, uy + vy)
 
 
 def _gamma_dirichlet_from_tangential(mesh: Mesh, g: dict[str, np.ndarray]):
     """Integrate a closed tangential trace into single-valued Dirichlet data.
 
-    Returns per-face value arrays (natural order).  The closure defect of the
-    contour integral is spread linearly in arclength so the data stays
-    single-valued even under O(h^2)-inconsistent input.
+    Returns per-face value arrays (natural order, per slice for (nzeta, nface)
+    input).  The closure defect of the contour integral is spread linearly in
+    arclength so the data stays single-valued even under O(h^2)-inconsistent
+    input.
     """
-    segs = []  # (face, ccw g values)
-    for f, j, i, rev in gamma_ccw_faces(mesh):
-        arr = g[f][::-1] if rev else g[f]
-        segs.append((f, arr))
-
     h_of = {"y_lo": mesh.hx, "x_hi": mesh.hy, "y_hi": mesh.hx, "x_lo": mesh.hy}
-    values = [0.0]
-    arcs = [0.0]
-    for f, arr in segs:
-        h = h_of[f]
-        for k in range(len(arr) - 1):
-            values.append(values[-1] + 0.5 * h * (arr[k] + arr[k + 1]))
-            arcs.append(arcs[-1] + h)
-    closure = values[-1]
-    total = arcs[-1]
-    values = np.asarray(values) - closure * np.asarray(arcs) / total
+    path = gamma_ccw_faces(mesh)
+    incs, steps = [], []
+    for f, j, _, rev in path:
+        arr = np.asarray(g[f], dtype=float)
+        arr = arr[..., ::-1] if rev else arr
+        incs.append(0.5 * h_of[f] * (arr[..., :-1] + arr[..., 1:]))
+        steps.append(np.full(len(j) - 1, h_of[f]))
+    incs = np.concatenate(incs, axis=-1)
+    zero = np.zeros(incs.shape[:-1] + (1,))
+    values = np.concatenate([zero, np.cumsum(incs, axis=-1)], axis=-1)
+    arcs = np.concatenate([[0.0], np.cumsum(np.concatenate(steps))])
+    values = values - values[..., -1:] * arcs / arcs[-1]
 
     # map the open path (last node = first node) back onto per-face arrays
     out = {}
     cursor = 0
-    path = gamma_ccw_faces(mesh)
-    npath = len(values) - 1
-    node_vals = values[:npath]
-    for f, j, i, rev in path:
-        nface = len(j)
-        idxs = [(cursor + k) % npath for k in range(nface)]
-        vals = node_vals[idxs]
-        out[f] = vals[::-1] if rev else vals
-        cursor += nface - 1
+    npath = values.shape[-1] - 1
+    for f, j, _, rev in path:
+        vals = values[..., (cursor + np.arange(len(j))) % npath]
+        out[f] = vals[..., ::-1] if rev else vals
+        cursor += len(j) - 1
     return out
+
+
+def _worst_slice_norms(values: np.ndarray, mesh: Mesh) -> dict[str, float]:
+    """Interior L2 and max norms per transverse slice, worst slice reported
+    (operators.norms on a single slice)."""
+    sel = values[..., 1:-1, 1:-1]
+    l2 = np.sum(sel**2 * mesh.dual_area_2d[1:-1, 1:-1], axis=(-2, -1))
+    return {"l2": float(np.sqrt(np.max(l2))), "max": float(np.max(np.abs(sel)))}
 
 
 def solve_divcurl_2d(
     div_src: ScalarField,
     curl_src: ScalarField,
     tangential_data: dict[str, np.ndarray],
-    circulation: float,
+    circulation,
     settings: SolverSettings | None = None,
     diagnostics_out: dict | None = None,
     check_compatibility: bool = True,
 ) -> VectorField2:
-    """Reconstruct A on a slice from div A, curl A and A.tau on Gamma.
+    """Reconstruct A from div A, curl A and A.tau on Gamma, on one transverse
+    slice or on every slice of a volume at once.
 
-    The requested circulation must agree with the integral of curl_src
-    (Green's theorem); it is verified, not imposed - the tangential trace
-    already determines the solution.  The field chain disables the fatal
-    pre-check (its data is consistent by construction up to discretization)
-    and relies on the a-posteriori per-slice mismatch report instead.
+    For a volume, ``tangential_data`` holds (nzeta, nface) arrays and
+    ``circulation`` one value per slice.  The requested circulation must
+    agree with the integral of curl_src (Green's theorem); it is verified,
+    not imposed - the tangential trace already determines the solution.  The
+    field chain disables the fatal pre-check (its data is consistent by
+    construction up to discretization) and relies on the a-posteriori
+    per-slice mismatch report instead; on a volume the reported circulations
+    are per slice and the residual norms those of the worst slice.
     """
     settings = settings or SolverSettings()
     mesh = same_mesh(div_src, curl_src)
-    if div_src.is3d or curl_src.is3d:
-        raise ValueError("solve_divcurl_2d works per transverse slice")
+    div, curl = div_src.values, curl_src.values
+    if div.shape != curl.shape:
+        raise ValueError("div and curl sources must have the same shape")
+    circulation = np.asarray(circulation, dtype=float)
 
-    area_curl = float(mesh.integrate_2d(curl_src.values))
+    area_curl = mesh.integrate_2d(curl)
     area = mesh.a * mesh.b
     # judge the mismatch against the full source amplitude, not just the curl
     # channel, so discrete-noise sources with tiny curl do not trip the check
-    scale = max(
-        abs(area_curl),
-        float(np.abs(curl_src.values).max()) * area,
-        float(np.abs(div_src.values).max()) * area,
-        1e-12,
-    )
-    if check_compatibility and \
-            abs(circulation - area_curl) > max(settings.compat_rtol * scale, 1e-12):
+    scale = np.maximum.reduce([
+        np.abs(area_curl),
+        np.abs(curl).max(axis=(-2, -1)) * area,
+        np.abs(div).max(axis=(-2, -1)) * area,
+        np.full(np.shape(area_curl), 1e-12),
+    ])
+    gap = np.abs(circulation - area_curl)
+    if check_compatibility and np.any(gap > np.maximum(settings.compat_rtol * scale, 1e-12)):
+        k = np.argmax(gap)
         raise IncompatibleDataError(
-            f"circulation {circulation:.6e} inconsistent with curl integral {area_curl:.6e}"
+            f"circulation {np.broadcast_to(circulation, gap.shape).flat[k]:.6e} "
+            f"inconsistent with curl integral {np.ravel(area_curl)[k]:.6e}"
         )
 
     # peel off the corner-bilinear source content analytically so the
     # remaining potential problems are corner-compatible (O(h^2) split)
     X, Y = mesh.xy()
     xt, yt = X - mesh.x0, Y - mesh.y0
-    dc = _corner_bilinear(mesh, div_src.values)
-    cc = _corner_bilinear(mesh, curl_src.values)
+    dc = _corner_bilinear(mesh, div)
+    cc = _corner_bilinear(mesh, curl)
     A0 = _particular_field(mesh, dc, cc)
-    div_rem = div_src.values - (dc[0] + dc[1] * xt + dc[2] * yt + dc[3] * xt * yt)
-    curl_rem = curl_src.values - (cc[0] + cc[1] * xt + cc[2] * yt + cc[3] * xt * yt)
+    xy = xt * yt
+    div_rem = div - (dc[0] + dc[1] * xt + dc[2] * yt + dc[3] * xy)
+    curl_rem = curl - (cc[0] + cc[1] * xt + cc[2] * yt + cc[3] * xy)
     t0 = boundary_tangential_trace(A0)
 
     q = solve_poisson_2d(
@@ -523,12 +446,15 @@ def solve_divcurl_2d(
     if diagnostics_out is not None:
         from .operators import circulation as circ_fn
 
-        achieved = float(circ_fn(A))
+        achieved = circ_fn(A)
+        mismatch = np.abs(achieved - circulation)
+        if not A.is3d:
+            circulation, achieved, mismatch = float(circulation), float(achieved), float(mismatch)
         diagnostics_out.update(
             circulation_requested=circulation,
             circulation_achieved=achieved,
-            circulation_mismatch=abs(achieved - circulation),
-            div_residual=norms(div_perp(A).values - div_src.values, mesh),
-            curl_residual=norms(curl_perp_vector(A).values - curl_src.values, mesh),
+            circulation_mismatch=mismatch,
+            div_residual=_worst_slice_norms(div_perp(A).values - div, mesh),
+            curl_residual=_worst_slice_norms(curl_perp_vector(A).values - curl, mesh),
         )
     return A

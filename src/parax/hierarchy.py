@@ -338,34 +338,25 @@ class HierarchySolver:
             + beta * (Jz_prev - dt_Ez_prev)
         )
 
-        out_x = np.empty((mesh.nzeta, mesh.ny, mesh.nx))
-        out_y = np.empty_like(out_x)
-        mismatches = [0.0]
-        for k in range(mesh.nzeta):
-            tan_data = {f: beta * bperp_nu_trace[f][k] for f in FACE_ORDER}
-            target = -float(mesh.integrate_2d(dt_Bz_prev[k]))
-            diag = {} if diagnostics_out is not None else None
-            A = solve_divcurl_2d(
-                ScalarField(mesh, div_src[k]),
-                ScalarField(mesh, curl_src[k]),
-                tan_data,
-                target,
-                self.settings,
-                diagnostics_out=diag,
-                check_compatibility=False,
-            )
-            out_x[k], out_y[k] = A.x, A.y
-            if diag is not None:
-                mismatches.append(diag["circulation_mismatch"])
+        diag = {} if diagnostics_out is not None else None
+        A = solve_divcurl_2d(
+            ScalarField(mesh, div_src),
+            ScalarField(mesh, curl_src),
+            {f: beta * bperp_nu_trace[f] for f in FACE_ORDER},
+            -mesh.integrate_2d(dt_Bz_prev),
+            self.settings,
+            diagnostics_out=diag,
+            check_compatibility=False,
+        )
         if diagnostics_out is not None:
-            worst = float(np.max(mismatches))
+            worst = float(np.max(diag["circulation_mismatch"]))
             diagnostics_out["circulation_mismatch_max"] = worst
             # an O(h^2) gap between requested and achieved circulation is the
             # expected discretization level; only gross violations are loud
             scale = 1.0 + float(np.abs(dt_Bz_prev).max()) * mesh.a * mesh.b
             if worst > 0.02 * scale:
                 log.warning("order %d pseudo-field circulation mismatch %.3e", n, worst)
-        return VectorField2(mesh, out_x, out_y)
+        return A
 
     def solve_Eperp_order(
         self,
@@ -374,7 +365,6 @@ class HierarchySolver:
         Ez_n: ScalarField,
         ctx: "ChainContext",
         info_out: dict | None = None,
-        warm_start: VectorField2 | None = None,
     ) -> VectorField2:
         mesh, beta = self.mesh, self.beta
         src = ctx.sources[n]
@@ -417,20 +407,15 @@ class HierarchySolver:
             "zeta_hi": FaceBC(zk, 0.0),
         })
         ix, iy = ({}, {}) if info_out is not None else (None, None)
-        x0x = warm_start.x if warm_start is not None else None
-        x0y = warm_start.y if warm_start is not None else None
         Ex = solve_anisotropic_poisson_3d(
-            self.kappa, ScalarField(mesh, rhs_x), bc_x, self.settings, x0=x0x, info_out=ix
+            self.kappa, ScalarField(mesh, rhs_x), bc_x, self.settings, info_out=ix
         )
         Ey = solve_anisotropic_poisson_3d(
-            self.kappa, ScalarField(mesh, rhs_y), bc_y, self.settings, x0=x0y, info_out=iy
+            self.kappa, ScalarField(mesh, rhs_y), bc_y, self.settings, info_out=iy
         )
-        E = VectorField2(mesh, Ex.values, Ey.values)
         if info_out is not None:
             info_out.update(x=ix, y=iy)
-            res = div_perp(E).values - gauss
-            info_out["gauss_residual"] = norms(res, mesh)
-        return E
+        return VectorField2(mesh, Ex.values, Ey.values)
 
     def solve_Bperp_order(
         self,
@@ -451,28 +436,19 @@ class HierarchySolver:
 
         # rotate onto the tangential-data solver: W = Bperp x e_z has
         # div W = curl B, curl W = -div B, W.tau = -(B.nu)
-        out_x = np.empty((mesh.nzeta, mesh.ny, mesh.nx))
-        out_y = np.empty_like(out_x)
-        mismatches = [0.0]
-        for k in range(mesh.nzeta):
-            tan_data = {f: -nu_trace[f][k] for f in FACE_ORDER}
-            target_flux = -float(mesh.integrate_2d(dt_Bz_prev[k])) / beta
-            diag = {} if diagnostics_out is not None else None
-            W = solve_divcurl_2d(
-                ScalarField(mesh, curl_src[k]),
-                ScalarField(mesh, -div_src[k]),
-                tan_data,
-                -target_flux,
-                self.settings,
-                diagnostics_out=diag,
-                check_compatibility=False,
-            )
-            out_x[k], out_y[k] = -W.y, W.x  # B = -(W x e_z)
-            if diag is not None:
-                mismatches.append(diag["circulation_mismatch"])
+        diag = {} if diagnostics_out is not None else None
+        W = solve_divcurl_2d(
+            ScalarField(mesh, curl_src),
+            ScalarField(mesh, -div_src),
+            {f: -nu_trace[f] for f in FACE_ORDER},
+            mesh.integrate_2d(dt_Bz_prev) / beta,
+            self.settings,
+            diagnostics_out=diag,
+            check_compatibility=False,
+        )
         if diagnostics_out is not None:
-            diagnostics_out["flux_mismatch_max"] = float(np.max(mismatches))
-        return VectorField2(mesh, out_x, out_y)
+            diagnostics_out["flux_mismatch_max"] = float(np.max(diag["circulation_mismatch"]))
+        return VectorField2(mesh, -W.y, W.x)  # B = -(W x e_z)
 
     def _bperp_normal_trace(self, n: int, ctx) -> dict[str, np.ndarray]:
         """Bperp^n . nu on Gamma by zeta-integration of the boundary condition
@@ -513,7 +489,8 @@ class HierarchySolver:
     def solve_order(self, n: int, ctx: "ChainContext") -> FieldOrder:
         mesh = self.mesh
         diag: dict = {"order": n}
-        Ez = self.solve_Ez_order(n, ctx)
+        ez_info: dict = {}
+        Ez = self.solve_Ez_order(n, ctx, info_out=ez_info)
 
         # initial guess for the same-order tangential coupling
         prev_snap = ctx.history.latest
@@ -523,12 +500,13 @@ class HierarchySolver:
             guess = {f: np.zeros((mesh.nzeta, len(mesh.face_nodes(f)[0]))) for f in FACE_ORDER}
 
         Ecal = Eperp = Bperp = None
+        eperp_info: dict = {}
         sweeps = 0
         trace_gap = np.inf
         for sweep in range(self.settings.max_fixed_point):
             sweeps = sweep + 1
             Ecal = self.solve_Ecal_order(n, Ez, ctx, guess, diagnostics_out=diag)
-            Eperp = self.solve_Eperp_order(n, Ecal, Ez, ctx, warm_start=Eperp)
+            Eperp = self.solve_Eperp_order(n, Ecal, Ez, ctx, info_out=eperp_info)
             Bperp = self.solve_Bperp_order(n, Eperp, ctx, diagnostics_out=diag)
             new_trace = boundary_normal_trace(Bperp)
             gaps = [np.abs(new_trace[f] - guess[f]).max() for f in FACE_ORDER]
@@ -537,13 +515,20 @@ class HierarchySolver:
             guess = new_trace
             if trace_gap < self.settings.tolerance:
                 break
-        else:
+        converged = bool(trace_gap < self.settings.tolerance)
+        if not converged:
             log.warning(
                 "order %d fixed-point loop hit max sweeps (%d), trace gap %.3e",
                 n, sweeps, trace_gap,
             )
         diag["fixed_point_sweeps"] = sweeps
         diag["fixed_point_gap"] = float(trace_gap)
+        diag["fixed_point_converged"] = converged
+        # the scalar solves behind Ez and the last sweep's Eperp components
+        for name, info in (("Ez", ez_info), ("Eperp_x", eperp_info["x"]),
+                           ("Eperp_y", eperp_info["y"])):
+            diag[f"{name}_method"] = info["method"]
+            diag[f"{name}_relative_residual"] = info["relative_residual"]
 
         order_stub = FieldOrder(n=n, Ez=Ez, Ecal=Ecal, Eperp=Eperp, Bperp=Bperp,
                                 Bz=ScalarField.zeros(mesh), diagnostics=diag)

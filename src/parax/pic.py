@@ -9,6 +9,7 @@ second-order field discretization.  Walls absorb: f = 0 on the boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,22 @@ from .operators import div_perp, dzeta, norms
 
 # the deposited moments are exactly the hierarchy's source terms
 SourceMoments = SourceTerms
+
+# a truncated Gaussian with less of its mass than this inside the domain is
+# refused rather than rejection-sampled: the bunch lies outside the box
+MIN_ACCEPTANCE = 1e-3
+
+
+class SamplingError(ValueError):
+    """The requested distribution cannot be drawn inside the domain."""
+
+
+def _in_range_probability(center: float, sigma: float, lo: float, hi: float) -> float:
+    """Mass of N(center, sigma^2) on (lo, hi)."""
+    if sigma <= 0.0:
+        return float(lo < center < hi)
+    r = 1.0 / (sigma * math.sqrt(2.0))
+    return 0.5 * (math.erf((hi - center) * r) - math.erf((lo - center) * r))
 
 
 @dataclass
@@ -103,11 +120,29 @@ def sample_initial_distribution(
         zeta = zc + zw * (rng.uniform(size=n) - 0.5)
     elif family == "gaussian":
         sx, sy = (sigma, sigma) if np.isscalar(sigma) else sigma
+        accept = (
+            _in_range_probability(cx, sx, mesh.x0, mesh.x0 + mesh.a)
+            * _in_range_probability(cy, sy, mesh.y0, mesh.y0 + mesh.b)
+            * _in_range_probability(zc, zw, 0.0, mesh.zlen)
+        )
+        if accept < MIN_ACCEPTANCE:
+            raise SamplingError(
+                f"gaussian bunch at ({cx:g}, {cy:g}, {zc:g}) has {accept:.3g} of its "
+                f"mass inside the domain (< {MIN_ACCEPTANCE:g}); move it into the box"
+            )
+        # a round lands each missing particle inside with probability accept,
+        # so one is still missing after 60/accept rounds with odds below e^-60
+        max_rounds = int(60.0 / accept) + 1
         x = np.empty(n)
         y = np.empty(n)
         zeta = np.empty(n)
-        filled = 0
+        filled = rounds = 0
         while filled < n:
+            if rounds == max_rounds:
+                raise SamplingError(
+                    f"rejection sampling drew {filled} of {n} particles in {rounds} rounds"
+                )
+            rounds += 1
             m = n - filled
             xs = rng.normal(cx, sx, size=m)
             ys = rng.normal(cy, sy, size=m)

@@ -88,6 +88,12 @@ def test_fields_run_writes_outputs(tmp_path):
     assert manifest["verb"] == "fields"
     assert "maxwell_residual" in manifest["results"]
     assert len(manifest["config_sha256"]) == 64
+    order0 = manifest["results"]["diagnostics"]["order0"]
+    assert order0["fixed_point_converged"] is True
+    assert {"fixed_point_sweeps", "fixed_point_gap"} <= set(order0)
+    for name in ("Ez", "Eperp_x", "Eperp_y"):
+        assert order0[f"{name}_method"] == "fdm"
+        assert order0[f"{name}_relative_residual"] <= 1e-12
 
 
 def test_zero_case_all_zero_dumps(tmp_path):
@@ -110,6 +116,15 @@ def test_pic_run_steps_zero(tmp_path):
     assert os.path.exists(os.path.join(out, "particles_0_0.csv"))
     lines = open(os.path.join(out, "diagnostics.jsonl")).read().strip().splitlines()
     assert len(lines) == 1
+
+
+def test_pic_bunch_outside_box_is_an_error(tmp_path):
+    out = str(tmp_path / "outside")
+    cfg = small_cfg(pic__family="gaussian", pic__zeta_center=100.0)
+    with pytest.raises(ValueError, match="mass inside the domain"):
+        run_command("pic", cfg, out_dir=out, quiet=True)
+    report = json.load(open(os.path.join(out, "error.json")))
+    assert report["error"].startswith("SamplingError")
 
 
 def test_pic_rerun_byte_identical(tmp_path):

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parax.elliptic import (
     DIRICHLET,
@@ -213,3 +216,199 @@ def test_divcurl_mixed_convergence_and_consistency():
     # Green / divergence theorem consistency of the output improves at O(h^2)
     assert circ_gaps[0] / circ_gaps[1] > 3.4
     assert flux_gaps[0] / flux_gaps[1] > 3.4
+
+
+# -- the separable direct kernel against an assembled reference ----------------
+
+def _ref_second_difference(n, h, kinds):
+    """1D c=1 second difference on all n nodes: ghost-eliminated Neumann end
+    rows, zero rows at Dirichlet ends."""
+    D = sp.diags([np.ones(n - 1), np.full(n, -2.0), np.ones(n - 1)], [-1, 0, 1]).tolil()
+    for end, inner, kind in ((0, 1, kinds[0]), (n - 1, n - 2, kinds[1])):
+        D[end, :] = 0.0
+        if kind == NEUMANN:
+            D[end, end], D[end, inner] = -2.0, 2.0
+    return D.tocsr() / h**2
+
+
+def _ref_operator(shape, spacings, coeffs, kinds):
+    """sum_d c_d D_d assembled as a Kronecker sum over the full grid."""
+    eye = [sp.identity(n, format="csr") for n in shape]
+    L = sp.csr_matrix((np.prod(shape), np.prod(shape)))
+    for d, n in enumerate(shape):
+        factors = list(eye)
+        factors[d] = coeffs[d] * _ref_second_difference(n, spacings[d], kinds[d])
+        term = factors[0]
+        for fac in factors[1:]:
+            term = sp.kron(term, fac, format="csr")
+        L = L + term
+    return L
+
+
+_AXIS_FACE_NAMES = [("zeta_lo", "zeta_hi"), ("y_lo", "y_hi"), ("x_lo", "x_hi")]
+_kind = st.sampled_from([DIRICHLET, NEUMANN])
+
+
+@st.composite
+def separable_problems(draw):
+    nd = draw(st.sampled_from([2, 3]))
+    shape = tuple(draw(st.integers(3, 9)) for _ in range(nd))
+    # a direct solve's relative residual grows with the condition number, so
+    # extents stay within a factor 4 of each other to keep 1e-12 meaningful
+    extents = [draw(st.floats(0.5, 2.0)) for _ in range(3)]
+    kappa = draw(st.floats(0.05, 0.95))
+    pure_neumann = draw(st.booleans())
+    kinds = [(NEUMANN, NEUMANN) if pure_neumann else (draw(_kind), draw(_kind))
+             for _ in range(nd)]
+    seed = draw(st.integers(0, 2**32 - 1))
+    return nd, shape, extents, kappa, kinds, seed
+
+
+@settings(max_examples=80, deadline=None)
+@given(separable_problems())
+def test_separable_kernel_solves_reference_operator(problem):
+    nd, shape, (a, b, zlen), kappa, kinds, seed = problem
+    nzeta = shape[0] if nd == 3 else 3
+    m = build_mesh(a, b, zlen, shape[-1], shape[-2], nzeta)
+    spacings = (m.hzeta, m.hy, m.hx)[-nd:]
+    coeffs = (kappa, 1.0, 1.0)[-nd:]
+    names = _AXIS_FACE_NAMES[-nd:]
+    rng = np.random.default_rng(seed)
+
+    f = rng.standard_normal(shape)
+    faces = {}
+    for d, (lo_hi, kk) in enumerate(zip(names, kinds)):
+        face_shape = shape[:d] + shape[d + 1:]
+        for name, kind in zip(lo_hi, kk):
+            faces[name] = FaceBC(kind, rng.standard_normal(face_shape))
+
+    # rhs with the Neumann fluxes moved over, as the ghost elimination does
+    f_eff = f.copy()
+    for d, lo_hi in enumerate(names):
+        for name, end in zip(lo_hi, (0, -1)):
+            if faces[name].kind == NEUMANN:
+                idx = [slice(None)] * nd
+                idx[d] = end
+                f_eff[tuple(idx)] -= 2.0 * coeffs[d] * faces[name].value / spacings[d]
+    if all(k == (NEUMANN, NEUMANN) for k in kinds):
+        # make the data compatible: zero dual-cell-weighted sum
+        w = np.ones(shape)
+        for d in range(nd):
+            wd = np.ones(shape[d])
+            wd[[0, -1]] = 0.5
+            w = w * wd.reshape([-1 if e == d else 1 for e in range(nd)])
+        shift = np.sum(w * f_eff) / np.sum(w)
+        f, f_eff = f - shift, f_eff - shift
+
+    bc = BoundarySpec(faces)
+    info = {}
+    if nd == 3:
+        u = solve_anisotropic_poisson_3d(kappa, ScalarField(m, f), bc, info_out=info).values
+    else:
+        u = solve_poisson_2d(ScalarField(m, f), bc, info_out=info).values
+    assert info["method"] == "fdm"
+    assert info["relative_residual"] <= 1e-12
+
+    unknown = np.ones(shape, dtype=bool)
+    for d, (lo_hi, kk) in enumerate(zip(names, kinds)):
+        for name, kind, end in zip(lo_hi, kk, (0, -1)):
+            if kind == DIRICHLET:
+                idx = [slice(None)] * nd
+                idx[d] = end
+                unknown[tuple(idx)] = False
+    # Dirichlet nodes carry their data; faces are applied in order, so a
+    # corner takes the value of the last Dirichlet face through it
+    expect = np.zeros(shape)
+    for d, lo_hi in enumerate(names):
+        for name, end in zip(lo_hi, (0, -1)):
+            if faces[name].kind == DIRICHLET:
+                idx = [slice(None)] * nd
+                idx[d] = end
+                expect[tuple(idx)] = faces[name].value
+    np.testing.assert_array_equal(u[~unknown], expect[~unknown])
+
+    L = _ref_operator(shape, spacings, coeffs, kinds)
+    lift = (L @ np.where(unknown, 0.0, u).ravel())[unknown.ravel()]
+    rhs = f_eff[unknown] - lift
+    res = (L @ u.ravel())[unknown.ravel()] - f_eff[unknown]
+    assert np.linalg.norm(res) <= 1e-12 * max(np.linalg.norm(rhs), 1e-300)
+
+    if all(k == (NEUMANN, NEUMANN) for k in kinds):
+        assert abs(np.sum(w * u)) <= 1e-12 * np.sum(w * np.abs(u))
+
+
+def test_poisson_volume_solves_each_slice():
+    m = build_mesh(1.3, 0.7, 1.0, 11, 8, 5)
+    rng = np.random.default_rng(3)
+    rhs = rng.standard_normal((m.nzeta, m.ny, m.nx))
+    bc = BoundarySpec({
+        "x_lo": FaceBC(NEUMANN, rng.standard_normal((m.nzeta, m.ny))),
+        "x_hi": FaceBC(DIRICHLET, rng.standard_normal((m.nzeta, m.ny))),
+        "y_lo": FaceBC(DIRICHLET, 0.5),
+        "y_hi": FaceBC(NEUMANN, rng.standard_normal((m.nzeta, m.nx))),
+    })
+    u = solve_poisson_2d(ScalarField(m, rhs), bc).values
+    for k in range(m.nzeta):
+        bc_k = BoundarySpec({f: FaceBC(v.kind, np.asarray(v.value)[k] if np.ndim(v.value) else v.value)
+                             for f, v in bc.faces.items()})
+        u_k = solve_poisson_2d(ScalarField(m, rhs[k]), bc_k).values
+        np.testing.assert_allclose(u[k], u_k, rtol=0, atol=1e-12 * np.abs(u_k).max())
+
+
+def test_divcurl_volume_matches_per_slice():
+    m = build_mesh(1.0, 1.5, 2.0, 13, 10, 6, x0=-0.3, y0=0.2)
+    rng = np.random.default_rng(7)
+    div = rng.standard_normal((m.nzeta, m.ny, m.nx))
+    curl = rng.standard_normal((m.nzeta, m.ny, m.nx))
+    tan = {f: rng.standard_normal((m.nzeta, len(m.face_nodes(f)[0])))
+           for f in ("x_lo", "x_hi", "y_lo", "y_hi")}
+    circ = rng.standard_normal(m.nzeta)
+    diag = {}
+    A = solve_divcurl_2d(ScalarField(m, div), ScalarField(m, curl), tan, circ,
+                         diagnostics_out=diag, check_compatibility=False)
+    scale = max(np.abs(A.x).max(), np.abs(A.y).max())
+    for k in range(m.nzeta):
+        diag_k = {}
+        A_k = solve_divcurl_2d(ScalarField(m, div[k]), ScalarField(m, curl[k]),
+                               {f: v[k] for f, v in tan.items()}, circ[k],
+                               diagnostics_out=diag_k, check_compatibility=False)
+        np.testing.assert_allclose(A.x[k], A_k.x, rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(A.y[k], A_k.y, rtol=0, atol=1e-13 * scale)
+        assert diag["circulation_mismatch"][k] == pytest.approx(
+            diag_k["circulation_mismatch"], rel=1e-9, abs=1e-12)
+    with pytest.raises(IncompatibleDataError):
+        solve_divcurl_2d(ScalarField(m, div), ScalarField(m, curl), tan, circ)
+
+
+def _gamma_dirichlet_loop(mesh, g):
+    """Node-by-node contour integration of one slice's tangential trace."""
+    from parax.operators import gamma_ccw_faces
+
+    h_of = {"y_lo": mesh.hx, "x_hi": mesh.hy, "y_hi": mesh.hx, "x_lo": mesh.hy}
+    values, arcs = [0.0], [0.0]
+    for f, _, _, rev in gamma_ccw_faces(mesh):
+        arr = g[f][::-1] if rev else g[f]
+        for k in range(len(arr) - 1):
+            values.append(values[-1] + 0.5 * h_of[f] * (arr[k] + arr[k + 1]))
+            arcs.append(arcs[-1] + h_of[f])
+    values = np.asarray(values) - values[-1] * np.asarray(arcs) / arcs[-1]
+    out, cursor, npath = {}, 0, len(values) - 1
+    for f, j, _, rev in gamma_ccw_faces(mesh):
+        vals = values[[(cursor + k) % npath for k in range(len(j))]]
+        out[f] = vals[::-1] if rev else vals
+        cursor += len(j) - 1
+    return out
+
+
+def test_gamma_dirichlet_matches_loop_reference():
+    from parax.elliptic import _gamma_dirichlet_from_tangential
+
+    m = build_mesh(1.0, 2.0, 1.0, 7, 5, 4)
+    rng = np.random.default_rng(11)
+    g = {f: rng.standard_normal((m.nzeta, len(m.face_nodes(f)[0])))
+         for f in ("x_lo", "x_hi", "y_lo", "y_hi")}
+    got = _gamma_dirichlet_from_tangential(m, g)
+    for k in range(m.nzeta):
+        ref = _gamma_dirichlet_loop(m, {f: v[k] for f, v in g.items()})
+        for f in ref:
+            np.testing.assert_array_equal(got[f][k], ref[f])

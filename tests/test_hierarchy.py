@@ -214,3 +214,32 @@ def test_invalid_inputs():
         HierarchySolver(mesh, beta=0.5).solve_hierarchy(-1, SourceTerms.zeros(mesh))
     with pytest.raises(ValueError):
         FieldHistory(depth=1)
+
+
+def test_solve_diagnostics_recorded():
+    mesh = small_mesh(9)
+    case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.3)
+    _, _, h = run_case(mesh, case, 1, [0.0, 0.1])
+    for o in h.orders:
+        d = o.diagnostics
+        assert d["fixed_point_converged"] is True
+        for name in ("Ez", "Eperp_x", "Eperp_y"):
+            assert d[f"{name}_method"] == "fdm"
+            assert 0.0 <= d[f"{name}_relative_residual"] <= 1e-12
+
+
+def test_fixed_point_nonconvergence_reported(caplog):
+    from parax.elliptic import SolverSettings
+
+    mesh = small_mesh(9)
+    case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.3)
+    solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=case.bz_external),
+                             settings=SolverSettings(tolerance=1e-15, max_fixed_point=1))
+    hist = FieldHistory()
+    hist.push(solver.solve_hierarchy(0, case.sources(0.0), hist, time=0.0))
+    with caplog.at_level("WARNING", logger="parax.hierarchy"):
+        h = solver.solve_hierarchy(0, case.sources(0.1), hist, time=0.1)
+    d = h.order(0).diagnostics
+    assert d["fixed_point_sweeps"] == 1
+    assert d["fixed_point_converged"] is False
+    assert "max sweeps" in caplog.text

@@ -346,3 +346,17 @@ def test_run_pic_cold_beam_defocuses():
     assert r_out > r_in
     weights = [r.total_weight for r in recs]
     assert all(w2 <= w1 + 1e-12 for w1, w2 in zip(weights, weights[1:]))
+
+
+def test_gaussian_bunch_outside_box_fails_fast():
+    from parax.pic import SamplingError
+
+    mesh = mesh_small()
+    with pytest.raises(SamplingError):
+        sample_initial_distribution(mesh, "gaussian", 100, seed=0, zeta_center=100.0)
+    with pytest.raises(SamplingError):
+        sample_initial_distribution(mesh, "gaussian", 100, seed=0, center=(-5.0, 0.5))
+    # a bunch centred on a face keeps enough mass inside to be drawn
+    p = sample_initial_distribution(mesh, "gaussian", 1000, seed=0, center=(0.0, 0.5),
+                                    sigma=0.2)
+    assert len(p) == 1000 and np.all((p.x > 0.0) & (p.x < 1.0))
