@@ -25,7 +25,6 @@ from .mesh import Mesh, build_mesh
 from .pic import (
     ForceSample,
     ParticleEnsemble,
-    SourceMoments,
     assemble_force,
     check_charge_conservation,
     deposit_sources,

@@ -34,8 +34,6 @@ from .mesh import FACE_ORDER, Mesh
 from .operators import (
     boundary_tangential_trace,
     curl_perp_scalar,
-    curl_perp_vector,
-    div_perp,
     gamma_ccw_faces,
     grad_perp,
 )
@@ -361,14 +359,6 @@ def _gamma_dirichlet_from_tangential(mesh: Mesh, g: dict[str, np.ndarray]):
     return out
 
 
-def _worst_slice_norms(values: np.ndarray, mesh: Mesh) -> dict[str, float]:
-    """Interior L2 and max norms per transverse slice, worst slice reported
-    (operators.norms on a single slice)."""
-    sel = values[..., 1:-1, 1:-1]
-    l2 = np.sum(sel**2 * mesh.dual_area_2d[1:-1, 1:-1], axis=(-2, -1))
-    return {"l2": float(np.sqrt(np.max(l2))), "max": float(np.max(np.abs(sel)))}
-
-
 def solve_divcurl_2d(
     div_src: ScalarField,
     curl_src: ScalarField,
@@ -387,8 +377,8 @@ def solve_divcurl_2d(
     not imposed - the tangential trace already determines the solution.  The
     field chain disables the fatal pre-check (its data is consistent by
     construction up to discretization) and relies on the a-posteriori
-    per-slice mismatch report instead; on a volume the reported circulations
-    are per slice and the residual norms those of the worst slice.
+    per-slice mismatch report instead; on a volume the requested, achieved
+    and mismatched circulations in ``diagnostics_out`` are per slice.
     """
     settings = settings or SolverSettings()
     mesh = same_mesh(div_src, curl_src)
@@ -454,7 +444,5 @@ def solve_divcurl_2d(
             circulation_requested=circulation,
             circulation_achieved=achieved,
             circulation_mismatch=mismatch,
-            div_residual=_worst_slice_norms(div_perp(A).values - div, mesh),
-            curl_residual=_worst_slice_norms(curl_perp_vector(A).values - curl, mesh),
         )
     return A

@@ -42,12 +42,6 @@ class ScalarField:
     def is3d(self) -> bool:
         return self.values.ndim == 3
 
-    def slice(self, k: int) -> "ScalarField":
-        return ScalarField(self.mesh, self.values[k]) if self.is3d else self
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.mesh, self.values.copy())
-
     @classmethod
     def zeros(cls, mesh: Mesh, volumetric: bool = True) -> "ScalarField":
         shape = (mesh.nzeta, mesh.ny, mesh.nx) if volumetric else (mesh.ny, mesh.nx)
@@ -71,12 +65,6 @@ class VectorField2:
     @property
     def is3d(self) -> bool:
         return self.x.ndim == 3
-
-    def slice(self, k: int) -> "VectorField2":
-        return VectorField2(self.mesh, self.x[k], self.y[k]) if self.is3d else self
-
-    def copy(self) -> "VectorField2":
-        return VectorField2(self.mesh, self.x.copy(), self.y.copy())
 
     @classmethod
     def zeros(cls, mesh: Mesh, volumetric: bool = True) -> "VectorField2":

@@ -46,7 +46,6 @@ from .fields import ScalarField, VectorField2, same_mesh
 from .mesh import FACE_ORDER, Mesh
 from .operators import (
     boundary_normal_trace,
-    cross_ez,
     cumint_zeta,
     curl_perp_scalar,
     curl_perp_vector,
@@ -110,6 +109,46 @@ class FieldOrder:
         return self
 
 
+@dataclass(frozen=True)
+class FieldRates:
+    """Backward-difference time derivatives of one order's Ez, Bz, Eperp, Bperp."""
+
+    Ez: ScalarField
+    Bz: ScalarField
+    Eperp: VectorField2
+    Bperp: VectorField2
+
+    @classmethod
+    def zeros(cls, mesh: Mesh) -> "FieldRates":
+        return cls(ScalarField.zeros(mesh), ScalarField.zeros(mesh),
+                   VectorField2.zeros(mesh), VectorField2.zeros(mesh))
+
+
+def backward_rate(now: FieldOrder, before: FieldOrder | None, dt: float) -> FieldRates:
+    """(now - before) / dt for Ez, Bz, Eperp and Bperp; zeros on a cold start
+    (``before`` is None).
+
+    This is the one difference quotient of the program: the chain applies it
+    to the completed order n-1 against the latest snapshot, the residual
+    harness to the eta-weighted reconstructions of the last two snapshots.
+    """
+    mesh = now.Ez.mesh
+    if before is None:
+        return FieldRates.zeros(mesh)
+    if dt <= 0:
+        raise ValueError("solve time must exceed the latest snapshot time")
+
+    def vec(a: VectorField2, b: VectorField2) -> VectorField2:
+        return VectorField2(mesh, (a.x - b.x) / dt, (a.y - b.y) / dt)
+
+    return FieldRates(
+        Ez=ScalarField(mesh, (now.Ez.values - before.Ez.values) / dt),
+        Bz=ScalarField(mesh, (now.Bz.values - before.Bz.values) / dt),
+        Eperp=vec(now.Eperp, before.Eperp),
+        Bperp=vec(now.Bperp, before.Bperp),
+    )
+
+
 @dataclass
 class FieldHierarchy:
     mesh: Mesh
@@ -119,13 +158,18 @@ class FieldHierarchy:
     time: float = 0.0
 
     def order(self, n: int) -> FieldOrder:
+        if not 0 <= n <= self.n_max:
+            raise ValueError(
+                f"snapshot at t={self.time:g} holds orders 0..{self.n_max}; "
+                f"order {n} is missing"
+            )
         return self.orders[n]
 
     @property
     def n_max(self) -> int:
         return len(self.orders) - 1
 
-    def reconstruct(self, eta: float, n_max: int | None = None):
+    def reconstruct(self, eta: float, n_max: int | None = None) -> FieldOrder:
         """Total fields as eta-weighted sums over orders 0..n_max."""
         n_max = self.n_max if n_max is None else n_max
         mesh = self.mesh
@@ -135,7 +179,7 @@ class FieldHierarchy:
         Bx, By = np.zeros_like(Ez), np.zeros_like(Ez)
         Cx, Cy = np.zeros_like(Ez), np.zeros_like(Ez)
         for n in range(n_max + 1):
-            o = self.orders[n]
+            o = self.order(n)
             w = eta**n
             Ez += w * o.Ez.values
             Bz += w * o.Bz.values
@@ -145,35 +189,32 @@ class FieldHierarchy:
             By += w * o.Bperp.y
             Cx += w * o.Ecal.x
             Cy += w * o.Ecal.y
-        return {
-            "Ez": ScalarField(mesh, Ez),
-            "Bz": ScalarField(mesh, Bz),
-            "Eperp": VectorField2(mesh, Ex, Ey),
-            "Bperp": VectorField2(mesh, Bx, By),
-            "Ecal": VectorField2(mesh, Cx, Cy),
-        }
+        return FieldOrder(
+            n=n_max,
+            Ez=ScalarField(mesh, Ez),
+            Ecal=VectorField2(mesh, Cx, Cy),
+            Eperp=VectorField2(mesh, Ex, Ey),
+            Bperp=VectorField2(mesh, Bx, By),
+            Bz=ScalarField(mesh, Bz),
+        )
 
 
 class FieldHistory:
-    """Ring of prior hierarchy snapshots backing the d/dt source terms.
+    """The last two hierarchy snapshots, backing the d/dt source terms.
 
     The chain differences its own current fields against the latest
     snapshot, so one stored snapshot already activates the d/dt sources;
-    an empty history is a cold start (all time derivatives zero).
+    the residual harness differences the latest two.  An empty history is a
+    cold start (all time derivatives zero).
     """
 
-    def __init__(self, depth: int = 2):
-        if depth < 2:
-            raise ValueError("history depth must be >= 2")
-        self.depth = depth
+    def __init__(self):
         self.snapshots: list[FieldHierarchy] = []
 
     def push(self, h: FieldHierarchy):
         if self.snapshots and h.time <= self.snapshots[-1].time:
             raise ValueError("snapshot times must be strictly increasing")
-        self.snapshots.append(h)
-        if len(self.snapshots) > self.depth:
-            self.snapshots.pop(0)
+        self.snapshots = self.snapshots[-1:] + [h]
 
     @property
     def latest(self) -> FieldHierarchy | None:
@@ -183,21 +224,8 @@ class FieldHistory:
         """(previous, latest, dt) or None when fewer than two snapshots exist."""
         if len(self.snapshots) < 2:
             return None
-        prev, last = self.snapshots[-2], self.snapshots[-1]
+        prev, last = self.snapshots
         return prev, last, last.time - prev.time
-
-
-def time_derivative(history: FieldHistory, extract) -> np.ndarray | None:
-    """Backward-difference d/dt of extract(hierarchy) over the last two snapshots.
-
-    Returns None on a cold start (fewer than two snapshots); callers treat
-    that as an exact zero without allocating.
-    """
-    pair = history.pair()
-    if pair is None:
-        return None
-    prev, last, dt = pair
-    return (extract(last) - extract(prev)) / dt
 
 
 def _zeta_bc(order_parity_even: bool, for_Ez: bool) -> tuple[str, str]:
@@ -229,47 +257,6 @@ class HierarchySolver:
         self.external = external or ExternalField()
         self.settings = settings or SolverSettings()
 
-    # -- time-derivative helpers ------------------------------------------------
-    #
-    # The backward difference is anchored at the solve's own time: order n-1
-    # at the current time is already on the chain when order n is assembled,
-    # so (F_now - F_prev)/dt needs only one prior snapshot.  This makes the
-    # discrete per-order equations hold with the same difference quotient the
-    # residual harness uses, for any time profile of the sources.
-
-    def _zeros(self) -> np.ndarray:
-        return np.zeros((self.mesh.nzeta, self.mesh.ny, self.mesh.nx))
-
-    def _dt_pair(self, ctx, n: int):
-        """(prev_order_fields, dt) or None on a cold start."""
-        prev = ctx.history.latest
-        if prev is None or n < 0:
-            return None
-        dt = ctx.time - prev.time
-        if dt <= 0:
-            raise ValueError("solve time must exceed the latest snapshot time")
-        prev_fields = prev.order(n) if n <= prev.n_max else None
-        return prev_fields, dt
-
-    def _dt_scalar(self, ctx, n: int, component: str) -> np.ndarray:
-        pair = self._dt_pair(ctx, n)
-        if pair is None or n >= len(ctx.orders):
-            return self._zeros()
-        prev_fields, dt = pair
-        now = getattr(ctx.orders[n], component).values
-        before = getattr(prev_fields, component).values if prev_fields is not None else 0.0
-        return (now - before) / dt
-
-    def _dt_vector(self, ctx, n: int, component: str):
-        pair = self._dt_pair(ctx, n)
-        if pair is None or n >= len(ctx.orders):
-            return self._zeros(), self._zeros()
-        prev_fields, dt = pair
-        now = getattr(ctx.orders[n], component)
-        bx = getattr(prev_fields, component).x if prev_fields is not None else 0.0
-        by = getattr(prev_fields, component).y if prev_fields is not None else 0.0
-        return (now.x - bx) / dt, (now.y - by) / dt
-
     # -- the five per-order solves ---------------------------------------------
 
     def solve_Ez_order(
@@ -282,21 +269,10 @@ class HierarchySolver:
         src = ctx.sources[n]
         src_prev = _order_or_none(ctx.sources, n - 1)
 
-        # d/dt (beta dEz^{n-1}/dzeta + curl Bperp^{n-1})
-        pair = self._dt_pair(ctx, n - 1)
-        if pair is None or n - 1 >= len(ctx.orders):
-            dt_term = self._zeros()
-        else:
-            prev_fields, dt = pair
-            o_now = ctx.orders[n - 1]
-            g_now = beta * dzeta(o_now.Ez, high_order=True).values \
-                + curl_perp_vector(o_now.Bperp).values
-            if prev_fields is None:
-                g_before = 0.0
-            else:
-                g_before = beta * dzeta(prev_fields.Ez, high_order=True).values \
-                    + curl_perp_vector(prev_fields.Bperp).values
-            dt_term = (g_now - g_before) / dt
+        # d/dt (beta dEz^{n-1}/dzeta + curl Bperp^{n-1}), applied to the rates
+        rates = ctx.rates(n - 1)
+        dt_term = beta * dzeta(rates.Ez, high_order=True).values \
+            + curl_perp_vector(rates.Bperp).values
 
         Jz_prev = src_prev.Jzeta.values if src_prev is not None else 0.0
         rhs = dt_term - dzeta(
@@ -328,8 +304,8 @@ class HierarchySolver:
         mesh, beta = self.mesh, self.beta
         src = ctx.sources[n]
         src_prev = _order_or_none(ctx.sources, n - 1)
-        dt_Bz_prev = self._dt_scalar(ctx, n - 1, "Bz")
-        dt_Ez_prev = self._dt_scalar(ctx, n - 1, "Ez")
+        rates = ctx.rates(n - 1)
+        dt_Bz_prev, dt_Ez_prev = rates.Bz.values, rates.Ez.values
         Jz_prev = src_prev.Jzeta.values if src_prev is not None else 0.0
 
         curl_src = -dt_Bz_prev
@@ -374,13 +350,13 @@ class HierarchySolver:
         gg = grad_perp(ScalarField(mesh, gauss), high_order=True)
 
         d2_Ecal = dzeta2(Ecal_n, high_order=True)
-        dt_Bz_prev = self._dt_scalar(ctx, n - 1, "Bz")
-        curl_dtBz = curl_perp_scalar(ScalarField(mesh, dt_Bz_prev))
-        dtEx_prev, dtEy_prev = self._dt_vector(ctx, n - 1, "Eperp")
-        Jx_prev = src_prev.Jperp.x if src_prev is not None else np.zeros_like(gauss)
-        Jy_prev = src_prev.Jperp.y if src_prev is not None else np.zeros_like(gauss)
-        dz_x = dzeta(ScalarField(mesh, dtEx_prev + Jx_prev), high_order=True).values
-        dz_y = dzeta(ScalarField(mesh, dtEy_prev + Jy_prev), high_order=True).values
+        rates = ctx.rates(n - 1)
+        curl_dtBz = curl_perp_scalar(rates.Bz)
+        dtE_prev = rates.Eperp
+        Jx_prev = src_prev.Jperp.x if src_prev is not None else 0.0
+        Jy_prev = src_prev.Jperp.y if src_prev is not None else 0.0
+        dz_x = dzeta(ScalarField(mesh, dtE_prev.x + Jx_prev), high_order=True).values
+        dz_y = dzeta(ScalarField(mesh, dtE_prev.y + Jy_prev), high_order=True).values
 
         # (lap + kappa dzz) Eperp = grad(gauss) + dzz Ecal + curl(dBz'/dt)
         #                           + beta dz(dEperp'/dt + Jperp')
@@ -426,8 +402,8 @@ class HierarchySolver:
     ) -> VectorField2:
         mesh, beta = self.mesh, self.beta
         src_prev = _order_or_none(ctx.sources, n - 1)
-        dt_Ez_prev = self._dt_scalar(ctx, n - 1, "Ez")
-        dt_Bz_prev = self._dt_scalar(ctx, n - 1, "Bz")
+        rates = ctx.rates(n - 1)
+        dt_Ez_prev, dt_Bz_prev = rates.Ez.values, rates.Bz.values
         Jz_prev = src_prev.Jzeta.values if src_prev is not None else 0.0
 
         curl_src = dt_Ez_prev + beta * div_perp(Eperp_n).values - Jz_prev
@@ -454,9 +430,7 @@ class HierarchySolver:
         """Bperp^n . nu on Gamma by zeta-integration of the boundary condition
         (dBperp^{n-1}/dt + beta dBperp^n/dzeta) . nu = 0 from the zeta=0 plane."""
         mesh = self.mesh
-        dtBx_prev, dtBy_prev = self._dt_vector(ctx, n - 1, "Bperp")
-        dtB_prev = VectorField2(mesh, dtBx_prev, dtBy_prev)
-        dt_nu = boundary_normal_trace(dtB_prev)
+        dt_nu = boundary_normal_trace(ctx.rates(n - 1).Bperp)
         base = self.external.bperp_nu_trace(mesh) if n == 0 else {
             f: np.zeros(len(mesh.face_nodes(f)[0])) for f in FACE_ORDER
         }
@@ -478,7 +452,7 @@ class HierarchySolver:
         Bz = ScalarField(mesh, cumint_zeta(divB, mesh, initial=init))
         if diagnostics_out is not None:
             # integral constraint: d/dzeta int Bz = -(1/beta) int dBz^{n-1}/dt
-            dt_Bz_prev = self._dt_scalar(ctx, n - 1, "Bz")
+            dt_Bz_prev = ctx.rates(n - 1).Bz.values
             lhs = mesh.integrate_2d(divB)
             rhs = -mesh.integrate_2d(dt_Bz_prev) / self.beta
             diagnostics_out["bz_integral_residual"] = float(np.abs(lhs - rhs).max())
@@ -588,6 +562,25 @@ class ChainContext:
     history: FieldHistory
     time: float
     orders: list[FieldOrder]
+    _rates: dict[int, FieldRates] = dc_field(default_factory=dict, init=False, repr=False)
+
+    def rates(self, n: int) -> FieldRates:
+        """d/dt of the completed order n, anchored at the solve time against
+        the latest snapshot: order n at this time is already on the chain
+        when order n+1 is assembled, so one prior snapshot suffices, and the
+        per-order equations hold with the quotient the residual harness uses.
+        Formed once per order and shared by every stage and sweep; zeros
+        below order 0 and on a cold start."""
+        if n not in self._rates:
+            self._rates.clear()  # only the order below the current one is read
+            latest = self.history.latest
+            if n < 0 or latest is None:
+                self._rates[n] = FieldRates.zeros(self.sources[0].rho.mesh)
+            else:
+                self._rates[n] = backward_rate(
+                    self.orders[n], latest.order(n), self.time - latest.time
+                )
+        return self._rates[n]
 
 
 def solve_hierarchy(

@@ -128,11 +128,6 @@ class Mesh:
         m[1:-1, 1:-1] = True
         return m
 
-    def interior_mask_3d(self) -> np.ndarray:
-        m = np.zeros((self.nzeta, self.ny, self.nx), dtype=bool)
-        m[1:-1, 1:-1, 1:-1] = True
-        return m
-
     # -- quadrature weights ----------------------------------------------------
 
     @cached_property
@@ -153,13 +148,6 @@ class Mesh:
     def integrate_2d(self, values: np.ndarray) -> np.ndarray:
         """Trapezoid integral over Omega; works on (..., ny, nx) stacks."""
         return np.sum(values * self.dual_area_2d, axis=(-2, -1))
-
-    def same_transverse(self, other: "Mesh") -> bool:
-        return (
-            self.a == other.a and self.b == other.b
-            and self.nx == other.nx and self.ny == other.ny
-            and self.x0 == other.x0 and self.y0 == other.y0
-        )
 
 
 def build_mesh(

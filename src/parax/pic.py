@@ -25,9 +25,6 @@ from .hierarchy import (
 from .mesh import Mesh
 from .operators import div_perp, dzeta, norms
 
-# the deposited moments are exactly the hierarchy's source terms
-SourceMoments = SourceTerms
-
 # a truncated Gaussian with less of its mass than this inside the domain is
 # refused rather than rejection-sampled: the bunch lies outside the box
 MIN_ACCEPTANCE = 1e-3
@@ -211,12 +208,12 @@ def deposit_sources(
     particles: ParticleEnsemble,
     mesh: Mesh,
     n_chunks: int = 1,
-) -> SourceMoments:
+) -> SourceTerms:
     """Cloud-in-cell charge and current moments, dual-cell normalized.
 
     Splitting into chunks mimics per-thread accumulation buffers; partial
-    sums are merged in fixed chunk order, so the result is bit-identical for
-    any chunk count.
+    sums are merged in fixed chunk order, so reruns with the same chunk
+    count are byte-identical; different chunk counts agree to rounding.
     """
     p = particles
     moments = {
@@ -236,7 +233,7 @@ def deposit_sources(
             sl = slice(edges[c], edges[c + 1])
             total += _cic_scatter(mesh, p.x[sl], p.y[sl], p.zeta[sl], values[sl])
         out[name] = total / vol
-    return SourceMoments(
+    return SourceTerms(
         rho=ScalarField(mesh, out["rho"]),
         Jperp=VectorField2(mesh, out["jx"], out["jy"]),
         Jzeta=ScalarField(mesh, out["jz"]),
@@ -350,8 +347,8 @@ def push_particles(
 
 
 def check_charge_conservation(
-    moments_now: SourceMoments,
-    moments_prev: SourceMoments,
+    moments_now: SourceTerms,
+    moments_prev: SourceTerms,
     dt: float,
     mesh: Mesh,
 ) -> dict[str, float]:

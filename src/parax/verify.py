@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import ScalarField, VectorField2
-from .hierarchy import FieldHistory, SourceTerms
+from .hierarchy import FieldHistory, SourceTerms, backward_rate
 from .mesh import Mesh
 from .operators import (
     cross_ez,
@@ -29,7 +29,6 @@ from .operators import (
 )
 
 ETA_DEPENDENT_EQUATIONS = ("ampere_perp", "ampere_zeta", "faraday_perp", "faraday_zeta")
-ALL_EQUATIONS = ETA_DEPENDENT_EQUATIONS + ("gauss", "monopole")
 
 
 # -- manufactured solutions ----------------------------------------------------
@@ -281,8 +280,9 @@ def maxwell_residual(
     """Substitute the eta-weighted reconstruction into the six scaled
     Maxwell equations and report interior norms per equation.
 
-    The time derivative uses the same backward difference as the hierarchy
-    sources; on a cold start (single snapshot) it is zero.
+    The time derivative is :func:`backward_rate` of the reconstructions of
+    the last two snapshots, the quotient the hierarchy sources use; on a cold
+    start (single snapshot) it is zero.
     """
     latest = history.latest
     if latest is None:
@@ -294,35 +294,24 @@ def maxwell_residual(
 
     pair = history.pair()
     if pair is None:
-        zero = np.zeros((mesh.nzeta, mesh.ny, mesh.nx))
-        dt_of = {k: (zero, zero) if k in ("Eperp", "Bperp") else zero
-                 for k in ("Ez", "Bz", "Eperp", "Bperp")}
+        rate = backward_rate(now, None, 0.0)
     else:
-        prev_h, _, dt = pair
-        prev = prev_h.reconstruct(eta, n_max)
-        dt_of = {
-            "Ez": (now["Ez"].values - prev["Ez"].values) / dt,
-            "Bz": (now["Bz"].values - prev["Bz"].values) / dt,
-            "Eperp": ((now["Eperp"].x - prev["Eperp"].x) / dt,
-                      (now["Eperp"].y - prev["Eperp"].y) / dt),
-            "Bperp": ((now["Bperp"].x - prev["Bperp"].x) / dt,
-                      (now["Bperp"].y - prev["Bperp"].y) / dt),
-        }
+        prev, _, dt = pair
+        rate = backward_rate(now, prev.reconstruct(eta, n_max), dt)
 
-    Ecal, Ep, Bp = now["Ecal"], now["Eperp"], now["Bperp"]
-    Ez, Bz = now["Ez"], now["Bz"]
+    Ecal, Ep, Bp, Ez, Bz = now.Ecal, now.Eperp, now.Bperp, now.Ez, now.Bz
     mix = VectorField2(mesh, Ecal.x - kappa * Ep.x, Ecal.y - kappa * Ep.y)
 
     curl_Bz = curl_perp_scalar(Bz)
-    amp_perp_x = eta * dt_of["Eperp"][0] + dzeta(mix).x / beta - curl_Bz.x + eta * sources.Jperp.x
-    amp_perp_y = eta * dt_of["Eperp"][1] + dzeta(mix).y / beta - curl_Bz.y + eta * sources.Jperp.y
-    amp_zeta = eta * dt_of["Ez"] + div_perp(mix).values / beta - eta * sources.Jzeta.values
+    amp_perp_x = eta * rate.Eperp.x + dzeta(mix).x / beta - curl_Bz.x + eta * sources.Jperp.x
+    amp_perp_y = eta * rate.Eperp.y + dzeta(mix).y / beta - curl_Bz.y + eta * sources.Jperp.y
+    amp_zeta = eta * rate.Ez.values + div_perp(mix).values / beta - eta * sources.Jzeta.values
     gauss = div_perp(Ep).values - dzeta(Ez).values - sources.rho.values
     ecal_rot = cross_ez(Ecal)
     curl_Ez = curl_perp_scalar(Ez)
-    far_perp_x = eta * dt_of["Bperp"][0] + dzeta(ecal_rot).x + curl_Ez.x
-    far_perp_y = eta * dt_of["Bperp"][1] + dzeta(ecal_rot).y + curl_Ez.y
-    far_zeta = eta * dt_of["Bz"] + curl_perp_vector(Ecal).values
+    far_perp_x = eta * rate.Bperp.x + dzeta(ecal_rot).x + curl_Ez.x
+    far_perp_y = eta * rate.Bperp.y + dzeta(ecal_rot).y + curl_Ez.y
+    far_zeta = eta * rate.Bz.values + curl_perp_vector(Ecal).values
     mono = div_perp(Bp).values - dzeta(Bz).values
 
     # two-row collar keeps one-sided stencil rows out of the norms

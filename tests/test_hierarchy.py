@@ -7,8 +7,8 @@ from parax.hierarchy import (
     FieldHistory,
     HierarchySolver,
     SourceTerms,
+    backward_rate,
     solve_hierarchy,
-    time_derivative,
 )
 from parax.mesh import build_mesh
 from parax.operators import div_perp, norms
@@ -158,18 +158,41 @@ def test_time_derivative_conventions():
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0)
     solver = HierarchySolver(mesh, BETA)
     hist = FieldHistory()
-    assert time_derivative(hist, lambda h: h.order(0).Ez.values) is None
     h0 = solver.solve_hierarchy(0, case.sources(0.0), hist, time=0.0)
+    # cold start: every rate is an exact zero
+    cold = backward_rate(h0.order(0), None, 0.0)
+    for arr in (cold.Ez.values, cold.Bz.values, cold.Eperp.x, cold.Eperp.y,
+                cold.Bperp.x, cold.Bperp.y):
+        assert arr.shape == (mesh.nzeta, mesh.ny, mesh.nx) and not arr.any()
     hist.push(h0)
-    assert time_derivative(hist, lambda h: h.order(0).Ez.values) is None  # single snapshot
     h1 = solver.solve_hierarchy(0, case.sources(0.5), hist, time=0.5)
     hist.push(h1)
-    # field linear in t: backward difference is exact
-    d = time_derivative(hist, lambda h: h.order(0).Ez.values)
-    expected = (h1.order(0).Ez.values - h0.order(0).Ez.values) / 0.5
-    np.testing.assert_allclose(d, expected)
+    # rho = (1 + t) R: the order-0 chain is linear, so its fields are
+    # (1 + t) F and the quotient recovers d/dt = F = the fields at t = 0
+    rate = backward_rate(h1.order(0), h0.order(0), 0.5)
+    o0 = h0.order(0)
+    for got, want in ((rate.Ez.values, o0.Ez.values), (rate.Bz.values, o0.Bz.values),
+                      (rate.Eperp.x, o0.Eperp.x), (rate.Eperp.y, o0.Eperp.y),
+                      (rate.Bperp.x, o0.Bperp.x), (rate.Bperp.y, o0.Bperp.y)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * (1 + np.abs(want).max()))
+    with pytest.raises(ValueError):
+        backward_rate(h1.order(0), h0.order(0), 0.0)
     with pytest.raises(ValueError):
         hist.push(h0)  # non-monotone time
+
+
+def test_snapshot_missing_an_order_is_an_error():
+    # a history solved to a lower order cannot drive a higher-order solve:
+    # order 2 needs d/dt of order 1, which the snapshot does not hold
+    mesh = small_mesh(9)
+    case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0, bz_external=0.3)
+    solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=case.bz_external))
+    hist = FieldHistory()
+    hist.push(solver.solve_hierarchy(0, case.sources(0.0), hist, time=0.0))
+    with pytest.raises(ValueError, match="order 1 is missing"):
+        solver.solve_hierarchy(2, case.sources(0.1), hist, time=0.1)
+    # one order above the snapshot only needs the snapshot's own orders
+    hist.push(solver.solve_hierarchy(1, case.sources(0.1), hist, time=0.1))
 
 
 def test_fixed_point_diagnostics_present():
@@ -212,8 +235,6 @@ def test_invalid_inputs():
         HierarchySolver(mesh, beta=1.0)
     with pytest.raises(ValueError):
         HierarchySolver(mesh, beta=0.5).solve_hierarchy(-1, SourceTerms.zeros(mesh))
-    with pytest.raises(ValueError):
-        FieldHistory(depth=1)
 
 
 def test_solve_diagnostics_recorded():

@@ -88,6 +88,19 @@ def test_residual_report_shape_and_eta_dependence():
                                "faraday_perp", "faraday_zeta", "monopole"}
 
 
+def test_residual_snapshot_missing_an_order_is_an_error():
+    # the d/dt of an order-1 reconstruction needs order 1 in both snapshots
+    mesh = build_mesh(1.0, 1.0, 2.0, 9, 9, 9)
+    case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=0.5)
+    solver = HierarchySolver(mesh, BETA)
+    hist = FieldHistory()
+    for n_max, t in ((0, 0.0), (1, 0.1)):
+        hist.push(solver.solve_hierarchy(n_max, case.sources(t), hist, time=t))
+    with pytest.raises(ValueError, match="order 1 is missing"):
+        maxwell_residual(hist, 0.1, case.sources(0.1))
+    maxwell_residual(hist, 0.1, case.sources(0.1), n_max=0)
+
+
 def test_convergence_study_validation():
     rep = convergence_study([1 / 16, 1 / 32, 1 / 64], [1e-2, 2.5e-3, 6.26e-4],
                             target_order=1.9, label="demo")
