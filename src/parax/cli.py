@@ -24,7 +24,7 @@ from .elliptic import (
     solve_divcurl_2d,
     solve_poisson_2d,
 )
-from .fields import write_field_csv
+from .fields import write_csv_rows, write_field_csv
 from .hierarchy import ChainContext, ExternalField, FieldHistory, HierarchySolver
 from .mesh import build_mesh
 from .operators import boundary_tangential_trace, circulation, norms
@@ -151,10 +151,8 @@ def _dump_hierarchy(out_dir: str, mesh, hierarchy, step: int) -> list[str]:
 def _write_particles(path: str, p) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("id,x,y,zeta,vx,vy,vzeta,weight\n")
-        for k in range(len(p)):
-            row = (p.ids[k], p.x[k], p.y[k], p.zeta[k], p.vx[k], p.vy[k],
-                   p.vzeta[k], p.weight[k])
-            fh.write(f"{row[0]:d}," + ",".join(f"{v:.17g}" for v in row[1:]) + "\n")
+        write_csv_rows(fh, "%d," + ",".join(["%.17g"] * 7) + "\n",
+                       [p.ids, p.x, p.y, p.zeta, p.vx, p.vy, p.vzeta, p.weight])
 
 
 def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool, n_chunks: int) -> dict:

@@ -83,28 +83,35 @@ def same_mesh(*fields) -> Mesh:
 # -- CSV serialization --------------------------------------------------------
 #
 # Format: header "x,y,zeta,<component...>", one row per node, row-major over
-# (zeta, y, x) with x fastest, 17 significant digits.
+# (zeta, y, x) with x fastest, 17 significant digits.  Rows are formatted
+# CSV_ROWS at a time, so only one block of each column is ever held as
+# Python numbers.
+
+CSV_ROWS = 1024
+
+
+def write_csv_rows(fh, template: str, columns) -> None:
+    """Write ``template % row`` for each row of equal-length 1-D columns."""
+    for s in range(0, len(columns[0]), CSV_ROWS):
+        block = [c[s:s + CSV_ROWS].tolist() for c in columns]
+        fh.writelines(template % row for row in zip(*block))
+
 
 def write_field_csv(path, mesh: Mesh, components: dict[str, np.ndarray]) -> None:
     names = list(components)
-    arrays = []
-    for name in names:
-        v = np.asarray(components[name], dtype=float)
-        if v.ndim == 2:
-            v = v[None, :, :]
-        if v.shape != (v.shape[0], mesh.ny, mesh.nx):
-            raise FieldShapeError(f"component {name!r} has shape {v.shape}")
-        arrays.append(v)
+    arrays = [np.asarray(components[name], dtype=float) for name in names]
+    arrays = [v[None, :, :] if v.ndim == 2 else v for v in arrays]
     nz = arrays[0].shape[0]
+    for name, v in zip(names, arrays):
+        if v.shape != (nz, mesh.ny, mesh.nx) or nz > mesh.nzeta:
+            raise FieldShapeError(f"component {name!r} has shape {v.shape}")
     X, Y = mesh.xy()
-    zs = mesh.zeta[:nz] if nz > 1 else mesh.zeta[:1]
+    columns = [np.tile(X.ravel(), nz), np.tile(Y.ravel(), nz),
+               np.repeat(mesh.zeta[:nz], mesh.ny * mesh.nx)]
+    columns += [v.ravel() for v in arrays]
     with open(path, "w", newline="") as fh:
         fh.write("x,y,zeta," + ",".join(names) + "\n")
-        for k in range(nz):
-            for j in range(mesh.ny):
-                for i in range(mesh.nx):
-                    row = [X[j, i], Y[j, i], zs[k]] + [a[k, j, i] for a in arrays]
-                    fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        write_csv_rows(fh, ",".join(["%.17g"] * len(columns)) + "\n", columns)
 
 
 def read_field_csv(path):

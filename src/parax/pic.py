@@ -9,6 +9,7 @@ second-order field discretization.  Walls absorb: f = 0 on the boundary.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ from .hierarchy import (
 )
 from .mesh import Mesh
 from .operators import div_perp, dzeta, norms
+
+log = logging.getLogger(__name__)
 
 # a truncated Gaussian with less of its mass than this inside the domain is
 # refused rather than rejection-sampled: the bunch lies outside the box
@@ -176,32 +179,34 @@ def sample_initial_distribution(
 
 
 # -- grid coupling --------------------------------------------------------------
+#
+# Gather and deposit walk the particles in blocks of BLOCK and form each
+# block's cloud-in-cell corners once, for every component and every moment.
+# The block size is fixed, so a deposit sums the same partials in the same
+# order however the work is split.
 
-def _cic_indices(mesh: Mesh, x, y, zeta):
-    """Cell indices and fractional offsets for trilinear weighting."""
+BLOCK = 8192
+
+
+def _cic_corners(mesh: Mesh, x, y, zeta):
+    """Yield (flat node index, wz, wy, wx) for the 8 cloud-in-cell corners.
+
+    Corners come z-outermost, x-innermost; a particle's weight on a corner
+    is the product of its three axis weights.
+    """
     fx = (np.asarray(x) - mesh.x0) / mesh.hx
     fy = (np.asarray(y) - mesh.y0) / mesh.hy
     fz = np.asarray(zeta) / mesh.hzeta
     i = np.clip(fx.astype(np.int64), 0, mesh.nx - 2)
     j = np.clip(fy.astype(np.int64), 0, mesh.ny - 2)
     k = np.clip(fz.astype(np.int64), 0, mesh.nzeta - 2)
-    return i, j, k, fx - i, fy - j, fz - k
-
-
-def _cic_scatter(mesh: Mesh, x, y, zeta, values) -> np.ndarray:
-    """Deposit per-particle values onto nodes with trilinear weights."""
-    out = np.zeros((mesh.nzeta, mesh.ny, mesh.nx))
-    if len(x) == 0:
-        return out
-    i, j, k, fx, fy, fz = _cic_indices(mesh, x, y, zeta)
-    flat = out.ravel()
+    fx, fy, fz = fx - i, fy - j, fz - k
     sy, sx = mesh.nx * mesh.ny, mesh.nx
     base = k * sy + j * sx + i
     for dz, wz in ((0, 1.0 - fz), (1, fz)):
         for dy, wy in ((0, 1.0 - fy), (1, fy)):
             for dx, wx in ((0, 1.0 - fx), (1, fx)):
-                np.add.at(flat, base + dz * sy + dy * sx + dx, values * wz * wy * wx)
-    return out
+                yield base + (dz * sy + dy * sx + dx), wz, wy, wx
 
 
 def deposit_sources(
@@ -211,46 +216,58 @@ def deposit_sources(
 ) -> SourceTerms:
     """Cloud-in-cell charge and current moments, dual-cell normalized.
 
-    Splitting into chunks mimics per-thread accumulation buffers; partial
-    sums are merged in fixed chunk order, so reruns with the same chunk
-    count are byte-identical; different chunk counts agree to rounding.
+    Each block of BLOCK particles is scattered into its own partial sums,
+    which are added to the total in block order.  ``n_chunks`` is the
+    worker count callers pass (``PARAX_THREADS``); it does not change the
+    result: any chunk count gives byte-identical moments.
     """
     p = particles
-    moments = {
-        "rho": p.weight,
-        "jx": p.weight * p.vx,
-        "jy": p.weight * p.vy,
-        "jz": p.weight * p.vzeta,
-    }
-    n = len(p)
-    n_chunks = max(1, min(n_chunks, max(n, 1)))
-    edges = [(n * c) // n_chunks for c in range(n_chunks + 1)]
-    vol = mesh.dual_volume_3d
-    out = {}
-    for name, values in moments.items():
-        total = np.zeros((mesh.nzeta, mesh.ny, mesh.nx))
-        for c in range(n_chunks):
-            sl = slice(edges[c], edges[c + 1])
-            total += _cic_scatter(mesh, p.x[sl], p.y[sl], p.zeta[sl], values[sl])
-        out[name] = total / vol
+    nodes = mesh.nzeta * mesh.ny * mesh.nx
+    total = np.zeros((4, nodes))
+    for s in range(0, len(p), BLOCK):
+        b = slice(s, s + BLOCK)
+        w = p.weight[b]
+        values = (w, w * p.vx[b], w * p.vy[b], w * p.vzeta[b])
+        partial = np.zeros((4, nodes))
+        for idx, wz, wy, wx in _cic_corners(mesh, p.x[b], p.y[b], p.zeta[b]):
+            share = wz * wy
+            share *= wx
+            for m, v in enumerate(values):
+                np.add.at(partial[m], idx, v * share)
+        total += partial
+    rho, jx, jy, jz = total.reshape(4, mesh.nzeta, mesh.ny, mesh.nx) / mesh.dual_volume_3d
     return SourceTerms(
-        rho=ScalarField(mesh, out["rho"]),
-        Jperp=VectorField2(mesh, out["jx"], out["jy"]),
-        Jzeta=ScalarField(mesh, out["jz"]),
+        rho=ScalarField(mesh, rho),
+        Jperp=VectorField2(mesh, jx, jy),
+        Jzeta=ScalarField(mesh, jz),
     )
 
 
-def interpolate_to_particles(mesh: Mesh, arr: np.ndarray, p: ParticleEnsemble) -> np.ndarray:
-    """Trilinear field values at the particle positions."""
-    if len(p) == 0:
-        return np.zeros(0)
-    i, j, k, fx, fy, fz = _cic_indices(mesh, p.x, p.y, p.zeta)
-    out = np.zeros(len(p))
-    for dz, wz in ((0, 1.0 - fz), (1, fz)):
-        for dy, wy in ((0, 1.0 - fy), (1, fy)):
-            for dx, wx in ((0, 1.0 - fx), (1, fx)):
-                out += arr[k + dz, j + dy, i + dx] * wz * wy * wx
-    return out
+def interpolate_to_particles(mesh: Mesh, arr: np.ndarray, p: ParticleEnsemble):
+    """Trilinear field values at the particle positions.
+
+    ``arr`` is one (nzeta, ny, nx) field, giving one array, or a stack
+    (ncomp, nzeta, ny, nx), giving a list of ncomp arrays.  Each value is
+    summed over the corners as ``value * wz * wy * wx``.
+    """
+    arr = np.asarray(arr, dtype=float)
+    grid = (mesh.nzeta, mesh.ny, mesh.nx)
+    if arr.shape[-3:] != grid or arr.ndim not in (3, 4):
+        raise ValueError(f"field shape {arr.shape} is not {grid} or (ncomp, *{grid})")
+    table = arr.reshape(-1, mesh.nzeta * mesh.ny * mesh.nx)
+    out = [np.empty(len(p)) for _ in table]
+    for s in range(0, len(p), BLOCK):
+        b = slice(s, s + BLOCK)
+        acc = np.zeros((len(table), len(p.x[b])))
+        for idx, wz, wy, wx in _cic_corners(mesh, p.x[b], p.y[b], p.zeta[b]):
+            term = np.take(table, idx, axis=1)
+            term *= wz
+            term *= wy
+            term *= wx
+            acc += term
+        for o, a in zip(out, acc):
+            o[b] = a
+    return out[0] if arr.ndim == 3 else out
 
 
 # -- forces and push -------------------------------------------------------------
@@ -290,20 +307,24 @@ def assemble_force(
     """
     if n > hierarchy.n_max:
         raise ValueError(f"order {n} not available (hierarchy has {hierarchy.n_max})")
-    mesh = hierarchy.mesh
-    orders = []
+    # every component of every order goes through one gather
+    per_order = []
     for i in range(n + 1):
         o = hierarchy.order(i)
-        ecal_x = interpolate_to_particles(mesh, o.Ecal.x, particles)
-        ecal_y = interpolate_to_particles(mesh, o.Ecal.y, particles)
-        ez = interpolate_to_particles(mesh, o.Ez.values, particles)
-        if i == 0:
+        comps = [o.Ecal.x, o.Ecal.y, o.Ez.values]
+        if i > 0:
+            prev = hierarchy.order(i - 1)
+            comps += [prev.Bz.values, prev.Bperp.x, prev.Bperp.y]
+        per_order.append(comps)
+    stacked = np.stack([c for comps in per_order for c in comps])
+    samples = iter(interpolate_to_particles(hierarchy.mesh, stacked, particles))
+    orders = []
+    for comps in per_order:
+        ecal_x, ecal_y, ez, *magnetic = [next(samples) for _ in comps]
+        if not magnetic:
             fx, fy, fz = ecal_x, ecal_y, ez
         else:
-            prev = hierarchy.order(i - 1)
-            bz = interpolate_to_particles(mesh, prev.Bz.values, particles)
-            bx = interpolate_to_particles(mesh, prev.Bperp.x, particles)
-            by = interpolate_to_particles(mesh, prev.Bperp.y, particles)
+            bz, bx, by = magnetic
             # (Bz v + vzeta B) x e_z and v . (B x e_z)
             fx = ecal_x + bz * particles.vy + particles.vzeta * by
             fy = ecal_y - bz * particles.vx - particles.vzeta * bx
@@ -317,11 +338,14 @@ def push_particles(
     force: tuple[np.ndarray, np.ndarray, np.ndarray],
     dt: float,
     mesh: Mesh,
+    info_out: dict | None = None,
 ) -> ParticleEnsemble:
     """Kick-drift update with wall absorption.
 
     v_perp += F_perp dt, v_zeta -= F_z dt (the beam-frame advection sign),
     then positions drift; particles leaving Omega x (0, Z) are absorbed.
+    ``info_out`` receives ``max_cell_displacement``, the largest drift of
+    any particle along any axis, in cells.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -332,6 +356,10 @@ def push_particles(
     x = particles.x + vx * dt
     y = particles.y + vy * dt
     zeta = particles.zeta + vzeta * dt
+    if info_out is not None:
+        drift = [float(np.abs(v).max()) * dt / h
+                 for v, h in ((vx, mesh.hx), (vy, mesh.hy), (vzeta, mesh.hzeta)) if len(v)]
+        info_out["max_cell_displacement"] = max(drift, default=0.0)
 
     keep = (
         (x > mesh.x0) & (x < mesh.x0 + mesh.a)
@@ -367,7 +395,9 @@ class PicStepRecord:
     step: int
     time: float
     n_particles: int
+    absorbed: int  # by the push that led to this step
     absorbed_total: int
+    max_cell_displacement: float  # of that push, in cells along any axis
     total_weight: float
     charge_conservation: dict | None
     field_norms: dict
@@ -377,7 +407,9 @@ class PicStepRecord:
         return {
             "step": self.step, "time": self.time,
             "n_particles": self.n_particles,
+            "absorbed": self.absorbed,
             "absorbed_total": self.absorbed_total,
+            "max_cell_displacement": self.max_cell_displacement,
             "total_weight": self.total_weight,
             "charge_conservation": self.charge_conservation,
             "field_norms": self.field_norms,
@@ -402,16 +434,28 @@ def run_pic(
 
     Returns (final particles, history, records); ``on_step`` receives
     (step, particles, hierarchy, record) after each completed step, before
-    the next deposit.
+    the next deposit.  A push that moves a particle more than one cell, or
+    that leaves no particle in the domain, logs a warning.
     """
     solver = HierarchySolver(mesh, beta, external=external, settings=settings)
     history = FieldHistory()
     records: list[PicStepRecord] = []
     prev_moments = None
     half_kicked = False
+    push_info = {"max_cell_displacement": 0.0}
+    absorbed_before = particles.absorbed_total
 
     for step in range(steps + 1):
         t = step * dt
+        absorbed = particles.absorbed_total - absorbed_before
+        absorbed_before = particles.absorbed_total
+        shift = push_info["max_cell_displacement"]
+        if shift > 1.0:
+            log.warning("step %d: particles moved up to %.3g cells in one step; "
+                        "dt = %g is too long for the mesh", step, shift, dt)
+        if absorbed and not len(particles):
+            log.warning("step %d: every particle has left the domain", step)
+
         moments = deposit_sources(particles, mesh, n_chunks=n_chunks)
         hierarchy = solver.solve_hierarchy(n_max, moments, history, time=t)
         history.push(hierarchy)
@@ -430,8 +474,8 @@ def run_pic(
                 "Bz": norms(o.Bz.values, mesh)["l2"],
             }
         record = PicStepRecord(
-            step=step, time=t, n_particles=len(particles),
-            absorbed_total=particles.absorbed_total,
+            step=step, time=t, n_particles=len(particles), absorbed=absorbed,
+            absorbed_total=particles.absorbed_total, max_cell_displacement=shift,
             total_weight=particles.total_weight,
             charge_conservation=conservation,
             field_norms=field_norms,
@@ -455,6 +499,7 @@ def run_pic(
                 particles.absorbed_total,
             )
             half_kicked = True
-        particles = push_particles(particles, (fx, fy, fz), dt, mesh)
+        push_info = {}
+        particles = push_particles(particles, (fx, fy, fz), dt, mesh, info_out=push_info)
 
     return particles, history, records

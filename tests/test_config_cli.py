@@ -139,6 +139,25 @@ def test_pic_rerun_byte_identical(tmp_path):
         assert a == b, fname
 
 
+def test_pic_particle_loss_is_recorded_and_warned(tmp_path, caplog):
+    # a step far too long for the bunch's self-field: one push carries all
+    # but one of 2000 particles through the walls
+    ini = tmp_path / "loss.ini"
+    ini.write_text("[pic]\nn_particles = 2000\ndt = 0.5\ntotal_weight = 200\nsteps = 1\n")
+    out = str(tmp_path / "loss")
+    with caplog.at_level("WARNING", logger="parax.pic"):
+        assert main(["pic", "--config", str(ini), "--out", out, "--quiet"]) == 0
+    with open(os.path.join(out, "diagnostics.jsonl")) as fh:
+        records = [json.loads(line) for line in fh]
+    assert records[0]["absorbed"] == 0 and records[0]["max_cell_displacement"] == 0.0
+    assert records[1]["absorbed"] == 1999 and records[1]["absorbed_total"] == 1999
+    assert records[1]["max_cell_displacement"] > 1.0
+    assert "cells in one step" in caplog.text
+    final = json.load(open(os.path.join(out, "manifest.json")))["results"]["final"]
+    assert final["absorbed"] == 1999
+    assert final["max_cell_displacement"] == records[1]["max_cell_displacement"]
+
+
 def test_seed_override_changes_particles(tmp_path):
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     run_command("pic", small_cfg(), out_dir=out1, seed=1, quiet=True)

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "parax"
 
@@ -31,3 +32,28 @@ def test_no_unused_imports():
         if unused:
             found[path.name] = unused
     assert not found, f"unused imports: {found}"
+
+
+ROOT = SRC.parents[1]
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """Identifiers read in a subtree: bare names and attribute names."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_no_dead_definitions():
+    # every module-level def/class of the package is used somewhere in src/,
+    # tests/ or scripts/ outside its own body; matching is by name, so a
+    # use of a same-named object elsewhere also counts
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for folder in ("src", "tests", "scripts")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    used = sum((_uses(tree) for tree in trees.values()), Counter())
+    dead = [f"{path.name}:{node.name}"
+            for path in sorted(SRC.glob("*.py"))
+            for node in trees[path].body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and used[node.name] == _uses(node)[node.name]]
+    assert not dead, f"definitions used nowhere: {dead}"

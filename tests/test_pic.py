@@ -8,6 +8,7 @@ from parax.hierarchy import ExternalField, FieldHierarchy, FieldOrder, SourceTer
 from parax.mesh import build_mesh
 from parax.operators import norms
 from parax.pic import (
+    BLOCK,
     ForceSample,
     ParticleEnsemble,
     assemble_force,
@@ -124,16 +125,122 @@ def test_deposition_partition_of_unity(seed, n):
 
 
 def test_deposit_chunked_deterministic():
-    # fixed chunk merge order: repeated chunked runs are bit-identical, and
-    # any chunking agrees with the single pass to rounding
+    # fixed-size blocks merged in block order: the chunk count changes nothing
     mesh = mesh_small()
-    p = sample_initial_distribution(mesh, "gaussian", 777, seed=3, sigma=0.2, vth=0.2)
+    p = sample_initial_distribution(mesh, "gaussian", 2 * BLOCK + 777, seed=3,
+                                    sigma=0.2, vth=0.2)
     m1 = deposit_sources(p, mesh, n_chunks=1)
-    m4a = deposit_sources(p, mesh, n_chunks=4)
-    m4b = deposit_sources(p, mesh, n_chunks=4)
-    np.testing.assert_array_equal(m4a.rho.values, m4b.rho.values)
-    np.testing.assert_array_equal(m4a.Jzeta.values, m4b.Jzeta.values)
-    np.testing.assert_allclose(m1.rho.values, m4a.rho.values, rtol=1e-12, atol=1e-9)
+    for n_chunks in (3, 4):
+        m = deposit_sources(p, mesh, n_chunks=n_chunks)
+        for a, b in ((m1.rho, m.rho), (m1.Jzeta, m.Jzeta)):
+            np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(m1.Jperp.x, m.Jperp.x)
+        np.testing.assert_array_equal(m1.Jperp.y, m.Jperp.y)
+
+
+def random_ensemble(mesh, n, rng):
+    """n particles spread over the whole box, with random velocities and weights."""
+    return ParticleEnsemble(
+        ids=np.arange(n),
+        x=rng.uniform(mesh.x0, mesh.x0 + mesh.a, n),
+        y=rng.uniform(mesh.y0, mesh.y0 + mesh.b, n),
+        zeta=rng.uniform(0.0, mesh.zlen, n),
+        vx=rng.normal(size=n), vy=rng.normal(size=n), vzeta=rng.normal(size=n),
+        weight=rng.uniform(0.1, 2.0, n),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(3, 9), st.integers(3, 9), st.integers(3, 9),
+       st.floats(0.5, 3.0), st.floats(0.5, 3.0), st.floats(0.5, 3.0),
+       st.integers(1, 300), st.integers(0, 2**31 - 1))
+def test_deposit_interpolate_adjoint(nx, ny, nz, a, b, zlen, n, seed):
+    # sum_nodes vol * deposit(q) * F == sum_particles q * interp(F)
+    rng = np.random.default_rng(seed)
+    mesh = build_mesh(a, b, zlen, nx, ny, nz, x0=-0.3 * a, y0=0.2)
+    p = random_ensemble(mesh, n, rng)
+    F = rng.normal(size=(mesh.nzeta, mesh.ny, mesh.nx))
+    m = deposit_sources(p, mesh)
+    for moment, q in ((m.rho.values, p.weight), (m.Jperp.x, p.weight * p.vx),
+                      (m.Jzeta.values, p.weight * p.vzeta)):
+        grid_side = np.sum(mesh.dual_volume_3d * moment * F)
+        particle_side = np.sum(q * interpolate_to_particles(mesh, F, p))
+        scale = np.sum(np.abs(q)) * np.abs(F).max()
+        # both sides are sums of the same products, reordered
+        assert abs(grid_side - particle_side) <= 64 * np.finfo(float).eps * scale
+
+
+def test_stacked_interpolation_equals_per_component():
+    rng = np.random.default_rng(4)
+    mesh = build_mesh(1.5, 1.0, 2.0, 11, 7, 5, x0=-0.5)
+    p = random_ensemble(mesh, BLOCK + 123, rng)
+    F = rng.normal(size=(4, mesh.nzeta, mesh.ny, mesh.nx))
+    stacked = interpolate_to_particles(mesh, F, p)
+    assert len(stacked) == 4
+    for c in range(4):
+        np.testing.assert_array_equal(stacked[c], interpolate_to_particles(mesh, F[c], p))
+    with pytest.raises(ValueError, match="field shape"):
+        interpolate_to_particles(mesh, F[:, :-1], p)
+
+
+def reference_interpolate(mesh, arr, p):
+    """The per-corner gather loop the blocked gather must reproduce bit for bit."""
+    fx = (p.x - mesh.x0) / mesh.hx
+    fy = (p.y - mesh.y0) / mesh.hy
+    fz = p.zeta / mesh.hzeta
+    i = np.clip(fx.astype(np.int64), 0, mesh.nx - 2)
+    j = np.clip(fy.astype(np.int64), 0, mesh.ny - 2)
+    k = np.clip(fz.astype(np.int64), 0, mesh.nzeta - 2)
+    fx, fy, fz = fx - i, fy - j, fz - k
+    out = np.zeros(len(p))
+    for dz, wz in ((0, 1.0 - fz), (1, fz)):
+        for dy, wy in ((0, 1.0 - fy), (1, fy)):
+            for dx, wx in ((0, 1.0 - fx), (1, fx)):
+                out += arr[k + dz, j + dy, i + dx] * wz * wy * wx
+    return out
+
+
+def reference_force(n, hierarchy, p):
+    """Per-order forces, one reference gather per component."""
+    mesh = hierarchy.mesh
+    orders = []
+    for i in range(n + 1):
+        o = hierarchy.order(i)
+        ecal_x = reference_interpolate(mesh, o.Ecal.x, p)
+        ecal_y = reference_interpolate(mesh, o.Ecal.y, p)
+        ez = reference_interpolate(mesh, o.Ez.values, p)
+        if i == 0:
+            fx, fy, fz = ecal_x, ecal_y, ez
+        else:
+            prev = hierarchy.order(i - 1)
+            bz = reference_interpolate(mesh, prev.Bz.values, p)
+            bx = reference_interpolate(mesh, prev.Bperp.x, p)
+            by = reference_interpolate(mesh, prev.Bperp.y, p)
+            fx = ecal_x + bz * p.vy + p.vzeta * by
+            fy = ecal_y - bz * p.vx - p.vzeta * bx
+            fz = ez + p.vx * by - p.vy * bx
+        orders.append({"fx": fx, "fy": fy, "fz": fz})
+    return orders
+
+
+def test_assemble_force_matches_per_corner_reference():
+    rng = np.random.default_rng(8)
+    mesh = build_mesh(2.0, 2.0, 2.0, 9, 9, 7, x0=-1.0, y0=-1.0)
+    shape = (mesh.nzeta, mesh.ny, mesh.nx)
+    orders = [FieldOrder(
+        n=n,
+        Ez=ScalarField(mesh, rng.normal(size=shape)),
+        Ecal=VectorField2(mesh, rng.normal(size=shape), rng.normal(size=shape)),
+        Eperp=VectorField2(mesh, rng.normal(size=shape), rng.normal(size=shape)),
+        Bperp=VectorField2(mesh, rng.normal(size=shape), rng.normal(size=shape)),
+        Bz=ScalarField(mesh, rng.normal(size=shape)),
+    ) for n in range(3)]
+    h = FieldHierarchy(mesh=mesh, beta=BETA, orders=orders, external=ExternalField())
+    p = random_ensemble(mesh, BLOCK + 1000, rng)
+    f = assemble_force(2, h, p, eta=0.1)
+    for got, want in zip(f.orders, reference_force(2, h, p)):
+        for key in ("fx", "fy", "fz"):
+            np.testing.assert_array_equal(got[key], want[key])
 
 
 def test_interpolation_partition_of_unity():
@@ -346,6 +453,15 @@ def test_run_pic_cold_beam_defocuses():
     assert r_out > r_in
     weights = [r.total_weight for r in recs]
     assert all(w2 <= w1 + 1e-12 for w1, w2 in zip(weights, weights[1:]))
+
+
+def test_pic_losing_every_particle_warns(caplog):
+    mesh = build_mesh(1.0, 1.0, 2.0, 9, 9, 9)
+    p = sample_initial_distribution(mesh, "uniform", 50, seed=0, vth=50.0)
+    with caplog.at_level("WARNING", logger="parax.pic"):
+        final, _, records = run_pic(mesh, 0.5, 0.1, p, n_max=0, dt=0.5, steps=2)
+    assert len(final) == 0 and records[1].absorbed == 50 and records[2].absorbed == 0
+    assert caplog.text.count("every particle has left the domain") == 1
 
 
 def test_gaussian_bunch_outside_box_fails_fast():
