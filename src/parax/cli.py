@@ -155,7 +155,7 @@ def _write_particles(path: str, p) -> None:
                        [p.ids, p.x, p.y, p.zeta, p.vx, p.vy, p.vzeta, p.weight])
 
 
-def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool, n_chunks: int) -> dict:
+def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     mesh = _mesh(cfg)
     beta, eta = _beta_eta(cfg)
     case, hist, hierarchies = _solve_timeline(cfg, mesh, beta)
@@ -176,7 +176,7 @@ def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool, n_chunks: int) -> dict
     return results
 
 
-def cmd_pic(cfg: RunConfig, out_dir: str, quiet: bool, n_chunks: int) -> dict:
+def cmd_pic(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     mesh = _mesh(cfg)
     beta, eta = _beta_eta(cfg)
     p = cfg.pic
@@ -200,7 +200,7 @@ def cmd_pic(cfg: RunConfig, out_dir: str, quiet: bool, n_chunks: int) -> dict:
         final, hist, records = run_pic(
             mesh, beta, eta, particles, n_max=cfg.hierarchy.n_max, dt=p.dt,
             steps=p.steps, external=ExternalField(bz=cfg.external.bz),
-            settings=_settings(cfg), n_chunks=n_chunks, on_step=on_step,
+            settings=_settings(cfg), on_step=on_step,
         )
     if not quiet:
         last = records[-1]
@@ -282,7 +282,7 @@ MMS_TARGETS = {
 }
 
 
-def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool, n_chunks: int) -> dict:
+def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     beta, _ = _beta_eta(cfg)
     target = cfg.study.target
     if target not in MMS_TARGETS:
@@ -298,7 +298,7 @@ def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool, n_chunks: int) -> dict:
     return {"report": rep.as_dict()}
 
 
-def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool, n_chunks: int) -> dict:
+def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     mesh = _mesh(cfg)
     beta, eta = _beta_eta(cfg)
     case, hist, hierarchies = _solve_timeline(cfg, mesh, beta)
@@ -311,7 +311,7 @@ def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool, n_chunks: int) -> di
     return {"report": rep.as_dict()}
 
 
-def cmd_convergence(cfg: RunConfig, out_dir: str, quiet: bool, n_chunks: int) -> dict:
+def cmd_convergence(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     beta, _ = _beta_eta(cfg)
     grids = cfg.grid_list()
     if len(grids) < 2:
@@ -370,7 +370,10 @@ def run_command(
     quiet: bool = False,
     n_chunks: int = 1,
 ) -> int:
-    """Dispatch a verb; returns the process exit status."""
+    """Dispatch a verb; returns the process exit status.
+
+    ``n_chunks`` is accepted for existing callers and changes nothing.
+    """
     if verb not in COMMANDS:
         raise RunError(f"unknown verb {verb!r}")
     if order is not None:
@@ -382,7 +385,7 @@ def run_command(
     out = out_dir or os.environ.get("PARAX_OUT") or cfg.output.directory
     out = _ensure_outdir(out)
     try:
-        results = COMMANDS[verb](cfg, out, quiet, n_chunks)
+        results = COMMANDS[verb](cfg, out, quiet)
     except Exception as exc:
         report = {"verb": verb, "error": f"{type(exc).__name__}: {exc}"}
         try:
@@ -413,10 +416,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config) if args.config else RunConfig()
-        n_chunks = int(os.environ.get("PARAX_THREADS", "1"))
         return run_command(
             args.verb, cfg, out_dir=args.out, order=args.order,
-            seed=args.seed, quiet=args.quiet, n_chunks=max(1, n_chunks),
+            seed=args.seed, quiet=args.quiet,
         )
     except (ConfigError, RunError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -182,8 +182,8 @@ def sample_initial_distribution(
 #
 # Gather and deposit walk the particles in blocks of BLOCK and form each
 # block's cloud-in-cell corners once, for every component and every moment.
-# The block size is fixed, so a deposit sums the same partials in the same
-# order however the work is split.
+# The block size bounds the temporaries; the deposit scatters the blocks in
+# particle order, one after the other.
 
 BLOCK = 8192
 
@@ -216,25 +216,20 @@ def deposit_sources(
 ) -> SourceTerms:
     """Cloud-in-cell charge and current moments, dual-cell normalized.
 
-    Each block of BLOCK particles is scattered into its own partial sums,
-    which are added to the total in block order.  ``n_chunks`` is the
-    worker count callers pass (``PARAX_THREADS``); it does not change the
-    result: any chunk count gives byte-identical moments.
+    The blocks are scattered in particle order.  ``n_chunks`` is accepted
+    for existing callers and does not change the result.
     """
     p = particles
-    nodes = mesh.nzeta * mesh.ny * mesh.nx
-    total = np.zeros((4, nodes))
+    total = np.zeros((4, mesh.nzeta * mesh.ny * mesh.nx))
     for s in range(0, len(p), BLOCK):
         b = slice(s, s + BLOCK)
         w = p.weight[b]
         values = (w, w * p.vx[b], w * p.vy[b], w * p.vzeta[b])
-        partial = np.zeros((4, nodes))
         for idx, wz, wy, wx in _cic_corners(mesh, p.x[b], p.y[b], p.zeta[b]):
             share = wz * wy
             share *= wx
             for m, v in enumerate(values):
-                np.add.at(partial[m], idx, v * share)
-        total += partial
+                np.add.at(total[m], idx, v * share)
     rho, jx, jy, jz = total.reshape(4, mesh.nzeta, mesh.ny, mesh.nx) / mesh.dual_volume_3d
     return SourceTerms(
         rho=ScalarField(mesh, rho),
@@ -244,16 +239,16 @@ def deposit_sources(
 
 
 def interpolate_to_particles(mesh: Mesh, arr: np.ndarray, p: ParticleEnsemble):
-    """Trilinear field values at the particle positions.
+    """Trilinear values of a field stack at the particle positions.
 
-    ``arr`` is one (nzeta, ny, nx) field, giving one array, or a stack
-    (ncomp, nzeta, ny, nx), giving a list of ncomp arrays.  Each value is
-    summed over the corners as ``value * wz * wy * wx``.
+    ``arr`` has shape (ncomp, nzeta, ny, nx); the result is a list of ncomp
+    1-D arrays.  Each value is summed over the corners as
+    ``value * wz * wy * wx``.
     """
     arr = np.asarray(arr, dtype=float)
     grid = (mesh.nzeta, mesh.ny, mesh.nx)
-    if arr.shape[-3:] != grid or arr.ndim not in (3, 4):
-        raise ValueError(f"field shape {arr.shape} is not {grid} or (ncomp, *{grid})")
+    if arr.ndim != 4 or arr.shape[1:] != grid:
+        raise ValueError(f"field shape {arr.shape} is not (ncomp, *{grid})")
     table = arr.reshape(-1, mesh.nzeta * mesh.ny * mesh.nx)
     out = [np.empty(len(p)) for _ in table]
     for s in range(0, len(p), BLOCK):
@@ -267,7 +262,7 @@ def interpolate_to_particles(mesh: Mesh, arr: np.ndarray, p: ParticleEnsemble):
             acc += term
         for o, a in zip(out, acc):
             o[b] = a
-    return out[0] if arr.ndim == 3 else out
+    return out
 
 
 # -- forces and push -------------------------------------------------------------
@@ -435,7 +430,8 @@ def run_pic(
     Returns (final particles, history, records); ``on_step`` receives
     (step, particles, hierarchy, record) after each completed step, before
     the next deposit.  A push that moves a particle more than one cell, or
-    that leaves no particle in the domain, logs a warning.
+    that leaves no particle in the domain, logs a warning.  ``n_chunks`` is
+    accepted for existing callers and changes nothing.
     """
     solver = HierarchySolver(mesh, beta, external=external, settings=settings)
     history = FieldHistory()
@@ -456,7 +452,7 @@ def run_pic(
         if absorbed and not len(particles):
             log.warning("step %d: every particle has left the domain", step)
 
-        moments = deposit_sources(particles, mesh, n_chunks=n_chunks)
+        moments = deposit_sources(particles, mesh)
         hierarchy = solver.solve_hierarchy(n_max, moments, history, time=t)
         history.push(hierarchy)
 

@@ -125,7 +125,7 @@ def test_deposition_partition_of_unity(seed, n):
 
 
 def test_deposit_chunked_deterministic():
-    # fixed-size blocks merged in block order: the chunk count changes nothing
+    # one serial pass over fixed-size blocks: the chunk count changes nothing
     mesh = mesh_small()
     p = sample_initial_distribution(mesh, "gaussian", 2 * BLOCK + 777, seed=3,
                                     sigma=0.2, vth=0.2)
@@ -164,7 +164,7 @@ def test_deposit_interpolate_adjoint(nx, ny, nz, a, b, zlen, n, seed):
     for moment, q in ((m.rho.values, p.weight), (m.Jperp.x, p.weight * p.vx),
                       (m.Jzeta.values, p.weight * p.vzeta)):
         grid_side = np.sum(mesh.dual_volume_3d * moment * F)
-        particle_side = np.sum(q * interpolate_to_particles(mesh, F, p))
+        particle_side = np.sum(q * interpolate_to_particles(mesh, F[None], p)[0])
         scale = np.sum(np.abs(q)) * np.abs(F).max()
         # both sides are sums of the same products, reordered
         assert abs(grid_side - particle_side) <= 64 * np.finfo(float).eps * scale
@@ -178,9 +178,10 @@ def test_stacked_interpolation_equals_per_component():
     stacked = interpolate_to_particles(mesh, F, p)
     assert len(stacked) == 4
     for c in range(4):
-        np.testing.assert_array_equal(stacked[c], interpolate_to_particles(mesh, F[c], p))
-    with pytest.raises(ValueError, match="field shape"):
-        interpolate_to_particles(mesh, F[:, :-1], p)
+        np.testing.assert_array_equal(stacked[c], interpolate_to_particles(mesh, F[c:c + 1], p)[0])
+    for bad in (F[:, :-1], F[0]):
+        with pytest.raises(ValueError, match="field shape"):
+            interpolate_to_particles(mesh, bad, p)
 
 
 def reference_interpolate(mesh, arr, p):
@@ -247,7 +248,8 @@ def test_interpolation_partition_of_unity():
     mesh = mesh_small()
     ones = np.ones((mesh.nzeta, mesh.ny, mesh.nx))
     p = sample_initial_distribution(mesh, "uniform", 50, seed=5, radius=0.4)
-    np.testing.assert_allclose(interpolate_to_particles(mesh, ones, p), 1.0, rtol=1e-13)
+    np.testing.assert_allclose(interpolate_to_particles(mesh, ones[None], p)[0], 1.0,
+                               rtol=1e-13)
 
 
 # -- forces ------------------------------------------------------------------------
