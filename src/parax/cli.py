@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
 import os
 import sys
 
@@ -412,8 +413,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes to whatever ``sys.stderr`` is when a record is emitted, so a
+    caller that swaps ``sys.stderr`` between runs never gets a stale one."""
+
+    def __init__(self):
+        logging.Handler.__init__(self)
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+
+def _configure_logging(quiet: bool) -> None:
+    """One stderr handler on the ``parax`` logger, added on the first call;
+    ``quiet`` lets only errors through it."""
+    log = logging.getLogger("parax")
+    handler = next((h for h in log.handlers if isinstance(h, _StderrHandler)), None)
+    if handler is None:
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        log.addHandler(handler)
+    handler.setLevel(logging.ERROR if quiet else logging.WARNING)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _configure_logging(args.quiet)
     try:
         cfg = parse_config(args.config) if args.config else RunConfig()
         return run_command(

@@ -12,6 +12,7 @@ error Richardson-corrected across two grids.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -303,14 +304,15 @@ def maxwell_residual(
     mix = VectorField2(mesh, Ecal.x - kappa * Ep.x, Ecal.y - kappa * Ep.y)
 
     curl_Bz = curl_perp_scalar(Bz)
-    amp_perp_x = eta * rate.Eperp.x + dzeta(mix).x / beta - curl_Bz.x + eta * sources.Jperp.x
-    amp_perp_y = eta * rate.Eperp.y + dzeta(mix).y / beta - curl_Bz.y + eta * sources.Jperp.y
+    dz_mix = dzeta(mix)
+    amp_perp_x = eta * rate.Eperp.x + dz_mix.x / beta - curl_Bz.x + eta * sources.Jperp.x
+    amp_perp_y = eta * rate.Eperp.y + dz_mix.y / beta - curl_Bz.y + eta * sources.Jperp.y
     amp_zeta = eta * rate.Ez.values + div_perp(mix).values / beta - eta * sources.Jzeta.values
     gauss = div_perp(Ep).values - dzeta(Ez).values - sources.rho.values
-    ecal_rot = cross_ez(Ecal)
+    dz_ecal_rot = dzeta(cross_ez(Ecal))
     curl_Ez = curl_perp_scalar(Ez)
-    far_perp_x = eta * rate.Bperp.x + dzeta(ecal_rot).x + curl_Ez.x
-    far_perp_y = eta * rate.Bperp.y + dzeta(ecal_rot).y + curl_Ez.y
+    far_perp_x = eta * rate.Bperp.x + dz_ecal_rot.x + curl_Ez.x
+    far_perp_y = eta * rate.Bperp.y + dz_ecal_rot.y + curl_Ez.y
     far_zeta = eta * rate.Bz.values + curl_perp_vector(Ecal).values
     mono = div_perp(Bp).values - dzeta(Bz).values
 
@@ -398,6 +400,10 @@ def eta_scaling_study(
     for that grid; ``grids`` is (coarse, fine).  Residual norms of the
     eta-dependent equations are combined, Richardson-extrapolated across
     the two grids, floored at 1e-15, and fitted against eta.
+
+    ``make_runner`` is called once per grid on every call, so a study of
+    n_max 0 and 1 calls it once per n_max; a factory that keeps its runners
+    per grid, as :func:`standard_eta_runner` does, solves each grid once.
     """
     etas = sorted(float(e) for e in etas)
     runner_c = make_runner(grids[0])
@@ -420,11 +426,17 @@ ETA_STUDY_DT = 0.05
 
 def standard_eta_runner(beta: float = 0.5, zlen: float = 2.0, n_steps: int = 3):
     """make_runner factory for :func:`eta_scaling_study` on the canonical
-    quasi-static family; grid is (nx, ny, nzeta) node counts."""
+    quasi-static family; grid is (nx, ny, nzeta) node counts.
+
+    Each grid's timeline is solved to n_max = 1 once per factory: the
+    runners are kept per grid, so studies of n_max 0 and 1 that share a
+    factory read the same solved history.
+    """
     from .hierarchy import ExternalField, FieldHistory, HierarchySolver
     from .mesh import build_mesh
 
-    def make_runner(grid):
+    @functools.cache
+    def solved_runner(grid):
         nx, ny, nz = grid
         mesh = build_mesh(1.0, 1.0, zlen, nx, ny, nz)
         dt = ETA_STUDY_DT
@@ -435,11 +447,14 @@ def standard_eta_runner(beta: float = 0.5, zlen: float = 2.0, n_steps: int = 3):
         for k in range(n_steps):
             t = k * dt
             hist.push(solver.solve_hierarchy(1, case.sources(t), hist, time=t))
-        t_final = t
+        sources = case.sources(t)
 
         def runner(eta, n_max):
-            return maxwell_residual(hist, eta, case.sources(t_final), n_max=n_max)
+            return maxwell_residual(hist, eta, sources, n_max=n_max)
 
         return runner
+
+    def make_runner(grid):
+        return solved_runner(tuple(grid))
 
     return make_runner

@@ -158,6 +158,21 @@ def test_pic_particle_loss_is_recorded_and_warned(tmp_path, caplog):
     assert final["max_cell_displacement"] == records[1]["max_cell_displacement"]
 
 
+def test_pic_warnings_reach_stderr_unless_quiet(tmp_path, capsys):
+    import logging
+
+    ini = tmp_path / "loss.ini"
+    ini.write_text("[pic]\nn_particles = 2000\ndt = 0.5\ntotal_weight = 200\nsteps = 1\n")
+    capsys.readouterr()
+    assert main(["pic", "--config", str(ini), "--out", str(tmp_path / "loud")]) == 0
+    err = capsys.readouterr().err
+    assert "WARNING parax.pic: step 1: particles moved up to" in err
+    assert main(["pic", "--config", str(ini), "--out", str(tmp_path / "quiet"),
+                 "--quiet"]) == 0
+    assert "WARNING" not in capsys.readouterr().err
+    assert len(logging.getLogger("parax").handlers) == 1  # added once
+
+
 def test_seed_override_changes_particles(tmp_path):
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     run_command("pic", small_cfg(), out_dir=out1, seed=1, quiet=True)
@@ -225,6 +240,36 @@ def test_convergence_verb_small(tmp_path):
     assert rep["n_max_0"]["report"]["slope"] >= 0.8
     assert rep["n_max_1"]["report"]["slope"] > 1.0  # full margin needs big grids
     assert os.path.exists(os.path.join(out, "eta_nmax1.csv"))
+
+
+def test_convergence_solves_each_grid_once(tmp_path, monkeypatch):
+    # the n_max 0 and 1 fits read the same n_max=1 history per grid: two
+    # grids x three snapshots is six hierarchy solves, not twelve
+    from parax.hierarchy import HierarchySolver
+    from parax.verify import eta_scaling_study, standard_eta_runner
+
+    calls = []
+    solve = HierarchySolver.solve_hierarchy
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.mesh.nx)
+        return solve(self, *args, **kwargs)
+
+    monkeypatch.setattr(HierarchySolver, "solve_hierarchy", counted)
+    out = str(tmp_path / "conv")
+    cfg = small_cfg(study__grids="13,25")
+    assert run_command("convergence", cfg, out_dir=out, quiet=True) == 0
+    assert sorted(calls) == [13, 13, 13, 25, 25, 25]
+
+    # reference: a fresh factory per n_max solves every grid again
+    pair = [(13, 13, 7), (25, 25, 13)]
+    expected = {}
+    for n_max in (0, 1):
+        rep, data = eta_scaling_study(cfg.scaling.beta, cfg.eta_list(), n_max, pair,
+                                      standard_eta_runner(beta=cfg.scaling.beta))
+        expected[f"n_max_{n_max}"] = {"report": rep.as_dict(), "data": data}
+    with open(os.path.join(out, "eta_study.json")) as fh:
+        assert json.load(fh) == json.loads(json.dumps(expected))
 
 
 def test_physical_scaling_mode(tmp_path):

@@ -237,6 +237,18 @@ def test_invalid_inputs():
         HierarchySolver(mesh, beta=0.5).solve_hierarchy(-1, SourceTerms.zeros(mesh))
 
 
+def test_non_finite_source_is_an_error():
+    # a NaN written into a source after construction reaches the chain, whose
+    # first field built from it refuses the non-finite entries
+    from parax.fields import FieldShapeError
+
+    mesh = small_mesh(9)
+    sources = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0).sources(0.0)
+    sources.rho.values[4, 4, 4] = np.nan
+    with pytest.raises(FieldShapeError, match="non-finite"):
+        HierarchySolver(mesh, BETA).solve_hierarchy(1, sources)
+
+
 def test_solve_diagnostics_recorded():
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.3)
