@@ -23,7 +23,6 @@ from .hierarchy import (
 )
 from .mesh import Mesh, build_mesh
 from .pic import (
-    ForceSample,
     ParticleEnsemble,
     assemble_force,
     check_charge_conservation,
@@ -32,16 +31,7 @@ from .pic import (
     run_pic,
     sample_initial_distribution,
 )
-from .scaling import (
-    BeamFramePoint,
-    PhysicalConstants,
-    ScalingParameters,
-    compute_scaling,
-    from_beam_frame,
-    nondimensionalize,
-    redimensionalize,
-    to_beam_frame,
-)
+from .scaling import compute_scaling
 from .verify import (
     ConvergenceReport,
     QuasiStaticMode,

@@ -30,7 +30,7 @@ from .hierarchy import ChainContext, ExternalField, FieldHistory, HierarchySolve
 from .mesh import build_mesh
 from .operators import boundary_tangential_trace, circulation, norms
 from .pic import run_pic, sample_initial_distribution
-from .scaling import PhysicalConstants, compute_scaling
+from .scaling import compute_scaling
 from .verify import (
     QuasiStaticMode,
     convergence_study,
@@ -91,8 +91,7 @@ def _package_version() -> str:
 def _beta_eta(cfg: RunConfig):
     s = cfg.scaling
     if s.mode == "physical":
-        sc = compute_scaling(s.l, s.vbar, PhysicalConstants(), s.beta)
-        return s.beta, sc.eta
+        return s.beta, compute_scaling(s.vbar)
     return s.beta, s.eta
 
 

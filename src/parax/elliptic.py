@@ -23,7 +23,6 @@ tangential trace along Gamma.
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -37,8 +36,6 @@ from .operators import (
     gamma_ccw_faces,
     grad_perp,
 )
-
-log = logging.getLogger(__name__)
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"

@@ -267,65 +267,37 @@ def interpolate_to_particles(mesh: Mesh, arr: np.ndarray, p: ParticleEnsemble):
 
 # -- forces and push -------------------------------------------------------------
 
-@dataclass
-class ForceSample:
-    """Per-order forces at the particle locations plus the weighted total."""
-
-    eta: float
-    orders: list[dict]  # [{"fx": ..., "fy": ..., "fz": ...} per order]
-
-    def total(self, n_max: int | None = None):
-        n_max = len(self.orders) - 1 if n_max is None else n_max
-        np_ = len(self.orders[0]["fx"])
-        fx = np.zeros(np_)
-        fy = np.zeros(np_)
-        fz = np.zeros(np_)
-        for i in range(n_max + 1):
-            w = self.eta**i
-            fx += w * self.orders[i]["fx"]
-            fy += w * self.orders[i]["fy"]
-            fz += w * self.orders[i]["fz"]
-        return fx, fy, fz
-
-
 def assemble_force(
     n: int,
     hierarchy: FieldHierarchy,
     particles: ParticleEnsemble,
     eta: float,
-) -> ForceSample:
-    """Per-order force samples through order n.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eta-truncated total force sum_{i<=n} eta^i F^i at the particles.
 
     Order i carries the pseudo-field and longitudinal electric field of
     order i plus magnetic contributions of order i-1; order 0 is purely
-    electric (negative superscripts vanish).
+    electric (negative superscripts vanish).  The gather is linear, so the
+    order sum is formed on the grid and one gather of at most six
+    components serves every n.  Returns (fx, fy, fz).
     """
-    if n > hierarchy.n_max:
+    if not 0 <= n <= hierarchy.n_max:
         raise ValueError(f"order {n} not available (hierarchy has {hierarchy.n_max})")
-    # every component of every order goes through one gather
-    per_order = []
-    for i in range(n + 1):
-        o = hierarchy.order(i)
-        comps = [o.Ecal.x, o.Ecal.y, o.Ez.values]
-        if i > 0:
-            prev = hierarchy.order(i - 1)
-            comps += [prev.Bz.values, prev.Bperp.x, prev.Bperp.y]
-        per_order.append(comps)
-    stacked = np.stack([c for comps in per_order for c in comps])
-    samples = iter(interpolate_to_particles(hierarchy.mesh, stacked, particles))
-    orders = []
-    for comps in per_order:
-        ecal_x, ecal_y, ez, *magnetic = [next(samples) for _ in comps]
-        if not magnetic:
-            fx, fy, fz = ecal_x, ecal_y, ez
-        else:
-            bz, bx, by = magnetic
-            # (Bz v + vzeta B) x e_z and v . (B x e_z)
-            fx = ecal_x + bz * particles.vy + particles.vzeta * by
-            fy = ecal_y - bz * particles.vx - particles.vzeta * bx
-            fz = ez + particles.vx * by - particles.vy * bx
-        orders.append({"fx": fx, "fy": fy, "fz": fz})
-    return ForceSample(eta=eta, orders=orders)
+    e = hierarchy.reconstruct(eta, n)
+    comps = [e.Ecal.x, e.Ecal.y, e.Ez.values]
+    if n > 0:
+        b = hierarchy.reconstruct(eta, n - 1)
+        comps += [eta * b.Bz.values, eta * b.Bperp.x, eta * b.Bperp.y]
+    ecal_x, ecal_y, ez, *magnetic = interpolate_to_particles(
+        hierarchy.mesh, np.stack(comps), particles)
+    if not magnetic:
+        return ecal_x, ecal_y, ez
+    bz, bx, by = magnetic
+    p = particles
+    # (Bz v + vzeta B) x e_z and v . (B x e_z)
+    return (ecal_x + bz * p.vy + p.vzeta * by,
+            ecal_y - bz * p.vx - p.vzeta * bx,
+            ez + p.vx * by - p.vy * bx)
 
 
 def push_particles(
@@ -484,8 +456,7 @@ def run_pic(
         if step == steps:
             break
 
-        force = assemble_force(n_max, hierarchy, particles, eta)
-        fx, fy, fz = force.total()
+        fx, fy, fz = assemble_force(n_max, hierarchy, particles, eta)
         if not half_kicked:
             # leapfrog staggering: half-step backward kick once at startup
             particles = ParticleEnsemble(

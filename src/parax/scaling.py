@@ -1,186 +1,32 @@
-"""Physical constants, characteristic scales and the lab/beam frame map.
+"""The expansion parameter eta of physical scaling mode.
 
 Everything downstream (field chain, particle push) works in dimensionless
-beam-frame variables; this module owns the conversion in both directions.
+beam-frame variables.  A physical-mode config gives the characteristic
+particle velocity vbar in SI units, and eta = vbar / c.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+import logging
 
-import numpy as np
+log = logging.getLogger(__name__)
+
+SPEED_OF_LIGHT = 299792458.0  # [m/s]
 
 # Asymptotic regime is only formally justified for eta << 1; above this we warn.
 ETA_WARN_THRESHOLD = 0.3
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Vacuum constants plus particle species data, SI units."""
+def compute_scaling(vbar: float) -> float:
+    """eta = vbar / c for a characteristic particle velocity vbar [m/s].
 
-    c: float = 299792458.0            # speed of light [m/s]
-    mu0: float = 1.25663706212e-6     # vacuum permeability [H/m]
-    eps0: float = field(default=0.0)  # vacuum permittivity [F/m]; 0 -> derive from mu0, c
-    m: float = 9.1093837015e-31       # particle mass [kg]
-    q: float = 1.602176634e-19        # particle charge magnitude [C]
-
-    def __post_init__(self):
-        if self.eps0 == 0.0:
-            object.__setattr__(self, "eps0", 1.0 / (self.mu0 * self.c**2))
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        rel = abs(self.eps0 * self.mu0 * self.c**2 - 1.0)
-        if rel > 1e-12:
-            raise ValueError(f"eps0*mu0*c^2 deviates from 1 by {rel:.3e}")
-
-    @classmethod
-    def natural(cls) -> "PhysicalConstants":
-        """c = eps0 = mu0 = m = q = 1, for unit-free oracle tests."""
-        return cls(c=1.0, mu0=1.0, eps0=1.0, m=1.0, q=1.0)
-
-
-@dataclass(frozen=True)
-class ScalingParameters:
-    """Characteristic scales of a beam and every derived scale factor.
-
-    eta is stored rather than recomputed so that eta and beta can be swept
-    independently in verification studies (beta fixes the frame, eta the
-    velocity scale).
+    Raises ValueError unless 0 < vbar < c, and logs a warning on the
+    ``parax.scaling`` logger when eta exceeds ETA_WARN_THRESHOLD.
     """
-
-    beta: float       # frame velocity as a fraction of c
-    l: float          # characteristic beam dimension [m]
-    vbar: float       # characteristic particle velocity [m/s]
-    eta: float        # vbar / c
-    T: float          # characteristic time l / vbar [s]
-    Ebar: float       # electric field scale [V/m]
-    Bbar: float       # magnetic field scale [T]
-    rhobar: float     # charge density scale [C/m^3]
-    fbar: float       # distribution function scale
-    Jbar: float       # current density scale [A/m^2]
-    Fbar: float       # force scale [N/kg * m ... = m*vbar^2/l]
-    constants: PhysicalConstants = field(default_factory=PhysicalConstants)
-    eta_warning: bool = False
-
-
-def compute_scaling(
-    l: float,
-    vbar: float,
-    constants: PhysicalConstants | None = None,
-    beta: float = 0.5,
-) -> ScalingParameters:
-    """Derive all scale factors from the beam size l and velocity scale vbar.
-
-    Raises ValueError for non-positive l, vbar >= c, or beta outside the
-    open interval (0, 1).  Sets ``eta_warning`` (and emits a warning) when
-    eta exceeds ETA_WARN_THRESHOLD.
-    """
-    constants = constants or PhysicalConstants()
-    if l <= 0:
-        raise ValueError("characteristic length l must be positive")
-    if vbar <= 0:
-        raise ValueError("characteristic velocity vbar must be positive")
-    if vbar >= constants.c:
-        raise ValueError("non-relativistic scaling requires vbar < c")
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie in the open interval (0, 1)")
-
-    c, eps0, m, q = constants.c, constants.eps0, constants.m, constants.q
-    eta = vbar / c
-    warn = eta > ETA_WARN_THRESHOLD
-    if warn:
-        warnings.warn(
-            f"eta = {eta:.3g} > {ETA_WARN_THRESHOLD}: asymptotic regime questionable",
-            stacklevel=2,
-        )
-    Ebar = m * vbar**2 / (q * l)
-    return ScalingParameters(
-        beta=beta,
-        l=l,
-        vbar=vbar,
-        eta=eta,
-        T=l / vbar,
-        Ebar=Ebar,
-        Bbar=Ebar / c,
-        rhobar=eps0 * Ebar / l,
-        fbar=eps0 * m / (q**2 * l**2 * vbar),
-        Jbar=eps0 * Ebar * c / l,
-        Fbar=m * vbar**2 / l,
-        constants=constants,
-        eta_warning=warn,
-    )
-
-
-@dataclass(frozen=True)
-class BeamFramePoint:
-    """Phase-space point in the co-moving frame: zeta = beta*c*t - z."""
-
-    x_perp: tuple[float, float]
-    zeta: float
-    v_perp: tuple[float, float]
-    v_zeta: float
-    t: float
-
-
-def to_beam_frame(x, y, z, vx, vy, vz, t, beta: float, c: float) -> BeamFramePoint:
-    """Lab state -> co-moving frame: zeta = beta*c*t - z, v_zeta = beta*c - vz."""
-    return BeamFramePoint(
-        x_perp=(x, y),
-        zeta=beta * c * t - z,
-        v_perp=(vx, vy),
-        v_zeta=beta * c - vz,
-        t=t,
-    )
-
-
-def from_beam_frame(p: BeamFramePoint, beta: float, c: float):
-    """Exact inverse of :func:`to_beam_frame`.
-
-    Returns (x, y, z, vx, vy, vz, t).
-    """
-    x, y = p.x_perp
-    vx, vy = p.v_perp
-    z = beta * c * p.t - p.zeta
-    vz = beta * c - p.v_zeta
-    return x, y, z, vx, vy, vz, p.t
-
-
-# Quantity kinds understood by nondimensionalize/redimensionalize, mapping to
-# their scale factor.  Currents carry the extra eta weight of the scaled
-# current convention.
-_SCALE_ATTR = {
-    "length": "l",
-    "time": "T",
-    "velocity": "vbar",
-    "E": "Ebar",
-    "B": "Bbar",
-    "rho": "rhobar",
-    "f": "fbar",
-    "F": "Fbar",
-}
-
-
-def _scale_for(kind: str, scaling: ScalingParameters) -> float:
-    if kind in _SCALE_ATTR:
-        return getattr(scaling, _SCALE_ATTR[kind])
-    if kind in ("Jperp", "Jzeta", "J"):
-        return scaling.Jbar * scaling.eta
-    raise ValueError(f"unknown quantity kind {kind!r}")
-
-
-def nondimensionalize(value, kind: str, scaling: ScalingParameters):
-    """Physical value -> dimensionless (primes), e.g. E' = E/Ebar.
-
-    ``kind`` is one of length/time/velocity/E/B/rho/f/F/Jperp/Jzeta.
-    Currents divide by Jbar*eta (the eta-weighted convention).
-    Works on scalars and numpy arrays alike.
-    """
-    return np.asarray(value) / _scale_for(kind, scaling) if isinstance(value, np.ndarray) \
-        else value / _scale_for(kind, scaling)
-
-
-def redimensionalize(value, kind: str, scaling: ScalingParameters):
-    """Dimensionless -> physical; exact inverse of :func:`nondimensionalize`."""
-    return np.asarray(value) * _scale_for(kind, scaling) if isinstance(value, np.ndarray) \
-        else value * _scale_for(kind, scaling)
+    if not 0.0 < vbar < SPEED_OF_LIGHT:
+        raise ValueError("non-relativistic scaling requires 0 < vbar < c")
+    eta = vbar / SPEED_OF_LIGHT
+    if eta > ETA_WARN_THRESHOLD:
+        log.warning("eta = %.3g > %g: asymptotic regime questionable",
+                    eta, ETA_WARN_THRESHOLD)
+    return eta

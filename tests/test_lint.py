@@ -57,3 +57,53 @@ def test_no_dead_definitions():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and used[node.name] == _uses(node)[node.name]]
     assert not dead, f"definitions used nowhere: {dead}"
+
+
+def _module_assignments(tree: ast.Module):
+    """(name, line) for each module-level name bound by assignment."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign))
+                   else [])
+        for target in targets:
+            for n in ast.walk(target):
+                if isinstance(n, ast.Name):
+                    yield n.id, node.lineno
+
+
+def _imported_from(tree: ast.AST) -> set[tuple[str, str]]:
+    """(module stem, name) for each ``from module import name`` and each
+    ``module.name`` attribute read in a file."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            stem = node.module.split(".")[-1]
+            found.update((stem, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            owner = node.value
+            stem = (owner.id if isinstance(owner, ast.Name)
+                    else owner.attr if isinstance(owner, ast.Attribute) else None)
+            if stem is not None:
+                found.add((stem, node.attr))
+    return found
+
+
+def test_no_dead_module_names():
+    # every module-level name of the package bound by assignment is read in
+    # its own module or imported from it by another file; unlike the check
+    # above, a read of a same-named variable in another module does not count
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for folder in ("src", "tests", "scripts", "perfbench")
+             for path in sorted((ROOT / folder).rglob("*.py"))}
+    imports = {path: _imported_from(tree) for path, tree in trees.items()}
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = trees[path]
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        imported = set().union(*(found for p, found in imports.items() if p != path))
+        dead += [f"{path.name}:{name} (line {line})"
+                 for name, line in _module_assignments(tree)
+                 if not name.startswith("__") and name not in read
+                 and (path.stem, name) not in imported]
+    assert not dead, f"module-level names nothing reads: {dead}"

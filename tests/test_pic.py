@@ -3,13 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parax.pic
 from parax.fields import ScalarField, VectorField2
-from parax.hierarchy import ExternalField, FieldHierarchy, FieldOrder, SourceTerms
+from parax.hierarchy import (
+    ExternalField,
+    FieldHierarchy,
+    FieldHistory,
+    FieldOrder,
+    HierarchySolver,
+    SourceTerms,
+)
 from parax.mesh import build_mesh
 from parax.operators import norms
 from parax.pic import (
     BLOCK,
-    ForceSample,
     ParticleEnsemble,
     assemble_force,
     check_charge_conservation,
@@ -224,9 +231,7 @@ def reference_force(n, hierarchy, p):
     return orders
 
 
-def test_assemble_force_matches_per_corner_reference():
-    rng = np.random.default_rng(8)
-    mesh = build_mesh(2.0, 2.0, 2.0, 9, 9, 7, x0=-1.0, y0=-1.0)
+def random_hierarchy(mesh, n_max, rng):
     shape = (mesh.nzeta, mesh.ny, mesh.nx)
     orders = [FieldOrder(
         n=n,
@@ -235,13 +240,47 @@ def test_assemble_force_matches_per_corner_reference():
         Eperp=VectorField2(mesh, rng.normal(size=shape), rng.normal(size=shape)),
         Bperp=VectorField2(mesh, rng.normal(size=shape), rng.normal(size=shape)),
         Bz=ScalarField(mesh, rng.normal(size=shape)),
-    ) for n in range(3)]
-    h = FieldHierarchy(mesh=mesh, beta=BETA, orders=orders, external=ExternalField())
+    ) for n in range(n_max + 1)]
+    return FieldHierarchy(mesh=mesh, beta=BETA, orders=orders, external=ExternalField())
+
+
+def test_assemble_force_matches_per_corner_reference():
+    # the eta-combined gather against sum_i eta^i F^i of per-order reference forces
+    rng = np.random.default_rng(8)
+    mesh = build_mesh(2.0, 2.0, 2.0, 9, 9, 7, x0=-1.0, y0=-1.0)
+    h = random_hierarchy(mesh, 2, rng)
     p = random_ensemble(mesh, BLOCK + 1000, rng)
-    f = assemble_force(2, h, p, eta=0.1)
-    for got, want in zip(f.orders, reference_force(2, h, p)):
-        for key in ("fx", "fy", "fz"):
-            np.testing.assert_array_equal(got[key], want[key])
+    eta = 0.1
+    per_order = reference_force(2, h, p)
+    for n in range(3):
+        got = assemble_force(n, h, p, eta=eta)
+        want = [sum(eta**i * per_order[i][key] for i in range(n + 1))
+                for key in ("fx", "fy", "fz")]
+        if n == 0:
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+            continue
+        scale = max(np.abs(w).max() for w in want)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 16 * np.finfo(float).eps * scale
+
+
+def test_assemble_force_is_one_six_component_gather(monkeypatch):
+    rng = np.random.default_rng(9)
+    mesh = mesh_small()
+    h = random_hierarchy(mesh, 2, rng)
+    p = random_ensemble(mesh, 50, rng)
+    shapes = []
+
+    def recording(mesh, arr, particles):
+        shapes.append(arr.shape)
+        return interpolate_to_particles(mesh, arr, particles)
+
+    monkeypatch.setattr(parax.pic, "interpolate_to_particles", recording)
+    for n, ncomp in ((0, 3), (1, 6), (2, 6)):
+        shapes.clear()
+        assemble_force(n, h, p, eta=0.1)
+        assert [s[0] for s in shapes] == [ncomp]
 
 
 def test_interpolation_partition_of_unity():
@@ -258,10 +297,17 @@ def test_force_order0_is_electric_only():
     mesh = mesh_small()
     h = uniform_field_hierarchy(mesh, o0={"Ecal_x": 2.0, "Ez": 1.0, "Bz": 9.0, "Bx": 3.0})
     p = single_particle(mesh, 0.5, 0.5, 1.0, vx=1.0, vy=2.0, vzeta=3.0)
-    f = assemble_force(0, h, p, eta=0.1)
-    assert f.orders[0]["fx"][0] == pytest.approx(2.0)
-    assert f.orders[0]["fy"][0] == pytest.approx(0.0)
-    assert f.orders[0]["fz"][0] == pytest.approx(1.0)
+    fx, fy, fz = assemble_force(0, h, p, eta=0.1)
+    assert fx[0] == pytest.approx(2.0)
+    assert fy[0] == pytest.approx(0.0)
+    assert fz[0] == pytest.approx(1.0)
+
+
+def order1_force(h, p, eta):
+    """F^1 at the particles: the order-1 increment of the truncated force."""
+    f1 = assemble_force(1, h, p, eta=eta)
+    f0 = assemble_force(0, h, p, eta=eta)
+    return [(a - b) / eta for a, b in zip(f1, f0)]
 
 
 def test_force_order1_magnetic_rotation():
@@ -270,15 +316,16 @@ def test_force_order1_magnetic_rotation():
     # F1_perp = (Bz v) x e_z = (0, -1)
     h = uniform_field_hierarchy(mesh, o0={"Bz": 1.0})
     p = single_particle(mesh, 0.5, 0.5, 1.0, vx=1.0)
-    f = assemble_force(1, h, p, eta=0.1)
-    assert f.orders[1]["fx"][0] == pytest.approx(0.0)
-    assert f.orders[1]["fy"][0] == pytest.approx(-1.0)
+    fx, fy, _ = order1_force(h, p, eta=0.1)
+    assert fx[0] == pytest.approx(0.0)
+    assert fy[0] == pytest.approx(-1.0)
     # F1_z = v . (B x e_z) with Bperp = (0,1), v = (1,0): = 1
     h2 = uniform_field_hierarchy(mesh, o0={"By": 1.0})
-    f2 = assemble_force(1, h2, p, eta=0.1)
-    assert f2.orders[1]["fz"][0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        assemble_force(5, h, p, eta=0.1)
+    _, _, fz = order1_force(h2, p, eta=0.1)
+    assert fz[0] == pytest.approx(1.0)
+    for n in (-1, 5):
+        with pytest.raises(ValueError):
+            assemble_force(n, h, p, eta=0.1)
 
 
 def test_force_truncation_totals():
@@ -287,11 +334,32 @@ def test_force_truncation_totals():
                                 o1={"Ecal_x": 0.5})
     p = single_particle(mesh, 0.5, 0.5, 1.0, vx=0.0, vy=1.0)
     eta = 0.1
-    f = assemble_force(1, h, p, eta=eta)
-    fx0 = f.total(0)[0][0]
-    fx1 = f.total(1)[0][0]
+    fx0 = assemble_force(0, h, p, eta=eta)[0][0]
+    fx1 = assemble_force(1, h, p, eta=eta)[0][0]
     # order-1 x-force: Ecal1_x + Bz0 * vy = 0.5 + 2 = 2.5
     assert fx1 - fx0 == pytest.approx(eta * 2.5)
+
+
+@pytest.mark.parametrize("n, nz", [(9, 7), (10, 8), (17, 9)])
+def test_cic_self_force_vanishes_by_symmetry(n, nz):
+    # one particle's own field, gathered back with the deposit's weights,
+    # cancels wherever the box is mirror-symmetric about the particle
+    mesh = build_mesh(2.0, 2.0, 2.0, n, n, nz, x0=-1.0, y0=-1.0)
+
+    def self_force(x, y, zeta):
+        p = single_particle(mesh, x, y, zeta, vx=0.3, vzeta=0.2)
+        h = HierarchySolver(mesh, BETA).solve_hierarchy(
+            1, deposit_sources(p, mesh), FieldHistory(), time=0.0)
+        o = h.order(0)
+        scale = max(np.abs(o.Ecal.x).max(), np.abs(o.Ecal.y).max())
+        return np.array(assemble_force(1, h, p, eta=0.1))[:, 0], scale
+
+    # the centre: mirror-symmetric in x, y and zeta
+    f, scale = self_force(0.0, 0.0, 1.0)
+    assert np.abs(f).max() <= 1e-13 * scale
+    # off axis on the y = 0 plane the wall images pull along x, not y
+    f, scale = self_force(0.013, 0.0, 1.0)
+    assert abs(f[1]) <= 1e-13 * scale
 
 
 # -- push ---------------------------------------------------------------------------

@@ -1,98 +1,34 @@
+import logging
+
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from parax.scaling import (
-    BeamFramePoint,
-    PhysicalConstants,
-    ScalingParameters,
-    compute_scaling,
-    from_beam_frame,
-    nondimensionalize,
-    redimensionalize,
-    to_beam_frame,
-)
-
-finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
-
-
-def test_constants_identity():
-    c = PhysicalConstants()
-    assert abs(c.eps0 * c.mu0 * c.c**2 - 1.0) < 1e-12
-    n = PhysicalConstants.natural()
-    assert n.c == n.eps0 == n.mu0 == n.m == n.q == 1.0
+from parax.scaling import ETA_WARN_THRESHOLD, SPEED_OF_LIGHT, compute_scaling
 
 
 def test_compute_scaling_example():
-    consts = PhysicalConstants(c=2.9979e8, mu0=1.25663706212e-6)
-    s = compute_scaling(l=0.01, vbar=2.9979e7, constants=consts, beta=0.5)
-    assert s.eta == pytest.approx(0.1)
-    assert s.T == pytest.approx(3.3357e-10, rel=1e-4)
-    assert not s.eta_warning
+    assert compute_scaling(2.9979e7) == pytest.approx(0.1, rel=1e-4)
 
 
 def test_scaling_identities():
-    consts = PhysicalConstants()
-    s = compute_scaling(l=0.02, vbar=3.0e7, constants=consts, beta=0.3)
-    c, eps0, m, q = consts.c, consts.eps0, consts.m, consts.q
-    assert s.eta == pytest.approx(s.vbar / c, rel=1e-14)
-    assert s.T == pytest.approx(s.l / s.vbar, rel=1e-14)
-    assert s.Ebar == pytest.approx(m * s.vbar**2 / (q * s.l), rel=1e-14)
-    assert s.Bbar == pytest.approx(s.Ebar / c, rel=1e-14)
-    assert s.rhobar == pytest.approx(eps0 * s.Ebar / s.l, rel=1e-14)
-    assert s.fbar == pytest.approx(eps0 * m / (q**2 * s.l**2 * s.vbar), rel=1e-14)
-    assert s.Jbar == pytest.approx(s.rhobar * c, rel=1e-14)
-    assert s.Fbar == pytest.approx(m * s.vbar**2 / s.l, rel=1e-14)
-
-
-def test_natural_units_normalization():
-    with pytest.warns(UserWarning):
-        s = compute_scaling(l=1.0, vbar=0.5, constants=PhysicalConstants.natural(), beta=0.5)
-    assert s.Ebar == pytest.approx(0.25)
-    s1 = ScalingParameters(
-        beta=0.5, l=1.0, vbar=1.0, eta=1.0, T=1.0, Ebar=1.0, Bbar=1.0,
-        rhobar=1.0, fbar=1.0, Jbar=1.0, Fbar=1.0,
-        constants=PhysicalConstants.natural(),
-    )
-    # unit scales map unit physical values to unit dimensionless values
-    assert nondimensionalize(1.0, "E", s1) == 1.0
-    assert nondimensionalize(1.0, "B", s1) == 1.0
-    assert nondimensionalize(1.0, "f", s1) == 1.0
+    for vbar in (1.0, 3.0e7, 0.25 * SPEED_OF_LIGHT, np.nextafter(SPEED_OF_LIGHT, 0.0)):
+        assert compute_scaling(vbar) == vbar / SPEED_OF_LIGHT
 
 
 def test_compute_scaling_rejections():
-    with pytest.raises(ValueError):
-        compute_scaling(l=0.01, vbar=3e7, beta=1.0)
-    with pytest.raises(ValueError):
-        compute_scaling(l=-1.0, vbar=3e7, beta=0.5)
-    with pytest.raises(ValueError):
-        compute_scaling(l=0.01, vbar=3.1e8, beta=0.5)
+    for vbar in (0.0, -3e7, SPEED_OF_LIGHT, 3.1e8, float("nan")):
+        with pytest.raises(ValueError, match="0 < vbar < c"):
+            compute_scaling(vbar)
 
 
-def test_eta_warning_flag():
-    with pytest.warns(UserWarning):
-        s = compute_scaling(l=0.01, vbar=1.2e8, beta=0.5)
-    assert s.eta_warning
-
-
-def test_beam_frame_examples():
-    p = to_beam_frame(0.0, 0.0, 0.5, 0.0, 0.0, 0.4, 2.0, beta=0.5, c=1.0)
-    assert p.zeta == pytest.approx(0.5)
-    assert p.v_zeta == pytest.approx(0.1)
-    x, y, z, vx, vy, vz, t = from_beam_frame(
-        BeamFramePoint((0.0, 0.0), 0.5, (0.0, 0.0), 0.0, 2.0), beta=0.5, c=1.0
-    )
-    assert z == pytest.approx(0.5)
-    assert vz == pytest.approx(0.5)  # comoving particle moves at beta*c
-
-
-@given(finite, finite, finite, finite, finite, finite, finite,
-       st.floats(min_value=0.05, max_value=0.95))
-def test_frame_round_trip(x, y, z, vx, vy, vz, t, beta):
-    p = to_beam_frame(x, y, z, vx, vy, vz, t, beta, c=2.0)
-    back = from_beam_frame(p, beta, c=2.0)
-    np.testing.assert_allclose(back, (x, y, z, vx, vy, vz, t), rtol=0, atol=1e-9)
+def test_eta_warning_flag(caplog):
+    with caplog.at_level(logging.WARNING, logger="parax.scaling"):
+        compute_scaling(ETA_WARN_THRESHOLD * SPEED_OF_LIGHT)
+        assert not caplog.records
+        eta = compute_scaling(1.2e8)
+    assert eta > ETA_WARN_THRESHOLD
+    assert [r.name for r in caplog.records] == ["parax.scaling"]
+    assert "asymptotic regime questionable" in caplog.text
 
 
 def test_chain_rule_mapping():
@@ -125,17 +61,3 @@ def test_chain_rule_mapping():
     assert d_dz == pytest.approx(-d_dzeta, rel=1e-6)
     assert d_dvz == pytest.approx(-d_dvzeta, rel=1e-6)
     assert d_dt_lab == pytest.approx(d_dt_beam + beta * c * d_dzeta, rel=1e-6)
-
-
-def test_nondim_round_trip_and_current_convention():
-    s = compute_scaling(l=0.01, vbar=3.0e7, beta=0.5)
-    assert nondimensionalize(s.Ebar, "E", s) == pytest.approx(1.0)
-    assert nondimensionalize(s.Jbar * s.eta, "Jzeta", s) == pytest.approx(1.0)
-    for kind, val in [("length", 0.3), ("time", 2.0e-9), ("velocity", 1e6),
-                      ("E", 42.0), ("B", 1e-4), ("rho", 3e-3), ("f", 1e5),
-                      ("F", 7e-13), ("Jperp", 11.0)]:
-        prime = nondimensionalize(val, kind, s)
-        back = redimensionalize(prime, kind, s)
-        assert back == pytest.approx(val, rel=1e-14)
-    with pytest.raises(ValueError):
-        nondimensionalize(1.0, "voltage", s)
