@@ -20,7 +20,6 @@ from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .elliptic import (
     BoundarySpec,
     DIRICHLET,
-    SolverSettings,
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
     solve_poisson_2d,
@@ -100,11 +99,6 @@ def _mesh(cfg: RunConfig):
     return build_mesh(m.a, m.b, m.zlen, m.nx, m.ny, m.nzeta, x0=m.x0, y0=m.y0)
 
 
-def _settings(cfg: RunConfig) -> SolverSettings:
-    h = cfg.hierarchy
-    return SolverSettings(tolerance=h.tolerance, max_fixed_point=h.max_fixed_point)
-
-
 def _case(cfg: RunConfig, mesh, beta) -> QuasiStaticMode:
     f = cfg.fields
     if not f.case.startswith("qs-mode") and f.case != "zero":
@@ -119,8 +113,7 @@ def _case(cfg: RunConfig, mesh, beta) -> QuasiStaticMode:
 def _solve_timeline(cfg: RunConfig, mesh, beta):
     """Solve the configured number of snapshots of the manufactured case."""
     case = _case(cfg, mesh, beta)
-    solver = HierarchySolver(mesh, beta, external=ExternalField(bz=cfg.external.bz),
-                             settings=_settings(cfg))
+    solver = HierarchySolver(mesh, beta, external=ExternalField(bz=cfg.external.bz))
     hist = FieldHistory()
     t = 0.0
     hierarchies = []
@@ -199,8 +192,7 @@ def cmd_pic(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
 
         final, hist, records = run_pic(
             mesh, beta, eta, particles, n_max=cfg.hierarchy.n_max, dt=p.dt,
-            steps=p.steps, external=ExternalField(bz=cfg.external.bz),
-            settings=_settings(cfg), on_step=on_step,
+            steps=p.steps, external=ExternalField(bz=cfg.external.bz), on_step=on_step,
         )
     if not quiet:
         last = records[-1]

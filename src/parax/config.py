@@ -31,18 +31,15 @@ class MeshBlock:
 
 @dataclass
 class ScalingBlock:
-    mode: str = "dimensionless"   # or "physical" (l, vbar given in SI)
+    mode: str = "dimensionless"   # or "physical" (vbar given in SI)
     beta: float = 0.5
     eta: float = 0.1
-    l: float = 0.0
     vbar: float = 0.0
 
 
 @dataclass
 class HierarchyBlock:
     n_max: int = 1
-    tolerance: float = 1e-10
-    max_fixed_point: int = 20
 
 
 @dataclass
@@ -134,10 +131,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         (0.0 < s.beta < 1.0, "beta must lie in (0, 1)"),
         (s.mode in ("dimensionless", "physical"), "scaling mode must be dimensionless|physical"),
         (s.mode != "dimensionless" or s.eta > 0, "eta must be positive"),
-        (s.mode != "physical" or (s.l > 0 and s.vbar > 0), "physical mode needs l > 0 and vbar > 0"),
+        (s.mode != "physical" or s.vbar > 0, "physical mode needs vbar > 0"),
         (h.n_max >= 0, "n_max must be >= 0"),
-        (0.0 < h.tolerance < 1.0, "tolerance must lie in (0, 1)"),
-        (h.max_fixed_point >= 1, "max_fixed_point must be >= 1"),
         (p.n_particles > 0, "n_particles must be positive"),
         (p.dt > 0, "pic dt must be positive"),
         (p.steps >= 0, "steps must be >= 0"),

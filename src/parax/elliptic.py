@@ -77,17 +77,18 @@ class BoundarySpec:
         return self.faces[name].kind
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    tolerance: float = 1e-10       # fixed-point trace gap that ends the sweeps
-    max_fixed_point: int = 20      # sweeps of the same-order boundary coupling
-    compat_rtol: float = 1e-2      # solvability-condition mismatch allowance
+# solvability-condition mismatch allowance of the pure-Neumann and
+# circulation pre-checks, relative to the data scale
+COMPAT_RTOL = 1e-2
 
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < 1.0:
-            raise ValueError("tolerance must lie in (0, 1)")
-        if self.max_fixed_point < 1:
-            raise ValueError("max_fixed_point must be >= 1")
+
+class SolverSettings:
+    """No solver takes settings.  This read-only constant remains only
+    because the benchmark's environment line reads it (``perfbench/unit.py``)
+    and goes when that line does."""
+
+    __slots__ = ()
+    tolerance = 1e-10
 
 
 # -- the separable direct kernel ------------------------------------------------
@@ -171,7 +172,6 @@ def _solve_scalar(
     spacings: tuple[float, ...],
     coeffs: tuple[float, ...],
     bc: BoundarySpec,
-    settings: SolverSettings,
     info_out: dict | None = None,
 ) -> np.ndarray:
     """Solve sum_d c_d d^2u/dx_d^2 = values over the trailing len(spacings)
@@ -216,7 +216,7 @@ def _solve_scalar(
         b = w * g
         defect = b.sum(axis=trailing, keepdims=True)
         ref = np.abs(b).sum(axis=trailing, keepdims=True)
-        if np.any(np.abs(defect) > settings.compat_rtol * np.maximum(ref, 1e-12)):
+        if np.any(np.abs(defect) > COMPAT_RTOL * np.maximum(ref, 1e-12)):
             worst = np.argmax(np.abs(defect) / np.maximum(ref, 1e-300))
             raise IncompatibleDataError(
                 f"pure-Neumann data incompatible: defect {defect.flat[worst]:.3e} "
@@ -254,7 +254,6 @@ def _solve_scalar(
 def solve_poisson_2d(
     rhs: ScalarField,
     bc: BoundarySpec,
-    settings: SolverSettings | None = None,
     info_out: dict | None = None,
 ) -> ScalarField:
     """Solve lap_perp u = rhs on one transverse slice, or on every slice of a
@@ -264,8 +263,7 @@ def solve_poisson_2d(
     and come back gauge-fixed to zero weighted mean.
     """
     m = rhs.mesh
-    vals = _solve_scalar(rhs.values, (m.hy, m.hx), (1.0, 1.0), bc,
-                         settings or SolverSettings(), info_out)
+    vals = _solve_scalar(rhs.values, (m.hy, m.hx), (1.0, 1.0), bc, info_out)
     return ScalarField(m, vals)
 
 
@@ -273,7 +271,6 @@ def solve_anisotropic_poisson_3d(
     kappa: float,
     rhs: ScalarField,
     bc: BoundarySpec,
-    settings: SolverSettings | None = None,
     info_out: dict | None = None,
 ) -> ScalarField:
     """Solve (lap_perp + kappa d^2/dzeta^2) u = rhs over Omega x (0, Z)."""
@@ -282,8 +279,7 @@ def solve_anisotropic_poisson_3d(
     if not rhs.is3d:
         raise ValueError("solve_anisotropic_poisson_3d expects a volumetric field")
     m = rhs.mesh
-    vals = _solve_scalar(rhs.values, (m.hzeta, m.hy, m.hx), (kappa, 1.0, 1.0), bc,
-                         settings or SolverSettings(), info_out)
+    vals = _solve_scalar(rhs.values, (m.hzeta, m.hy, m.hx), (kappa, 1.0, 1.0), bc, info_out)
     return ScalarField(m, vals)
 
 
@@ -361,7 +357,6 @@ def solve_divcurl_2d(
     curl_src: ScalarField,
     tangential_data: dict[str, np.ndarray],
     circulation,
-    settings: SolverSettings | None = None,
     diagnostics_out: dict | None = None,
     check_compatibility: bool = True,
 ) -> VectorField2:
@@ -377,7 +372,6 @@ def solve_divcurl_2d(
     per-slice mismatch report instead; on a volume the requested, achieved
     and mismatched circulations in ``diagnostics_out`` are per slice.
     """
-    settings = settings or SolverSettings()
     mesh = same_mesh(div_src, curl_src)
     div, curl = div_src.values, curl_src.values
     if div.shape != curl.shape:
@@ -395,7 +389,7 @@ def solve_divcurl_2d(
         np.full(np.shape(area_curl), 1e-12),
     ])
     gap = np.abs(circulation - area_curl)
-    if check_compatibility and np.any(gap > np.maximum(settings.compat_rtol * scale, 1e-12)):
+    if check_compatibility and np.any(gap > np.maximum(COMPAT_RTOL * scale, 1e-12)):
         k = np.argmax(gap)
         raise IncompatibleDataError(
             f"circulation {np.broadcast_to(circulation, gap.shape).flat[k]:.6e} "
@@ -415,7 +409,7 @@ def solve_divcurl_2d(
     t0 = boundary_tangential_trace(A0)
 
     q = solve_poisson_2d(
-        ScalarField(mesh, -curl_rem), BoundarySpec.uniform(DIRICHLET, 0.0), settings
+        ScalarField(mesh, -curl_rem), BoundarySpec.uniform(DIRICHLET, 0.0)
     )
     A_q = curl_perp_scalar(q)
     t_q = boundary_tangential_trace(A_q)
@@ -426,7 +420,7 @@ def solve_divcurl_2d(
 
     p_gamma = _gamma_dirichlet_from_tangential(mesh, g_p)
     bc_p = BoundarySpec({f: FaceBC(DIRICHLET, p_gamma[f]) for f in FACE_ORDER})
-    p = solve_poisson_2d(ScalarField(mesh, div_rem), bc_p, settings)
+    p = solve_poisson_2d(ScalarField(mesh, div_rem), bc_p)
     A_p = grad_perp(p)
     A = VectorField2(mesh, A0.x + A_p.x + A_q.x, A0.y + A_p.y + A_q.y)
 

@@ -10,8 +10,8 @@ dimensionless beam-frame variables:
             Ez = 0 on Gamma (primes denote order n-1 quantities)
   Ecal^n  : per-slice div-curl; curl = -dBz'/dt,
             div = (1-b^2)(dEz/dz + rho) + b (Jz' - dEz'/dt),
-            tangential trace b*(Bperp^n . nu) with the same-order coupling
-            resolved by a fixed-point sweep; circulation checked a posteriori
+            tangential trace b*(Bperp^n . nu), the normal trace the Bperp
+            stage imposes; circulation checked a posteriori
   Eperp^n : componentwise (lap_perp + (1-b^2) dzz) solve of the rewritten
             curl-curl system; E.tau = 0 on Gamma, normal component closed by
             the Gauss constraint div Eperp = dEz/dz + rho on Gamma
@@ -38,7 +38,6 @@ from .elliptic import (
     NEUMANN,
     BoundarySpec,
     FaceBC,
-    SolverSettings,
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
 )
@@ -242,20 +241,13 @@ def _order_or_none(history_or_list, n: int):
 class HierarchySolver:
     """Builds a FieldHierarchy order by order for fixed sources and history."""
 
-    def __init__(
-        self,
-        mesh: Mesh,
-        beta: float,
-        external: ExternalField | None = None,
-        settings: SolverSettings | None = None,
-    ):
+    def __init__(self, mesh: Mesh, beta: float, external: ExternalField | None = None):
         if not 0.0 < beta < 1.0:
             raise ValueError("beta must lie in (0, 1)")
         self.mesh = mesh
         self.beta = beta
         self.kappa = 1.0 - beta**2
         self.external = external or ExternalField()
-        self.settings = settings or SolverSettings()
 
     # -- the five per-order solves ---------------------------------------------
 
@@ -285,7 +277,7 @@ class HierarchySolver:
             .with_face("zeta_lo", FaceBC(kind, 0.0)) \
             .with_face("zeta_hi", FaceBC(kind, 0.0))
         return solve_anisotropic_poisson_3d(
-            self.kappa, ScalarField(mesh, rhs), bc, self.settings, info_out=info_out
+            self.kappa, ScalarField(mesh, rhs), bc, info_out=info_out
         )
 
     def solve_Ecal_order(
@@ -298,8 +290,8 @@ class HierarchySolver:
     ) -> VectorField2:
         """Per-slice div-curl solve for the pseudo-field.
 
-        ``bperp_nu_trace`` holds the same-order Bperp . nu guess per face,
-        shaped (nzeta, nface); the tangential data is beta times it.
+        ``bperp_nu_trace`` holds the imposed same-order Bperp . nu trace per
+        face, shaped (nzeta, nface); the tangential data is beta times it.
         """
         mesh, beta = self.mesh, self.beta
         src = ctx.sources[n]
@@ -320,7 +312,6 @@ class HierarchySolver:
             ScalarField(mesh, curl_src),
             {f: beta * bperp_nu_trace[f] for f in FACE_ORDER},
             -mesh.integrate_2d(dt_Bz_prev),
-            self.settings,
             diagnostics_out=diag,
             check_compatibility=False,
         )
@@ -384,10 +375,10 @@ class HierarchySolver:
         })
         ix, iy = ({}, {}) if info_out is not None else (None, None)
         Ex = solve_anisotropic_poisson_3d(
-            self.kappa, ScalarField(mesh, rhs_x), bc_x, self.settings, info_out=ix
+            self.kappa, ScalarField(mesh, rhs_x), bc_x, info_out=ix
         )
         Ey = solve_anisotropic_poisson_3d(
-            self.kappa, ScalarField(mesh, rhs_y), bc_y, self.settings, info_out=iy
+            self.kappa, ScalarField(mesh, rhs_y), bc_y, info_out=iy
         )
         if info_out is not None:
             info_out.update(x=ix, y=iy)
@@ -398,8 +389,11 @@ class HierarchySolver:
         n: int,
         Eperp_n: VectorField2,
         ctx: "ChainContext",
+        bperp_nu_trace: dict[str, np.ndarray],
         diagnostics_out: dict | None = None,
     ) -> VectorField2:
+        """Per-slice div-curl solve for Bperp with the imposed normal trace
+        ``bperp_nu_trace`` (see :meth:`_bperp_normal_trace`)."""
         mesh, beta = self.mesh, self.beta
         src_prev = _order_or_none(ctx.sources, n - 1)
         rates = ctx.rates(n - 1)
@@ -408,7 +402,6 @@ class HierarchySolver:
 
         curl_src = dt_Ez_prev + beta * div_perp(Eperp_n).values - Jz_prev
         div_src = -(curl_perp_vector(Eperp_n).values + dt_Bz_prev) / beta
-        nu_trace = self._bperp_normal_trace(n, ctx)
 
         # rotate onto the tangential-data solver: W = Bperp x e_z has
         # div W = curl B, curl W = -div B, W.tau = -(B.nu)
@@ -416,15 +409,20 @@ class HierarchySolver:
         W = solve_divcurl_2d(
             ScalarField(mesh, curl_src),
             ScalarField(mesh, -div_src),
-            {f: -nu_trace[f] for f in FACE_ORDER},
+            {f: -bperp_nu_trace[f] for f in FACE_ORDER},
             mesh.integrate_2d(dt_Bz_prev) / beta,
-            self.settings,
             diagnostics_out=diag,
             check_compatibility=False,
         )
+        B = VectorField2(mesh, -W.y, W.x)  # B = -(W x e_z)
         if diagnostics_out is not None:
             diagnostics_out["flux_mismatch_max"] = float(np.max(diag["circulation_mismatch"]))
-        return VectorField2(mesh, -W.y, W.x)  # B = -(W x e_z)
+            # achieved against imposed Bperp . nu, a discretization error
+            achieved = boundary_normal_trace(B)
+            gap = max(np.abs(achieved[f] - bperp_nu_trace[f]).max() for f in FACE_ORDER)
+            scale = 1.0 + max(np.abs(bperp_nu_trace[f]).max() for f in FACE_ORDER)
+            diagnostics_out["bperp_trace_defect"] = float(gap / scale)
+        return B
 
     def _bperp_normal_trace(self, n: int, ctx) -> dict[str, np.ndarray]:
         """Bperp^n . nu on Gamma by zeta-integration of the boundary condition
@@ -464,41 +462,15 @@ class HierarchySolver:
         mesh = self.mesh
         diag: dict = {"order": n}
         ez_info: dict = {}
-        Ez = self.solve_Ez_order(n, ctx, info_out=ez_info)
-
-        # initial guess for the same-order tangential coupling
-        prev_snap = ctx.history.latest
-        if prev_snap is not None and n <= prev_snap.n_max:
-            guess = boundary_normal_trace(prev_snap.order(n).Bperp)
-        else:
-            guess = {f: np.zeros((mesh.nzeta, len(mesh.face_nodes(f)[0]))) for f in FACE_ORDER}
-
-        Ecal = Eperp = Bperp = None
         eperp_info: dict = {}
-        sweeps = 0
-        trace_gap = np.inf
-        for sweep in range(self.settings.max_fixed_point):
-            sweeps = sweep + 1
-            Ecal = self.solve_Ecal_order(n, Ez, ctx, guess, diagnostics_out=diag)
-            Eperp = self.solve_Eperp_order(n, Ecal, Ez, ctx, info_out=eperp_info)
-            Bperp = self.solve_Bperp_order(n, Eperp, ctx, diagnostics_out=diag)
-            new_trace = boundary_normal_trace(Bperp)
-            gaps = [np.abs(new_trace[f] - guess[f]).max() for f in FACE_ORDER]
-            scale = 1.0 + max(np.abs(new_trace[f]).max() for f in FACE_ORDER)
-            trace_gap = max(gaps) / scale
-            guess = new_trace
-            if trace_gap < self.settings.tolerance:
-                break
-        converged = bool(trace_gap < self.settings.tolerance)
-        if not converged:
-            log.warning(
-                "order %d fixed-point loop hit max sweeps (%d), trace gap %.3e",
-                n, sweeps, trace_gap,
-            )
-        diag["fixed_point_sweeps"] = sweeps
-        diag["fixed_point_gap"] = float(trace_gap)
-        diag["fixed_point_converged"] = converged
-        # the scalar solves behind Ez and the last sweep's Eperp components
+        Ez = self.solve_Ez_order(n, ctx, info_out=ez_info)
+        # the boundary condition fixes Bperp . nu from order n-1 data alone, so
+        # the Ecal, Eperp and Bperp stages each run once
+        nu = self._bperp_normal_trace(n, ctx)
+        Ecal = self.solve_Ecal_order(n, Ez, ctx, nu, diagnostics_out=diag)
+        Eperp = self.solve_Eperp_order(n, Ecal, Ez, ctx, info_out=eperp_info)
+        Bperp = self.solve_Bperp_order(n, Eperp, ctx, nu, diagnostics_out=diag)
+        # the scalar solves behind Ez and the Eperp components
         for name, info in (("Ez", ez_info), ("Eperp_x", eperp_info["x"]),
                            ("Eperp_y", eperp_info["y"])):
             diag[f"{name}_method"] = info["method"]
@@ -569,8 +541,8 @@ class ChainContext:
         the latest snapshot: order n at this time is already on the chain
         when order n+1 is assembled, so one prior snapshot suffices, and the
         per-order equations hold with the quotient the residual harness uses.
-        Formed once per order and shared by every stage and sweep; zeros
-        below order 0 and on a cold start."""
+        Formed once per order and shared by every stage; zeros below order 0
+        and on a cold start."""
         if n not in self._rates:
             self._rates.clear()  # only the order below the current one is read
             latest = self.history.latest
@@ -590,9 +562,8 @@ def solve_hierarchy(
     sources,
     history: FieldHistory | None = None,
     external: ExternalField | None = None,
-    settings: SolverSettings | None = None,
     time: float = 0.0,
 ) -> FieldHierarchy:
     """One-call front end over :class:`HierarchySolver`."""
-    solver = HierarchySolver(mesh, beta, external=external, settings=settings)
+    solver = HierarchySolver(mesh, beta, external=external)
     return solver.solve_hierarchy(n_max, sources, history, time=time)

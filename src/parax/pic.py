@@ -368,7 +368,6 @@ class PicStepRecord:
     total_weight: float
     charge_conservation: dict | None
     field_norms: dict
-    fixed_point_sweeps: list[int]
 
     def as_dict(self) -> dict:
         return {
@@ -380,7 +379,6 @@ class PicStepRecord:
             "total_weight": self.total_weight,
             "charge_conservation": self.charge_conservation,
             "field_norms": self.field_norms,
-            "fixed_point_sweeps": self.fixed_point_sweeps,
         }
 
 
@@ -393,7 +391,6 @@ def run_pic(
     dt: float = 0.05,
     steps: int = 10,
     external: ExternalField | None = None,
-    settings=None,
     n_chunks: int = 1,
     on_step=None,
 ):
@@ -405,7 +402,7 @@ def run_pic(
     that leaves no particle in the domain, logs a warning.  ``n_chunks`` is
     accepted for existing callers and changes nothing.
     """
-    solver = HierarchySolver(mesh, beta, external=external, settings=settings)
+    solver = HierarchySolver(mesh, beta, external=external)
     history = FieldHistory()
     records: list[PicStepRecord] = []
     prev_moments = None
@@ -447,8 +444,6 @@ def run_pic(
             total_weight=particles.total_weight,
             charge_conservation=conservation,
             field_norms=field_norms,
-            fixed_point_sweeps=[o.diagnostics.get("fixed_point_sweeps", 0)
-                                for o in hierarchy.orders],
         )
         records.append(record)
         if on_step is not None:

@@ -7,7 +7,6 @@ lines; grid sizes and tolerances are pinned here and nowhere else.
 import os
 
 import numpy as np
-import pytest
 
 from parax.cli import run_command
 from parax.config import RunConfig
@@ -29,7 +28,6 @@ from parax.operators import (
     curl_perp_scalar,
     curl_perp_vector,
     div_perp,
-    grad_perp,
     laplace_perp,
     norms,
 )
@@ -37,15 +35,12 @@ from parax.pic import (
     ParticleEnsemble,
     assemble_force,
     check_charge_conservation,
-    deposit_sources,
-    push_particles,
     sample_initial_distribution,
 )
 from parax.verify import (
     QuasiStaticMode,
     convergence_study,
     eta_scaling_study,
-    maxwell_residual,
     mms_case,
     standard_eta_runner,
 )

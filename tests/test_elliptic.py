@@ -124,6 +124,15 @@ def test_aniso3d_kappa_validation():
         solve_anisotropic_poisson_3d(1.5, ScalarField.zeros(m), bc)
 
 
+def test_solver_settings_is_one_read_only_constant():
+    # no solver takes settings; the benchmark's environment line reads this
+    assert SolverSettings().tolerance == 1e-10
+    with pytest.raises(TypeError):
+        SolverSettings(tolerance=1e-8)
+    with pytest.raises(AttributeError):
+        SolverSettings().tolerance = 1e-8
+
+
 def zero_trace(m):
     return {f: np.zeros(len(m.face_nodes(f)[0])) for f in ("x_lo", "x_hi", "y_lo", "y_hi")}
 

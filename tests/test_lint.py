@@ -1,10 +1,12 @@
-"""Static checks on the package source that need no installed linter."""
+"""Static checks on the package, test and script sources that need no
+installed linter."""
 
 import ast
 import pathlib
 from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "parax"
+ROOT = SRC.parents[1]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -25,16 +27,15 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 def test_no_unused_imports():
     found = {}
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":  # re-exports the public names
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").rglob("*.py"),
+             *(ROOT / "scripts").rglob("*.py")]
+    for path in sorted(paths):
+        if path == SRC / "__init__.py":  # re-exports the public names
             continue
         unused = _unused_imports(ast.parse(path.read_text(), filename=str(path)))
         if unused:
-            found[path.name] = unused
+            found[str(path.relative_to(ROOT))] = unused
     assert not found, f"unused imports: {found}"
-
-
-ROOT = SRC.parents[1]
 
 
 def _uses(tree: ast.AST) -> Counter:
