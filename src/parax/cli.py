@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from . import __version__
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .elliptic import (
     BoundarySpec,
@@ -67,7 +68,7 @@ def _write_manifest(out_dir: str, verb: str, cfg: RunConfig, results: dict) -> N
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "parax": _package_version(),
+            "parax": __version__,
         },
         "results": results,
     }
@@ -76,15 +77,6 @@ def _write_manifest(out_dir: str, verb: str, cfg: RunConfig, results: dict) -> N
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     os.replace(tmp, os.path.join(out_dir, "manifest.json"))
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("parax")
-    except Exception:
-        return "unknown"
 
 
 def _beta_eta(cfg: RunConfig):

@@ -85,7 +85,7 @@ def same_mesh(*fields) -> Mesh:
 # Format: header "x,y,zeta,<component...>", one row per node, row-major over
 # (zeta, y, x) with x fastest, 17 significant digits.  Rows are formatted
 # CSV_ROWS at a time, so only one block of each column is ever held as
-# Python numbers.
+# Python numbers; the field writer also keeps one plane of "x,y," strings.
 
 CSV_ROWS = 1024
 
@@ -105,13 +105,18 @@ def write_field_csv(path, mesh: Mesh, components: dict[str, np.ndarray]) -> None
     for name, v in zip(names, arrays):
         if v.shape != (nz, mesh.ny, mesh.nx) or nz > mesh.nzeta:
             raise FieldShapeError(f"component {name!r} has shape {v.shape}")
-    X, Y = mesh.xy()
-    columns = [np.tile(X.ravel(), nz), np.tile(Y.ravel(), nz),
-               np.repeat(mesh.zeta[:nz], mesh.ny * mesh.nx)]
-    columns += [v.ravel() for v in arrays]
+    # each distinct coordinate is formatted once: one plane of "x,y," strings,
+    # and each zeta plane's row template carries its zeta string
+    xs = ["%.17g," % x for x in mesh.x.tolist()]
+    plane = ["%s%.17g," % (x, y) for y in mesh.y.tolist() for x in xs]
+    values = [v.reshape(nz, len(plane)) for v in arrays]
     with open(path, "w", newline="") as fh:
         fh.write("x,y,zeta," + ",".join(names) + "\n")
-        write_csv_rows(fh, ",".join(["%.17g"] * len(columns)) + "\n", columns)
+        for k, z in enumerate(mesh.zeta[:nz].tolist()):
+            template = "%s" + ",".join(["%.17g" % z] + ["%.17g"] * len(values)) + "\n"
+            for s in range(0, len(plane), CSV_ROWS):
+                rows = zip(plane[s:s + CSV_ROWS], *[v[k, s:s + CSV_ROWS].tolist() for v in values])
+                fh.writelines(map(template.__mod__, rows))
 
 
 def read_field_csv(path):

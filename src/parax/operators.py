@@ -14,7 +14,6 @@ act on axis 0 of volumetric fields.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .fields import ScalarField, VectorField2
 from .mesh import FACE_NORMALS, FACE_ORDER, Mesh, face_tangent
@@ -160,8 +159,15 @@ def dzeta2(f, high_order: bool = False):
 
 
 def cumint_zeta(values: np.ndarray, mesh: Mesh, initial: np.ndarray | float = 0.0) -> np.ndarray:
-    """Trapezoid antiderivative along zeta from zeta=0, given the start plane."""
-    out = cumulative_trapezoid(values, dx=mesh.hzeta, axis=0, initial=0.0)
+    """Antiderivative along zeta (axis 0) by the composite trapezoid rule.
+
+    out[0] = initial and out[k] = initial + sum_{j<k} hzeta * (v[j] + v[j+1]) / 2,
+    the panels summed in order: the arithmetic of
+    ``scipy.integrate.cumulative_trapezoid(v, dx=hzeta, axis=0, initial=0) + initial``.
+    """
+    v = np.asarray(values, dtype=float)
+    out = np.zeros_like(v)
+    np.cumsum(mesh.hzeta * (v[1:] + v[:-1]) / 2.0, axis=0, out=out[1:])
     return out + np.asarray(initial)
 
 

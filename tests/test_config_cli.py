@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import parax
 from parax.cli import main, run_command
 from parax.config import ConfigError, RunConfig, parse_config, serialize_config
 
@@ -96,6 +97,7 @@ def test_fields_run_writes_outputs(tmp_path):
     assert os.path.exists(os.path.join(out, "Eperp_1_1.csv"))
     manifest = json.load(open(os.path.join(out, "manifest.json")))
     assert manifest["verb"] == "fields"
+    assert manifest["versions"]["parax"] == parax.__version__
     assert "maxwell_residual" in manifest["results"]
     assert len(manifest["config_sha256"]) == 64
     order0 = manifest["results"]["diagnostics"]["order0"]

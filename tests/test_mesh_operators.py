@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 from parax.fields import FieldShapeError, ScalarField, VectorField2, read_field_csv, write_field_csv
 from parax.mesh import FACE_NORMALS, build_mesh, face_tangent
@@ -164,6 +165,27 @@ def test_zeta_derivative_and_integral():
     np.testing.assert_allclose(dzeta(f).values, 2.0 * Z, atol=1e-12)
     anti = cumint_zeta(np.ones_like(Z), m, initial=3.0)
     np.testing.assert_allclose(anti, Z + 3.0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 24), st.booleans(), st.booleans(), st.floats(0.1, 10.0),
+       st.integers(0, 2**32 - 1))
+def test_cumint_zeta_matches_scipy_trapezoid(nzeta, volume, per_plane, zlen, seed):
+    # bit for bit the reference rule, on volumes and on face traces, with
+    # magnitudes from 1e-300 to 1e300 and a scalar or per-plane start
+    m = build_mesh(1.0, 1.0, zlen, 5, 4, nzeta)
+    shape = (nzeta, m.ny, m.nx) if volume else (nzeta, m.ny)
+    rng = np.random.default_rng(seed)
+
+    def sample(size):
+        return rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300, size)
+
+    initial = sample(shape[1:]) if per_plane else float(sample(()))
+    v = sample(shape)
+    ref = cumulative_trapezoid(v, dx=m.hzeta, axis=0, initial=0.0) + initial
+    out = cumint_zeta(v, m, initial)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, ref)
 
 
 def test_norms_interior_only():
