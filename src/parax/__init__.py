@@ -40,6 +40,7 @@ from .verify import (
     eta_scaling_study,
     maxwell_residual,
     mms_case,
+    residual_terms,
 )
 
 __version__ = "0.1.0"

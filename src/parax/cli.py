@@ -37,6 +37,7 @@ from .verify import (
     eta_scaling_study,
     maxwell_residual,
     mms_case,
+    residual_terms,
     standard_eta_runner,
 )
 
@@ -149,7 +150,7 @@ def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
         if step % cfg.output.cadence == 0 or step == len(hierarchies) - 1:
             files += _dump_hierarchy(out_dir, mesh, h, step)
     diag = {f"order{o.n}": o.diagnostics for o in hierarchies[-1].orders}
-    rep = maxwell_residual(hist, eta, case.sources(hierarchies[-1].time))
+    rep = maxwell_residual(residual_terms(hist, case.sources(hierarchies[-1].time)), eta)
     results = {
         "files": files,
         "diagnostics": _jsonable(diag),
@@ -286,7 +287,7 @@ def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     mesh = _mesh(cfg)
     beta, eta = _beta_eta(cfg)
     case, hist, hierarchies = _solve_timeline(cfg, mesh, beta)
-    rep = maxwell_residual(hist, eta, case.sources(hierarchies[-1].time))
+    rep = maxwell_residual(residual_terms(hist, case.sources(hierarchies[-1].time)), eta)
     with open(os.path.join(out_dir, "residual.json"), "w") as fh:
         json.dump(rep.as_dict(), fh, indent=2, sort_keys=True)
     if not quiet:

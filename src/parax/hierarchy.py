@@ -129,7 +129,7 @@ def backward_rate(now: FieldOrder, before: FieldOrder | None, dt: float) -> Fiel
 
     This is the one difference quotient of the program: the chain applies it
     to the completed order n-1 against the latest snapshot, the residual
-    harness to the eta-weighted reconstructions of the last two snapshots.
+    harness to each order of the last two snapshots.
     """
     mesh = now.Ez.mesh
     if before is None:

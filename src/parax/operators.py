@@ -13,6 +13,9 @@ act on axis 0 of volumetric fields.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 
 from .fields import ScalarField, VectorField2
@@ -22,8 +25,17 @@ _AX_X, _AX_Y, _AX_ZETA = -1, -2, 0
 
 
 def _d1(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # np.gradient: centered interior, one-sided second order at the ends
-    return np.gradient(arr, h, axis=axis, edge_order=2)
+    """Centered interior, one-sided second order at the ends: the arithmetic
+    of ``np.gradient(arr, h, axis=axis, edge_order=2)`` without its general
+    (non-uniform spacing) set-up."""
+    a = np.moveaxis(arr, axis, 0)
+    out = np.empty_like(a, dtype=float)
+    mid = out[1:-1]
+    np.subtract(a[2:], a[:-2], out=mid)
+    mid /= 2.0 * h
+    out[0] = (-1.5 / h) * a[0] + (2.0 / h) * a[1] + (-0.5 / h) * a[2]
+    out[-1] = (0.5 / h) * a[-3] + (-2.0 / h) * a[-2] + (1.5 / h) * a[-1]
+    return np.moveaxis(out, 0, axis)
 
 
 def _d2(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -69,16 +81,17 @@ def cross_ez(A: VectorField2) -> VectorField2:
     return VectorField2(A.mesh, A.y.copy(), -A.x.copy())
 
 
-def _fd_weights(offsets, order: int) -> np.ndarray:
+@functools.cache
+def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
     """Finite-difference weights for the given derivative order on integer
-    node offsets (unit spacing), from the Vandermonde moment conditions."""
-    import math
-
-    offsets = np.asarray(offsets, dtype=float)
-    V = np.vander(offsets, increasing=True).T
+    node offsets (unit spacing), from the Vandermonde moment conditions.
+    Solved once per stencil; the cached array is read-only."""
+    V = np.vander(np.asarray(offsets, dtype=float), increasing=True).T
     rhs = np.zeros(len(offsets))
     rhs[order] = float(math.factorial(order))
-    return np.linalg.solve(V, rhs)
+    w = np.linalg.solve(V, rhs)
+    w.flags.writeable = False
+    return w
 
 
 def _d_high(arr: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
@@ -103,7 +116,7 @@ def _d_high(arr: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
                      + 16.0 * a[3:-1] - a[4:]) / (12.0 * h**2)
     scale = h**order
     for row in (0, 1):
-        offs = np.arange(width) - row
+        offs = tuple(range(-row, width - row))
         w = _fd_weights(offs, order)
         lo = sum(wk * a[row + off] for wk, off in zip(w, offs))
         hi = sum(wk * a[n - 1 - row - off] for wk, off in zip(w, offs))
@@ -115,7 +128,7 @@ def _d_high(arr: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
 def _d1_cubic_ends(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     # third-order one-sided end rows; keeps source-term construction from
     # polluting the otherwise smooth O(h^2) error profile at the zeta ends
-    out = np.gradient(arr, h, axis=axis, edge_order=2)
+    out = _d1(arr, h, axis)
     if arr.shape[axis] < 4:
         return out
     a = np.moveaxis(arr, axis, 0)
@@ -250,14 +263,15 @@ def norms(
     """
     v = np.asarray(values)
     w = mesh.dual_area_2d if v.ndim == 2 else mesh.dual_volume_3d
-    mask = np.zeros_like(v, dtype=bool)
     if interior_only:
-        c = collar
-        mask[(slice(c, -c),) * v.ndim] = True
-    else:
-        mask[...] = True
-    sel = v[mask]
+        keep = (slice(collar, -collar),) * v.ndim
+        v, w = v[keep], w[keep]
+    return weighted_norms(v, w)
+
+
+def weighted_norms(values: np.ndarray, weights: np.ndarray) -> dict[str, float]:
+    """L2 norm weighted by ``weights`` (dual cell sizes) and max norm."""
     return {
-        "l2": float(np.sqrt(np.sum(sel**2 * w[mask]))),
-        "max": float(np.max(np.abs(sel))) if sel.size else 0.0,
+        "l2": float(np.sqrt(np.sum(values**2 * weights))),
+        "max": float(np.max(np.abs(values))) if values.size else 0.0,
     }

@@ -26,7 +26,7 @@ from .operators import (
     curl_perp_vector,
     div_perp,
     dzeta,
-    norms,
+    weighted_norms,
 )
 
 ETA_DEPENDENT_EQUATIONS = ("ampere_perp", "ampere_zeta", "faraday_perp", "faraday_zeta")
@@ -272,63 +272,149 @@ class ResidualReport:
         }
 
 
-def maxwell_residual(
-    history: FieldHistory,
-    eta: float,
-    sources: SourceTerms,
-    n_max: int | None = None,
-) -> ResidualReport:
-    """Substitute the eta-weighted reconstruction into the six scaled
-    Maxwell equations and report interior norms per equation.
+# every norm reads the nodes two rows in from each face, so that one-sided
+# stencil rows never enter it
+_INTERIOR = (slice(2, -2),) * 3
 
-    The time derivative is :func:`backward_rate` of the reconstructions of
-    the last two snapshots, the quotient the hierarchy sources use; on a cold
-    start (single snapshot) it is zero.
+
+def _interior(values: np.ndarray) -> np.ndarray:
+    return values[_INTERIOR].copy()
+
+
+@dataclass(frozen=True)
+class OrderTerms:
+    """Residual pieces of one expansion order on the collar-2 interior, keyed
+    by equation component (``ampere_perp_x``, ``ampere_perp_y``,
+    ``ampere_zeta``, ``gauss``, ``faraday_perp_x``, ``faraday_perp_y``,
+    ``faraday_zeta``, ``monopole``).
+
+    ``spatial`` (the zeta and transverse derivative terms) enters the
+    residual as is, ``rate`` (the d/dt terms) times eta; a component missing
+    from ``rate`` has no d/dt term.
+    """
+
+    spatial: dict[str, np.ndarray]
+    rate: dict[str, np.ndarray]
+
+
+@dataclass(frozen=True)
+class ResidualTerms:
+    """The scaled-Maxwell residual of the last snapshot pair, split by order.
+
+    The reconstruction sum_n eta^n F_n is linear in each order, so the
+    residual at any (eta, n_max) is
+    ``sum_{n <= n_max} eta^n (spatial_n + eta rate_n)``.  The sources belong
+    to order 0, as in the chain: rho sits in its spatial part (Gauss) and J
+    in its rate part (Ampere, which carries eta J).  ``n_max`` is the latest
+    snapshot's highest order, the default truncation.
+    """
+
+    mesh: Mesh
+    beta: float
+    n_max: int
+    orders: list[OrderTerms]
+    cold_start: bool
+
+
+def _spatial_terms(o, beta: float) -> dict[str, np.ndarray]:
+    """Derivative terms of the six equations for one order's fields."""
+    kappa = 1.0 - beta**2
+    Ecal, Ep, Ez, Bz = o.Ecal, o.Eperp, o.Ez, o.Bz
+    mix = VectorField2(Ecal.mesh, Ecal.x - kappa * Ep.x, Ecal.y - kappa * Ep.y)
+    out = {"ampere_zeta": _interior(div_perp(mix).values / beta)}
+    dz_mix, curl_Bz = dzeta(mix), curl_perp_scalar(Bz)
+    out["ampere_perp_x"] = _interior(dz_mix.x / beta - curl_Bz.x)
+    out["ampere_perp_y"] = _interior(dz_mix.y / beta - curl_Bz.y)
+    del mix, dz_mix, curl_Bz  # one group of full-grid temporaries at a time
+    dz_ecal_rot, curl_Ez = dzeta(cross_ez(Ecal)), curl_perp_scalar(Ez)
+    out["faraday_perp_x"] = _interior(dz_ecal_rot.x + curl_Ez.x)
+    out["faraday_perp_y"] = _interior(dz_ecal_rot.y + curl_Ez.y)
+    del dz_ecal_rot, curl_Ez
+    out["faraday_zeta"] = _interior(curl_perp_vector(Ecal).values)
+    out["gauss"] = _interior(div_perp(Ep).values - dzeta(Ez).values)
+    out["monopole"] = _interior(div_perp(o.Bperp).values - dzeta(Bz).values)
+    return out
+
+
+def _rate_terms(now, before, dt: float) -> dict[str, np.ndarray]:
+    r = backward_rate(now, before, dt)
+    return {
+        "ampere_perp_x": _interior(r.Eperp.x),
+        "ampere_perp_y": _interior(r.Eperp.y),
+        "ampere_zeta": _interior(r.Ez.values),
+        "faraday_perp_x": _interior(r.Bperp.x),
+        "faraday_perp_y": _interior(r.Bperp.y),
+        "faraday_zeta": _interior(r.Bz.values),
+    }
+
+
+def residual_terms(history: FieldHistory, sources: SourceTerms) -> ResidualTerms:
+    """Per-order residual pieces of the last two snapshots in ``history``.
+
+    For each order that both snapshots hold, the spatial part of each
+    equation and that order's :func:`backward_rate` (the quotient the
+    hierarchy sources use) are formed once; on a cold start (a single
+    snapshot) every order of it is kept and the rates are zero.
+    ``sources`` are those at the latest snapshot's time.
     """
     latest = history.latest
     if latest is None:
         raise ValueError("history holds no snapshots")
-    n_max = latest.n_max if n_max is None else n_max
-    mesh, beta = latest.mesh, latest.beta
-    kappa = 1.0 - beta**2
-    now = latest.reconstruct(eta, n_max)
-
     pair = history.pair()
-    if pair is None:
-        rate = backward_rate(now, None, 0.0)
-    else:
-        prev, _, dt = pair
-        rate = backward_rate(now, prev.reconstruct(eta, n_max), dt)
+    held = latest.n_max if pair is None else min(latest.n_max, pair[0].n_max)
+    orders = []
+    for n in range(held + 1):
+        now = latest.order(n)
+        rate = {} if pair is None else _rate_terms(now, pair[0].order(n), pair[2])
+        orders.append(OrderTerms(spatial=_spatial_terms(now, latest.beta), rate=rate))
+    # the sources belong to order 0: rho to Gauss, eta J to Ampere
+    spatial0, rate0 = orders[0].spatial, orders[0].rate
+    spatial0["gauss"] -= _interior(sources.rho.values)
+    for name, j in (("ampere_perp_x", sources.Jperp.x), ("ampere_perp_y", sources.Jperp.y),
+                    ("ampere_zeta", -sources.Jzeta.values)):
+        rate0[name] = rate0.get(name, 0.0) + _interior(j)
+    return ResidualTerms(mesh=latest.mesh, beta=latest.beta, n_max=latest.n_max,
+                         orders=orders, cold_start=pair is None)
 
-    Ecal, Ep, Bp, Ez, Bz = now.Ecal, now.Eperp, now.Bperp, now.Ez, now.Bz
-    mix = VectorField2(mesh, Ecal.x - kappa * Ep.x, Ecal.y - kappa * Ep.y)
 
-    curl_Bz = curl_perp_scalar(Bz)
-    dz_mix = dzeta(mix)
-    amp_perp_x = eta * rate.Eperp.x + dz_mix.x / beta - curl_Bz.x + eta * sources.Jperp.x
-    amp_perp_y = eta * rate.Eperp.y + dz_mix.y / beta - curl_Bz.y + eta * sources.Jperp.y
-    amp_zeta = eta * rate.Ez.values + div_perp(mix).values / beta - eta * sources.Jzeta.values
-    gauss = div_perp(Ep).values - dzeta(Ez).values - sources.rho.values
-    dz_ecal_rot = dzeta(cross_ez(Ecal))
-    curl_Ez = curl_perp_scalar(Ez)
-    far_perp_x = eta * rate.Bperp.x + dz_ecal_rot.x + curl_Ez.x
-    far_perp_y = eta * rate.Bperp.y + dz_ecal_rot.y + curl_Ez.y
-    far_zeta = eta * rate.Bz.values + curl_perp_vector(Ecal).values
-    mono = div_perp(Bp).values - dzeta(Bz).values
+def maxwell_residual(
+    terms: ResidualTerms,
+    eta: float,
+    n_max: int | None = None,
+) -> ResidualReport:
+    """Substitute the eta-weighted reconstruction to order ``n_max`` into the
+    six scaled Maxwell equations and report interior norms per equation.
 
-    # two-row collar keeps one-sided stencil rows out of the norms
+    The residual is the per-order sum of :class:`ResidualTerms`, with the
+    time derivative the backward difference of the last two snapshots (zero
+    on a cold start).  ``n_max`` defaults to the latest snapshot's order and
+    must be held by both snapshots of the pair.
+    """
+    n_max = terms.n_max if n_max is None else n_max
+    if not 0 <= n_max < len(terms.orders):
+        raise ValueError(f"the snapshot pair holds orders 0..{len(terms.orders) - 1} "
+                         f"in both; order {n_max} is missing")
+    total: dict[str, np.ndarray] = {}
+    for n in range(n_max + 1):
+        part = terms.orders[n]
+        for w, arrays in ((eta**n, part.spatial), (eta ** (n + 1), part.rate)):
+            for name, a in arrays.items():
+                total[name] = total[name] + w * a if name in total else w * a
+
+    mesh = terms.mesh
+    w = mesh.dual_volume_3d[_INTERIOR]
     eq_norms = {
-        "ampere_perp": norms(np.hypot(amp_perp_x, amp_perp_y), mesh, collar=2),
-        "ampere_zeta": norms(amp_zeta, mesh, collar=2),
-        "gauss": norms(gauss, mesh, collar=2),
-        "faraday_perp": norms(np.hypot(far_perp_x, far_perp_y), mesh, collar=2),
-        "faraday_zeta": norms(far_zeta, mesh, collar=2),
-        "monopole": norms(mono, mesh, collar=2),
+        "ampere_perp": weighted_norms(np.hypot(total["ampere_perp_x"], total["ampere_perp_y"]), w),
+        "ampere_zeta": weighted_norms(total["ampere_zeta"], w),
+        "gauss": weighted_norms(total["gauss"], w),
+        "faraday_perp": weighted_norms(np.hypot(total["faraday_perp_x"], total["faraday_perp_y"]), w),
+        "faraday_zeta": weighted_norms(total["faraday_zeta"], w),
+        "monopole": weighted_norms(total["monopole"], w),
     }
     return ResidualReport(
-        eta=eta, n_max=n_max, beta=beta,
+        eta=eta, n_max=n_max, beta=terms.beta,
         grid=(mesh.nx, mesh.ny, mesh.nzeta), norms=eq_norms,
-        metadata={"cold_start": pair is None},
+        metadata={"cold_start": terms.cold_start},
     )
 
 
@@ -403,7 +489,8 @@ def eta_scaling_study(
 
     ``make_runner`` is called once per grid on every call, so a study of
     n_max 0 and 1 calls it once per n_max; a factory that keeps its runners
-    per grid, as :func:`standard_eta_runner` does, solves each grid once.
+    per grid, as :func:`standard_eta_runner` does, solves each grid once, and
+    each runner call is then a weighted sum of per-order residual terms.
     """
     etas = sorted(float(e) for e in etas)
     runner_c = make_runner(grids[0])
@@ -428,12 +515,17 @@ def standard_eta_runner(beta: float = 0.5, zlen: float = 2.0, n_steps: int = 3):
     """make_runner factory for :func:`eta_scaling_study` on the canonical
     quasi-static family; grid is (nx, ny, nzeta) node counts.
 
-    Each grid's timeline is solved to n_max = 1 once per factory: the
-    runners are kept per grid, so studies of n_max 0 and 1 that share a
-    factory read the same solved history.
+    Each grid's timeline is solved once per factory and reduced to its
+    :func:`residual_terms` at once; the runners are kept per grid, so studies
+    of n_max 0 and 1 that share a factory read the same terms.  Order n at
+    one snapshot reads only order n-1 of the one before, and the residual
+    reads orders 0 and 1 of the last two, so snapshot k is solved to order
+    ``max(0, 1 - max(0, n_steps - 2 - k))``: orders 0, 1, 1 for three.
     """
-    from .hierarchy import ExternalField, FieldHistory, HierarchySolver
+    from .hierarchy import ExternalField, HierarchySolver
     from .mesh import build_mesh
+
+    top = 1  # the highest order the runners report
 
     @functools.cache
     def solved_runner(grid):
@@ -446,11 +538,12 @@ def standard_eta_runner(beta: float = 0.5, zlen: float = 2.0, n_steps: int = 3):
         t = 0.0
         for k in range(n_steps):
             t = k * dt
-            hist.push(solver.solve_hierarchy(1, case.sources(t), hist, time=t))
-        sources = case.sources(t)
+            order = max(0, top - max(0, n_steps - 2 - k))
+            hist.push(solver.solve_hierarchy(order, case.sources(t), hist, time=t))
+        terms = residual_terms(hist, case.sources(t))
 
         def runner(eta, n_max):
-            return maxwell_residual(hist, eta, sources, n_max=n_max)
+            return maxwell_residual(terms, eta, n_max=n_max)
 
         return runner
 

@@ -254,25 +254,32 @@ def test_convergence_verb_small(tmp_path):
 
 
 def test_convergence_solves_each_grid_once(tmp_path, monkeypatch):
-    # the n_max 0 and 1 fits read the same n_max=1 history per grid: two
-    # grids x three snapshots is six hierarchy solves, not twelve
+    # the n_max 0 and 1 fits read the same solved timeline per grid: two
+    # grids x three snapshots is six hierarchy solves, not twelve, and the
+    # cold-start snapshot is solved to order 0 only, since nothing reads its
+    # order 1
     from parax.hierarchy import HierarchySolver
     from parax.verify import eta_scaling_study, standard_eta_runner
 
     calls = []
     solve = HierarchySolver.solve_hierarchy
 
-    def counted(self, *args, **kwargs):
-        calls.append(self.mesh.nx)
-        return solve(self, *args, **kwargs)
+    def counted(self, n_max, *args, **kwargs):
+        calls.append((self.mesh.nx, n_max))
+        return solve(self, n_max, *args, **kwargs)
 
     monkeypatch.setattr(HierarchySolver, "solve_hierarchy", counted)
     out = str(tmp_path / "conv")
     cfg = small_cfg(study__grids="13,25")
     assert run_command("convergence", cfg, out_dir=out, quiet=True) == 0
-    assert sorted(calls) == [13, 13, 13, 25, 25, 25]
+    assert calls == [(13, 0), (13, 1), (13, 1), (25, 0), (25, 1), (25, 1)]
 
-    # reference: a fresh factory per n_max solves every grid again
+    # reference: a fresh factory per n_max solves every grid again, and every
+    # snapshot to order 1
+    def to_order_1(self, n_max, *args, **kwargs):
+        return solve(self, 1, *args, **kwargs)
+
+    monkeypatch.setattr(HierarchySolver, "solve_hierarchy", to_order_1)
     pair = [(13, 13, 7), (25, 25, 13)]
     expected = {}
     for n_max in (0, 1):

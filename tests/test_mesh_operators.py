@@ -7,6 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 from parax.fields import FieldShapeError, ScalarField, VectorField2, read_field_csv, write_field_csv
 from parax.mesh import FACE_NORMALS, build_mesh, face_tangent
 from parax.operators import (
+    _d1,
     boundary_normal_trace,
     boundary_tangential_trace,
     circulation,
@@ -186,6 +187,45 @@ def test_cumint_zeta_matches_scipy_trapezoid(nzeta, volume, per_plane, zlen, see
     out = cumint_zeta(v, m, initial)
     assert out.dtype == np.float64
     assert np.array_equal(out, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(3, 12), min_size=2, max_size=3), st.floats(0.01, 3.0),
+       st.integers(0, 2**32 - 1))
+def test_d1_matches_numpy_gradient(shape, h, seed):
+    # bit for bit np.gradient with second-order ends, along every axis
+    a = np.random.default_rng(seed).standard_normal(shape) * 10.0
+    for axis in range(-len(shape), len(shape)):
+        ref = np.gradient(a, h, axis=axis, edge_order=2)
+        out = _d1(a, h, axis)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, ref), axis
+
+
+def _mask_norms(values, mesh, interior_only=True, collar=1):
+    # the boolean-mask selection the sliced norms replaced
+    v = np.asarray(values)
+    w = mesh.dual_area_2d if v.ndim == 2 else mesh.dual_volume_3d
+    mask = np.zeros_like(v, dtype=bool)
+    if interior_only:
+        mask[(slice(collar, -collar),) * v.ndim] = True
+    else:
+        mask[...] = True
+    sel = v[mask]
+    return {"l2": float(np.sqrt(np.sum(sel**2 * w[mask]))),
+            "max": float(np.max(np.abs(sel))) if sel.size else 0.0}
+
+
+def test_norms_match_mask_selection():
+    rng = np.random.default_rng(7)
+    for n, nzeta in ((5, 5), (9, 7), (17, 9), (33, 17)):
+        m = build_mesh(1.0, 1.5, 2.0, n, n + 2, nzeta)
+        for v in (rng.standard_normal((m.ny, m.nx)),
+                  rng.standard_normal((m.nzeta, m.ny, m.nx))):
+            for interior_only in (True, False):
+                for collar in (1, 2):
+                    kw = dict(interior_only=interior_only, collar=collar)
+                    assert norms(v, m, **kw) == _mask_norms(v, m, **kw)
 
 
 def test_norms_interior_only():

@@ -22,6 +22,9 @@ snapshots = 2
 [pic]
 n_particles = 300
 steps = 2
+
+[study]
+grids = 9,13
 """
 
 # any scipy import raises ImportError once sys.modules["scipy"] is None
@@ -33,7 +36,7 @@ loaded = [m for m, mod in sys.modules.items()
           if mod is not None and (m == "scipy" or m.startswith("scipy."))]
 assert not loaded, loaded
 config, out = sys.argv[1:]
-for verb in ("fields", "pic"):
+for verb in ("fields", "pic", "convergence"):
     code = parax.cli.main([verb, "--config", config, "--out", f"{out}/{verb}", "--quiet"])
     assert code == 0, (verb, code)
 """
@@ -56,3 +59,4 @@ def test_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "fields" / "manifest.json").exists()
     assert (tmp_path / "pic" / "diagnostics.jsonl").exists()
+    assert (tmp_path / "convergence" / "eta_study.json").exists()

@@ -2,8 +2,24 @@ import numpy as np
 import pytest
 
 from parax.elliptic import BoundarySpec, DIRICHLET, solve_anisotropic_poisson_3d, solve_poisson_2d
-from parax.hierarchy import FieldHistory, HierarchySolver, SourceTerms, solve_hierarchy
+from parax.fields import VectorField2
+from parax.hierarchy import (
+    ExternalField,
+    FieldHistory,
+    HierarchySolver,
+    SourceTerms,
+    backward_rate,
+    solve_hierarchy,
+)
 from parax.mesh import build_mesh
+from parax.operators import (
+    cross_ez,
+    curl_perp_scalar,
+    curl_perp_vector,
+    div_perp,
+    dzeta,
+    norms,
+)
 from parax.verify import (
     DegenerateFitError,
     QuasiStaticMode,
@@ -11,6 +27,7 @@ from parax.verify import (
     eta_scaling_study,
     maxwell_residual,
     mms_case,
+    residual_terms,
     richardson_combine,
     standard_eta_runner,
 )
@@ -63,7 +80,7 @@ def test_zero_hierarchy_zero_residual():
     mesh = build_mesh(1.0, 1.0, 2.0, 9, 9, 9)
     hist = FieldHistory()
     hist.push(solve_hierarchy(mesh, BETA, 0, SourceTerms.zeros(mesh)))
-    rep = maxwell_residual(hist, 0.1, SourceTerms.zeros(mesh))
+    rep = maxwell_residual(residual_terms(hist, SourceTerms.zeros(mesh)), 0.1)
     for eq, n in rep.norms.items():
         assert n["l2"] == 0.0 and n["max"] == 0.0
 
@@ -76,8 +93,9 @@ def test_residual_report_shape_and_eta_dependence():
     hist = FieldHistory()
     for k in range(3):
         hist.push(solver.solve_hierarchy(1, case.sources(k * dt), hist, time=k * dt))
-    r0 = maxwell_residual(hist, 0.1, case.sources(2 * dt), n_max=0)
-    r1 = maxwell_residual(hist, 0.1, case.sources(2 * dt), n_max=1)
+    terms = residual_terms(hist, case.sources(2 * dt))
+    r0 = maxwell_residual(terms, 0.1, n_max=0)
+    r1 = maxwell_residual(terms, 0.1, n_max=1)
     assert r0.grid == (13, 13, 13)
     # richer model strictly shrinks every eta-dependent equation residual
     for eq in ("ampere_perp", "ampere_zeta", "faraday_perp"):
@@ -96,9 +114,71 @@ def test_residual_snapshot_missing_an_order_is_an_error():
     hist = FieldHistory()
     for n_max, t in ((0, 0.0), (1, 0.1)):
         hist.push(solver.solve_hierarchy(n_max, case.sources(t), hist, time=t))
-    with pytest.raises(ValueError, match="order 1 is missing"):
-        maxwell_residual(hist, 0.1, case.sources(0.1))
-    maxwell_residual(hist, 0.1, case.sources(0.1), n_max=0)
+    terms = residual_terms(hist, case.sources(0.1))
+    for n_max in (None, 1):  # the default is the latest snapshot's order
+        with pytest.raises(ValueError, match="order 1 is missing"):
+            maxwell_residual(terms, 0.1, n_max=n_max)
+    maxwell_residual(terms, 0.1, n_max=0)
+
+
+def _reconstructed_residual(history, eta, sources, n_max):
+    """The residual by reconstruct-then-differentiate: the eta-weighted total
+    fields of both snapshots, one backward difference of the totals, then
+    the six equations on the full grid."""
+    latest = history.latest
+    mesh, beta = latest.mesh, latest.beta
+    kappa = 1.0 - beta**2
+    now = latest.reconstruct(eta, n_max)
+    pair = history.pair()
+    if pair is None:
+        rate = backward_rate(now, None, 0.0)
+    else:
+        prev, _, dt = pair
+        rate = backward_rate(now, prev.reconstruct(eta, n_max), dt)
+    Ecal, Ep, Bp, Ez, Bz = now.Ecal, now.Eperp, now.Bperp, now.Ez, now.Bz
+    mix = VectorField2(mesh, Ecal.x - kappa * Ep.x, Ecal.y - kappa * Ep.y)
+    curl_Bz, dz_mix = curl_perp_scalar(Bz), dzeta(mix)
+    dz_ecal_rot, curl_Ez = dzeta(cross_ez(Ecal)), curl_perp_scalar(Ez)
+    return {
+        "ampere_perp": np.hypot(
+            eta * rate.Eperp.x + dz_mix.x / beta - curl_Bz.x + eta * sources.Jperp.x,
+            eta * rate.Eperp.y + dz_mix.y / beta - curl_Bz.y + eta * sources.Jperp.y),
+        "ampere_zeta": eta * rate.Ez.values + div_perp(mix).values / beta
+        - eta * sources.Jzeta.values,
+        "gauss": div_perp(Ep).values - dzeta(Ez).values - sources.rho.values,
+        "faraday_perp": np.hypot(eta * rate.Bperp.x + dz_ecal_rot.x + curl_Ez.x,
+                                 eta * rate.Bperp.y + dz_ecal_rot.y + curl_Ez.y),
+        "faraday_zeta": eta * rate.Bz.values + curl_perp_vector(Ecal).values,
+        "monopole": div_perp(Bp).values - dzeta(Bz).values,
+    }
+
+
+@pytest.mark.parametrize("snapshots", [1, 2])
+def test_per_order_residual_matches_reconstruction(snapshots):
+    # the per-order sum is the reconstruct-then-differentiate residual up to
+    # rounding, on a cold start and on a two-snapshot pair
+    mesh = build_mesh(1.0, 1.0, 2.0, 13, 11, 9)
+    dt = 0.05
+    case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=0.5, alpha2=3.0, jc=0.7,
+                           bz_external=0.4, dt_hist=dt)
+    solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=0.4))
+    hist = FieldHistory()
+    for k in range(snapshots):
+        hist.push(solver.solve_hierarchy(1, case.sources(k * dt), hist, time=k * dt))
+    sources = case.sources((snapshots - 1) * dt)
+    terms = residual_terms(hist, sources)
+    assert terms.cold_start == (snapshots == 1)
+    scale = max(np.abs(a).max() for part in terms.orders
+                for arrays in (part.spatial, part.rate) for a in arrays.values())
+    for n_max in (0, 1):
+        for eta in (0.05, 0.1, 0.3, 1.0):
+            rep = maxwell_residual(terms, eta, n_max=n_max)
+            assert rep.metadata == {"cold_start": snapshots == 1}
+            expected = _reconstructed_residual(hist, eta, sources, n_max)
+            for eq, values in expected.items():
+                ref = norms(values, mesh, collar=2)
+                for kind in ("l2", "max"):
+                    assert abs(rep.norm(eq, kind) - ref[kind]) <= 1e-12 * scale, (eq, kind)
 
 
 def test_convergence_study_validation():
