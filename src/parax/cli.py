@@ -25,7 +25,7 @@ from .elliptic import (
     solve_divcurl_2d,
     solve_poisson_2d,
 )
-from .fields import write_csv_rows, write_field_csv
+from .fields import CSV_ROWS, csv_rows, format_d, format_g17, write_field_csv
 from .hierarchy import ChainContext, ExternalField, FieldHistory, HierarchySolver
 from .mesh import build_mesh
 from .operators import boundary_tangential_trace, circulation, norms
@@ -38,6 +38,7 @@ from .verify import (
     maxwell_residual,
     mms_case,
     residual_terms,
+    snapshot_order,
     standard_eta_runner,
 )
 
@@ -103,16 +104,20 @@ def _case(cfg: RunConfig, mesh, beta) -> QuasiStaticMode:
     return QuasiStaticMode(mesh=mesh, beta=beta, **knobs)
 
 
-def _solve_timeline(cfg: RunConfig, mesh, beta):
-    """Solve the configured number of snapshots of the manufactured case."""
+def _solve_timeline(cfg: RunConfig, mesh, beta, residual_only: bool = False):
+    """Solve the configured number of snapshots of the manufactured case, each
+    to ``[hierarchy] n_max``, or with ``residual_only`` only to the order the
+    residual of the last two reads (:func:`verify.snapshot_order`)."""
     case = _case(cfg, mesh, beta)
     solver = HierarchySolver(mesh, beta, external=ExternalField(bz=cfg.external.bz))
     hist = FieldHistory()
     t = 0.0
     hierarchies = []
-    for k in range(cfg.fields.snapshots):
+    top, n_steps = cfg.hierarchy.n_max, cfg.fields.snapshots
+    for k in range(n_steps):
         t = k * cfg.fields.dt
-        h = solver.solve_hierarchy(cfg.hierarchy.n_max, case.sources(t), hist, time=t)
+        order = snapshot_order(top, n_steps, k) if residual_only else top
+        h = solver.solve_hierarchy(order, case.sources(t), hist, time=t)
         hist.push(h)
         hierarchies.append(h)
     return case, hist, hierarchies
@@ -135,10 +140,12 @@ def _dump_hierarchy(out_dir: str, mesh, hierarchy, step: int) -> list[str]:
 
 
 def _write_particles(path: str, p) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("id,x,y,zeta,vx,vy,vzeta,weight\n")
-        write_csv_rows(fh, "%d," + ",".join(["%.17g"] * 7) + "\n",
-                       [p.ids, p.x, p.y, p.zeta, p.vx, p.vy, p.vzeta, p.weight])
+    columns = [p.x, p.y, p.zeta, p.vx, p.vy, p.vzeta, p.weight]
+    with open(path, "wb") as fh:
+        fh.write(b"id,x,y,zeta,vx,vy,vzeta,weight\n")
+        for s in range(0, len(p.ids), CSV_ROWS):
+            block = np.stack([c[s:s + CSV_ROWS] for c in columns], axis=1)
+            fh.write(csv_rows(format_d(p.ids[s:s + CSV_ROWS]), format_g17(block)))
 
 
 def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
@@ -286,7 +293,7 @@ def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
 def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     mesh = _mesh(cfg)
     beta, eta = _beta_eta(cfg)
-    case, hist, hierarchies = _solve_timeline(cfg, mesh, beta)
+    case, hist, hierarchies = _solve_timeline(cfg, mesh, beta, residual_only=True)
     rep = maxwell_residual(residual_terms(hist, case.sources(hierarchies[-1].time)), eta)
     with open(os.path.join(out_dir, "residual.json"), "w") as fh:
         json.dump(rep.as_dict(), fh, indent=2, sort_keys=True)
@@ -319,10 +326,9 @@ def cmd_convergence(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
 
 
 def _write_study_csv(path: str, params, errors) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("parameter,error\n")
-        for h, e in zip(params, errors):
-            fh.write(f"{h:.17g},{e:.17g}\n")
+    with open(path, "wb") as fh:
+        fh.write(b"parameter,error\n")
+        fh.write(csv_rows(format_g17(np.column_stack([params, errors]))))
 
 
 def _jsonable(obj):

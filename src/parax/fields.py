@@ -83,18 +83,219 @@ def same_mesh(*fields) -> Mesh:
 # -- CSV serialization --------------------------------------------------------
 #
 # Format: header "x,y,zeta,<component...>", one row per node, row-major over
-# (zeta, y, x) with x fastest, 17 significant digits.  Rows are formatted
-# CSV_ROWS at a time, so only one block of each column is ever held as
-# Python numbers; the field writer also keeps one plane of "x,y," strings.
+# (zeta, y, x) with x fastest, each number the bytes of ``'%.17g' % v``.
+#
+# ``format_g17`` makes those bytes in numpy.  With k = floor(log10|x|) it
+# forms x * 10**(16 - k) as a double-double (Dekker's exact product against
+# hi + lo constants for 10**p, built from Python integers for the exponents a
+# call uses), moves k by one where the unrounded value falls outside
+# [1e16, 1e17), and rounds half to even to the 17 digits D.  The double-double
+# is good to about 1e-14 in units of D's last digit, so only a fraction within
+# 1e-12 of one half (a true tie, such as 2**-25) is in doubt; those values,
+# |x| outside [1e-280, 1e280) and inf/nan go to ``'%.17g' % v`` itself.  The
+# digits are laid out as %g does: fixed for -4 <= k < 17, else d.ddde+XX,
+# trailing zeros stripped.  Each cell is a row of CELL bytes, its text
+# followed by a free byte for the separator; ``csv_rows`` writes the
+# separators and keeps each cell's leading bytes, so a block of rows becomes
+# one bytes object.  A block formats about CSV_NUMBERS numbers, enough to
+# spread the kernel's fixed cost of some hundred numpy calls: field rows hold
+# one or two numbers (the coordinates are gathered), so their blocks are longer.
 
-CSV_ROWS = 1024
+CSV_NUMBERS = 7168
+CSV_ROWS = CSV_NUMBERS // 7  # rows per block of the particle table
+CELL = 25  # '-1.2345678901234567e-308' (24 bytes) and a separator
+
+_ASCII_0 = 48
+# "0000".."9999", four ASCII digits per little-endian uint32
+_QUADS = (np.stack([np.arange(10000) // 10**i % 10 for i in (3, 2, 1, 0)], axis=1)
+          .astype(np.uint8) + _ASCII_0).view("<u4").ravel()
+
+# trailing zeros of "0000".."9999"
+_TZ = sum(np.arange(10000) % 10**i == 0 for i in range(1, 5)).astype(np.int64)
+
+# hi, hi's upper and lower Dekker halves, lo: 10**p ~ hi + lo, for p = 16 - k
+_P_MIN, _P_MAX = -265, 297
+_POW10 = [np.full(_P_MAX - _P_MIN + 1, np.nan) for _ in range(4)]
+_SPLIT = 134217729.0  # 2**27 + 1
 
 
-def write_csv_rows(fh, template: str, columns) -> None:
-    """Write ``template % row`` for each row of equal-length 1-D columns."""
-    for s in range(0, len(columns[0]), CSV_ROWS):
-        block = [c[s:s + CSV_ROWS].tolist() for c in columns]
-        fh.writelines(template % row for row in zip(*block))
+def _pow10(p: np.ndarray) -> list[np.ndarray]:
+    """The four _POW10 entries for exponents p, filling in missing ones."""
+    i = p - _P_MIN
+    if i.size and np.isnan(_POW10[0][i.min():i.max() + 1]).any():
+        for j in np.unique(i[np.isnan(_POW10[0][i])]).tolist():
+            e = j + _P_MIN
+            num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+            hi = num / den  # int / int is correctly rounded
+            a, b = hi.as_integer_ratio()
+            lo = (num * b - a * den) / (den * b)
+            c = _SPLIT * hi
+            upper = c - (c - hi)
+            for table, x in zip(_POW10, (hi, upper, hi - upper, lo)):
+                table[j] = x
+    return [np.take(table, i) for table in _POW10]
+
+
+def _scaled(a: np.ndarray, p: np.ndarray):
+    """a * 10**p as a double-double (hi, lo), |error| below about 2**-104 * a * 10**p."""
+    hi10, up10, low10, lo10 = _pow10(p)
+    c = _SPLIT * a
+    up = c - (c - a)
+    low = a - up
+    hi = a * hi10
+    err = ((up * up10 - hi) + up * low10 + low * up10) + low * low10
+    return hi, err + a * lo10
+
+
+def _quads(d: np.ndarray, lead: np.ndarray):
+    """(n, 5) uint32: ``lead``, then the 16 ASCII digits of d < 10**16 by
+    fours; and the four groups of four digits as integers."""
+    top = d // 10**8
+    q = []
+    for part in (top, d - top * 10**8):
+        high = part // 10**4
+        q += [high, part - high * 10**4]
+    out = np.empty((len(d), 5), "<u4")
+    out[:, 0] = lead
+    for col in range(4):
+        out[:, col + 1] = np.take(_QUADS, q[col])
+    return out, q
+
+
+def format_g17(values) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of ``'%.17g' % v`` for each element: (chars, lengths).
+
+    chars has shape values.shape + (CELL,) with the text in
+    chars[..., :length]; the byte after it is free for a separator.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    shape, v = v.shape, v.ravel()
+    n = v.size
+    neg = np.signbit(v)
+    ax = np.abs(v)
+    fast = (ax >= 1e-280) & (ax < 1e280)
+    zero = ax == 0.0
+    a = np.where(fast, ax, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _scaled(a, 16 - k)
+    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
+    off = np.flatnonzero(low | (hi > 1e17) | ((hi == 1e17) & (lo >= 0)))
+    if off.size:
+        k[off] += np.where(low[off], -1, 1)
+        hi[off], lo[off] = _scaled(a[off], 16 - k[off])
+    floor = np.floor(lo)
+    frac = lo - floor
+    d = hi.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
+    carry = d == 10**17
+    d[carry] = 10**16
+    k += carry
+    slow = np.flatnonzero(~(fast | zero) | (np.abs(frac - 0.5) < 1e-12))
+
+    # %g: fixed form for -4 <= k < 17, "0.00ddd" below 1 and "ddd.ddd" above,
+    # else d.ddde+XX, trailing zeros stripped.  Rows sorted by (sign, form),
+    # negatives last, lay out each group with fixed slices.
+    expo = (k < -4) | (k >= 17)
+    key = (neg * 32 + np.where(expo, 21, k + 4)).astype(np.uint8)
+    order = np.argsort(key, kind="stable")
+    counts = np.bincount(key, minlength=64)
+    d, k, expo, s = (np.take(x, order) for x in (d, k, expo, neg.astype(np.int64)))
+    lead = d // 10**16
+    quads, q = _quads(d - lead * 10**16, (lead + _ASCII_0) << 24)
+    digits = quads.view(np.uint8)[:, 3:]
+    zeros = np.take(_TZ, q[3])  # trailing zeros, from the last group back
+    more = np.flatnonzero(q[3] == 0)
+    for group in q[2::-1]:
+        zeros[more] += np.take(_TZ, group[more])
+        more = more[group[more] == 0]
+    nd = 17 - zeros  # 1 for zero, which ran as 1.0
+    digits[np.take(zero, order), 0] = _ASCII_0
+    point = np.where(expo | (k < 0), 1, k + 1)  # mantissa characters before '.'
+    shown = np.maximum(np.where(expo | (k >= 0), nd, nd - k), point)  # and in all
+    mantissa = shown + (shown > point)
+    ak = np.abs(k)
+    lengths = s + mantissa + expo * (4 + (ak >= 100))
+
+    text = np.empty((n, CELL), np.uint8)
+    ends = np.cumsum(counts)
+    for g in np.flatnonzero(counts).tolist():
+        rows = slice(ends[g] - counts[g], ends[g])
+        sign, form = divmod(g, 32)
+        block = text[rows, sign:]
+        if form < 4:  # k = form - 4 < 0: "0." and -k - 1 zeros, then the digits
+            block[:, :5 - form] = _ASCII_0
+            block[:, 1] = ord(".")
+            block[:, 5 - form:22 - form] = digits[rows]
+        else:  # k + 1 digits (one in exponent form), '.', the rest
+            q = 1 if form == 21 else form - 3
+            block[:, :q] = digits[rows, :q]
+            block[:, q] = ord(".")
+            block[:, q + 1:18] = digits[rows, q:]
+    text[n - neg.sum():, 0] = ord("-")
+    r = np.flatnonzero(expo)
+    if r.size:
+        ke = ak[r]
+        wide = ke >= 100
+        suffix = np.empty((len(r), 5), np.uint8)
+        suffix[:, 0] = ord("e")
+        suffix[:, 1] = np.where(k[r] < 0, ord("-"), ord("+"))
+        suffix[:, 2] = _ASCII_0 + np.where(wide, ke // 100, ke // 10 % 10)
+        suffix[:, 3] = _ASCII_0 + np.where(wide, ke // 10 % 10, ke % 10)
+        suffix[:, 4] = _ASCII_0 + ke % 10
+        text[r[:, None], (s[r] + mantissa[r])[:, None] + np.arange(5)] = suffix
+
+    back = np.empty_like(order)
+    back[order] = np.arange(n)
+    chars = np.take(text, back, axis=0)
+    lengths = np.take(lengths, back)
+    for j in slow.tolist():
+        t = ("%.17g" % v[j]).encode()
+        chars[j, :len(t)] = np.frombuffer(t, np.uint8)
+        lengths[j] = len(t)
+    return chars.reshape(shape + (CELL,)), lengths.reshape(shape)
+
+
+_POW10_U64 = np.array([10**i for i in range(1, 20)], dtype=np.uint64)
+
+
+def format_d(values) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of ``'%d' % v`` for each int64 element, laid out as by
+    :func:`format_g17`."""
+    v = np.asarray(values, dtype=np.int64)
+    shape, v = v.shape, v.ravel()
+    neg = v < 0
+    mag = np.where(neg, -v, v).view(np.uint64)  # -(-2**63) wraps to 2**63 as uint64
+    top = mag // np.uint64(10**16)
+    rest = (mag - top * np.uint64(10**16)).astype(np.int64)
+    digits = _quads(rest, np.take(_QUADS, top))[0].view(np.uint8)  # 20, zero-padded
+    nd = np.searchsorted(_POW10_U64, mag, side="right") + 1
+    key = neg * 32 + nd
+    counts = np.bincount(key, minlength=64)
+    chars = np.empty((len(v), CELL), np.uint8)
+    for g in np.flatnonzero(counts).tolist():
+        sign, width = divmod(g, 32)
+        rows = slice(None) if counts[g] == len(v) else np.flatnonzero(key == g)
+        chars[rows, sign:sign + width] = digits[rows, 20 - width:]
+    chars[neg, 0] = ord("-")
+    return chars.reshape(shape + (CELL,)), (neg + nd).reshape(shape)
+
+
+# _KEEP[n] selects a cell's first n + 1 bytes: its text and the separator
+_KEEP = np.arange(CELL) <= np.arange(CELL)[:, None]
+
+
+def csv_rows(*cells) -> bytes:
+    """Rows of comma-separated cells, each row ending in a newline.
+
+    Each argument is a (chars, lengths) pair from :func:`format_g17` or
+    :func:`format_d` for one column (lengths of shape (rows,)) or for several
+    (rows, columns); the columns are taken in argument order.
+    """
+    chars = np.concatenate([c if c.ndim == 3 else c[:, None] for c, _ in cells], axis=1)
+    lengths = np.concatenate([n if n.ndim == 2 else n[:, None] for _, n in cells], axis=1)
+    seps = np.full(lengths.shape, ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    chars.reshape(-1)[np.arange(0, chars.size, CELL) + lengths.ravel()] = seps.ravel()
+    return chars[np.take(_KEEP, lengths, axis=0)].tobytes()
 
 
 def write_field_csv(path, mesh: Mesh, components: dict[str, np.ndarray]) -> None:
@@ -105,18 +306,18 @@ def write_field_csv(path, mesh: Mesh, components: dict[str, np.ndarray]) -> None
     for name, v in zip(names, arrays):
         if v.shape != (nz, mesh.ny, mesh.nx) or nz > mesh.nzeta:
             raise FieldShapeError(f"component {name!r} has shape {v.shape}")
-    # each distinct coordinate is formatted once: one plane of "x,y," strings,
-    # and each zeta plane's row template carries its zeta string
-    xs = ["%.17g," % x for x in mesh.x.tolist()]
-    plane = ["%s%.17g," % (x, y) for y in mesh.y.tolist() for x in xs]
-    values = [v.reshape(nz, len(plane)) for v in arrays]
-    with open(path, "w", newline="") as fh:
-        fh.write("x,y,zeta," + ",".join(names) + "\n")
-        for k, z in enumerate(mesh.zeta[:nz].tolist()):
-            template = "%s" + ",".join(["%.17g" % z] + ["%.17g"] * len(values)) + "\n"
-            for s in range(0, len(plane), CSV_ROWS):
-                rows = zip(plane[s:s + CSV_ROWS], *[v[k, s:s + CSV_ROWS].tolist() for v in values])
-                fh.writelines(map(template.__mod__, rows))
+    # each distinct coordinate is formatted once and gathered into the rows
+    coords = [format_g17(c) for c in (mesh.x, mesh.y, mesh.zeta[:nz])]
+    values = [v.ravel() for v in arrays]
+    with open(path, "wb") as fh:
+        fh.write(("x,y,zeta," + ",".join(names) + "\n").encode())
+        rows = CSV_NUMBERS // len(values)
+        for s in range(0, len(values[0]), rows):
+            plane, i = np.divmod(np.arange(s, min(s + rows, len(values[0]))), mesh.nx)
+            k, j = np.divmod(plane, mesh.ny)
+            cells = [(np.take(c, at, axis=0), np.take(n, at)) for (c, n), at in zip(coords, (i, j, k))]
+            block = np.stack([v[s:s + rows] for v in values], axis=1)
+            fh.write(csv_rows(*cells, format_g17(block)))
 
 
 def read_field_csv(path):

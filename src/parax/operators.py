@@ -264,7 +264,7 @@ def norms(
     v = np.asarray(values)
     w = mesh.dual_area_2d if v.ndim == 2 else mesh.dual_volume_3d
     if interior_only:
-        keep = (slice(collar, -collar),) * v.ndim
+        keep = tuple(slice(collar, n - collar) for n in v.shape)
         v, w = v[keep], w[keep]
     return weighted_norms(v, w)
 

@@ -511,6 +511,13 @@ ETA_STUDY_KNOBS = dict(amplitude=1.0, alpha=0.2, alpha2=6.0, jc=0.0, bz_external
 ETA_STUDY_DT = 0.05
 
 
+def snapshot_order(top: int, n_steps: int, k: int) -> int:
+    """The order snapshot k of n_steps must be solved to for a residual of
+    order ``top`` over the last two: order n at one snapshot reads only order
+    n-1 of the one before, so each step back from the last pair drops one."""
+    return max(0, top - max(0, n_steps - 2 - k))
+
+
 def standard_eta_runner(beta: float = 0.5, zlen: float = 2.0, n_steps: int = 3):
     """make_runner factory for :func:`eta_scaling_study` on the canonical
     quasi-static family; grid is (nx, ny, nzeta) node counts.
@@ -519,8 +526,8 @@ def standard_eta_runner(beta: float = 0.5, zlen: float = 2.0, n_steps: int = 3):
     :func:`residual_terms` at once; the runners are kept per grid, so studies
     of n_max 0 and 1 that share a factory read the same terms.  Order n at
     one snapshot reads only order n-1 of the one before, and the residual
-    reads orders 0 and 1 of the last two, so snapshot k is solved to order
-    ``max(0, 1 - max(0, n_steps - 2 - k))``: orders 0, 1, 1 for three.
+    reads orders 0 and 1 of the last two, so snapshot k is solved to
+    :func:`snapshot_order` ``(1, n_steps, k)``: orders 0, 1, 1 for three.
     """
     from .hierarchy import ExternalField, HierarchySolver
     from .mesh import build_mesh
@@ -538,7 +545,7 @@ def standard_eta_runner(beta: float = 0.5, zlen: float = 2.0, n_steps: int = 3):
         t = 0.0
         for k in range(n_steps):
             t = k * dt
-            order = max(0, top - max(0, n_steps - 2 - k))
+            order = snapshot_order(top, n_steps, k)
             hist.push(solver.solve_hierarchy(order, case.sources(t), hist, time=t))
         terms = residual_terms(hist, case.sources(t))
 

@@ -211,6 +211,37 @@ def test_residual_verb(tmp_path):
     assert set(rep["norms"]) >= {"gauss", "monopole", "ampere_perp"}
 
 
+@pytest.mark.parametrize("n_max,snapshots,orders", [(1, 3, [0, 1, 1]), (2, 4, [0, 1, 2, 2]),
+                                                    (1, 1, [1])])
+def test_residual_solves_only_the_orders_it_reads(tmp_path, monkeypatch, n_max, snapshots,
+                                                  orders):
+    # order n of a snapshot reads only order n-1 of the one before, and the
+    # residual reads the last two, so earlier snapshots stop short of n_max;
+    # the report is byte for byte the one from every snapshot at n_max
+    from parax.hierarchy import HierarchySolver
+
+    calls = []
+    solve = HierarchySolver.solve_hierarchy
+
+    def counted(self, n, *args, **kwargs):
+        calls.append(n)
+        return solve(self, n, *args, **kwargs)
+
+    def every_order(self, n, *args, **kwargs):
+        return solve(self, n_max, *args, **kwargs)
+
+    cfg = small_cfg(fields__snapshots=snapshots, fields__alpha2=1.0, hierarchy__n_max=n_max)
+    reports = []
+    for name, patch in (("res", counted), ("ref", every_order)):
+        monkeypatch.setattr(HierarchySolver, "solve_hierarchy", patch)
+        out = str(tmp_path / name)
+        assert run_command("residual", cfg, out_dir=out, quiet=True) == 0
+        with open(os.path.join(out, "residual.json"), "rb") as fh:
+            reports.append(fh.read())
+    assert calls == orders
+    assert reports[0] == reports[1]
+
+
 def test_cli_main_and_env_out(tmp_path, monkeypatch):
     cfgfile = tmp_path / "c.ini"
     cfgfile.write_text(MINIMAL + "\n[study]\ngrids = 9,17,33\n")

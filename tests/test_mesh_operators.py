@@ -236,6 +236,16 @@ def test_norms_interior_only():
     assert n["l2"] == 0.0 and n["max"] == 0.0
 
 
+def test_norms_collar_zero_keeps_every_node():
+    # slice(0, -0) is empty: collar 0 must mean the whole field, as interior_only=False
+    m = build_mesh(1.0, 1.0, 1.0, 5, 5, 5)
+    v = np.ones((m.nzeta, m.ny, m.nx))
+    whole = norms(v, m, interior_only=False)
+    assert whole["max"] == 1.0
+    assert norms(v, m, collar=0) == whole
+    assert norms(v[0], m, collar=0) == norms(v[0], m, interior_only=False)
+
+
 def test_csv_round_trip(tmp_path):
     m = build_mesh(1.0, 2.0, 3.0, 4, 3, 3)
     X, Y, Z = m.grids3d()
