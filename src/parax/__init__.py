@@ -19,7 +19,6 @@ from .hierarchy import (
     FieldOrder,
     HierarchySolver,
     SourceTerms,
-    solve_hierarchy,
 )
 from .mesh import Mesh, build_mesh
 from .pic import (

@@ -251,8 +251,7 @@ def _mms_chain(grids, beta, which):
         mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
         case = QuasiStaticMode(mesh=mesh, beta=beta)
         solver = HierarchySolver(mesh, beta)
-        ctx = ChainContext(sources=[case.sources(0.0)], history=FieldHistory(),
-                           time=0.0, orders=[])
+        ctx = ChainContext(sources=case.sources(0.0), history=FieldHistory(), time=0.0)
         exact = case.exact_order(0, 0.0)
         Ez = solver.solve_Ez_order(0, ctx)
         if which == "ez":

@@ -112,12 +112,6 @@ _BLOCKS = {f.name: f.default_factory for f in dc_fields(RunConfig)}
 
 def _convert(raw: str, target_type: type, where: str):
     try:
-        if target_type is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
         return target_type(raw)
     except ValueError:
         raise ConfigError(f"{where}: cannot parse {raw!r} as {target_type.__name__}")

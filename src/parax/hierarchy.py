@@ -1,9 +1,16 @@
 """Per-order quasi-static field chain Ez -> Ecal -> Eperp -> Bperp -> Bz.
 
-Each order n is closed given the sources (rho, J), the completed lower
+``HierarchySolver.solve_hierarchy`` is the entry point: it runs the chain
+for orders 0..n_max from one ``SourceTerms``, a snapshot history and the
+solve time.  Each order n is closed given the sources, the completed lower
 orders, and backward-difference time derivatives anchored at the current
-solve time against the latest snapshot.  The chain per order, in
-dimensionless beam-frame variables:
+solve time against the latest snapshot.
+
+The sources belong to order 0: rho enters the order-0 chain and the current
+J the order-1 chain (the primed Jz', Jperp' below); no higher order sees a
+source term (:class:`ChainContext` states this once).  The external field is
+a uniform Bz at the zeta = 0 plane, so Bperp . nu starts from zero there at
+every order.  The chain per order, in dimensionless beam-frame variables:
 
   Ez^n    : (lap_perp + (1-b^2) dzz) Ez = d/dt(b dEz'/dz + curl Bperp')
                                           - d/dz(b Jz' + (1-b^2) rho),
@@ -16,9 +23,10 @@ dimensionless beam-frame variables:
             curl-curl system; E.tau = 0 on Gamma, normal component closed by
             the Gauss constraint div Eperp = dEz/dz + rho on Gamma
   Bperp^n : per-slice div-curl, rotated onto the tangential-data solver via
-            A x e_z identities; normal trace integrated in zeta from the
-            zeta=0 plane data (external field at order 0, zero above)
+            A x e_z identities; normal trace integrated in zeta from zero at
+            the zeta=0 plane
   Bz^n    : trapezoid zeta-integration of div Bperp from the zeta=0 plane
+            (the external Bz at order 0, zero above)
 
 Zeta-end closures alternate with order parity (even orders: Dirichlet for
 Ez, Neumann for Eperp; odd orders swapped), which is the unique assignment
@@ -60,20 +68,9 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ExternalField:
-    """External magnetic field data at the zeta = 0 plane: B = B^e there."""
+    """External magnetic field at the zeta = 0 plane: a uniform B^e = Bz e_z."""
 
-    bz: float = 0.0                     # uniform longitudinal component
-    bperp: tuple[float, float] = (0.0, 0.0)  # uniform transverse component
-
-    def bperp_nu_trace(self, mesh: Mesh) -> dict[str, np.ndarray]:
-        tr = {}
-        from .mesh import FACE_NORMALS
-
-        for f in FACE_ORDER:
-            nx_, ny_ = FACE_NORMALS[f]
-            n = len(mesh.face_nodes(f)[0])
-            tr[f] = np.full(n, nx_ * self.bperp[0] + ny_ * self.bperp[1])
-        return tr
+    bz: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -234,8 +231,51 @@ def _zeta_bc(order_parity_even: bool, for_Ez: bool) -> tuple[str, str]:
     return kind, kind
 
 
-def _order_or_none(history_or_list, n: int):
-    return history_or_list[n] if 0 <= n < len(history_or_list) else None
+@dataclass
+class ChainContext:
+    """State threaded through one hierarchy solve: the sources, the snapshot
+    history backing time derivatives, the solve time, the orders completed so
+    far at this time, and the diagnostics of the order being solved.
+
+    The sources belong to order 0.  :meth:`rho` and :meth:`current` state the
+    convention once: order n reads ``rho(n)`` and ``current(n - 1)``, which
+    are the sources' own arrays at order 0 and scalar zeros elsewhere."""
+
+    sources: SourceTerms
+    history: FieldHistory
+    time: float
+    orders: list[FieldOrder] = dc_field(default_factory=list, init=False)
+    diagnostics: dict = dc_field(default_factory=dict, init=False)
+    _rates: dict[int, FieldRates] = dc_field(default_factory=dict, init=False, repr=False)
+
+    def rho(self, n: int):
+        """Charge density of order n: the sources' rho at n == 0, 0.0 otherwise."""
+        return self.sources.rho.values if n == 0 else 0.0
+
+    def current(self, n: int):
+        """(Jx, Jy, Jzeta) of order n: the sources' current at n == 0, 0.0
+        otherwise."""
+        if n != 0:
+            return 0.0, 0.0, 0.0
+        return self.sources.Jperp.x, self.sources.Jperp.y, self.sources.Jzeta.values
+
+    def rates(self, n: int) -> FieldRates:
+        """d/dt of the completed order n, anchored at the solve time against
+        the latest snapshot: order n at this time is already on the chain
+        when order n+1 is assembled, so one prior snapshot suffices, and the
+        per-order equations hold with the quotient the residual harness uses.
+        Formed once per order and shared by every stage; zeros below order 0
+        and on a cold start."""
+        if n not in self._rates:
+            self._rates.clear()  # only the order below the current one is read
+            latest = self.history.latest
+            if n < 0 or latest is None:
+                self._rates[n] = FieldRates.zeros(self.sources.rho.mesh)
+            else:
+                self._rates[n] = backward_rate(
+                    self.orders[n], latest.order(n), self.time - latest.time
+                )
+        return self._rates[n]
 
 
 class HierarchySolver:
@@ -249,80 +289,77 @@ class HierarchySolver:
         self.kappa = 1.0 - beta**2
         self.external = external or ExternalField()
 
+    def _solve_3d(self, name: str, rhs: np.ndarray, bc: BoundarySpec,
+                  ctx: ChainContext) -> ScalarField:
+        """(lap_perp + kappa dzz) u = rhs, recording the solve's method and
+        relative residual in the order diagnostics under ``name``."""
+        info: dict = {}
+        u = solve_anisotropic_poisson_3d(
+            self.kappa, ScalarField(self.mesh, rhs), bc, info_out=info
+        )
+        ctx.diagnostics[f"{name}_method"] = info["method"]
+        ctx.diagnostics[f"{name}_relative_residual"] = info["relative_residual"]
+        return u
+
     # -- the five per-order solves ---------------------------------------------
 
-    def solve_Ez_order(
-        self,
-        n: int,
-        ctx: "ChainContext",
-        info_out: dict | None = None,
-    ) -> ScalarField:
+    def solve_Ez_order(self, n: int, ctx: ChainContext) -> ScalarField:
         mesh, beta = self.mesh, self.beta
-        src = ctx.sources[n]
-        src_prev = _order_or_none(ctx.sources, n - 1)
 
         # d/dt (beta dEz^{n-1}/dzeta + curl Bperp^{n-1}), applied to the rates
         rates = ctx.rates(n - 1)
         dt_term = beta * dzeta(rates.Ez, high_order=True).values \
             + curl_perp_vector(rates.Bperp).values
 
-        Jz_prev = src_prev.Jzeta.values if src_prev is not None else 0.0
+        source = beta * ctx.current(n - 1)[2] + self.kappa * ctx.rho(n)  # 0.0 above order 1
         rhs = dt_term - dzeta(
-            ScalarField(mesh, beta * Jz_prev + self.kappa * src.rho.values),
-            high_order=True,
+            ScalarField(mesh, np.broadcast_to(source, dt_term.shape)), high_order=True
         ).values
 
         kind = _zeta_bc(n % 2 == 0, for_Ez=True)[0]
         bc = BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True) \
             .with_face("zeta_lo", FaceBC(kind, 0.0)) \
             .with_face("zeta_hi", FaceBC(kind, 0.0))
-        return solve_anisotropic_poisson_3d(
-            self.kappa, ScalarField(mesh, rhs), bc, info_out=info_out
-        )
+        return self._solve_3d("Ez", rhs, bc, ctx)
 
     def solve_Ecal_order(
         self,
         n: int,
         Ez_n: ScalarField,
-        ctx: "ChainContext",
-        bperp_nu_trace: dict[str, np.ndarray],
-        diagnostics_out: dict | None = None,
+        ctx: ChainContext,
+        bperp_nu: dict[str, np.ndarray],
     ) -> VectorField2:
         """Per-slice div-curl solve for the pseudo-field.
 
-        ``bperp_nu_trace`` holds the imposed same-order Bperp . nu trace per
-        face, shaped (nzeta, nface); the tangential data is beta times it.
+        ``bperp_nu`` holds the imposed same-order Bperp . nu trace per face,
+        shaped (nzeta, nface); the tangential data is beta times it.
         """
         mesh, beta = self.mesh, self.beta
-        src = ctx.sources[n]
-        src_prev = _order_or_none(ctx.sources, n - 1)
         rates = ctx.rates(n - 1)
         dt_Bz_prev, dt_Ez_prev = rates.Bz.values, rates.Ez.values
-        Jz_prev = src_prev.Jzeta.values if src_prev is not None else 0.0
 
         curl_src = -dt_Bz_prev
         div_src = (
-            self.kappa * (dzeta(Ez_n, high_order=True).values + src.rho.values)
-            + beta * (Jz_prev - dt_Ez_prev)
+            self.kappa * (dzeta(Ez_n, high_order=True).values + ctx.rho(n))
+            + beta * (ctx.current(n - 1)[2] - dt_Ez_prev)
         )
 
-        diag = {} if diagnostics_out is not None else None
+        diag: dict = {}
         A = solve_divcurl_2d(
             ScalarField(mesh, div_src),
             ScalarField(mesh, curl_src),
-            {f: beta * bperp_nu_trace[f] for f in FACE_ORDER},
+            {f: beta * bperp_nu[f] for f in FACE_ORDER},
             -mesh.integrate_2d(dt_Bz_prev),
             diagnostics_out=diag,
             check_compatibility=False,
         )
-        if diagnostics_out is not None:
-            worst = float(np.max(diag["circulation_mismatch"]))
-            diagnostics_out["circulation_mismatch_max"] = worst
-            # an O(h^2) gap between requested and achieved circulation is the
-            # expected discretization level; only gross violations are loud
-            scale = 1.0 + float(np.abs(dt_Bz_prev).max()) * mesh.a * mesh.b
-            if worst > 0.02 * scale:
-                log.warning("order %d pseudo-field circulation mismatch %.3e", n, worst)
+        worst = float(np.max(diag["circulation_mismatch"]))
+        ctx.diagnostics["circulation_mismatch_max"] = worst
+        # an O(h^2) gap between requested and achieved circulation is the
+        # expected discretization level; only gross violations are loud
+        scale = 1.0 + float(np.abs(dt_Bz_prev).max()) * mesh.a * mesh.b
+        if worst > 0.02 * scale:
+            log.warning("order %d pseudo-field circulation mismatch %.3e", n, worst)
         return A
 
     def solve_Eperp_order(
@@ -330,22 +367,18 @@ class HierarchySolver:
         n: int,
         Ecal_n: VectorField2,
         Ez_n: ScalarField,
-        ctx: "ChainContext",
-        info_out: dict | None = None,
+        ctx: ChainContext,
     ) -> VectorField2:
         mesh, beta = self.mesh, self.beta
-        src = ctx.sources[n]
-        src_prev = _order_or_none(ctx.sources, n - 1)
 
-        gauss = dzeta(Ez_n, high_order=True).values + src.rho.values  # target div of Eperp
+        gauss = dzeta(Ez_n, high_order=True).values + ctx.rho(n)  # target div of Eperp
         gg = grad_perp(ScalarField(mesh, gauss), high_order=True)
 
-        d2_Ecal = dzeta2(Ecal_n, high_order=True)
+        d2_Ecal = dzeta2(Ecal_n)
         rates = ctx.rates(n - 1)
         curl_dtBz = curl_perp_scalar(rates.Bz)
         dtE_prev = rates.Eperp
-        Jx_prev = src_prev.Jperp.x if src_prev is not None else 0.0
-        Jy_prev = src_prev.Jperp.y if src_prev is not None else 0.0
+        Jx_prev, Jy_prev, _ = ctx.current(n - 1)
         dz_x = dzeta(ScalarField(mesh, dtE_prev.x + Jx_prev), high_order=True).values
         dz_y = dzeta(ScalarField(mesh, dtE_prev.y + Jy_prev), high_order=True).values
 
@@ -373,197 +406,114 @@ class HierarchySolver:
             "zeta_lo": FaceBC(zk, 0.0),
             "zeta_hi": FaceBC(zk, 0.0),
         })
-        ix, iy = ({}, {}) if info_out is not None else (None, None)
-        Ex = solve_anisotropic_poisson_3d(
-            self.kappa, ScalarField(mesh, rhs_x), bc_x, info_out=ix
-        )
-        Ey = solve_anisotropic_poisson_3d(
-            self.kappa, ScalarField(mesh, rhs_y), bc_y, info_out=iy
-        )
-        if info_out is not None:
-            info_out.update(x=ix, y=iy)
+        Ex = self._solve_3d("Eperp_x", rhs_x, bc_x, ctx)
+        Ey = self._solve_3d("Eperp_y", rhs_y, bc_y, ctx)
         return VectorField2(mesh, Ex.values, Ey.values)
 
     def solve_Bperp_order(
         self,
         n: int,
         Eperp_n: VectorField2,
-        ctx: "ChainContext",
-        bperp_nu_trace: dict[str, np.ndarray],
-        diagnostics_out: dict | None = None,
+        ctx: ChainContext,
+        bperp_nu: dict[str, np.ndarray],
     ) -> VectorField2:
         """Per-slice div-curl solve for Bperp with the imposed normal trace
-        ``bperp_nu_trace`` (see :meth:`_bperp_normal_trace`)."""
+        ``bperp_nu`` (see :meth:`_bperp_normal_trace`)."""
         mesh, beta = self.mesh, self.beta
-        src_prev = _order_or_none(ctx.sources, n - 1)
         rates = ctx.rates(n - 1)
         dt_Ez_prev, dt_Bz_prev = rates.Ez.values, rates.Bz.values
-        Jz_prev = src_prev.Jzeta.values if src_prev is not None else 0.0
 
-        curl_src = dt_Ez_prev + beta * div_perp(Eperp_n).values - Jz_prev
+        curl_src = dt_Ez_prev + beta * div_perp(Eperp_n).values - ctx.current(n - 1)[2]
         div_src = -(curl_perp_vector(Eperp_n).values + dt_Bz_prev) / beta
 
         # rotate onto the tangential-data solver: W = Bperp x e_z has
         # div W = curl B, curl W = -div B, W.tau = -(B.nu)
-        diag = {} if diagnostics_out is not None else None
+        diag: dict = {}
         W = solve_divcurl_2d(
             ScalarField(mesh, curl_src),
             ScalarField(mesh, -div_src),
-            {f: -bperp_nu_trace[f] for f in FACE_ORDER},
+            {f: -bperp_nu[f] for f in FACE_ORDER},
             mesh.integrate_2d(dt_Bz_prev) / beta,
             diagnostics_out=diag,
             check_compatibility=False,
         )
         B = VectorField2(mesh, -W.y, W.x)  # B = -(W x e_z)
-        if diagnostics_out is not None:
-            diagnostics_out["flux_mismatch_max"] = float(np.max(diag["circulation_mismatch"]))
-            # achieved against imposed Bperp . nu, a discretization error
-            achieved = boundary_normal_trace(B)
-            gap = max(np.abs(achieved[f] - bperp_nu_trace[f]).max() for f in FACE_ORDER)
-            scale = 1.0 + max(np.abs(bperp_nu_trace[f]).max() for f in FACE_ORDER)
-            diagnostics_out["bperp_trace_defect"] = float(gap / scale)
+        ctx.diagnostics["flux_mismatch_max"] = float(np.max(diag["circulation_mismatch"]))
+        # achieved against imposed Bperp . nu, a discretization error
+        achieved = boundary_normal_trace(B)
+        gap = max(np.abs(achieved[f] - bperp_nu[f]).max() for f in FACE_ORDER)
+        scale = 1.0 + max(np.abs(bperp_nu[f]).max() for f in FACE_ORDER)
+        ctx.diagnostics["bperp_trace_defect"] = float(gap / scale)
         return B
 
-    def _bperp_normal_trace(self, n: int, ctx) -> dict[str, np.ndarray]:
+    def _bperp_normal_trace(self, n: int, ctx: ChainContext) -> dict[str, np.ndarray]:
         """Bperp^n . nu on Gamma by zeta-integration of the boundary condition
-        (dBperp^{n-1}/dt + beta dBperp^n/dzeta) . nu = 0 from the zeta=0 plane."""
-        mesh = self.mesh
+        (dBperp^{n-1}/dt + beta dBperp^n/dzeta) . nu = 0 from zero at the
+        zeta=0 plane."""
         dt_nu = boundary_normal_trace(ctx.rates(n - 1).Bperp)
-        base = self.external.bperp_nu_trace(mesh) if n == 0 else {
-            f: np.zeros(len(mesh.face_nodes(f)[0])) for f in FACE_ORDER
-        }
-        out = {}
-        for f in FACE_ORDER:
-            out[f] = cumint_zeta(-dt_nu[f] / self.beta, mesh, initial=base[f])
-        return out
+        return {f: cumint_zeta(-dt_nu[f] / self.beta, self.mesh) for f in FACE_ORDER}
 
-    def solve_Bz_order(
-        self,
-        n: int,
-        Bperp_n: VectorField2,
-        ctx: "ChainContext",
-        diagnostics_out: dict | None = None,
-    ) -> ScalarField:
+    def solve_Bz_order(self, n: int, Bperp_n: VectorField2, ctx: ChainContext) -> ScalarField:
         mesh = self.mesh
         divB = div_perp(Bperp_n).values
-        init = np.full((mesh.ny, mesh.nx), self.external.bz) if n == 0 else 0.0
+        init = self.external.bz if n == 0 else 0.0
         Bz = ScalarField(mesh, cumint_zeta(divB, mesh, initial=init))
-        if diagnostics_out is not None:
-            # integral constraint: d/dzeta int Bz = -(1/beta) int dBz^{n-1}/dt
-            dt_Bz_prev = ctx.rates(n - 1).Bz.values
-            lhs = mesh.integrate_2d(divB)
-            rhs = -mesh.integrate_2d(dt_Bz_prev) / self.beta
-            diagnostics_out["bz_integral_residual"] = float(np.abs(lhs - rhs).max())
+        # integral constraint: d/dzeta int Bz = -(1/beta) int dBz^{n-1}/dt
+        lhs = mesh.integrate_2d(divB)
+        rhs = -mesh.integrate_2d(ctx.rates(n - 1).Bz.values) / self.beta
+        ctx.diagnostics["bz_integral_residual"] = float(np.abs(lhs - rhs).max())
         return Bz
 
     # -- full chain --------------------------------------------------------------
 
-    def solve_order(self, n: int, ctx: "ChainContext") -> FieldOrder:
+    def solve_order(self, n: int, ctx: ChainContext) -> FieldOrder:
         mesh = self.mesh
-        diag: dict = {"order": n}
-        ez_info: dict = {}
-        eperp_info: dict = {}
-        Ez = self.solve_Ez_order(n, ctx, info_out=ez_info)
+        ctx.diagnostics = diag = {"order": n}
+        Ez = self.solve_Ez_order(n, ctx)
         # the boundary condition fixes Bperp . nu from order n-1 data alone, so
         # the Ecal, Eperp and Bperp stages each run once
         nu = self._bperp_normal_trace(n, ctx)
-        Ecal = self.solve_Ecal_order(n, Ez, ctx, nu, diagnostics_out=diag)
-        Eperp = self.solve_Eperp_order(n, Ecal, Ez, ctx, info_out=eperp_info)
-        Bperp = self.solve_Bperp_order(n, Eperp, ctx, nu, diagnostics_out=diag)
-        # the scalar solves behind Ez and the Eperp components
-        for name, info in (("Ez", ez_info), ("Eperp_x", eperp_info["x"]),
-                           ("Eperp_y", eperp_info["y"])):
-            diag[f"{name}_method"] = info["method"]
-            diag[f"{name}_relative_residual"] = info["relative_residual"]
+        Ecal = self.solve_Ecal_order(n, Ez, ctx, nu)
+        Eperp = self.solve_Eperp_order(n, Ecal, Ez, ctx)
+        Bperp = self.solve_Bperp_order(n, Eperp, ctx, nu)
+        Bz = self.solve_Bz_order(n, Bperp, ctx)
 
-        order_stub = FieldOrder(n=n, Ez=Ez, Ecal=Ecal, Eperp=Eperp, Bperp=Bperp,
-                                Bz=ScalarField.zeros(mesh), diagnostics=diag)
-        ctx.orders.append(order_stub)
-        Bz = self.solve_Bz_order(n, Bperp, ctx, diagnostics_out=diag)
-        order_stub.Bz = Bz
-
-        gauss = div_perp(Eperp).values - dzeta(Ez).values - ctx.sources[n].rho.values
+        gauss = div_perp(Eperp).values - dzeta(Ez).values - ctx.rho(n)
         sol = div_perp(Bperp).values - dzeta(Bz).values
         consist_x = Ecal.x - (Eperp.x - self.beta * Bperp.y)
         consist_y = Ecal.y - (Eperp.y + self.beta * Bperp.x)
         diag["gauss_residual"] = norms(gauss, mesh)
         diag["solenoidal_residual"] = norms(sol, mesh)
         diag["pseudo_field_consistency"] = norms(np.hypot(consist_x, consist_y), mesh)
-        return order_stub.freeze()
+        order = FieldOrder(n=n, Ez=Ez, Ecal=Ecal, Eperp=Eperp, Bperp=Bperp, Bz=Bz,
+                           diagnostics=diag).freeze()
+        ctx.orders.append(order)
+        return order
 
     def solve_hierarchy(
         self,
         n_max: int,
-        sources: list[SourceTerms] | SourceTerms,
+        sources: SourceTerms,
         history: FieldHistory | None = None,
         time: float = 0.0,
     ) -> FieldHierarchy:
         """Run the chain for orders 0..n_max and return the completed hierarchy.
 
-        ``sources`` may be a single SourceTerms (assigned wholly to order 0,
-        the particle-code convention) or a list per order.
+        ``sources`` are the charge and current moments, which belong to order
+        0 (see :class:`ChainContext`).
         """
+        if not isinstance(sources, SourceTerms):
+            raise TypeError(
+                f"sources must be one SourceTerms, got {type(sources).__name__}"
+            )
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        history = history or FieldHistory()
-        if isinstance(sources, SourceTerms):
-            sources = [sources] + [SourceTerms.zeros(self.mesh) for _ in range(n_max)]
-        if len(sources) < n_max + 1:
-            sources = list(sources) + [
-                SourceTerms.zeros(self.mesh) for _ in range(n_max + 1 - len(sources))
-            ]
-        for s in sources:
-            same_mesh(s.rho, s.Jperp, s.Jzeta)
+        same_mesh(sources.rho, sources.Jperp, sources.Jzeta)
 
-        ctx = ChainContext(sources=list(sources), history=history, time=time, orders=[])
+        ctx = ChainContext(sources=sources, history=history or FieldHistory(), time=time)
         for n in range(n_max + 1):
             self.solve_order(n, ctx)
         return FieldHierarchy(
             mesh=self.mesh, beta=self.beta, orders=ctx.orders,
             external=self.external, time=time,
         )
-
-
-@dataclass
-class ChainContext:
-    """State threaded through one hierarchy solve: per-order sources, the
-    snapshot history backing time derivatives, the solve time, and the
-    orders completed so far at this time."""
-
-    sources: list[SourceTerms]
-    history: FieldHistory
-    time: float
-    orders: list[FieldOrder]
-    _rates: dict[int, FieldRates] = dc_field(default_factory=dict, init=False, repr=False)
-
-    def rates(self, n: int) -> FieldRates:
-        """d/dt of the completed order n, anchored at the solve time against
-        the latest snapshot: order n at this time is already on the chain
-        when order n+1 is assembled, so one prior snapshot suffices, and the
-        per-order equations hold with the quotient the residual harness uses.
-        Formed once per order and shared by every stage; zeros below order 0
-        and on a cold start."""
-        if n not in self._rates:
-            self._rates.clear()  # only the order below the current one is read
-            latest = self.history.latest
-            if n < 0 or latest is None:
-                self._rates[n] = FieldRates.zeros(self.sources[0].rho.mesh)
-            else:
-                self._rates[n] = backward_rate(
-                    self.orders[n], latest.order(n), self.time - latest.time
-                )
-        return self._rates[n]
-
-
-def solve_hierarchy(
-    mesh: Mesh,
-    beta: float,
-    n_max: int,
-    sources,
-    history: FieldHistory | None = None,
-    external: ExternalField | None = None,
-    time: float = 0.0,
-) -> FieldHierarchy:
-    """One-call front end over :class:`HierarchySolver`."""
-    solver = HierarchySolver(mesh, beta, external=external)
-    return solver.solve_hierarchy(n_max, sources, history, time=time)

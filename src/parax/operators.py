@@ -162,13 +162,16 @@ def dzeta(f, high_order: bool = False):
     return ScalarField(m, d1(f.values, m.hzeta, _AX_ZETA))
 
 
-def dzeta2(f, high_order: bool = False):
-    """Second zeta-derivative of a volumetric field."""
+def dzeta2(f):
+    """Second zeta-derivative of a volumetric field by the 4th-order
+    source-assembly stencils of :func:`_d_high`: the centered 5-point formula
+    inside and one-sided 6-point formulas on the two rows at each end.  With
+    fewer than 7 zeta nodes it falls back to :func:`_d2_cubic_ends`."""
     m = f.mesh
-    d2 = (lambda a, h, ax: _d_high(a, h, ax, 2)) if high_order else _d2
     if isinstance(f, VectorField2):
-        return VectorField2(m, d2(f.x, m.hzeta, _AX_ZETA), d2(f.y, m.hzeta, _AX_ZETA))
-    return ScalarField(m, d2(f.values, m.hzeta, _AX_ZETA))
+        return VectorField2(m, _d_high(f.x, m.hzeta, _AX_ZETA, 2),
+                            _d_high(f.y, m.hzeta, _AX_ZETA, 2))
+    return ScalarField(m, _d_high(f.values, m.hzeta, _AX_ZETA, 2))
 
 
 def cumint_zeta(values: np.ndarray, mesh: Mesh, initial: np.ndarray | float = 0.0) -> np.ndarray:

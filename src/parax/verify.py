@@ -60,17 +60,10 @@ class QuasiStaticMode:
     def growth(self, t: float) -> float:
         return 1.0 + self.alpha * t + self.alpha2 * t**2
 
-    def rate(self, t: float) -> float:
-        return self.alpha + 2.0 * self.alpha2 * t
-
-    def backward_rate(self, t: float, dt: float) -> float:
-        """Backward-difference rate (growth(t) - growth(t-dt)) / dt."""
-        return self.alpha + 2.0 * self.alpha2 * t - self.alpha2 * dt
-
-    def source_rate(self, t: float) -> float:
-        """Rate entering Jzeta: the scheme's backward difference when dt_hist
-        is set (discrete charge conservation), the true rate otherwise."""
-        return self.backward_rate(t, self.dt_hist) if self.dt_hist > 0 else self.rate(t)
+    def backward_rate(self, t: float) -> float:
+        """The family's one rate: (growth(t) - growth(t - dt_hist)) / dt_hist,
+        which is the true rate d growth/dt when dt_hist = 0."""
+        return self.alpha + 2.0 * self.alpha2 * t - self.alpha2 * self.dt_hist
 
     @property
     def kappa(self) -> float:
@@ -90,26 +83,23 @@ class QuasiStaticMode:
         C, S = np.cos(kz * Z), np.sin(kz * Z)
         return sx, cx, sy, cy, C, S
 
-    def _coeffs(self, r_inst: float | None = None, r_back: float | None = None):
-        """Mode coefficients.  Order-1 entries distinguish the instantaneous
-        source rate (enters through Jzeta) from the backward-difference rate
-        driving the d/dt terms; they coincide for a linear profile."""
+    def _coeffs(self, r: float):
+        """Mode coefficients; the order-1 entries take the rate ``r`` that
+        enters through Jzeta and drives the d/dt terms."""
         kx, ky, kz = self._wavenumbers()
         kap, b, R0 = self.kappa, self.beta, self.amplitude
-        ri = self.alpha if r_inst is None else r_inst
-        rb = self.alpha if r_back is None else r_back
         Kperp = kx**2 + ky**2
         K = Kperp + kap * kz**2
         A = -kap * R0 * kz / K
         P = -kap * R0 / K
         Xc = -R0 / K
         G = R0 * Kperp / K
-        A1 = -b * (rb * (A * kz + G) + ri * R0) / K
-        D1 = -kap * A1 * kz - ri * b * R0 / kz - rb * b * A
+        A1 = -b * (r * (A * kz + G) + r * R0) / K
+        D1 = -kap * A1 * kz - r * b * R0 / kz - r * b * A
         P1 = -D1 / Kperp
-        Rg = -A1 * kz - kz**2 * P1 - rb * b * Xc * kz
+        Rg = -A1 * kz - kz**2 * P1 - r * b * Xc * kz
         Rc = -b * self.jc * kz
-        C1 = rb * A + ri * R0 / kz - b * A1 * kz
+        C1 = r * A + r * R0 / kz - b * A1 * kz
         Dv1 = Rc * Kperp / (b * K)
         return dict(kx=kx, ky=ky, kz=kz, Kperp=Kperp, K=K, A=A, P=P, X=Xc,
                     A1=A1, P1=P1, Rg=Rg, Rc=Rc, C1=C1, Dv1=Dv1)
@@ -122,7 +112,7 @@ class QuasiStaticMode:
         rho = self.growth(t) * R0 * sx * sy * C
         # d rho/dt + d Jzeta/dzeta = 0 exactly (transverse current is
         # divergence-free, so it never enters the balance)
-        Jz = -self.source_rate(t) * R0 * sx * sy * S / kz
+        Jz = -self.backward_rate(t) * R0 * sx * sy * S / kz
         Jx = self.jc * (-ky * cx * sy) * C
         Jy = self.jc * (kx * sx * cy) * C
         return SourceTerms(
@@ -131,23 +121,18 @@ class QuasiStaticMode:
             Jzeta=ScalarField(m, Jz),
         )
 
-    def exact_order(self, n: int, t: float = 0.0, dt_hist: float | None = None) -> dict:
+    def exact_order(self, n: int, t: float = 0.0) -> dict:
         """Closed-form fields of order n (0 or 1) at time t.
 
-        For n = 1 with a quadratic time profile, ``dt_hist`` must give the
-        snapshot spacing: the discrete chain drives order 1 with the
+        For n = 1 with a quadratic time profile the family needs ``dt_hist``,
+        the snapshot spacing: the discrete chain drives order 1 with the
         backward-difference rate of the order-0 fields.
         """
         m = self.mesh
         sx, cx, sy, cy, C, S = self._shapes()
-        if n == 1:
-            dt_hist = dt_hist if dt_hist is not None else (self.dt_hist or None)
-            if self.alpha2 != 0.0 and dt_hist is None:
-                raise ValueError("quadratic profile: order-1 forms need dt_hist")
-            rb = self.rate(t) if dt_hist is None else self.backward_rate(t, dt_hist)
-            c = self._coeffs(r_inst=self.source_rate(t), r_back=rb)
-        else:
-            c = self._coeffs()
+        if n == 1 and self.alpha2 != 0.0 and not self.dt_hist:
+            raise ValueError("quadratic profile: order-1 forms need dt_hist")
+        c = self._coeffs(self.backward_rate(t))
         kx, ky, kz = c["kx"], c["ky"], c["kz"]
         grad_x, grad_y = kx * cx * sy, ky * sx * cy
         rot_x, rot_y = -ky * cx * sy, kx * sx * cy

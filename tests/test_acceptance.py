@@ -18,7 +18,6 @@ from parax.hierarchy import (
     FieldHistory,
     HierarchySolver,
     SourceTerms,
-    solve_hierarchy,
 )
 from parax.mesh import build_mesh
 from parax.operators import (
@@ -113,8 +112,8 @@ def test_criterion_2_mms_convergence():
             mesh = build_mesh(1.0, 1.0, 2.0, n, n, n)
             case = QuasiStaticMode(mesh=mesh, beta=BETA)
             solver = HierarchySolver(mesh, BETA)
-            ctx = ChainContext(sources=[case.sources(0.0)], history=FieldHistory(),
-                               time=0.0, orders=[])
+            ctx = ChainContext(sources=case.sources(0.0), history=FieldHistory(),
+                               time=0.0)
             exact = case.exact_order(0, 0.0)
             if which == "ez":
                 got = solver.solve_Ez_order(0, ctx)
@@ -135,7 +134,7 @@ def test_criterion_2_mms_convergence():
 def test_criterion_3_zero_propagation():
     # zero sources, zero external field, cold start: exact zeros everywhere
     mesh = build_mesh(1.0, 1.0, 2.0, 17, 17, 9)
-    h = solve_hierarchy(mesh, BETA, 1, SourceTerms.zeros(mesh))
+    h = HierarchySolver(mesh, BETA).solve_hierarchy(1, SourceTerms.zeros(mesh))
     for o in h.orders:
         for arr in (o.Ez.values, o.Ecal.x, o.Ecal.y, o.Eperp.x, o.Eperp.y,
                     o.Bperp.x, o.Bperp.y, o.Bz.values):
@@ -168,7 +167,7 @@ def test_criterion_4_cold_start_collapse():
     # solver tolerance
     mesh = build_mesh(1.0, 1.0, 2.0, 25, 25, 13)
     case = QuasiStaticMode(mesh=mesh, beta=BETA)  # static, rho-only
-    h = solve_hierarchy(mesh, BETA, 2, case.sources(0.0))
+    h = HierarchySolver(mesh, BETA).solve_hierarchy(2, case.sources(0.0))
     worst = 0.0
     for n in (1, 2):
         o = h.order(n)

@@ -10,7 +10,6 @@ from parax.hierarchy import (
     HierarchySolver,
     SourceTerms,
     backward_rate,
-    solve_hierarchy,
 )
 from parax.mesh import build_mesh
 from parax.operators import div_perp, norms
@@ -43,7 +42,7 @@ def run_case(mesh, case, n_max, times):
 
 def test_zero_sources_zero_hierarchy():
     mesh = small_mesh(9)
-    h = solve_hierarchy(mesh, BETA, 1, SourceTerms.zeros(mesh))
+    h = HierarchySolver(mesh, BETA).solve_hierarchy(1, SourceTerms.zeros(mesh))
     for o in h.orders:
         assert np.all(o.Ez.values == 0.0)
         assert np.all(o.Eperp.x == 0.0) and np.all(o.Eperp.y == 0.0)
@@ -55,8 +54,8 @@ def test_zero_sources_zero_hierarchy():
 def test_uniform_external_bz_passthrough():
     # no sources, solenoidal Bperp = 0: Bz stays at its zeta=0 plane value
     mesh = small_mesh(9)
-    h = solve_hierarchy(mesh, BETA, 0, SourceTerms.zeros(mesh),
-                        external=ExternalField(bz=1.0))
+    h = HierarchySolver(mesh, BETA, external=ExternalField(bz=1.0)).solve_hierarchy(
+        0, SourceTerms.zeros(mesh))
     np.testing.assert_allclose(h.order(0).Bz.values, 1.0, atol=1e-12)
 
 
@@ -64,7 +63,7 @@ def test_cold_start_collapse():
     # static rho-only sources, single snapshot: orders >= 1 vanish identically
     mesh = small_mesh(11)
     case = QuasiStaticMode(mesh=mesh, beta=BETA)  # alpha = jc = 0
-    h = solve_hierarchy(mesh, BETA, 2, case.sources(0.0))
+    h = HierarchySolver(mesh, BETA).solve_hierarchy(2, case.sources(0.0))
     for n in (1, 2):
         o = h.order(n)
         for arr in (o.Ez.values, o.Ecal.x, o.Ecal.y, o.Eperp.x, o.Eperp.y,
@@ -91,7 +90,7 @@ def test_order1_matches_closed_form():
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=0.8, alpha2=0.6,
                            bz_external=0.4, dt_hist=dt)
     _, _, h = run_case(mesh, case, 1, [0.0, dt, 2 * dt])
-    ex = case.exact_order(1, 2 * dt, dt_hist=dt)
+    ex = case.exact_order(1, 2 * dt)
     o = h.order(1)
     for f in ("Ez", "Ecal", "Eperp", "Bperp", "Bz"):
         assert field_l2(mesh, getattr(o, f), ex[f]) < 5e-3
@@ -136,7 +135,7 @@ def test_ez_order_slab_is_zero():
     X, Y, _ = mesh.grids3d()
     rho = np.sin(np.pi * X) * np.sin(np.pi * Y)
     src = SourceTerms(ScalarField(mesh, rho), VectorField2.zeros(mesh), ScalarField.zeros(mesh))
-    h = solve_hierarchy(mesh, BETA, 0, src)
+    h = HierarchySolver(mesh, BETA).solve_hierarchy(0, src)
     assert np.abs(h.order(0).Ez.values).max() < 1e-9
 
 
@@ -147,7 +146,7 @@ def test_eperp_slab_reduces_to_2d_electrostatics():
     X, Y, _ = mesh.grids3d()
     rho = np.sin(np.pi * X) * np.sin(np.pi * Y)
     src = SourceTerms(ScalarField(mesh, rho), VectorField2.zeros(mesh), ScalarField.zeros(mesh))
-    h = solve_hierarchy(mesh, BETA, 0, src)
+    h = HierarchySolver(mesh, BETA).solve_hierarchy(0, src)
     E = h.order(0).Eperp
     for k in range(1, mesh.nzeta):
         np.testing.assert_allclose(E.x[k], E.x[0], atol=1e-8)
@@ -222,8 +221,8 @@ def test_bz_antiderivative_oracle():
         g = np.cos(np.pi * X)  # Bperp = (sin(pi x)/pi * sin, 0) has div = g sin
         Bperp = VectorField2(mesh, np.sin(np.pi * X) / np.pi * np.sin(kz * Z),
                              np.zeros_like(X))
-        ctx = ChainContext(sources=[SourceTerms.zeros(mesh)], history=FieldHistory(),
-                           time=0.0, orders=[])
+        ctx = ChainContext(sources=SourceTerms.zeros(mesh), history=FieldHistory(),
+                           time=0.0)
         Bz = solver.solve_Bz_order(0, Bperp, ctx)
         exact = (1.0 - np.cos(kz * Z)) / kz * g
         errs.append(np.abs(Bz.values - exact).max())
@@ -236,6 +235,22 @@ def test_invalid_inputs():
         HierarchySolver(mesh, beta=1.0)
     with pytest.raises(ValueError):
         HierarchySolver(mesh, beta=0.5).solve_hierarchy(-1, SourceTerms.zeros(mesh))
+
+
+def test_sources_are_one_order_0_source_terms():
+    # rho enters order 0 and J order 1, nothing above; a per-order list is
+    # not a form the chain takes
+    from parax.hierarchy import ChainContext
+
+    mesh = small_mesh(9)
+    src = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0, jc=0.5).sources(0.0)
+    ctx = ChainContext(sources=src, history=FieldHistory(), time=0.0)
+    assert ctx.rho(0) is src.rho.values and ctx.rho(1) == 0.0
+    for got, want in zip(ctx.current(0), (src.Jperp.x, src.Jperp.y, src.Jzeta.values)):
+        assert got is want
+    assert ctx.current(-1) == ctx.current(1) == (0.0, 0.0, 0.0)
+    with pytest.raises(TypeError, match="one SourceTerms"):
+        HierarchySolver(mesh, BETA).solve_hierarchy(1, [src])
 
 
 def test_non_finite_source_is_an_error():

@@ -9,7 +9,6 @@ from parax.hierarchy import (
     HierarchySolver,
     SourceTerms,
     backward_rate,
-    solve_hierarchy,
 )
 from parax.mesh import build_mesh
 from parax.operators import (
@@ -79,7 +78,7 @@ def test_quasistatic_sources_conserve_charge():
 def test_zero_hierarchy_zero_residual():
     mesh = build_mesh(1.0, 1.0, 2.0, 9, 9, 9)
     hist = FieldHistory()
-    hist.push(solve_hierarchy(mesh, BETA, 0, SourceTerms.zeros(mesh)))
+    hist.push(HierarchySolver(mesh, BETA).solve_hierarchy(0, SourceTerms.zeros(mesh)))
     rep = maxwell_residual(residual_terms(hist, SourceTerms.zeros(mesh)), 0.1)
     for eq, n in rep.norms.items():
         assert n["l2"] == 0.0 and n["max"] == 0.0

@@ -82,7 +82,12 @@ def ensemble(n, rng):
     )
 
 
-@pytest.mark.parametrize("n", [0, 1, CSV_ROWS, 2 * CSV_ROWS + 17])
+@pytest.mark.parametrize("n", [
+    pytest.param(0, id="empty"),
+    pytest.param(1, id="one_row"),
+    pytest.param(CSV_ROWS, id="one_block"),
+    pytest.param(2 * CSV_ROWS + 17, id="two_blocks_and_17"),
+])
 def test_particle_csv_matches_row_writer(tmp_path, n):
     p = ensemble(n, np.random.default_rng(n))
     if n:
