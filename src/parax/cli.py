@@ -25,7 +25,7 @@ from .elliptic import (
     solve_divcurl_2d,
     solve_poisson_2d,
 )
-from .fields import CSV_ROWS, csv_rows, format_d, format_g17, write_field_csv
+from .fields import CSV_NUMBERS, CSV_ROWS, csv_rows, format_d, format_g17, write_blocks, write_field_csv
 from .hierarchy import ChainContext, ExternalField, FieldHistory, HierarchySolver
 from .mesh import build_mesh
 from .operators import boundary_tangential_trace, circulation, norms
@@ -43,6 +43,8 @@ from .verify import (
 )
 
 VERBS = ("fields", "pic", "mms", "residual", "convergence")
+
+log = logging.getLogger(__name__)
 
 
 class RunError(RuntimeError):
@@ -141,11 +143,12 @@ def _dump_hierarchy(out_dir: str, mesh, hierarchy, step: int) -> list[str]:
 
 def _write_particles(path: str, p) -> None:
     columns = [p.x, p.y, p.zeta, p.vx, p.vy, p.vzeta, p.weight]
-    with open(path, "wb") as fh:
-        fh.write(b"id,x,y,zeta,vx,vy,vzeta,weight\n")
-        for s in range(0, len(p.ids), CSV_ROWS):
-            block = np.stack([c[s:s + CSV_ROWS] for c in columns], axis=1)
-            fh.write(csv_rows(format_d(p.ids[s:s + CSV_ROWS]), format_g17(block)))
+
+    def block(start, stop):
+        values = np.stack([c[start:stop] for c in columns], axis=1)
+        return csv_rows(format_d(p.ids[start:stop]), format_g17(values))
+
+    write_blocks(path, b"id,x,y,zeta,vx,vy,vzeta,weight\n", block, len(p.ids), CSV_ROWS)
 
 
 def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
@@ -290,6 +293,13 @@ def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
 
 
 def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
+    n_max, snapshots = cfg.hierarchy.n_max, cfg.fields.snapshots
+    if snapshots < n_max + 2:
+        # snapshot k holds genuine orders up to k, and the top terms read
+        # order n_max of the last two snapshots
+        log.warning("residual at n_max = %d from [fields] snapshots = %d: its top terms "
+                    "come from cold-start data; %d snapshots are needed",
+                    n_max, snapshots, n_max + 2)
     mesh = _mesh(cfg)
     beta, eta = _beta_eta(cfg)
     case, hist, hierarchies = _solve_timeline(cfg, mesh, beta, residual_only=True)
@@ -325,9 +335,10 @@ def cmd_convergence(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
 
 
 def _write_study_csv(path: str, params, errors) -> None:
-    with open(path, "wb") as fh:
-        fh.write(b"parameter,error\n")
-        fh.write(csv_rows(format_g17(np.column_stack([params, errors]))))
+    table = np.column_stack([params, errors])
+    write_blocks(path, b"parameter,error\n",
+                 lambda start, stop: csv_rows(format_g17(table[start:stop])),
+                 len(table), CSV_NUMBERS // 2)
 
 
 def _jsonable(obj):

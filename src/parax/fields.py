@@ -7,6 +7,8 @@ on the trailing two axes so both layouts flow through the same code.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,12 +99,17 @@ def same_mesh(*fields) -> Mesh:
 # trailing zeros stripped.  Each cell is a row of CELL bytes, its text
 # followed by a free byte for the separator; ``csv_rows`` writes the
 # separators and keeps each cell's leading bytes, so a block of rows becomes
-# one bytes object.  A block formats about CSV_NUMBERS numbers, enough to
-# spread the kernel's fixed cost of some hundred numpy calls: field rows hold
-# one or two numbers (the coordinates are gathered), so their blocks are longer.
+# one bytes object.  A block holds at most CSV_NUMBERS cells, ids and
+# coordinates included (8 in a particle row, 3 + components in a field row),
+# enough to spread the kernel's fixed cost of some hundred numpy calls.
+# Blocks are formatted on several threads (``write_blocks``), which take
+# turns holding the GIL between numpy calls, so longer calls pay off there:
+# on a 2-CPU Xeon VM, 8192-row blocks write a 50k-particle file in 0.5-0.6x
+# the time of 1024-row blocks on one thread, and 33^2x17 field files in
+# 0.75-0.8x; blocks of twice that were no faster.
 
-CSV_NUMBERS = 7168
-CSV_ROWS = CSV_NUMBERS // 7  # rows per block of the particle table
+CSV_NUMBERS = 65536
+CSV_ROWS = CSV_NUMBERS // 8  # rows per block of the particle table
 CELL = 25  # '-1.2345678901234567e-308' (24 bytes) and a separator
 
 _ASCII_0 = 48
@@ -116,23 +123,25 @@ _TZ = sum(np.arange(10000) % 10**i == 0 for i in range(1, 5)).astype(np.int64)
 # hi, hi's upper and lower Dekker halves, lo: 10**p ~ hi + lo, for p = 16 - k
 _P_MIN, _P_MAX = -265, 297
 _POW10 = [np.full(_P_MAX - _P_MIN + 1, np.nan) for _ in range(4)]
+_POW10_LOCK = threading.Lock()  # blocks are formatted on several threads
 _SPLIT = 134217729.0  # 2**27 + 1
 
 
 def _pow10(p: np.ndarray) -> list[np.ndarray]:
     """The four _POW10 entries for exponents p, filling in missing ones."""
     i = p - _P_MIN
-    if i.size and np.isnan(_POW10[0][i.min():i.max() + 1]).any():
-        for j in np.unique(i[np.isnan(_POW10[0][i])]).tolist():
-            e = j + _P_MIN
-            num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
-            hi = num / den  # int / int is correctly rounded
-            a, b = hi.as_integer_ratio()
-            lo = (num * b - a * den) / (den * b)
-            c = _SPLIT * hi
-            upper = c - (c - hi)
-            for table, x in zip(_POW10, (hi, upper, hi - upper, lo)):
-                table[j] = x
+    with _POW10_LOCK:
+        if i.size and np.isnan(_POW10[0][i.min():i.max() + 1]).any():
+            for j in np.unique(i[np.isnan(_POW10[0][i])]).tolist():
+                e = j + _P_MIN
+                num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+                hi = num / den  # int / int is correctly rounded
+                a, b = hi.as_integer_ratio()
+                lo = (num * b - a * den) / (den * b)
+                c = _SPLIT * hi
+                upper = c - (c - hi)
+                for table, x in zip(_POW10, (hi, upper, hi - upper, lo)):
+                    table[j] = x
     return [np.take(table, i) for table in _POW10]
 
 
@@ -298,6 +307,52 @@ def csv_rows(*cells) -> bytes:
     return chars[np.take(_KEEP, lengths, axis=0)].tobytes()
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def write_blocks(path, header: bytes, block, n: int, rows: int) -> None:
+    """Write ``header``, then rows [0, n) as ``block(start, stop) -> bytes``.
+
+    The rows are cut into ceil(n / rows) blocks of near-equal size and written
+    in order, so the bytes do not depend on the thread count.  The calling
+    thread and a pool of min(usable CPUs, blocks) - 1 threads, which lives
+    for this call only, format them; numpy releases the GIL in most of the
+    kernel.  A block's error reaches the caller after the pool is shut down.
+    """
+    count = -(-n // rows)
+    bounds = [n * b // max(count, 1) for b in range(count + 1)]
+    spans = list(zip(bounds, bounds[1:]))
+    threads = min(_usable_cpus(), count)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        if threads <= 1:
+            for span in spans:
+                fh.write(block(*span))
+            return
+        # imported here, off the start-up path of every verb
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads - 1) as pool:
+            futures, mine = [], {}
+            for due in range(count):
+                # the pool works at most 2 * threads blocks ahead of the file
+                futures += [pool.submit(block, *spans[b])
+                            for b in range(len(futures), min(due + 2 * threads, count))]
+                # while another thread formats the block due, the calling thread
+                # takes the first block that no thread has started
+                while due not in mine and not futures[due].done():
+                    b = next((b for b in range(due, len(futures))
+                              if b not in mine and futures[b].cancel()), None)
+                    if b is None:
+                        break
+                    mine[b] = block(*spans[b])
+                fh.write(mine.pop(due) if due in mine else futures[due].result())
+
+
 def write_field_csv(path, mesh: Mesh, components: dict[str, np.ndarray]) -> None:
     names = list(components)
     arrays = [np.asarray(components[name], dtype=float) for name in names]
@@ -309,15 +364,15 @@ def write_field_csv(path, mesh: Mesh, components: dict[str, np.ndarray]) -> None
     # each distinct coordinate is formatted once and gathered into the rows
     coords = [format_g17(c) for c in (mesh.x, mesh.y, mesh.zeta[:nz])]
     values = [v.ravel() for v in arrays]
-    with open(path, "wb") as fh:
-        fh.write(("x,y,zeta," + ",".join(names) + "\n").encode())
-        rows = CSV_NUMBERS // len(values)
-        for s in range(0, len(values[0]), rows):
-            plane, i = np.divmod(np.arange(s, min(s + rows, len(values[0]))), mesh.nx)
-            k, j = np.divmod(plane, mesh.ny)
-            cells = [(np.take(c, at, axis=0), np.take(n, at)) for (c, n), at in zip(coords, (i, j, k))]
-            block = np.stack([v[s:s + rows] for v in values], axis=1)
-            fh.write(csv_rows(*cells, format_g17(block)))
+
+    def block(start, stop):
+        plane, i = np.divmod(np.arange(start, stop), mesh.nx)
+        k, j = np.divmod(plane, mesh.ny)
+        cells = [(np.take(c, at, axis=0), np.take(m, at)) for (c, m), at in zip(coords, (i, j, k))]
+        return csv_rows(*cells, format_g17(np.stack([v[start:stop] for v in values], axis=1)))
+
+    write_blocks(path, ("x,y,zeta," + ",".join(names) + "\n").encode(), block,
+                 len(values[0]), CSV_NUMBERS // (3 + len(values)))
 
 
 def read_field_csv(path):

@@ -34,6 +34,12 @@ ETA_DEPENDENT_EQUATIONS = ("ampere_perp", "ampere_zeta", "faraday_perp", "farada
 
 # -- manufactured solutions ----------------------------------------------------
 
+def _axes(mesh: Mesh):
+    """x - x0, y - y0 and zeta, shaped to broadcast over (nzeta, ny, nx):
+    each factor of a separable shape is evaluated on its own axis only."""
+    return mesh.x - mesh.x0, (mesh.y - mesh.y0)[:, None], mesh.zeta[:, None, None]
+
+
 @dataclass(frozen=True)
 class QuasiStaticMode:
     """Single-mode family: rho = (1 + alpha t + alpha2 t^2) R0 sin sin cos(kz zeta).
@@ -74,13 +80,11 @@ class QuasiStaticMode:
         return np.pi / m.a, np.pi / m.b, np.pi * self.m_zeta / m.zlen
 
     def _shapes(self):
-        m = self.mesh
-        X, Y, Z = m.grids3d()
+        xt, yt, z = _axes(self.mesh)
         kx, ky, kz = self._wavenumbers()
-        xt, yt = X - m.x0, Y - m.y0
         sx, cx = np.sin(kx * xt), np.cos(kx * xt)
         sy, cy = np.sin(ky * yt), np.cos(ky * yt)
-        C, S = np.cos(kz * Z), np.sin(kz * Z)
+        C, S = np.cos(kz * z), np.sin(kz * z)
         return sx, cx, sy, cy, C, S
 
     def _coeffs(self, r: float):
@@ -172,8 +176,8 @@ def mms_case(case_id: str, mesh: Mesh, beta: float, **knobs):
     Solver-level cases return (rhs/source fields, exact fields); the
     "qs-mode-*" family returns a QuasiStaticMode driving the full chain.
     """
-    X, Y, Z = mesh.grids3d()
-    xt, yt = X - mesh.x0, Y - mesh.y0
+    xt, yt, z = _axes(mesh)
+    X, Y = mesh.xy()
     kx, ky = np.pi / mesh.a, np.pi / mesh.b
     if case_id == "zero":
         return {
@@ -183,7 +187,7 @@ def mms_case(case_id: str, mesh: Mesh, beta: float, **knobs):
     if case_id == "ez-mode-111":
         kz = np.pi / mesh.zlen
         kappa = 1.0 - beta**2
-        u = np.sin(kx * xt) * np.sin(ky * yt) * np.sin(kz * Z)
+        u = np.sin(kx * xt) * np.sin(ky * yt) * np.sin(kz * z)
         lam = kx**2 + ky**2 + kappa * kz**2
         return {
             "exact": ScalarField(mesh, u),
@@ -191,7 +195,7 @@ def mms_case(case_id: str, mesh: Mesh, beta: float, **knobs):
             "kappa": kappa,
         }
     if case_id == "poisson-sine":
-        u2 = np.sin(kx * xt[0]) * np.sin(ky * yt[0])
+        u2 = np.sin(kx * xt) * np.sin(ky * yt)
         return {
             "exact": ScalarField(mesh, u2),
             "rhs": ScalarField(mesh, -(kx**2 + ky**2) * u2),
@@ -199,28 +203,28 @@ def mms_case(case_id: str, mesh: Mesh, beta: float, **knobs):
     if case_id == "divcurl-rot":
         xc = mesh.x0 + mesh.a / 2.0
         yc = mesh.y0 + mesh.b / 2.0
-        A = VectorField2(mesh, -(Y[0] - yc), X[0] - xc)
+        A = VectorField2(mesh, -(Y - yc), X - xc)
         return {
             "exact": A,
-            "div": ScalarField(mesh, np.zeros_like(X[0])),
-            "curl": ScalarField(mesh, np.full_like(X[0], 2.0)),
+            "div": ScalarField(mesh, np.zeros_like(X)),
+            "curl": ScalarField(mesh, np.full_like(X, 2.0)),
             "circulation": 2.0 * mesh.a * mesh.b,
         }
     if case_id == "divcurl-grad":
         xc = mesh.x0 + mesh.a / 2.0
         yc = mesh.y0 + mesh.b / 2.0
-        A = VectorField2(mesh, X[0] - xc, Y[0] - yc)
+        A = VectorField2(mesh, X - xc, Y - yc)
         return {
             "exact": A,
-            "div": ScalarField(mesh, np.full_like(X[0], 2.0)),
-            "curl": ScalarField(mesh, np.zeros_like(X[0])),
+            "div": ScalarField(mesh, np.full_like(X, 2.0)),
+            "curl": ScalarField(mesh, np.zeros_like(X)),
             "circulation": 0.0,
         }
     if case_id == "divcurl-mixed":
         # A = grad(sin sin) + curl(cos cos): both channels active, and the
         # nonzero corner curl exercises the polynomial peel-off
-        sx, cx = np.sin(kx * xt[0]), np.cos(kx * xt[0])
-        sy, cy = np.sin(ky * yt[0]), np.cos(ky * yt[0])
+        sx, cx = np.sin(kx * xt), np.cos(kx * xt)
+        sy, cy = np.sin(ky * yt), np.cos(ky * yt)
         Ax = kx * cx * sy - ky * cx * sy
         Ay = ky * sx * cy + kx * sx * cy
         return {

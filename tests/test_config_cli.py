@@ -211,6 +211,23 @@ def test_residual_verb(tmp_path):
     assert set(rep["norms"]) >= {"gauss", "monopole", "ampere_perp"}
 
 
+@pytest.mark.parametrize("n_max,snapshots,warns", [(1, 3, False), (2, 4, False), (2, 3, True),
+                                                   (1, 1, True)])
+def test_residual_warns_on_cold_start_terms(tmp_path, caplog, n_max, snapshots, warns):
+    # snapshot k holds genuine orders up to k, so the top residual terms of
+    # n_max need n_max + 2 snapshots
+    cfg = small_cfg(fields__snapshots=snapshots, hierarchy__n_max=n_max)
+    with caplog.at_level("WARNING", logger="parax.cli"):
+        assert run_command("residual", cfg, out_dir=str(tmp_path), quiet=True) == 0
+    records = [r for r in caplog.records if r.name == "parax.cli"]
+    if warns:
+        assert len(records) == 1
+        assert f"n_max = {n_max}" in records[0].message
+        assert f"snapshots = {snapshots}" in records[0].message
+    else:
+        assert records == []
+
+
 @pytest.mark.parametrize("n_max,snapshots,orders", [(1, 3, [0, 1, 1]), (2, 4, [0, 1, 2, 2]),
                                                     (1, 1, [1])])
 def test_residual_solves_only_the_orders_it_reads(tmp_path, monkeypatch, n_max, snapshots,

@@ -49,6 +49,83 @@ def test_mms_registry_cases():
         mms_case("no-such-case", mesh, BETA)
 
 
+class GridMode(QuasiStaticMode):
+    """The family with its shape factors evaluated on full grids3d arrays."""
+
+    def _shapes(self):
+        m = self.mesh
+        X, Y, Z = m.grids3d()
+        kx, ky, kz = self._wavenumbers()
+        xt, yt = X - m.x0, Y - m.y0
+        return (np.sin(kx * xt), np.cos(kx * xt), np.sin(ky * yt), np.cos(ky * yt),
+                np.cos(kz * Z), np.sin(kz * Z))
+
+
+def grid_mms_case(case_id, mesh, beta):
+    """The trigonometric and linear mms cases on full grids3d arrays."""
+    X, Y, Z = mesh.grids3d()
+    xt, yt = X - mesh.x0, Y - mesh.y0
+    kx, ky = np.pi / mesh.a, np.pi / mesh.b
+    xc, yc = mesh.x0 + mesh.a / 2.0, mesh.y0 + mesh.b / 2.0
+    if case_id == "ez-mode-111":
+        kz = np.pi / mesh.zlen
+        u = np.sin(kx * xt) * np.sin(ky * yt) * np.sin(kz * Z)
+        return {"exact": u, "rhs": -(kx**2 + ky**2 + (1.0 - beta**2) * kz**2) * u}
+    if case_id == "poisson-sine":
+        u2 = np.sin(kx * xt[0]) * np.sin(ky * yt[0])
+        return {"exact": u2, "rhs": -(kx**2 + ky**2) * u2}
+    if case_id == "divcurl-rot":
+        return {"exact": (-(Y[0] - yc), X[0] - xc), "div": np.zeros_like(X[0]),
+                "curl": np.full_like(X[0], 2.0)}
+    if case_id == "divcurl-grad":
+        return {"exact": (X[0] - xc, Y[0] - yc), "div": np.full_like(X[0], 2.0),
+                "curl": np.zeros_like(X[0])}
+    sx, cx = np.sin(kx * xt[0]), np.cos(kx * xt[0])
+    sy, cy = np.sin(ky * yt[0]), np.cos(ky * yt[0])
+    return {"exact": (kx * cx * sy - ky * cx * sy, ky * sx * cy + kx * sx * cy),
+            "div": -(kx**2 + ky**2) * sx * sy, "curl": (kx**2 + ky**2) * cx * cy}
+
+
+def arrays_of(value):
+    if isinstance(value, VectorField2):
+        return [value.x, value.y]
+    if isinstance(value, tuple):
+        return list(value)
+    return [getattr(value, "values", value)]
+
+
+def assert_same_bits(new, old):
+    assert new.shape == old.shape
+    assert np.array_equal(new, old)
+    assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+@pytest.mark.parametrize("m_zeta", [1, 2])
+def test_separable_shapes_match_full_grids(m_zeta):
+    # the shape factors are evaluated per axis and broadcast; every product
+    # is the same as on full (nzeta, ny, nx) grids, so results agree bit for bit
+    mesh = build_mesh(1.3, 0.9, 2.0, 11, 9, 7, x0=-0.4, y0=0.25)
+    knobs = dict(beta=BETA, alpha=0.7, alpha2=1.3, jc=0.4, bz_external=0.3,
+                 m_zeta=m_zeta, dt_hist=0.05)
+    new, old = QuasiStaticMode(mesh=mesh, **knobs), GridMode(mesh=mesh, **knobs)
+    for t in (0.0, 0.1):
+        a, b = new.sources(t), old.sources(t)
+        for name in ("rho", "Jperp", "Jzeta"):
+            for x, y in zip(arrays_of(getattr(a, name)), arrays_of(getattr(b, name))):
+                assert_same_bits(x, y)
+        for n in (0, 1):
+            a, b = new.exact_order(n, t), old.exact_order(n, t)
+            assert a.keys() == b.keys()
+            for key in a:
+                for x, y in zip(arrays_of(a[key]), arrays_of(b[key])):
+                    assert_same_bits(x, y)
+    for case_id in ("ez-mode-111", "poisson-sine", "divcurl-rot", "divcurl-grad", "divcurl-mixed"):
+        case, ref = mms_case(case_id, mesh, BETA), grid_mms_case(case_id, mesh, BETA)
+        for key in ref:
+            for x, y in zip(arrays_of(case[key]), arrays_of(ref[key])):
+                assert_same_bits(x, y)
+
+
 def test_ez_mode_111_solver_recovery():
     mesh = build_mesh(1.0, 1.0, 2.0, 17, 17, 17)
     case = mms_case("ez-mode-111", mesh, BETA)

@@ -1,10 +1,14 @@
-"""The block CSV writers against the per-row writers they replaced, byte for byte."""
+"""The block CSV writers against the per-row writers they replaced, byte for
+byte, on one to three formatting threads."""
+
+import threading
 
 import numpy as np
 import pytest
 
-from parax.cli import _write_particles
-from parax.fields import CSV_ROWS, FieldShapeError, write_field_csv
+from parax import fields
+from parax.cli import _write_particles, _write_study_csv
+from parax.fields import CSV_NUMBERS, CSV_ROWS, FieldShapeError, write_blocks, write_field_csv
 from parax.mesh import build_mesh
 from parax.pic import ParticleEnsemble
 
@@ -38,33 +42,46 @@ def reference_particles_csv(path, p):
             fh.write(f"{row[0]:d}," + ",".join(f"{v:.17g}" for v in row[1:]) + "\n")
 
 
+def reference_study_csv(path, params, errors):
+    with open(path, "w", newline="") as fh:
+        fh.write("parameter,error\n")
+        for p, e in zip(params, errors):
+            fh.write(f"{p:.17g},{e:.17g}\n")
+
+
 EDGE_VALUES = [-0.0, 1e-300, 1.0 / 3.0, -1e308, 5e-324, 123456789.125]
 
 
-def assert_same_bytes(tmp_path, write, reference, *args):
-    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
-    write(str(new), *args)
+def assert_same_bytes(tmp_path, monkeypatch, write, reference, *args):
+    """The writer's bytes equal the reference's with 1, 2 and 3 usable CPUs."""
+    old = tmp_path / "old.csv"
     reference(str(old), *args)
-    assert new.read_bytes() == old.read_bytes()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(fields, "_usable_cpus", lambda: workers)
+        new = tmp_path / f"new{workers}.csv"
+        write(str(new), *args)
+        assert new.read_bytes() == old.read_bytes(), workers
 
 
-def test_field_csv_3d_matches_row_writer(tmp_path):
-    mesh = build_mesh(1.0, 0.7, 2.0, 17, 13, 21, x0=-0.5, y0=1.0 / 3.0)
-    assert mesh.nx * mesh.ny * mesh.nzeta > CSV_ROWS
+def test_field_csv_3d_matches_row_writer(tmp_path, monkeypatch):
+    mesh = build_mesh(1.0, 0.7, 2.0, 17, 13, 121, x0=-0.5, y0=1.0 / 3.0)
+    # at least three blocks of the two-component file, whose rows hold
+    # five numbers
+    assert mesh.nx * mesh.ny * mesh.nzeta > 2 * (CSV_NUMBERS // 5)
     rng = np.random.default_rng(0)
     a = rng.normal(size=(mesh.nzeta, mesh.ny, mesh.nx))
     b = rng.normal(size=a.shape) * 1e-200
     b.flat[:len(EDGE_VALUES)] = EDGE_VALUES
-    assert_same_bytes(tmp_path, write_field_csv, reference_field_csv, mesh,
+    assert_same_bytes(tmp_path, monkeypatch, write_field_csv, reference_field_csv, mesh,
                       {"Bx": a, "By": b})
 
 
-def test_field_csv_2d_matches_row_writer(tmp_path):
+def test_field_csv_2d_matches_row_writer(tmp_path, monkeypatch):
     mesh = build_mesh(1.0, 1.0, 2.0, 9, 11, 5)
     rng = np.random.default_rng(1)
     ez = rng.normal(size=(mesh.ny, mesh.nx))
     ez.flat[:len(EDGE_VALUES)] = EDGE_VALUES
-    assert_same_bytes(tmp_path, write_field_csv, reference_field_csv, mesh, {"Ez": ez})
+    assert_same_bytes(tmp_path, monkeypatch, write_field_csv, reference_field_csv, mesh, {"Ez": ez})
 
 
 def test_field_csv_rejects_mismatched_components(tmp_path):
@@ -88,10 +105,49 @@ def ensemble(n, rng):
     pytest.param(CSV_ROWS, id="one_block"),
     pytest.param(2 * CSV_ROWS + 17, id="two_blocks_and_17"),
 ])
-def test_particle_csv_matches_row_writer(tmp_path, n):
+def test_particle_csv_matches_row_writer(tmp_path, monkeypatch, n):
     p = ensemble(n, np.random.default_rng(n))
     if n:
         p.ids[0] = 2**63 - 1
         p.ids[-1] = 2**62 + 3
         p.vx[: min(n, len(EDGE_VALUES))] = EDGE_VALUES[:n]
-    assert_same_bytes(tmp_path, _write_particles, reference_particles_csv, p)
+    assert_same_bytes(tmp_path, monkeypatch, _write_particles, reference_particles_csv, p)
+
+
+STUDY_ROWS = CSV_NUMBERS // 2
+
+
+@pytest.mark.parametrize("n", [
+    pytest.param(0, id="empty"),
+    pytest.param(1, id="one_row"),
+    pytest.param(STUDY_ROWS, id="one_block"),
+    pytest.param(3 * STUDY_ROWS + 17, id="three_blocks_and_17"),
+])
+def test_study_csv_matches_row_writer(tmp_path, monkeypatch, n):
+    rng = np.random.default_rng(n)
+    params, errors = rng.uniform(size=n), rng.normal(size=n) * 1e-9
+    errors[: min(n, len(EDGE_VALUES))] = EDGE_VALUES[:n]
+    assert_same_bytes(tmp_path, monkeypatch, _write_study_csv, reference_study_csv, params, errors)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("fail_row", [None, 0, 2], ids=["ok", "first_fails", "second_fails"])
+def test_block_writer_leaves_no_threads(tmp_path, monkeypatch, workers, fail_row):
+    # the pool lives inside one call; an error from a block reaches the
+    # caller, whichever thread formats it
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: workers)
+    path = tmp_path / "blocks.csv"
+
+    def block(start, stop):
+        if fail_row is not None and start <= fail_row < stop:
+            raise RuntimeError(f"row {fail_row}")
+        return b"".join(b"%d\n" % i for i in range(start, stop))
+
+    before = threading.active_count()
+    if fail_row is None:
+        write_blocks(str(path), b"i\n", block, 11, 2)
+        assert path.read_bytes() == b"i\n" + b"".join(b"%d\n" % i for i in range(11))
+    else:
+        with pytest.raises(RuntimeError, match=f"row {fail_row}"):
+            write_blocks(str(path), b"i\n", block, 11, 2)
+    assert threading.active_count() == before
