@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config, serialize_config
+from .config import ConfigError, RunConfig, parse_config, serialize_config, validate
 from .elliptic import (
     BoundarySpec,
     DIRICHLET,
@@ -35,16 +35,18 @@ from .verify import (
     QuasiStaticMode,
     convergence_study,
     eta_scaling_study,
+    eta_study_terms,
     maxwell_residual,
     mms_case,
     residual_terms,
-    snapshot_order,
-    standard_eta_runner,
+    solve_timeline,
 )
 
 VERBS = ("fields", "pic", "mms", "residual", "convergence")
 
-log = logging.getLogger(__name__)
+# named, not __name__: under ``python -m parax.cli`` that is "__main__",
+# which the ``parax`` handler and ``--quiet`` would not reach
+log = logging.getLogger("parax.cli")
 
 
 class RunError(RuntimeError):
@@ -97,32 +99,11 @@ def _mesh(cfg: RunConfig):
 
 def _case(cfg: RunConfig, mesh, beta) -> QuasiStaticMode:
     f = cfg.fields
-    if not f.case.startswith("qs-mode") and f.case != "zero":
-        raise RunError(f"fields case must be qs-mode-* or zero, got {f.case!r}")
     knobs = dict(amplitude=f.amplitude, alpha=f.alpha, alpha2=f.alpha2, jc=f.jc,
                  bz_external=cfg.external.bz, dt_hist=f.dt)
     if f.case == "zero":
         knobs.update(amplitude=0.0, alpha=0.0, alpha2=0.0, jc=0.0)
     return QuasiStaticMode(mesh=mesh, beta=beta, **knobs)
-
-
-def _solve_timeline(cfg: RunConfig, mesh, beta, residual_only: bool = False):
-    """Solve the configured number of snapshots of the manufactured case, each
-    to ``[hierarchy] n_max``, or with ``residual_only`` only to the order the
-    residual of the last two reads (:func:`verify.snapshot_order`)."""
-    case = _case(cfg, mesh, beta)
-    solver = HierarchySolver(mesh, beta, external=ExternalField(bz=cfg.external.bz))
-    hist = FieldHistory()
-    t = 0.0
-    hierarchies = []
-    top, n_steps = cfg.hierarchy.n_max, cfg.fields.snapshots
-    for k in range(n_steps):
-        t = k * cfg.fields.dt
-        order = snapshot_order(top, n_steps, k) if residual_only else top
-        h = solver.solve_hierarchy(order, case.sources(t), hist, time=t)
-        hist.push(h)
-        hierarchies.append(h)
-    return case, hist, hierarchies
 
 
 def _dump_hierarchy(out_dir: str, mesh, hierarchy, step: int) -> list[str]:
@@ -154,13 +135,14 @@ def _write_particles(path: str, p) -> None:
 def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     mesh = _mesh(cfg)
     beta, eta = _beta_eta(cfg)
-    case, hist, hierarchies = _solve_timeline(cfg, mesh, beta)
+    case = _case(cfg, mesh, beta)
+    n_steps = cfg.fields.snapshots
     files = []
-    for step, h in enumerate(hierarchies):
-        if step % cfg.output.cadence == 0 or step == len(hierarchies) - 1:
-            files += _dump_hierarchy(out_dir, mesh, h, step)
-    diag = {f"order{o.n}": o.diagnostics for o in hierarchies[-1].orders}
-    rep = maxwell_residual(residual_terms(hist, case.sources(hierarchies[-1].time)), eta)
+    for step, hist in enumerate(solve_timeline(case, cfg.hierarchy.n_max, n_steps)):
+        if step % cfg.output.cadence == 0 or step == n_steps - 1:
+            files += _dump_hierarchy(out_dir, mesh, hist.latest, step)
+    diag = {f"order{o.n}": o.diagnostics for o in hist.latest.orders}
+    rep = maxwell_residual(residual_terms(hist, case.sources(hist.latest.time)), eta)
     results = {
         "files": files,
         "diagnostics": _jsonable(diag),
@@ -207,72 +189,55 @@ def cmd_pic(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     }
 
 
-def _mms_poisson2d(grids, beta):
-    errs, hs = [], []
-    for g in grids:
-        mesh = build_mesh(1.0, 1.0, 1.0, g, g, 3)
-        case = mms_case("poisson-sine", mesh, beta)
-        u = solve_poisson_2d(case["rhs"], BoundarySpec.uniform(DIRICHLET, 0.0))
-        errs.append(norms(u.values - case["exact"].values, mesh)["l2"])
-        hs.append(1.0 / (g - 1))
-    return hs, errs
+def _mms_poisson2d(g, beta):
+    mesh = build_mesh(1.0, 1.0, 1.0, g, g, 3)
+    case = mms_case("poisson-sine", mesh, beta)
+    u = solve_poisson_2d(case["rhs"], BoundarySpec.uniform(DIRICHLET, 0.0))
+    return u.values - case["exact"].values, mesh
 
 
-def _mms_aniso3d(grids, beta):
-    errs, hs = [], []
-    for g in grids:
-        mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
-        case = mms_case("ez-mode-111", mesh, beta)
-        u = solve_anisotropic_poisson_3d(
-            case["kappa"], case["rhs"],
-            BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True),
-        )
-        errs.append(norms(u.values - case["exact"].values, mesh)["l2"])
-        hs.append(1.0 / (g - 1))
-    return hs, errs
+def _mms_aniso3d(g, beta):
+    mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
+    case = mms_case("ez-mode-111", mesh, beta)
+    u = solve_anisotropic_poisson_3d(
+        case["kappa"], case["rhs"],
+        BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True),
+    )
+    return u.values - case["exact"].values, mesh
 
 
-def _mms_divcurl(grids, beta):
-    errs, hs = [], []
-    for g in grids:
-        mesh = build_mesh(1.0, 1.0, 1.0, g, g, 3)
-        case = mms_case("divcurl-mixed", mesh, beta)
-        A = solve_divcurl_2d(
-            case["div"], case["curl"],
-            boundary_tangential_trace(case["exact"]),
-            float(circulation(case["exact"])),
-        )
-        err = np.hypot(A.x - case["exact"].x, A.y - case["exact"].y)
-        errs.append(norms(err, mesh)["l2"])
-        hs.append(1.0 / (g - 1))
-    return hs, errs
+def _mms_divcurl(g, beta):
+    mesh = build_mesh(1.0, 1.0, 1.0, g, g, 3)
+    case = mms_case("divcurl-mixed", mesh, beta)
+    A = solve_divcurl_2d(
+        case["div"], case["curl"],
+        boundary_tangential_trace(case["exact"]),
+        float(circulation(case["exact"])),
+    )
+    return np.hypot(A.x - case["exact"].x, A.y - case["exact"].y), mesh
 
 
-def _mms_chain(grids, beta, which):
-    errs, hs = [], []
-    for g in grids:
-        mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
-        case = QuasiStaticMode(mesh=mesh, beta=beta)
-        solver = HierarchySolver(mesh, beta)
-        ctx = ChainContext(sources=case.sources(0.0), history=FieldHistory(), time=0.0)
-        exact = case.exact_order(0, 0.0)
-        Ez = solver.solve_Ez_order(0, ctx)
-        if which == "ez":
-            err = Ez.values - exact["Ez"].values
-        else:
-            E = solver.solve_Eperp_order(0, exact["Ecal"], exact["Ez"], ctx)
-            err = np.hypot(E.x - exact["Eperp"].x, E.y - exact["Eperp"].y)
-        errs.append(norms(err, mesh)["l2"])
-        hs.append(1.0 / (g - 1))
-    return hs, errs
+def _mms_chain(g, beta, which):
+    mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
+    case = QuasiStaticMode(mesh=mesh, beta=beta)
+    solver = HierarchySolver(mesh, beta)
+    ctx = ChainContext(sources=case.sources(0.0), history=FieldHistory(), time=0.0)
+    exact = case.exact_order(0, 0.0)
+    Ez = solver.solve_Ez_order(0, ctx)
+    if which == "ez":
+        return Ez.values - exact["Ez"].values, mesh
+    E = solver.solve_Eperp_order(0, exact["Ecal"], exact["Ez"], ctx)
+    return np.hypot(E.x - exact["Eperp"].x, E.y - exact["Eperp"].y), mesh
 
 
+# each target solves one grid of g nodes per transverse axis and returns the
+# error field and its mesh
 MMS_TARGETS = {
     "poisson2d": _mms_poisson2d,
     "aniso3d": _mms_aniso3d,
     "divcurl": _mms_divcurl,
-    "ez": lambda grids, beta: _mms_chain(grids, beta, "ez"),
-    "eperp": lambda grids, beta: _mms_chain(grids, beta, "eperp"),
+    "ez": lambda g, beta: _mms_chain(g, beta, "ez"),
+    "eperp": lambda g, beta: _mms_chain(g, beta, "eperp"),
 }
 
 
@@ -281,7 +246,11 @@ def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     target = cfg.study.target
     if target not in MMS_TARGETS:
         raise RunError(f"unknown mms target {target!r}; choose from {sorted(MMS_TARGETS)}")
-    hs, errs = MMS_TARGETS[target](cfg.grid_list(), beta)
+    hs, errs = [], []
+    for g in cfg.grid_list():
+        err, mesh = MMS_TARGETS[target](g, beta)
+        errs.append(norms(err, mesh)["l2"])
+        hs.append(1.0 / (g - 1))
     rep = convergence_study(hs, errs, target_order=cfg.study.target_order, label=target)
     _write_study_csv(os.path.join(out_dir, f"mms_{target}.csv"), hs, errs)
     with open(os.path.join(out_dir, f"mms_{target}.json"), "w") as fh:
@@ -302,8 +271,9 @@ def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
                     n_max, snapshots, n_max + 2)
     mesh = _mesh(cfg)
     beta, eta = _beta_eta(cfg)
-    case, hist, hierarchies = _solve_timeline(cfg, mesh, beta, residual_only=True)
-    rep = maxwell_residual(residual_terms(hist, case.sources(hierarchies[-1].time)), eta)
+    case = _case(cfg, mesh, beta)
+    *_, hist = solve_timeline(case, n_max, snapshots, residual_only=True)
+    rep = maxwell_residual(residual_terms(hist, case.sources(hist.latest.time)), eta)
     with open(os.path.join(out_dir, "residual.json"), "w") as fh:
         json.dump(rep.as_dict(), fh, indent=2, sort_keys=True)
     if not quiet:
@@ -318,11 +288,10 @@ def cmd_convergence(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     if len(grids) < 2:
         raise RunError("eta study needs two grids (coarse, fine) in study.grids")
     # Richardson wants the finest available pair
-    pair = [(g, g, (g + 1) // 2) for g in sorted(grids)[-2:]]
-    make_runner = standard_eta_runner(beta=beta)
+    coarse, fine = (eta_study_terms(beta, (g, g, (g + 1) // 2)) for g in sorted(grids)[-2:])
     results = {}
     for n_max in (0, 1):
-        rep, data = eta_scaling_study(beta, cfg.eta_list(), n_max, pair, make_runner)
+        rep, data = eta_scaling_study(cfg.eta_list(), n_max, coarse, fine)
         results[f"n_max_{n_max}"] = {"report": rep.as_dict(), "data": data}
         _write_study_csv(os.path.join(out_dir, f"eta_nmax{n_max}.csv"),
                          data["etas"], data["corrected"])
@@ -383,6 +352,7 @@ def run_command(
         cfg.hierarchy.n_max = order
     if seed is not None:
         cfg.pic.seed = seed
+    validate(cfg)
     out = out_dir or os.environ.get("PARAX_OUT") or cfg.output.directory
     out = _ensure_outdir(out)
     try:

@@ -117,7 +117,8 @@ def _convert(raw: str, target_type: type, where: str):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {target_type.__name__}")
 
 
-def _validate(cfg: RunConfig) -> RunConfig:
+def validate(cfg: RunConfig) -> RunConfig:
+    """Return ``cfg``, or raise ConfigError naming the first setting out of range."""
     m, s, h, p, o = cfg.mesh, cfg.scaling, cfg.hierarchy, cfg.pic, cfg.output
     checks = [
         (m.a > 0 and m.b > 0 and m.zlen > 0, "mesh extents (a, b, zlen) must be positive"),
@@ -133,6 +134,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         (p.total_weight > 0, "total_weight must be positive"),
         (p.family in ("uniform", "gaussian", "cold"), "family must be uniform|gaussian|cold"),
         (o.cadence >= 1, "cadence must be >= 1"),
+        (cfg.fields.case in ("qs-mode-111", "zero"),
+         f"[fields] case must be qs-mode-111 or zero, got {cfg.fields.case!r}"),
         (cfg.fields.snapshots >= 1, "snapshots must be >= 1"),
         (cfg.fields.dt > 0, "fields dt must be positive"),
     ]
@@ -169,7 +172,7 @@ def parse_config(text_or_path: str) -> RunConfig:
                 extra = f"; did you mean {hint[0]!r}?" if hint else ""
                 raise ConfigError(f"unknown key {key!r} in [{section}]{extra}")
             setattr(block, key, _convert(raw, types[key], f"[{section}] {key}"))
-    return _validate(cfg)
+    return validate(cfg)
 
 
 def serialize_config(cfg: RunConfig) -> str:

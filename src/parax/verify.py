@@ -12,14 +12,13 @@ error Richardson-corrected across two grids.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .fields import ScalarField, VectorField2
-from .hierarchy import FieldHistory, SourceTerms, backward_rate
-from .mesh import Mesh
+from .hierarchy import ExternalField, FieldHistory, HierarchySolver, SourceTerms, backward_rate
+from .mesh import Mesh, build_mesh
 from .operators import (
     cross_ez,
     curl_perp_scalar,
@@ -170,11 +169,10 @@ class QuasiStaticMode:
         }
 
 
-def mms_case(case_id: str, mesh: Mesh, beta: float, **knobs):
-    """Registry of manufactured cases.
-
-    Solver-level cases return (rhs/source fields, exact fields); the
-    "qs-mode-*" family returns a QuasiStaticMode driving the full chain.
+def mms_case(case_id: str, mesh: Mesh, beta: float):
+    """Registry of solver-level manufactured cases: each returns a dict of
+    its source fields (``rhs``, or ``div`` and ``curl``) and its ``exact``
+    solution.  The full chain's case is :class:`QuasiStaticMode`.
     """
     xt, yt, z = _axes(mesh)
     X, Y = mesh.xy()
@@ -232,8 +230,6 @@ def mms_case(case_id: str, mesh: Mesh, beta: float, **knobs):
             "div": ScalarField(mesh, -(kx**2 + ky**2) * sx * sy),
             "curl": ScalarField(mesh, (kx**2 + ky**2) * cx * cy),
         }
-    if case_id.startswith("qs-mode"):
-        return QuasiStaticMode(mesh=mesh, beta=beta, **knobs)
     raise KeyError(f"unknown manufactured case {case_id!r}")
 
 
@@ -461,35 +457,21 @@ def richardson_combine(coarse: float, fine: float, order: int = 2, ratio: float 
     return (w * fine - coarse) / (w - 1.0)
 
 
-def eta_scaling_study(
-    beta: float,
-    etas,
-    n_max: int,
-    grids,
-    make_runner,
-    kind: str = "l2",
-):
+def eta_scaling_study(etas, n_max: int, coarse: ResidualTerms, fine: ResidualTerms):
     """Richardson-corrected eta slope of the scaled-Maxwell residual.
 
-    ``make_runner(grid)`` must return a function (eta, n_max) -> ResidualReport
-    for that grid; ``grids`` is (coarse, fine).  Residual norms of the
-    eta-dependent equations are combined, Richardson-extrapolated across
-    the two grids, floored at 1e-15, and fitted against eta.
-
-    ``make_runner`` is called once per grid on every call, so a study of
-    n_max 0 and 1 calls it once per n_max; a factory that keeps its runners
-    per grid, as :func:`standard_eta_runner` does, solves each grid once, and
-    each runner call is then a weighted sum of per-order residual terms.
+    ``coarse`` and ``fine`` are the residual terms of one timeline on two
+    grids, the fine one with half the spacing (:func:`eta_study_terms`).
+    The L2 norms of the eta-dependent equations at each eta are summed per
+    grid, Richardson-extrapolated across the two grids, floored at 1e-15,
+    and fitted against eta.
     """
     etas = sorted(float(e) for e in etas)
-    runner_c = make_runner(grids[0])
-    runner_f = make_runner(grids[1])
-    rc = [runner_c(eta, n_max).eta_dependent_norm(kind) for eta in etas]
-    rf = [runner_f(eta, n_max).eta_dependent_norm(kind) for eta in etas]
+    rc = [maxwell_residual(coarse, eta, n_max).eta_dependent_norm() for eta in etas]
+    rf = [maxwell_residual(fine, eta, n_max).eta_dependent_norm() for eta in etas]
     corrected = [max(richardson_combine(c, f), 1e-15) for c, f in zip(rc, rf)]
-    report = convergence_study(etas, corrected, target_order=None,
+    report = convergence_study(etas, corrected, target_order=n_max + 0.8,
                                label=f"eta-scaling n_max={n_max}")
-    report.target_order = n_max + 0.8
     return report, {"coarse": rc, "fine": rf, "corrected": corrected, "etas": etas}
 
 
@@ -500,50 +482,32 @@ ETA_STUDY_KNOBS = dict(amplitude=1.0, alpha=0.2, alpha2=6.0, jc=0.0, bz_external
 ETA_STUDY_DT = 0.05
 
 
-def snapshot_order(top: int, n_steps: int, k: int) -> int:
-    """The order snapshot k of n_steps must be solved to for a residual of
-    order ``top`` over the last two: order n at one snapshot reads only order
-    n-1 of the one before, so each step back from the last pair drops one."""
-    return max(0, top - max(0, n_steps - 2 - k))
+def solve_timeline(case: QuasiStaticMode, n_max: int, n_steps: int,
+                   residual_only: bool = False):
+    """Solve snapshot k = 0 .. n_steps - 1 of ``case`` at t = k ``dt_hist``
+    to order ``n_max``, yielding the history after each snapshot (its
+    ``latest`` is snapshot k; it keeps only the last two).
 
-
-def standard_eta_runner(beta: float = 0.5, zlen: float = 2.0, n_steps: int = 3):
-    """make_runner factory for :func:`eta_scaling_study` on the canonical
-    quasi-static family; grid is (nx, ny, nzeta) node counts.
-
-    Each grid's timeline is solved once per factory and reduced to its
-    :func:`residual_terms` at once; the runners are kept per grid, so studies
-    of n_max 0 and 1 that share a factory read the same terms.  Order n at
-    one snapshot reads only order n-1 of the one before, and the residual
-    reads orders 0 and 1 of the last two, so snapshot k is solved to
-    :func:`snapshot_order` ``(1, n_steps, k)``: orders 0, 1, 1 for three.
+    With ``residual_only``, snapshot k is solved only to the order the
+    residual of the last two reads: order n at one snapshot reads only order
+    n-1 of the one before, so each step back from the last pair drops one.
     """
-    from .hierarchy import ExternalField, HierarchySolver
-    from .mesh import build_mesh
+    solver = HierarchySolver(case.mesh, case.beta, external=ExternalField(bz=case.bz_external))
+    hist = FieldHistory()
+    for k in range(n_steps):
+        t = k * case.dt_hist
+        order = max(0, n_max - max(0, n_steps - 2 - k)) if residual_only else n_max
+        hist.push(solver.solve_hierarchy(order, case.sources(t), hist, time=t))
+        yield hist
 
-    top = 1  # the highest order the runners report
 
-    @functools.cache
-    def solved_runner(grid):
-        nx, ny, nz = grid
-        mesh = build_mesh(1.0, 1.0, zlen, nx, ny, nz)
-        dt = ETA_STUDY_DT
-        case = QuasiStaticMode(mesh=mesh, beta=beta, dt_hist=dt, **ETA_STUDY_KNOBS)
-        solver = HierarchySolver(mesh, beta, external=ExternalField(bz=ETA_STUDY_KNOBS["bz_external"]))
-        hist = FieldHistory()
-        t = 0.0
-        for k in range(n_steps):
-            t = k * dt
-            order = snapshot_order(top, n_steps, k)
-            hist.push(solver.solve_hierarchy(order, case.sources(t), hist, time=t))
-        terms = residual_terms(hist, case.sources(t))
-
-        def runner(eta, n_max):
-            return maxwell_residual(terms, eta, n_max=n_max)
-
-        return runner
-
-    def make_runner(grid):
-        return solved_runner(tuple(grid))
-
-    return make_runner
+def eta_study_terms(beta: float, grid) -> ResidualTerms:
+    """Residual terms of the canonical eta-study timeline on ``grid``
+    ((nx, ny, nzeta) node counts over the 1 x 1 x 2 box): three snapshots
+    solved to orders 0, 1, 1, which is all the residual of orders 0 and 1
+    of the last two reads."""
+    nx, ny, nz = grid
+    mesh = build_mesh(1.0, 1.0, 2.0, nx, ny, nz)
+    case = QuasiStaticMode(mesh=mesh, beta=beta, dt_hist=ETA_STUDY_DT, **ETA_STUDY_KNOBS)
+    *_, hist = solve_timeline(case, 1, 3, residual_only=True)
+    return residual_terms(hist, case.sources(hist.latest.time))

@@ -40,8 +40,8 @@ from parax.verify import (
     QuasiStaticMode,
     convergence_study,
     eta_scaling_study,
+    eta_study_terms,
     mms_case,
-    standard_eta_runner,
 )
 
 BETA = 0.5
@@ -179,10 +179,9 @@ def test_criterion_4_cold_start_collapse():
 
 
 def test_criterion_5_eta_scaling():
-    make_runner = standard_eta_runner(beta=BETA)
-    grids = [(33, 33, 17), (65, 65, 33)]
-    rep0, _ = eta_scaling_study(BETA, [0.05, 0.1, 0.2], 0, grids, make_runner)
-    rep1, _ = eta_scaling_study(BETA, [0.05, 0.1, 0.2], 1, grids, make_runner)
+    coarse, fine = (eta_study_terms(BETA, g) for g in [(33, 33, 17), (65, 65, 33)])
+    rep0, _ = eta_scaling_study([0.05, 0.1, 0.2], 0, coarse, fine)
+    rep1, _ = eta_scaling_study([0.05, 0.1, 0.2], 1, coarse, fine)
     assert rep0.slope >= 0.8, f"n_max=0 slope {rep0.slope:.3f}"
     assert rep1.slope >= 1.8, f"n_max=1 slope {rep1.slope:.3f}"
     report(5, "theorem eta-scaling",

@@ -53,13 +53,19 @@ def test_removed_keys_rejected(section, key, value):
         parse_config(f"[{section}]\n{key} = {value}\n")
 
 
-def test_constraint_violation_named():
+def test_constraint_violation_named(tmp_path):
     with pytest.raises(ConfigError, match="beta"):
         parse_config("[scaling]\nbeta = 1.2\n")
     with pytest.raises(ConfigError, match="n_max"):
         parse_config("[hierarchy]\nn_max = -1\n")
     with pytest.raises(ConfigError, match="family"):
         parse_config("[pic]\nfamily = ring\n")
+    for case in ("qs-mode-999", "qs-mode", ""):  # only qs-mode-111 is implemented
+        with pytest.raises(ConfigError, match=r"\[fields\] case"):
+            parse_config(f"[fields]\ncase = {case}\n")
+    assert parse_config("[fields]\ncase = zero\n").fields.case == "zero"
+    with pytest.raises(ConfigError, match=r"\[fields\] case"):  # a config built in code
+        run_command("residual", small_cfg(fields__case="foo"), out_dir=str(tmp_path), quiet=True)
 
 
 def test_unknown_section_rejected():
@@ -203,12 +209,46 @@ def test_mms_verb_poisson(tmp_path):
     assert table[0] == "parameter,error" and len(table) == 4
 
 
+@pytest.mark.parametrize("target", ["poisson2d", "aniso3d", "divcurl", "ez", "eperp"])
+def test_mms_verb_every_target(tmp_path, target):
+    out = str(tmp_path / target)
+    cfg = small_cfg(study__target=target, study__grids="5,9,17")
+    assert run_command("mms", cfg, out_dir=out, quiet=True) == 0
+    rep = json.load(open(os.path.join(out, f"mms_{target}.json")))
+    assert np.isfinite(rep["slope"]) and rep["label"] == target
+    table = open(os.path.join(out, f"mms_{target}.csv")).read().splitlines()
+    assert table[0] == "parameter,error" and len(table) == 4
+
+
 def test_residual_verb(tmp_path):
     out = str(tmp_path / "res")
     cfg = small_cfg(fields__snapshots=3, fields__alpha2=1.0)
     assert run_command("residual", cfg, out_dir=out, quiet=True) == 0
     rep = json.load(open(os.path.join(out, "residual.json")))
     assert set(rep["norms"]) >= {"gauss", "monopole", "ampere_perp"}
+
+
+def test_module_entry_point_logs_through_parax_handler(tmp_path):
+    # under ``python -m parax.cli`` the module is __main__; its warnings must
+    # still reach the ``parax`` handler, which --quiet silences
+    import subprocess
+    import sys
+
+    ini = tmp_path / "two.ini"
+    ini.write_text(MINIMAL + "\n[fields]\nsnapshots = 2\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parax.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    errs = {}
+    for name, extra in (("loud", []), ("quiet", ["--quiet"])):
+        proc = subprocess.run(
+            [sys.executable, "-m", "parax.cli", "residual", "--config", str(ini),
+             "--out", str(tmp_path / name), *extra],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        errs[name] = proc.stderr
+    assert errs["loud"].startswith("WARNING parax.cli: residual at n_max = 1")
+    assert errs["quiet"] == ""
 
 
 @pytest.mark.parametrize("n_max,snapshots,warns", [(1, 3, False), (2, 4, False), (2, 3, True),
@@ -307,7 +347,7 @@ def test_convergence_solves_each_grid_once(tmp_path, monkeypatch):
     # cold-start snapshot is solved to order 0 only, since nothing reads its
     # order 1
     from parax.hierarchy import HierarchySolver
-    from parax.verify import eta_scaling_study, standard_eta_runner
+    from parax.verify import eta_scaling_study, eta_study_terms
 
     calls = []
     solve = HierarchySolver.solve_hierarchy
@@ -322,7 +362,7 @@ def test_convergence_solves_each_grid_once(tmp_path, monkeypatch):
     assert run_command("convergence", cfg, out_dir=out, quiet=True) == 0
     assert calls == [(13, 0), (13, 1), (13, 1), (25, 0), (25, 1), (25, 1)]
 
-    # reference: a fresh factory per n_max solves every grid again, and every
+    # reference: fresh terms per n_max solve every grid again, and every
     # snapshot to order 1
     def to_order_1(self, n_max, *args, **kwargs):
         return solve(self, 1, *args, **kwargs)
@@ -331,8 +371,8 @@ def test_convergence_solves_each_grid_once(tmp_path, monkeypatch):
     pair = [(13, 13, 7), (25, 25, 13)]
     expected = {}
     for n_max in (0, 1):
-        rep, data = eta_scaling_study(cfg.scaling.beta, cfg.eta_list(), n_max, pair,
-                                      standard_eta_runner(beta=cfg.scaling.beta))
+        terms = [eta_study_terms(cfg.scaling.beta, g) for g in pair]
+        rep, data = eta_scaling_study(cfg.eta_list(), n_max, *terms)
         expected[f"n_max_{n_max}"] = {"report": rep.as_dict(), "data": data}
     with open(os.path.join(out, "eta_study.json")) as fh:
         assert json.load(fh) == json.loads(json.dumps(expected))

@@ -24,11 +24,11 @@ from parax.verify import (
     QuasiStaticMode,
     convergence_study,
     eta_scaling_study,
+    eta_study_terms,
     maxwell_residual,
     mms_case,
     residual_terms,
     richardson_combine,
-    standard_eta_runner,
 )
 
 BETA = 0.5
@@ -290,11 +290,9 @@ def test_poisson_mms_slope():
 
 def test_eta_scaling_study_small():
     # reduced grids keep this under a few seconds; acceptance reruns it big
-    make_runner = standard_eta_runner(beta=BETA)
-    rep0, _ = eta_scaling_study(BETA, [0.05, 0.1, 0.2], 0,
-                                [(13, 13, 7), (25, 25, 13)], make_runner)
+    coarse, fine = (eta_study_terms(BETA, g) for g in [(13, 13, 7), (25, 25, 13)])
+    rep0, _ = eta_scaling_study([0.05, 0.1, 0.2], 0, coarse, fine)
     assert rep0.slope >= 0.8
-    rep1, data = eta_scaling_study(BETA, [0.05, 0.1, 0.2], 1,
-                                   [(13, 13, 7), (25, 25, 13)], make_runner)
+    rep1, data = eta_scaling_study([0.05, 0.1, 0.2], 1, coarse, fine)
     assert rep1.slope >= 1.2  # full 1.8 needs the acceptance grids
     assert all(c > 0 for c in data["corrected"])
