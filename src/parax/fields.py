@@ -102,7 +102,7 @@ def same_mesh(*fields) -> Mesh:
 # one bytes object.  A block holds at most CSV_NUMBERS cells, ids and
 # coordinates included (8 in a particle row, 3 + components in a field row),
 # enough to spread the kernel's fixed cost of some hundred numpy calls.
-# Blocks are formatted on several threads (``write_blocks``), which take
+# Blocks are formatted on several threads (``map_blocks``), which take
 # turns holding the GIL between numpy calls, so longer calls pay off there:
 # on a 2-CPU Xeon VM, 8192-row blocks write a 50k-particle file in 0.5-0.6x
 # the time of 1024-row blocks on one thread, and 33^2x17 field files in
@@ -314,43 +314,56 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def write_blocks(path, header: bytes, block, n: int, rows: int) -> None:
-    """Write ``header``, then rows [0, n) as ``block(start, stop) -> bytes``.
+def map_blocks(block, n: int, rows: int):
+    """Yield ``block(start, stop)`` for rows [0, n), block by block, in order.
 
-    The rows are cut into ceil(n / rows) blocks of near-equal size and written
-    in order, so the bytes do not depend on the thread count.  The calling
-    thread and a pool of min(usable CPUs, blocks) - 1 threads, which lives
-    for this call only, format them; numpy releases the GIL in most of the
-    kernel.  A block's error reaches the caller after the pool is shut down.
+    The rows are cut into ceil(n / rows) blocks of near-equal size, so what
+    is yielded does not depend on the thread count.  The calling thread and
+    a pool of min(usable CPUs, blocks) - 1 threads, which lives for this
+    call only, run the blocks; numpy releases the GIL in most of their work.
+    The pool works at most 2 * threads blocks ahead of the block due, and a
+    block's error reaches the caller after the pool is shut down.
     """
     count = -(-n // rows)
     bounds = [n * b // max(count, 1) for b in range(count + 1)]
     spans = list(zip(bounds, bounds[1:]))
     threads = min(_usable_cpus(), count)
+    if threads <= 1:
+        for span in spans:
+            yield block(*span)
+        return
+    # imported here, off the start-up path of every verb
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(threads - 1)
+    try:
+        futures, mine = [], {}
+        for due in range(count):
+            futures += [pool.submit(block, *spans[b])
+                        for b in range(len(futures), min(due + 2 * threads, count))]
+            # while another thread runs the block due, the calling thread
+            # takes the first block that no thread has started
+            while due not in mine and not futures[due].done():
+                b = next((b for b in range(due, len(futures))
+                          if b not in mine and futures[b].cancel()), None)
+                if b is None:
+                    break
+                mine[b] = block(*spans[b])
+            yield mine.pop(due) if due in mine else futures[due].result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def write_blocks(path, header: bytes, block, n: int, rows: int) -> None:
+    """Write ``header``, then rows [0, n) as ``block(start, stop) -> bytes``.
+
+    The blocks come from :func:`map_blocks`, so they are formatted on every
+    usable core and written in order.
+    """
     with open(path, "wb") as fh:
         fh.write(header)
-        if threads <= 1:
-            for span in spans:
-                fh.write(block(*span))
-            return
-        # imported here, off the start-up path of every verb
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(threads - 1) as pool:
-            futures, mine = [], {}
-            for due in range(count):
-                # the pool works at most 2 * threads blocks ahead of the file
-                futures += [pool.submit(block, *spans[b])
-                            for b in range(len(futures), min(due + 2 * threads, count))]
-                # while another thread formats the block due, the calling thread
-                # takes the first block that no thread has started
-                while due not in mine and not futures[due].done():
-                    b = next((b for b in range(due, len(futures))
-                              if b not in mine and futures[b].cancel()), None)
-                    if b is None:
-                        break
-                    mine[b] = block(*spans[b])
-                fh.write(mine.pop(due) if due in mine else futures[due].result())
+        for data in map_blocks(block, n, rows):
+            fh.write(data)
 
 
 def write_field_csv(path, mesh: Mesh, components: dict[str, np.ndarray]) -> None:

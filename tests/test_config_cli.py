@@ -68,6 +68,21 @@ def test_constraint_violation_named(tmp_path):
         run_command("residual", small_cfg(fields__case="foo"), out_dir=str(tmp_path), quiet=True)
 
 
+@pytest.mark.parametrize("grids", ["13,13", "13,17", "12,23"])
+def test_study_grids_must_halve_the_spacing(tmp_path, grids):
+    # Richardson extrapolation of the two largest grids assumes ratio 2
+    with pytest.raises(ConfigError, match=r"\[study\] grids"):
+        parse_config(f"[study]\ngrids = {grids}\n")
+    with pytest.raises(ConfigError, match=r"\[study\] grids"):  # a config built in code
+        run_command("convergence", small_cfg(study__grids=grids), out_dir=str(tmp_path),
+                    quiet=True)
+
+
+@pytest.mark.parametrize("grids", ["17,33,65", "13,25"])
+def test_study_grids_halving_the_spacing_pass(grids):
+    assert parse_config(f"[study]\ngrids = {grids}\n").study.grids == grids
+
+
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"\[mesch\]"):
         parse_config("[mesch]\nnx = 9\n")

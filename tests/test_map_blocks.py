@@ -1,0 +1,80 @@
+"""The block runner behind the CSV writers and the PIC gather, on one to
+three usable CPUs."""
+
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from parax import fields
+from parax.fields import map_blocks
+
+CPUS = [1, 2, 3]
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+@pytest.mark.parametrize("n, rows", [(1, 4), (11, 2), (100, 7), (64, 8)])
+def test_blocks_are_yielded_in_order(monkeypatch, cpus, n, rows):
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(n)
+    delays = rng.uniform(0.0, 2e-3, size=n)
+
+    def block(start, stop):
+        # uneven work, so the blocks finish out of order
+        time.sleep(delays[start])
+        return start, stop
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        spans = list(map_blocks(block, n, rows))
+    finally:
+        sys.setswitchinterval(old)
+    count = -(-n // rows)
+    assert len(spans) == count
+    assert spans[0][0] == 0 and spans[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    sizes = [stop - start for start, stop in spans]
+    assert max(sizes) <= rows and max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+@pytest.mark.parametrize("fail_block", [0, 3, 5])
+def test_block_error_reaches_the_caller(monkeypatch, cpus, fail_block):
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    done = []
+
+    def block(start, stop):
+        if start == 2 * fail_block:
+            raise RuntimeError(f"block {fail_block}")
+        return start
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"block {fail_block}"):
+        for start in map_blocks(block, 12, 2):
+            done.append(start)
+    # every block before the failing one was yielded, none after it
+    assert done == list(range(0, 2 * fail_block, 2))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", CPUS)
+def test_no_rows_yield_nothing(monkeypatch, cpus):
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+
+    def block(start, stop):
+        raise AssertionError("no block to run")
+
+    assert list(map_blocks(block, 0, 5)) == []
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_leaving_early_stops_the_pool(monkeypatch, cpus):
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    before = threading.active_count()
+    blocks = map_blocks(lambda start, stop: start, 40, 1)
+    assert next(blocks) == 0
+    blocks.close()
+    assert threading.active_count() == before

@@ -24,7 +24,7 @@ n_particles = 300
 steps = 2
 
 [study]
-grids = 9,13
+grids = 9,17
 """
 
 # any scipy import raises ImportError once sys.modules["scipy"] is None

@@ -204,7 +204,7 @@ def reference_interpolate(mesh, arr, p):
     for dz, wz in ((0, 1.0 - fz), (1, fz)):
         for dy, wy in ((0, 1.0 - fy), (1, fy)):
             for dx, wx in ((0, 1.0 - fx), (1, fx)):
-                out += arr[k + dz, j + dy, i + dx] * wz * wy * wx
+                out += arr[k + dz, j + dy, i + dx] * (wz * wy * wx)
     return out
 
 
@@ -271,16 +271,70 @@ def test_assemble_force_is_one_six_component_gather(monkeypatch):
     h = random_hierarchy(mesh, 2, rng)
     p = random_ensemble(mesh, 50, rng)
     shapes = []
+    gather = parax.pic._gather
 
-    def recording(mesh, arr, particles):
-        shapes.append(arr.shape)
-        return interpolate_to_particles(mesh, arr, particles)
+    def recording(table, idx, w):
+        shapes.append(table.shape)
+        return gather(table, idx, w)
 
-    monkeypatch.setattr(parax.pic, "interpolate_to_particles", recording)
+    monkeypatch.setattr(parax.pic, "_gather", recording)
     for n, ncomp in ((0, 3), (1, 6), (2, 6)):
         shapes.clear()
         assemble_force(n, h, p, eta=0.1)
         assert [s[0] for s in shapes] == [ncomp]
+
+
+def reference_deposit(mesh, p):
+    """The per-corner scatter the deposit must reproduce bit for bit: blocks
+    of BLOCK in particle order, corners z-outermost, weights (wz * wy) * wx."""
+    total = np.zeros((4, mesh.nzeta * mesh.ny * mesh.nx))
+    sy, sx = mesh.nx * mesh.ny, mesh.nx
+    for s in range(0, len(p), BLOCK):
+        b = slice(s, s + BLOCK)
+        fx = (p.x[b] - mesh.x0) / mesh.hx
+        fy = (p.y[b] - mesh.y0) / mesh.hy
+        fz = p.zeta[b] / mesh.hzeta
+        i = np.clip(fx.astype(np.int64), 0, mesh.nx - 2)
+        j = np.clip(fy.astype(np.int64), 0, mesh.ny - 2)
+        k = np.clip(fz.astype(np.int64), 0, mesh.nzeta - 2)
+        fx, fy, fz = fx - i, fy - j, fz - k
+        w = p.weight[b]
+        values = (w, w * p.vx[b], w * p.vy[b], w * p.vzeta[b])
+        for dz, wz in ((0, 1.0 - fz), (1, fz)):
+            for dy, wy in ((0, 1.0 - fy), (1, fy)):
+                for dx, wx in ((0, 1.0 - fx), (1, fx)):
+                    idx = (k + dz) * sy + (j + dy) * sx + (i + dx)
+                    share = (wz * wy) * wx
+                    for m, v in enumerate(values):
+                        np.add.at(total[m], idx, v * share)
+    return total.reshape(4, mesh.nzeta, mesh.ny, mesh.nx) / mesh.dual_volume_3d
+
+
+@pytest.fixture
+def coupling_case():
+    rng = np.random.default_rng(12)
+    mesh = build_mesh(1.5, 1.0, 2.0, 11, 9, 7, x0=-0.5)
+    p = random_ensemble(mesh, 3 * BLOCK + 5, rng)
+    # particles on the far walls take the last cell's stencil
+    p.x[:3], p.y[3:6], p.zeta[6:9] = mesh.x0 + mesh.a, mesh.y0 + mesh.b, mesh.zlen
+    return mesh, p, random_hierarchy(mesh, 2, rng)
+
+
+def test_coupling_does_not_depend_on_the_cpu_count(monkeypatch, coupling_case):
+    mesh, p, h = coupling_case
+    F = np.stack([h.order(0).Ez.values, h.order(1).Bz.values])
+    want = reference_deposit(mesh, p)
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(parax.fields, "_usable_cpus", lambda: cpus)
+        results.append([interpolate_to_particles(mesh, F, p)]
+                       + [assemble_force(n, h, p, eta=0.1) for n in range(3)])
+        m = deposit_sources(p, mesh)
+        got = np.stack([m.rho.values, m.Jperp.x, m.Jperp.y, m.Jzeta.values])
+        np.testing.assert_array_equal(got, want)
+    for other in results[1:]:
+        for a, b in zip(results[0], other):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_interpolation_partition_of_unity():
@@ -407,6 +461,44 @@ def test_absorption_at_walls():
     p = single_particle(mesh, 0.95, 0.5, 1.0, vx=1.0)
     q = push_particles(p, (np.zeros(1), np.zeros(1), np.zeros(1)), 0.2, mesh)
     assert len(q) == 0 and q.absorbed_total == 1
+
+
+@pytest.mark.parametrize("absorbs", [False, True])
+def test_push_leaves_its_inputs_unchanged(absorbs):
+    rng = np.random.default_rng(13)
+    mesh = mesh_small()
+    p = random_ensemble(mesh, 500, rng)
+    p.x = np.clip(p.x, 0.1, 0.9)
+    p.y = np.clip(p.y, 0.1, 0.9)
+    p.zeta = np.clip(p.zeta, 0.1, 1.9)
+    for v in (p.vx, p.vy, p.vzeta):
+        v *= 0.1  # a drift of at most a few hundredths
+    if absorbs:
+        p.vx[::7] = 50.0
+    force = rng.normal(size=(3, len(p)))
+    before = p.copy()
+    force_before = force.copy()
+    dt = 0.05
+    info = {}
+    q = push_particles(p, force, dt, mesh, info_out=info)
+    for name in ("ids", "x", "y", "zeta", "vx", "vy", "vzeta", "weight"):
+        np.testing.assert_array_equal(getattr(p, name), getattr(before, name))
+    np.testing.assert_array_equal(force, force_before)
+    # the formulas the push used before it filtered only on absorption
+    vx = before.vx + force[0] * dt
+    vy = before.vy + force[1] * dt
+    vzeta = before.vzeta - force[2] * dt
+    x, y, zeta = before.x + vx * dt, before.y + vy * dt, before.zeta + vzeta * dt
+    keep = ((x > mesh.x0) & (x < mesh.x0 + mesh.a) & (y > mesh.y0) & (y < mesh.y0 + mesh.b)
+            & (zeta > 0.0) & (zeta < mesh.zlen))
+    assert q.absorbed_total == before.absorbed_total + int((~keep).sum())
+    assert (q.absorbed_total > 0) == absorbs
+    assert info["max_cell_displacement"] == max(
+        float(np.abs(v).max()) * dt / h
+        for v, h in ((vx, mesh.hx), (vy, mesh.hy), (vzeta, mesh.hzeta)))
+    for name, v in (("ids", before.ids), ("x", x), ("y", y), ("zeta", zeta), ("vx", vx),
+                    ("vy", vy), ("vzeta", vzeta), ("weight", before.weight)):
+        np.testing.assert_array_equal(getattr(q, name), v[keep])
 
 
 # -- charge conservation -------------------------------------------------------------
