@@ -282,13 +282,28 @@ def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     return {"report": rep.as_dict()}
 
 
+def _richardson_pair(cfg: RunConfig) -> tuple[int, int]:
+    """The two largest [study] grids c < f, which the eta study extrapolates.
+
+    Richardson extrapolation assumes the fine spacing halves the coarse one:
+    f - 1 = 2 (c - 1), with c odd so that the zeta counts (g + 1) // 2 halve
+    it too.  The study's second zeta derivatives need four zeta nodes, c >= 7.
+    """
+    try:
+        grids = sorted(cfg.grid_list())
+    except ValueError:
+        grids = []
+    c, f = grids[-2:] if len(grids) >= 2 else (0, 0)
+    if not (c >= 7 and c % 2 == 1 and f - 1 == 2 * (c - 1)):
+        raise ConfigError(
+            f"[study] grids {cfg.study.grids!r}: the eta study needs two or more integers "
+            "whose two largest, c < f, halve the spacing (f - 1 = 2 (c - 1), c odd, c >= 7)")
+    return c, f
+
+
 def cmd_convergence(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     beta, _ = _beta_eta(cfg)
-    grids = cfg.grid_list()
-    if len(grids) < 2:
-        raise RunError("eta study needs two grids (coarse, fine) in study.grids")
-    # Richardson wants the finest available pair
-    coarse, fine = (eta_study_terms(beta, (g, g, (g + 1) // 2)) for g in sorted(grids)[-2:])
+    coarse, fine = (eta_study_terms(beta, (g, g, (g + 1) // 2)) for g in _richardson_pair(cfg))
     results = {}
     for n_max in (0, 1):
         rep, data = eta_scaling_study(cfg.eta_list(), n_max, coarse, fine)

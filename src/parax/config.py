@@ -117,23 +117,6 @@ def _convert(raw: str, target_type: type, where: str):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {target_type.__name__}")
 
 
-def _richardson_pair(cfg: RunConfig) -> bool:
-    """Whether the two largest [study] grids c < f halve the spacing.
-
-    Richardson extrapolation assumes ratio 2: f - 1 = 2 (c - 1), with c odd
-    so that the zeta counts (g + 1) // 2 halve it too.  Fewer than two grids
-    pass; ``parax convergence`` refuses them itself.
-    """
-    try:
-        grids = sorted(cfg.grid_list())
-    except ValueError:
-        return False
-    if len(grids) < 2:
-        return True
-    c, f = grids[-2:]
-    return c < f and f - 1 == 2 * (c - 1) and c % 2 == 1
-
-
 def validate(cfg: RunConfig) -> RunConfig:
     """Return ``cfg``, or raise ConfigError naming the first setting out of range."""
     m, s, h, p, o = cfg.mesh, cfg.scaling, cfg.hierarchy, cfg.pic, cfg.output
@@ -155,9 +138,6 @@ def validate(cfg: RunConfig) -> RunConfig:
          f"[fields] case must be qs-mode-111 or zero, got {cfg.fields.case!r}"),
         (cfg.fields.snapshots >= 1, "snapshots must be >= 1"),
         (cfg.fields.dt > 0, "fields dt must be positive"),
-        (_richardson_pair(cfg),
-         f"[study] grids {cfg.study.grids!r}: need integers whose two largest, c < f, "
-         "halve the spacing (f - 1 = 2 (c - 1), c odd)"),
     ]
     for ok, message in checks:
         if not ok:

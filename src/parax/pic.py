@@ -267,15 +267,26 @@ def interpolate_to_particles(mesh: Mesh, arr: np.ndarray, p: ParticleEnsemble):
     if arr.ndim != 4 or arr.shape[1:] != grid:
         raise ValueError(f"field shape {arr.shape} is not (ncomp, *{grid})")
     table = arr.reshape(-1, mesh.nzeta * mesh.ny * mesh.nx)
-    out = np.empty((len(table), len(p)))
+    return list(_gather_blocks(mesh, table, p, np.empty((len(table), len(p)))))
 
+
+def _gather_blocks(mesh: Mesh, table: np.ndarray, p: ParticleEnsemble,
+                   out: np.ndarray, finish=None) -> np.ndarray:
+    """Gather the (ncomp, nodes) ``table`` at the particles into ``out``.
+
+    The blocks run on every usable core.  ``finish(b, values)``, if given,
+    turns the gathered values of the particles ``b`` into their columns of
+    ``out``.  Pool threads call only private functions: the benchmark's
+    tracer wraps the public ones and is not thread-safe.
+    """
     def block(start, stop):
         b = slice(start, stop)
-        out[:, b] = _gather(table, *_cic_stencil(mesh, p.x[b], p.y[b], p.zeta[b]))
+        values = _gather(table, *_cic_stencil(mesh, p.x[b], p.y[b], p.zeta[b]))
+        out[:, b] = values if finish is None else finish(b, values)
 
     for _ in map_blocks(block, len(p), BLOCK):
         pass
-    return list(out)
+    return out
 
 
 # -- forces and push -------------------------------------------------------------
@@ -285,8 +296,6 @@ def assemble_force(
     hierarchy: FieldHierarchy,
     particles: ParticleEnsemble,
     eta: float,
-    *,
-    _out: np.ndarray | None = None,
 ) -> np.ndarray:
     """The eta-truncated total force sum_{i<=n} eta^i F^i at the particles.
 
@@ -294,10 +303,9 @@ def assemble_force(
     order i plus magnetic contributions of order i-1; order 0 is purely
     electric (negative superscripts vanish).  The gather is linear, so the
     order sum is formed on the grid and one gather of at most six
-    components serves every n.  Each block of particles is gathered (as
-    :func:`interpolate_to_particles` does) and turned into its force at
-    once, on every usable core.  Returns (fx, fy, fz) as one (3, N) array,
-    written into ``_out`` when given (the loop's reused buffer).
+    components serves every n.  Each block of particles is gathered and
+    turned into its force at once, on every usable core.  Returns
+    (fx, fy, fz) as one (3, N) array.
     """
     if not 0 <= n <= hierarchy.n_max:
         raise ValueError(f"order {n} not available (hierarchy has {hierarchy.n_max})")
@@ -306,26 +314,19 @@ def assemble_force(
     if n > 0:
         prev = hierarchy.reconstruct(eta, n - 1)
         comps += [eta * prev.Bz.values, eta * prev.Bperp.x, eta * prev.Bperp.y]
-    mesh, p = hierarchy.mesh, particles
+    p = particles
     table = np.stack(comps).reshape(len(comps), -1)
-    out = np.empty((3, len(p))) if _out is None else _out
 
-    def block(start, stop):
-        b = slice(start, stop)
-        gathered = _gather(table, *_cic_stencil(mesh, p.x[b], p.y[b], p.zeta[b]))
-        if n == 0:
-            out[:, b] = gathered
-            return
-        ecal_x, ecal_y, ez, bz, bx, by = gathered
+    def force(b, values):
+        ecal_x, ecal_y, ez, bz, bx, by = values
         vx, vy, vzeta = p.vx[b], p.vy[b], p.vzeta[b]
         # (Bz v + vzeta B) x e_z and v . (B x e_z)
-        out[0, b] = ecal_x + bz * vy + vzeta * by
-        out[1, b] = ecal_y - bz * vx - vzeta * bx
-        out[2, b] = ez + vx * by - vy * bx
+        return (ecal_x + bz * vy + vzeta * by,
+                ecal_y - bz * vx - vzeta * bx,
+                ez + vx * by - vy * bx)
 
-    for _ in map_blocks(block, len(p), BLOCK):
-        pass
-    return out
+    return _gather_blocks(hierarchy.mesh, table, p, np.empty((3, len(p))),
+                          force if n > 0 else None)
 
 
 def push_particles(
@@ -449,8 +450,6 @@ def run_pic(
     half_kicked = False
     push_info = {"max_cell_displacement": 0.0}
     absorbed_before = particles.absorbed_total
-    # the force of every step goes into one buffer: particles are only lost
-    force = np.empty((3, len(particles)))
 
     for step in range(steps + 1):
         t = step * dt
@@ -493,8 +492,7 @@ def run_pic(
         if step == steps:
             break
 
-        fx, fy, fz = assemble_force(n_max, hierarchy, particles, eta,
-                                    _out=force[:, :len(particles)])
+        fx, fy, fz = force = assemble_force(n_max, hierarchy, particles, eta)
         if not half_kicked:
             # leapfrog staggering: half-step backward kick once at startup
             particles = ParticleEnsemble(
@@ -505,6 +503,7 @@ def run_pic(
             )
             half_kicked = True
         push_info = {}
-        particles = push_particles(particles, (fx, fy, fz), dt, mesh, info_out=push_info)
+        particles = push_particles(particles, force, dt, mesh, info_out=push_info)
+        del force, fx, fy, fz  # not held through the next deposit and solve
 
     return particles, history, records

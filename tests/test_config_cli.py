@@ -68,19 +68,19 @@ def test_constraint_violation_named(tmp_path):
         run_command("residual", small_cfg(fields__case="foo"), out_dir=str(tmp_path), quiet=True)
 
 
-@pytest.mark.parametrize("grids", ["13,13", "13,17", "12,23"])
-def test_study_grids_must_halve_the_spacing(tmp_path, grids):
-    # Richardson extrapolation of the two largest grids assumes ratio 2
+@pytest.mark.parametrize("grids", ["13,13", "13,17", "12,23", "5,9", "3,5", "13"])
+def test_convergence_grids_must_halve_the_spacing(tmp_path, grids):
+    # Richardson extrapolation of the two largest grids assumes ratio 2, and
+    # the eta study's second zeta derivatives need a coarse grid of 7 or more
+    cfg = parse_config(f"[study]\ngrids = {grids}\n")  # other verbs accept any grids
     with pytest.raises(ConfigError, match=r"\[study\] grids"):
-        parse_config(f"[study]\ngrids = {grids}\n")
-    with pytest.raises(ConfigError, match=r"\[study\] grids"):  # a config built in code
-        run_command("convergence", small_cfg(study__grids=grids), out_dir=str(tmp_path),
-                    quiet=True)
+        run_command("convergence", cfg, out_dir=str(tmp_path), quiet=True)
 
 
-@pytest.mark.parametrize("grids", ["17,33,65", "13,25"])
-def test_study_grids_halving_the_spacing_pass(grids):
-    assert parse_config(f"[study]\ngrids = {grids}\n").study.grids == grids
+@pytest.mark.parametrize("grids, pair", [("17,33,65", (33, 65)), ("13,25", (13, 25)),
+                                         ("7,13", (7, 13))])
+def test_convergence_grids_halving_the_spacing_pass(grids, pair):
+    assert parax.cli._richardson_pair(small_cfg(study__grids=grids)) == pair
 
 
 def test_unknown_section_rejected():
@@ -222,6 +222,14 @@ def test_mms_verb_poisson(tmp_path):
     assert rep["slope"] >= 1.9
     table = open(os.path.join(out, "mms_poisson2d.csv")).read().splitlines()
     assert table[0] == "parameter,error" and len(table) == 4
+
+
+def test_mms_verb_fits_any_grids(tmp_path):
+    # the mms slope is a fit over every grid: no ratio-2 pair is needed
+    out = str(tmp_path / "mms")
+    assert run_command("mms", small_cfg(study__grids="9,13,17"), out_dir=out, quiet=True) == 0
+    table = open(os.path.join(out, "mms_poisson2d.csv")).read().splitlines()
+    assert len(table) == 4
 
 
 @pytest.mark.parametrize("target", ["poisson2d", "aniso3d", "divcurl", "ez", "eperp"])
