@@ -8,6 +8,7 @@ from its output directory alone.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import json
 import logging
@@ -27,7 +28,7 @@ from .elliptic import (
 )
 from .fields import CSV_NUMBERS, CSV_ROWS, csv_rows, format_d, format_g17, write_blocks, write_field_csv
 from .hierarchy import ChainContext, ExternalField, FieldHistory, HierarchySolver
-from .mesh import build_mesh
+from .mesh import MIN_NZETA, build_mesh
 from .operators import boundary_tangential_trace, circulation, norms
 from .pic import run_pic, sample_initial_distribution
 from .scaling import compute_scaling
@@ -247,7 +248,11 @@ def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     if target not in MMS_TARGETS:
         raise RunError(f"unknown mms target {target!r}; choose from {sorted(MMS_TARGETS)}")
     hs, errs = [], []
-    for g in cfg.grid_list():
+    # the ez, eperp and aniso3d targets put g nodes on zeta too
+    grids = _fit_list(cfg, "grids", cfg.grid_list, lambda g: g >= MIN_NZETA,
+                      f"the mms slope fit needs three or more distinct grids of "
+                      f"{MIN_NZETA} or more nodes")
+    for g in grids:
         err, mesh = MMS_TARGETS[target](g, beta)
         errs.append(norms(err, mesh)["l2"])
         hs.append(1.0 / (g - 1))
@@ -282,31 +287,48 @@ def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     return {"report": rep.as_dict()}
 
 
+def _fit_list(cfg: RunConfig, key: str, values_of, ok, need: str) -> list:
+    """The [study] list ``key`` that a slope fit reads, in its given order,
+    or ConfigError naming it: a fit needs three or more distinct values,
+    each ``ok``."""
+    try:
+        values = values_of()
+    except ValueError:
+        values = []
+    if len(set(values)) < 3 or not all(ok(v) for v in values):
+        raise ConfigError(f"[study] {key} {getattr(cfg.study, key)!r}: {need}")
+    return values
+
+
 def _richardson_pair(cfg: RunConfig) -> tuple[int, int]:
     """The two largest [study] grids c < f, which the eta study extrapolates.
 
     Richardson extrapolation assumes the fine spacing halves the coarse one:
     f - 1 = 2 (c - 1), with c odd so that the zeta counts (g + 1) // 2 halve
-    it too.  The study's second zeta derivatives need four zeta nodes, c >= 7.
+    it too.  The coarse zeta count needs MIN_NZETA nodes.
     """
+    smallest = 2 * MIN_NZETA - 1  # (c + 1) // 2 >= MIN_NZETA
     try:
         grids = sorted(cfg.grid_list())
     except ValueError:
         grids = []
     c, f = grids[-2:] if len(grids) >= 2 else (0, 0)
-    if not (c >= 7 and c % 2 == 1 and f - 1 == 2 * (c - 1)):
+    if not (c >= smallest and c % 2 == 1 and f - 1 == 2 * (c - 1)):
         raise ConfigError(
             f"[study] grids {cfg.study.grids!r}: the eta study needs two or more integers "
-            "whose two largest, c < f, halve the spacing (f - 1 = 2 (c - 1), c odd, c >= 7)")
+            f"whose two largest, c < f, halve the spacing (f - 1 = 2 (c - 1), c odd, "
+            f"c >= {smallest})")
     return c, f
 
 
 def cmd_convergence(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     beta, _ = _beta_eta(cfg)
+    etas = _fit_list(cfg, "etas", cfg.eta_list, lambda e: 0 < e < np.inf,
+                     "the eta slope fit needs three or more distinct positive etas")
     coarse, fine = (eta_study_terms(beta, (g, g, (g + 1) // 2)) for g in _richardson_pair(cfg))
     results = {}
     for n_max in (0, 1):
-        rep, data = eta_scaling_study(cfg.eta_list(), n_max, coarse, fine)
+        rep, data = eta_scaling_study(etas, n_max, coarse, fine)
         results[f"n_max_{n_max}"] = {"report": rep.as_dict(), "data": data}
         _write_study_csv(os.path.join(out_dir, f"eta_nmax{n_max}.csv"),
                          data["etas"], data["corrected"])
@@ -335,6 +357,36 @@ def _jsonable(obj):
     if hasattr(obj, "as_dict"):
         return _jsonable(obj.as_dict())
     return obj
+
+
+# glibc's mallopt(3) parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> None:
+    """Let the C allocator keep freed memory for the next CSV block.
+
+    A CSV block frees 10-20 MB of numpy temporaries.  glibc's dynamic
+    thresholds (mmap at the largest freed mmapped chunk, trim at twice it,
+    about 3 MB here) hand the heap top back to the kernel after every block,
+    and the next block faults the same pages in again.  Setting either
+    threshold switches both dynamic ones off, so both are set: mmap at 2 MiB
+    puts a block's text array (at most CSV_NUMBERS * CELL bytes, 1.6 MB) on
+    the heap, and trim at 16 MiB keeps a block's freed temporaries there.
+    Minor faults of the run of one benchmark ``cli_outputs`` unit (``parax
+    fields`` on 33x33x17, then ``parax pic`` with 50k particles and 10
+    steps; 2 vCPUs), by (mmap, trim) in MiB: unset 142k; (2, 16) 10.6k, as
+    (4, 16), (32, 16) and (32, 64); (2, 8) 144k; (4, 12) 42-48k; (1, 64)
+    40k; trim 64 alone 250-330k.  Where the C library has no ``mallopt``
+    (macOS, Windows) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 2 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
 COMMANDS = {
@@ -370,6 +422,7 @@ def run_command(
     validate(cfg)
     out = out_dir or os.environ.get("PARAX_OUT") or cfg.output.directory
     out = _ensure_outdir(out)
+    _keep_freed_memory()
     try:
         results = COMMANDS[verb](cfg, out, quiet)
     except Exception as exc:

@@ -10,7 +10,10 @@ from __future__ import annotations
 import configparser
 import difflib
 import io
+import math
 from dataclasses import dataclass, field, fields as dc_fields
+
+from .mesh import MIN_NZETA
 
 
 class ConfigError(ValueError):
@@ -117,12 +120,25 @@ def _convert(raw: str, target_type: type, where: str):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {target_type.__name__}")
 
 
+def _floats(cfg: RunConfig):
+    """``([section] key, value)`` for every float setting."""
+    for name in _BLOCKS:
+        block = getattr(cfg, name)
+        for f in dc_fields(block):
+            value = getattr(block, f.name)
+            if isinstance(value, float):
+                yield f"[{name}] {f.name}", value
+
+
 def validate(cfg: RunConfig) -> RunConfig:
     """Return ``cfg``, or raise ConfigError naming the first setting out of range."""
     m, s, h, p, o = cfg.mesh, cfg.scaling, cfg.hierarchy, cfg.pic, cfg.output
     checks = [
+        *((math.isfinite(v), f"{key} must be finite, got {v!r}") for key, v in _floats(cfg)),
         (m.a > 0 and m.b > 0 and m.zlen > 0, "mesh extents (a, b, zlen) must be positive"),
-        (m.nx >= 3 and m.ny >= 3 and m.nzeta >= 3, "mesh node counts must be >= 3"),
+        (m.nx >= 3 and m.ny >= 3, "[mesh] nx and ny must be >= 3"),
+        (m.nzeta >= MIN_NZETA,
+         f"[mesh] nzeta must be >= {MIN_NZETA}, the fewest zeta nodes the field chain runs on"),
         (0.0 < s.beta < 1.0, "beta must lie in (0, 1)"),
         (s.mode in ("dimensionless", "physical"), "scaling mode must be dimensionless|physical"),
         (s.mode != "dimensionless" or s.eta > 0, "eta must be positive"),
@@ -132,6 +148,8 @@ def validate(cfg: RunConfig) -> RunConfig:
         (p.dt > 0, "pic dt must be positive"),
         (p.steps >= 0, "steps must be >= 0"),
         (p.total_weight > 0, "total_weight must be positive"),
+        *((getattr(p, k) >= 0, f"[pic] {k} must be >= 0")
+          for k in ("radius", "sigma", "vth", "vzeta_th")),
         (p.family in ("uniform", "gaussian", "cold"), "family must be uniform|gaussian|cold"),
         (o.cadence >= 1, "cadence must be >= 1"),
         (cfg.fields.case in ("qs-mode-111", "zero"),

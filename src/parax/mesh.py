@@ -24,6 +24,11 @@ FACE_NORMALS = {
     "y_hi": (0.0, 1.0),
 }
 
+# The fewest zeta nodes the field chain runs on: the one-sided end stencil of
+# the second zeta derivative (operators.dzeta2) reads four nodes.  A mesh of
+# transverse slices only (the 2D solves) needs 3, like nx and ny.
+MIN_NZETA = 4
+
 
 def face_tangent(face: str) -> tuple[float, float]:
     nx_, ny_ = FACE_NORMALS[face]

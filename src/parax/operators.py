@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .fields import ScalarField, VectorField2
-from .mesh import FACE_NORMALS, FACE_ORDER, Mesh, face_tangent
+from .mesh import FACE_NORMALS, FACE_ORDER, MIN_NZETA, Mesh, face_tangent
 
 _AX_X, _AX_Y, _AX_ZETA = -1, -2, 0
 
@@ -168,6 +168,8 @@ def dzeta2(f):
     inside and one-sided 6-point formulas on the two rows at each end.  With
     fewer than 7 zeta nodes it falls back to :func:`_d2_cubic_ends`."""
     m = f.mesh
+    if m.nzeta < MIN_NZETA:
+        raise ValueError(f"the second zeta derivative needs nzeta >= {MIN_NZETA}, got {m.nzeta}")
     if isinstance(f, VectorField2):
         return VectorField2(m, _d_high(f.x, m.hzeta, _AX_ZETA, 2),
                             _d_high(f.y, m.hzeta, _AX_ZETA, 2))

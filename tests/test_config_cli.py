@@ -68,6 +68,43 @@ def test_constraint_violation_named(tmp_path):
         run_command("residual", small_cfg(fields__case="foo"), out_dir=str(tmp_path), quiet=True)
 
 
+@pytest.mark.parametrize("verb, section, key, value", [
+    ("fields", "mesh", "nzeta", "3"),
+    ("fields", "mesh", "x0", "nan"),
+    ("fields", "external", "bz", "nan"),
+    ("fields", "fields", "amplitude", "nan"),
+    ("residual", "scaling", "eta", "inf"),
+    ("pic", "pic", "vth", "inf"),
+    ("pic", "pic", "dt", "inf"),
+    ("pic", "pic", "sigma", "-0.1"),
+    ("pic", "pic", "radius", "-0.2"),
+    ("pic", "pic", "vth", "-0.1"),
+    ("pic", "pic", "vzeta_th", "-0.1"),
+    ("convergence", "study", "etas", "-0.1,0.1,0.2"),
+    ("convergence", "study", "etas", "0.1"),
+    ("convergence", "study", "etas", "0.1,0.1,0.2"),
+    ("convergence", "study", "etas", "0.05,0.1,inf"),
+    ("mms", "study", "grids", "9,17"),
+    ("mms", "study", "grids", ","),
+    ("mms", "study", "grids", "3,5,9"),
+])
+def test_unrunnable_config_names_its_key(tmp_path, verb, section, key, value):
+    # refused before any solve: study lists by the verb that fits a slope
+    # to them, every other setting by parse_config
+    text = f"[{section}]\n{key} = {value}\n"
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
+        run_command(verb, parse_config(text), out_dir=str(tmp_path), quiet=True)
+    if section != "study":
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
+
+@pytest.mark.parametrize("verb", ["fields", "pic", "residual"])
+def test_smallest_mesh_runs(tmp_path, verb):
+    cfg = parse_config("[mesh]\nnx = 3\nny = 3\nnzeta = 4\n[pic]\nn_particles = 200\nsteps = 2\n")
+    assert run_command(verb, cfg, out_dir=str(tmp_path), quiet=True) == 0
+
+
 @pytest.mark.parametrize("grids", ["13,13", "13,17", "12,23", "5,9", "3,5", "13"])
 def test_convergence_grids_must_halve_the_spacing(tmp_path, grids):
     # Richardson extrapolation of the two largest grids assumes ratio 2, and
@@ -320,6 +357,15 @@ def test_residual_solves_only_the_orders_it_reads(tmp_path, monkeypatch, n_max, 
             reports.append(fh.read())
     assert calls == orders
     assert reports[0] == reports[1]
+
+
+def test_run_command_keeps_freed_memory_before_the_verb(tmp_path, monkeypatch):
+    # the one entry of every verb sets the allocator thresholds, before the verb
+    calls = []
+    monkeypatch.setattr(parax.cli, "_keep_freed_memory", lambda: calls.append(len(calls)))
+    monkeypatch.setitem(parax.cli.COMMANDS, "residual", lambda *args: calls.append("verb") or {})
+    assert run_command("residual", small_cfg(), out_dir=str(tmp_path), quiet=True) == 0
+    assert calls == [0, "verb"]
 
 
 def test_cli_main_and_env_out(tmp_path, monkeypatch):

@@ -1,11 +1,16 @@
 """The block CSV writers against the per-row writers they replaced, byte for
 byte, on one to three formatting threads."""
 
+import os
+import platform
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
 
+import parax
 from parax import fields
 from parax.cli import _write_particles, _write_study_csv
 from parax.fields import CSV_NUMBERS, CSV_ROWS, FieldShapeError, write_blocks, write_field_csv
@@ -151,3 +156,40 @@ def test_block_writer_leaves_no_threads(tmp_path, monkeypatch, workers, fail_row
         with pytest.raises(RuntimeError, match=f"row {fail_row}"):
             write_blocks(str(path), b"i\n", block, 11, 2)
     assert threading.active_count() == before
+
+
+# writes one 50k-particle CSV three times, lets the allocator keep freed
+# memory, writes it three more times, and prints the after / before ratio of
+# the minor page faults
+REFAULT_SCRIPT = """
+import resource, sys
+from parax import cli
+from parax.mesh import build_mesh
+from parax.pic import sample_initial_distribution
+
+mesh = build_mesh(2.0, 2.0, 2.0, 17, 17, 9, x0=-1.0, y0=-1.0)
+p = sample_initial_distribution(mesh, "gaussian", 50_000, 1, sigma=0.15, vth=0.05)
+
+def faults():
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(3):
+        cli._write_particles(sys.argv[1], p)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+
+before = faults()
+cli._keep_freed_memory()
+print(faults() / before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_kept_memory_stops_csv_blocks_refaulting(tmp_path):
+    # a fresh process, so no earlier test has set the thresholds.  Measured
+    # ratios (2 vCPUs): 0.05-0.23 with the thresholds set, 0.72-0.96 without
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parax.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", REFAULT_SCRIPT, str(tmp_path / "p.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.4
