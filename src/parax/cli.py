@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import hashlib
 import json
 import logging
@@ -26,7 +27,7 @@ from .elliptic import (
     solve_divcurl_2d,
     solve_poisson_2d,
 )
-from .fields import CSV_NUMBERS, CSV_ROWS, csv_rows, format_d, format_g17, write_blocks, write_field_csv
+from .fields import write_field_csv, write_table
 from .hierarchy import ChainContext, ExternalField, FieldHistory, HierarchySolver
 from .mesh import MIN_NZETA, build_mesh
 from .operators import boundary_tangential_trace, circulation, norms
@@ -66,9 +67,18 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
+def _write_json(path: str, obj) -> None:
+    """Every JSON output: indent 2, sorted keys, a final newline, written to
+    a temporary file and moved into place."""
+    with open(path + ".tmp", "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    os.replace(path + ".tmp", path)
+
+
 def _write_manifest(out_dir: str, verb: str, cfg: RunConfig, results: dict) -> None:
     text = serialize_config(cfg)
-    manifest = {
+    _write_json(os.path.join(out_dir, "manifest.json"), {
         "verb": verb,
         "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "config": text,
@@ -78,12 +88,7 @@ def _write_manifest(out_dir: str, verb: str, cfg: RunConfig, results: dict) -> N
             "parax": __version__,
         },
         "results": results,
-    }
-    tmp = os.path.join(out_dir, "manifest.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    })
 
 
 def _beta_eta(cfg: RunConfig):
@@ -124,13 +129,8 @@ def _dump_hierarchy(out_dir: str, mesh, hierarchy, step: int) -> list[str]:
 
 
 def _write_particles(path: str, p) -> None:
-    columns = [p.x, p.y, p.zeta, p.vx, p.vy, p.vzeta, p.weight]
-
-    def block(start, stop):
-        values = np.stack([c[start:stop] for c in columns], axis=1)
-        return csv_rows(format_d(p.ids[start:stop]), format_g17(values))
-
-    write_blocks(path, b"id,x,y,zeta,vx,vy,vzeta,weight\n", block, len(p.ids), CSV_ROWS)
+    write_table(path, ["id", "x", "y", "zeta", "vx", "vy", "vzeta", "weight"],
+                [p.x, p.y, p.zeta, p.vx, p.vy, p.vzeta, p.weight], ids=p.ids)
 
 
 def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
@@ -146,8 +146,8 @@ def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     rep = maxwell_residual(residual_terms(hist, case.sources(hist.latest.time)), eta)
     results = {
         "files": files,
-        "diagnostics": _jsonable(diag),
-        "maxwell_residual": rep.as_dict(),
+        "diagnostics": diag,
+        "maxwell_residual": dataclasses.asdict(rep),
     }
     if not quiet:
         for eq, ns in rep.norms.items():
@@ -170,7 +170,7 @@ def cmd_pic(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     files = []
     with open(diag_path, "w") as diag_fh:
         def on_step(step, parts, hierarchy, record):
-            diag_fh.write(json.dumps(record.as_dict(), sort_keys=True) + "\n")
+            diag_fh.write(json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n")
             if step % cfg.output.cadence == 0 or step == p.steps:
                 name = f"particles_0_{step}.csv"
                 _write_particles(os.path.join(out_dir, name), parts)
@@ -186,7 +186,7 @@ def cmd_pic(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
               f"{last.absorbed_total} absorbed")
     return {
         "files": files + ["diagnostics.jsonl"],
-        "final": records[-1].as_dict(),
+        "final": dataclasses.asdict(records[-1]),
     }
 
 
@@ -246,7 +246,7 @@ def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     beta, _ = _beta_eta(cfg)
     target = cfg.study.target
     if target not in MMS_TARGETS:
-        raise RunError(f"unknown mms target {target!r}; choose from {sorted(MMS_TARGETS)}")
+        raise ConfigError(f"[study] target {target!r}: choose from {', '.join(MMS_TARGETS)}")
     hs, errs = [], []
     # the ez, eperp and aniso3d targets put g nodes on zeta too
     grids = _fit_list(cfg, "grids", cfg.grid_list, lambda g: g >= MIN_NZETA,
@@ -258,12 +258,12 @@ def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
         hs.append(1.0 / (g - 1))
     rep = convergence_study(hs, errs, target_order=cfg.study.target_order, label=target)
     _write_study_csv(os.path.join(out_dir, f"mms_{target}.csv"), hs, errs)
-    with open(os.path.join(out_dir, f"mms_{target}.json"), "w") as fh:
-        json.dump(rep.as_dict(), fh, indent=2, sort_keys=True)
+    report = dataclasses.asdict(rep)
+    _write_json(os.path.join(out_dir, f"mms_{target}.json"), report)
     if not quiet:
         print(f"[mms] {target}: slope {rep.slope:.3f} "
               f"(target {rep.target_order}) -> {'PASS' if rep.passed else 'FAIL'}")
-    return {"report": rep.as_dict()}
+    return {"report": report}
 
 
 def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
@@ -279,12 +279,12 @@ def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     case = _case(cfg, mesh, beta)
     *_, hist = solve_timeline(case, n_max, snapshots, residual_only=True)
     rep = maxwell_residual(residual_terms(hist, case.sources(hist.latest.time)), eta)
-    with open(os.path.join(out_dir, "residual.json"), "w") as fh:
-        json.dump(rep.as_dict(), fh, indent=2, sort_keys=True)
+    report = dataclasses.asdict(rep)
+    _write_json(os.path.join(out_dir, "residual.json"), report)
     if not quiet:
         for eq, ns in rep.norms.items():
             print(f"[residual] {eq}: l2={ns['l2']:.3e}")
-    return {"report": rep.as_dict()}
+    return {"report": report}
 
 
 def _fit_list(cfg: RunConfig, key: str, values_of, ok, need: str) -> list:
@@ -329,34 +329,18 @@ def cmd_convergence(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     results = {}
     for n_max in (0, 1):
         rep, data = eta_scaling_study(etas, n_max, coarse, fine)
-        results[f"n_max_{n_max}"] = {"report": rep.as_dict(), "data": data}
+        results[f"n_max_{n_max}"] = {"report": dataclasses.asdict(rep), "data": data}
         _write_study_csv(os.path.join(out_dir, f"eta_nmax{n_max}.csv"),
                          data["etas"], data["corrected"])
         if not quiet:
             print(f"[convergence] eta slope n_max={n_max}: {rep.slope:.3f} "
                   f"(target {rep.target_order}) -> {'PASS' if rep.passed else 'FAIL'}")
-    with open(os.path.join(out_dir, "eta_study.json"), "w") as fh:
-        json.dump(_jsonable(results), fh, indent=2, sort_keys=True)
+    _write_json(os.path.join(out_dir, "eta_study.json"), results)
     return results
 
 
 def _write_study_csv(path: str, params, errors) -> None:
-    table = np.column_stack([params, errors])
-    write_blocks(path, b"parameter,error\n",
-                 lambda start, stop: csv_rows(format_g17(table[start:stop])),
-                 len(table), CSV_NUMBERS // 2)
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if hasattr(obj, "as_dict"):
-        return _jsonable(obj.as_dict())
-    return obj
+    write_table(path, ["parameter", "error"], [params, errors])
 
 
 # glibc's mallopt(3) parameters (malloc.h)
@@ -428,12 +412,11 @@ def run_command(
     except Exception as exc:
         report = {"verb": verb, "error": f"{type(exc).__name__}: {exc}"}
         try:
-            with open(os.path.join(out, "error.json"), "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
+            _write_json(os.path.join(out, "error.json"), report)
         except OSError:
             pass
         raise
-    _write_manifest(out, verb, cfg, _jsonable(results))
+    _write_manifest(out, verb, cfg, results)
     return 0
 
 

@@ -80,7 +80,7 @@ class FieldsBlock:
 
 @dataclass
 class StudyBlock:
-    target: str = "poisson2d"   # poisson2d|aniso3d|divcurl|ez|eperp|eta
+    target: str = "poisson2d"   # parax mms: poisson2d|aniso3d|divcurl|ez|eperp
     grids: str = "17,33,65"     # nodes per transverse axis
     etas: str = "0.05,0.1,0.2"
     target_order: float = 1.9

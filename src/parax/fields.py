@@ -7,8 +7,8 @@ on the trailing two axes so both layouts flow through the same code.
 
 from __future__ import annotations
 
+import functools
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,9 +89,9 @@ def same_mesh(*fields) -> Mesh:
 #
 # ``format_g17`` makes those bytes in numpy.  With k = floor(log10|x|) it
 # forms x * 10**(16 - k) as a double-double (Dekker's exact product against
-# hi + lo constants for 10**p, built from Python integers for the exponents a
-# call uses), moves k by one where the unrounded value falls outside
-# [1e16, 1e17), and rounds half to even to the 17 digits D.  The double-double
+# hi + lo constants for 10**p, built once from Python integers), moves k by
+# one where the unrounded value falls outside [1e16, 1e17), and rounds half
+# to even to the 17 digits D.  The double-double
 # is good to about 1e-14 in units of D's last digit, so only a fraction within
 # 1e-12 of one half (a true tie, such as 2**-25) is in doubt; those values,
 # |x| outside [1e-280, 1e280) and inf/nan go to ``'%.17g' % v`` itself.  The
@@ -109,7 +109,6 @@ def same_mesh(*fields) -> Mesh:
 # 0.75-0.8x; blocks of twice that were no faster.
 
 CSV_NUMBERS = 65536
-CSV_ROWS = CSV_NUMBERS // 8  # rows per block of the particle table
 CELL = 25  # '-1.2345678901234567e-308' (24 bytes) and a separator
 
 _ASCII_0 = 48
@@ -120,34 +119,30 @@ _QUADS = (np.stack([np.arange(10000) // 10**i % 10 for i in (3, 2, 1, 0)], axis=
 # trailing zeros of "0000".."9999"
 _TZ = sum(np.arange(10000) % 10**i == 0 for i in range(1, 5)).astype(np.int64)
 
-# hi, hi's upper and lower Dekker halves, lo: 10**p ~ hi + lo, for p = 16 - k
-_P_MIN, _P_MAX = -265, 297
-_POW10 = [np.full(_P_MAX - _P_MIN + 1, np.nan) for _ in range(4)]
-_POW10_LOCK = threading.Lock()  # blocks are formatted on several threads
+_P_MIN, _P_MAX = -265, 297  # the exponents p = 16 - k that format_g17 uses
 _SPLIT = 134217729.0  # 2**27 + 1
 
 
-def _pow10(p: np.ndarray) -> list[np.ndarray]:
-    """The four _POW10 entries for exponents p, filling in missing ones."""
-    i = p - _P_MIN
-    with _POW10_LOCK:
-        if i.size and np.isnan(_POW10[0][i.min():i.max() + 1]).any():
-            for j in np.unique(i[np.isnan(_POW10[0][i])]).tolist():
-                e = j + _P_MIN
-                num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
-                hi = num / den  # int / int is correctly rounded
-                a, b = hi.as_integer_ratio()
-                lo = (num * b - a * den) / (den * b)
-                c = _SPLIT * hi
-                upper = c - (c - hi)
-                for table, x in zip(_POW10, (hi, upper, hi - upper, lo)):
-                    table[j] = x
-    return [np.take(table, i) for table in _POW10]
+@functools.cache
+def _pow10() -> np.ndarray:
+    """(4, _P_MAX - _P_MIN + 1), read-only: hi, hi's upper and lower Dekker
+    halves, lo, with 10**p ~ hi + lo, for p from _P_MIN.  Built on the first
+    call; the formatting threads only read it."""
+    table = np.empty((4, _P_MAX - _P_MIN + 1))
+    for j, e in enumerate(range(_P_MIN, _P_MAX + 1)):
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        hi = num / den  # int / int is correctly rounded
+        a, b = hi.as_integer_ratio()
+        c = _SPLIT * hi
+        upper = c - (c - hi)
+        table[:, j] = hi, upper, hi - upper, (num * b - a * den) / (den * b)
+    table.flags.writeable = False
+    return table
 
 
 def _scaled(a: np.ndarray, p: np.ndarray):
     """a * 10**p as a double-double (hi, lo), |error| below about 2**-104 * a * 10**p."""
-    hi10, up10, low10, lo10 = _pow10(p)
+    hi10, up10, low10, lo10 = np.take(_pow10(), p - _P_MIN, axis=1)
     c = _SPLIT * a
     up = c - (c - a)
     low = a - up
@@ -364,6 +359,20 @@ def write_blocks(path, header: bytes, block, n: int, rows: int) -> None:
         fh.write(header)
         for data in map_blocks(block, n, rows):
             fh.write(data)
+
+
+def write_table(path, names: list[str], columns, ids=None) -> None:
+    """Write a CSV of header ``names`` and one row per element of the float
+    ``columns``, as ``'%.17g'``, after the int64 ``ids`` as ``'%d'`` if given.
+
+    The rows go through :func:`write_blocks`, CSV_NUMBERS cells a block.
+    """
+    def block(start, stop):
+        floats = format_g17(np.stack([c[start:stop] for c in columns], axis=1))
+        return csv_rows(floats) if ids is None else csv_rows(format_d(ids[start:stop]), floats)
+
+    write_blocks(path, (",".join(names) + "\n").encode(), block, len(columns[0]),
+                 CSV_NUMBERS // len(names))
 
 
 def write_field_csv(path, mesh: Mesh, components: dict[str, np.ndarray]) -> None:

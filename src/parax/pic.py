@@ -410,18 +410,6 @@ class PicStepRecord:
     charge_conservation: dict | None
     field_norms: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "step": self.step, "time": self.time,
-            "n_particles": self.n_particles,
-            "absorbed": self.absorbed,
-            "absorbed_total": self.absorbed_total,
-            "max_cell_displacement": self.max_cell_displacement,
-            "total_weight": self.total_weight,
-            "charge_conservation": self.charge_conservation,
-            "field_norms": self.field_norms,
-        }
-
 
 def run_pic(
     mesh: Mesh,

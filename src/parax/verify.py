@@ -250,12 +250,6 @@ class ResidualReport:
     def eta_dependent_norm(self, kind: str = "l2") -> float:
         return sum(self.norms[eq][kind] for eq in ETA_DEPENDENT_EQUATIONS)
 
-    def as_dict(self) -> dict:
-        return {
-            "eta": self.eta, "n_max": self.n_max, "beta": self.beta,
-            "grid": list(self.grid), "norms": self.norms, "metadata": self.metadata,
-        }
-
 
 # every norm reads the nodes two rows in from each face, so that one-sided
 # stencil rows never enter it
@@ -412,19 +406,10 @@ class ConvergenceReport:
     slope: float
     target_order: float | None = None
     label: str = ""
+    passed: bool | None = dc_field(init=False)  # slope >= target_order, if one is set
 
-    @property
-    def passed(self) -> bool | None:
-        if self.target_order is None:
-            return None
-        return self.slope >= self.target_order
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label, "parameters": self.parameters,
-            "errors": self.errors, "slope": self.slope,
-            "target_order": self.target_order, "passed": self.passed,
-        }
+    def __post_init__(self):
+        self.passed = None if self.target_order is None else self.slope >= self.target_order
 
 
 class DegenerateFitError(ValueError):

@@ -5,6 +5,7 @@ lines; grid sizes and tolerances are pinned here and nowhere else.
 """
 
 import os
+from pathlib import Path
 
 import numpy as np
 
@@ -257,8 +258,8 @@ def test_criterion_8_determinism(tmp_path):
     names = sorted(f for f in os.listdir(outs[0]) if f.endswith(".csv"))
     assert names, "no CSV outputs written"
     for name in names + ["diagnostics.jsonl"]:
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         assert a == b, f"{name} differs between reruns"
     report(8, "determinism", f"{len(names)} CSVs byte-identical (chunked deposition)")
 

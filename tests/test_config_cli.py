@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,7 +155,7 @@ def test_fields_run_writes_outputs(tmp_path):
     assert os.path.exists(os.path.join(out, "manifest.json"))
     assert os.path.exists(os.path.join(out, "Ez_0_0.csv"))
     assert os.path.exists(os.path.join(out, "Eperp_1_1.csv"))
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     assert manifest["verb"] == "fields"
     assert manifest["versions"]["parax"] == parax.__version__
     assert "maxwell_residual" in manifest["results"]
@@ -173,7 +175,7 @@ def test_zero_case_all_zero_dumps(tmp_path):
 
     _, _, data = read_field_csv(os.path.join(out, "Eperp_0_0.csv"))
     assert np.all(data == 0.0)
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = json.loads(Path(out, "manifest.json").read_text())
     for eq, ns in manifest["results"]["maxwell_residual"]["norms"].items():
         assert ns["l2"] == 0.0
 
@@ -183,7 +185,7 @@ def test_pic_run_steps_zero(tmp_path):
     cfg = small_cfg(pic__steps=0)
     assert run_command("pic", cfg, out_dir=out, quiet=True) == 0
     assert os.path.exists(os.path.join(out, "particles_0_0.csv"))
-    lines = open(os.path.join(out, "diagnostics.jsonl")).read().strip().splitlines()
+    lines = Path(out, "diagnostics.jsonl").read_text().strip().splitlines()
     assert len(lines) == 1
 
 
@@ -192,7 +194,7 @@ def test_pic_bunch_outside_box_is_an_error(tmp_path):
     cfg = small_cfg(pic__family="gaussian", pic__zeta_center=100.0)
     with pytest.raises(ValueError, match="mass inside the domain"):
         run_command("pic", cfg, out_dir=out, quiet=True)
-    report = json.load(open(os.path.join(out, "error.json")))
+    report = json.loads(Path(out, "error.json").read_text())
     assert report["error"].startswith("SamplingError")
 
 
@@ -203,8 +205,8 @@ def test_pic_rerun_byte_identical(tmp_path):
         assert run_command("pic", small_cfg(), out_dir=out, quiet=True) == 0
         outs.append(out)
     for fname in ("particles_0_0.csv", "particles_0_2.csv", "diagnostics.jsonl"):
-        a = open(os.path.join(outs[0], fname), "rb").read()
-        b = open(os.path.join(outs[1], fname), "rb").read()
+        a = Path(outs[0], fname).read_bytes()
+        b = Path(outs[1], fname).read_bytes()
         assert a == b, fname
 
 
@@ -222,7 +224,7 @@ def test_pic_particle_loss_is_recorded_and_warned(tmp_path, caplog):
     assert records[1]["absorbed"] == 1999 and records[1]["absorbed_total"] == 1999
     assert records[1]["max_cell_displacement"] > 1.0
     assert "cells in one step" in caplog.text
-    final = json.load(open(os.path.join(out, "manifest.json")))["results"]["final"]
+    final = json.loads(Path(out, "manifest.json").read_text())["results"]["final"]
     assert final["absorbed"] == 1999
     assert final["max_cell_displacement"] == records[1]["max_cell_displacement"]
 
@@ -246,8 +248,8 @@ def test_seed_override_changes_particles(tmp_path):
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
     run_command("pic", small_cfg(), out_dir=out1, seed=1, quiet=True)
     run_command("pic", small_cfg(), out_dir=out2, seed=2, quiet=True)
-    a = open(os.path.join(out1, "particles_0_0.csv")).read()
-    b = open(os.path.join(out2, "particles_0_0.csv")).read()
+    a = Path(out1, "particles_0_0.csv").read_text()
+    b = Path(out2, "particles_0_0.csv").read_text()
     assert a != b
 
 
@@ -255,9 +257,9 @@ def test_mms_verb_poisson(tmp_path):
     out = str(tmp_path / "mms")
     cfg = small_cfg(study__grids="9,17,33")
     assert run_command("mms", cfg, out_dir=out, quiet=True) == 0
-    rep = json.load(open(os.path.join(out, "mms_poisson2d.json")))
+    rep = json.loads(Path(out, "mms_poisson2d.json").read_text())
     assert rep["slope"] >= 1.9
-    table = open(os.path.join(out, "mms_poisson2d.csv")).read().splitlines()
+    table = Path(out, "mms_poisson2d.csv").read_text().splitlines()
     assert table[0] == "parameter,error" and len(table) == 4
 
 
@@ -265,7 +267,7 @@ def test_mms_verb_fits_any_grids(tmp_path):
     # the mms slope is a fit over every grid: no ratio-2 pair is needed
     out = str(tmp_path / "mms")
     assert run_command("mms", small_cfg(study__grids="9,13,17"), out_dir=out, quiet=True) == 0
-    table = open(os.path.join(out, "mms_poisson2d.csv")).read().splitlines()
+    table = Path(out, "mms_poisson2d.csv").read_text().splitlines()
     assert len(table) == 4
 
 
@@ -274,17 +276,53 @@ def test_mms_verb_every_target(tmp_path, target):
     out = str(tmp_path / target)
     cfg = small_cfg(study__target=target, study__grids="5,9,17")
     assert run_command("mms", cfg, out_dir=out, quiet=True) == 0
-    rep = json.load(open(os.path.join(out, f"mms_{target}.json")))
+    rep = json.loads(Path(out, f"mms_{target}.json").read_text())
     assert np.isfinite(rep["slope"]) and rep["label"] == target
-    table = open(os.path.join(out, f"mms_{target}.csv")).read().splitlines()
+    table = Path(out, f"mms_{target}.csv").read_text().splitlines()
     assert table[0] == "parameter,error" and len(table) == 4
+
+
+def test_mms_unknown_target_names_the_key(tmp_path, capsys):
+    ini = tmp_path / "eta.ini"
+    ini.write_text("[study]\ntarget = eta\n")
+    out = tmp_path / "out"
+    assert main(["mms", "--config", str(ini), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "[study] target 'eta'" in err
+    assert all(t in err for t in ("poisson2d", "aniso3d", "divcurl", "ez", "eperp"))
+    assert json_outputs(out) == {"error.json"}
+
+
+def json_outputs(out) -> set[str]:
+    """The JSON files in ``out``, each checked to be in the one JSON form:
+    indent 2, sorted keys, a final newline; no temporary file is left."""
+    names = {p.name for p in Path(out).iterdir()}
+    assert not any(n.endswith(".tmp") for n in names), names
+    found = {n for n in names if n.endswith(".json")}
+    for name in found:
+        text = Path(out, name).read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n", name
+    return found
+
+
+@pytest.mark.parametrize("verb, written", [
+    ("fields", set()),
+    ("pic", set()),
+    ("mms", {"mms_poisson2d.json"}),
+    ("residual", {"residual.json"}),
+    ("convergence", {"eta_study.json"}),
+])
+def test_every_json_output_has_one_form(tmp_path, verb, written):
+    cfg = small_cfg(study__grids="5,7,13")  # three grids for mms, 7 and 13 halve the spacing
+    assert run_command(verb, cfg, out_dir=str(tmp_path), quiet=True) == 0
+    assert json_outputs(tmp_path) == written | {"manifest.json"}
 
 
 def test_residual_verb(tmp_path):
     out = str(tmp_path / "res")
     cfg = small_cfg(fields__snapshots=3, fields__alpha2=1.0)
     assert run_command("residual", cfg, out_dir=out, quiet=True) == 0
-    rep = json.load(open(os.path.join(out, "residual.json")))
+    rep = json.loads(Path(out, "residual.json").read_text())
     assert set(rep["norms"]) >= {"gauss", "monopole", "ampere_perp"}
 
 
@@ -404,7 +442,7 @@ def test_convergence_verb_small(tmp_path):
     out = str(tmp_path / "conv")
     cfg = small_cfg(study__grids="13,25", study__etas="0.05,0.1,0.2")
     assert run_command("convergence", cfg, out_dir=out, quiet=True) == 0
-    rep = json.load(open(os.path.join(out, "eta_study.json")))
+    rep = json.loads(Path(out, "eta_study.json").read_text())
     assert rep["n_max_0"]["report"]["slope"] >= 0.8
     assert rep["n_max_1"]["report"]["slope"] > 1.0  # full margin needs big grids
     assert os.path.exists(os.path.join(out, "eta_nmax1.csv"))
@@ -442,7 +480,7 @@ def test_convergence_solves_each_grid_once(tmp_path, monkeypatch):
     for n_max in (0, 1):
         terms = [eta_study_terms(cfg.scaling.beta, g) for g in pair]
         rep, data = eta_scaling_study(cfg.eta_list(), n_max, *terms)
-        expected[f"n_max_{n_max}"] = {"report": rep.as_dict(), "data": data}
+        expected[f"n_max_{n_max}"] = {"report": dataclasses.asdict(rep), "data": data}
     with open(os.path.join(out, "eta_study.json")) as fh:
         assert json.load(fh) == json.loads(json.dumps(expected))
 
@@ -453,7 +491,7 @@ def test_physical_scaling_mode(tmp_path):
     cfg.scaling.mode = "physical"
     cfg.scaling.vbar = 2.9979e7   # eta ~ 0.1
     assert run_command("residual", cfg, out_dir=out, quiet=True) == 0
-    rep = json.load(open(os.path.join(out, "residual.json")))
+    rep = json.loads(Path(out, "residual.json").read_text())
     assert abs(rep["eta"] - 0.1) < 1e-3
     with pytest.raises(ConfigError, match="physical"):
         parse_config("[scaling]\nmode = physical\n")  # vbar missing

@@ -88,32 +88,15 @@ def test_csv_rows_joins_cells(rows):
     assert text == expected.encode()
 
 
-def test_g17_fills_its_power_table_safely_on_threads(monkeypatch):
-    # the 10**p table is filled on first use; threads that format at once,
-    # switching often, must never read an entry that is half filled
-    import sys
-    import threading
-
+def test_g17_power_table_is_built_once_and_read_only():
+    # the formatting threads share the 10**p table, so nothing may write it
     from parax import fields
 
-    values = [np.array([1.25 * 10.0**e]) for e in range(-250, 250, 2)]
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for v in values:
-            monkeypatch.setattr(fields, "_POW10", [np.full_like(t, np.nan) for t in fields._POW10])
-            got, start = [], threading.Barrier(4)
-
-            def work():
-                start.wait(timeout=30)
-                got.append(texts(*format_g17(v)))
-
-            threads = [threading.Thread(target=work) for _ in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert not any(t.is_alive() for t in threads)
-            assert got == [[("%.17g" % v[0]).encode()]] * len(threads)
-    finally:
-        sys.setswitchinterval(interval)
+    table = fields._pow10()
+    assert fields._pow10() is table
+    assert not table.flags.writeable
+    hi, upper, lower, lo = table
+    exps = range(fields._P_MIN, fields._P_MAX + 1)
+    assert hi.tolist() == [float(f"1e{e}") for e in exps]
+    assert np.array_equal(upper + lower, hi)
+    assert np.all(np.abs(lo) <= np.spacing(hi) / 2)

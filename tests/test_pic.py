@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -599,7 +601,7 @@ def test_run_pic_deterministic_replay():
     f2, _, r2 = run_pic(mesh, BETA, 0.1, p2, n_max=0, dt=0.02, steps=3, n_chunks=3)
     np.testing.assert_array_equal(f1.x, f2.x)
     np.testing.assert_array_equal(f1.vzeta, f2.vzeta)
-    assert [r.as_dict() for r in r1] == [r.as_dict() for r in r2]
+    assert [dataclasses.asdict(r) for r in r1] == [dataclasses.asdict(r) for r in r2]
 
 
 def test_run_pic_cold_beam_defocuses():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -177,7 +179,7 @@ def test_residual_report_shape_and_eta_dependence():
     for eq in ("ampere_perp", "ampere_zeta", "faraday_perp"):
         assert r1.norm(eq) < r0.norm(eq)
     assert r1.eta_dependent_norm() < 0.5 * r0.eta_dependent_norm()
-    d = r1.as_dict()
+    d = dataclasses.asdict(r1)
     assert set(d["norms"]) == {"ampere_perp", "ampere_zeta", "gauss",
                                "faraday_perp", "faraday_zeta", "monopole"}
 

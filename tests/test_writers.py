@@ -13,7 +13,7 @@ import pytest
 import parax
 from parax import fields
 from parax.cli import _write_particles, _write_study_csv
-from parax.fields import CSV_NUMBERS, CSV_ROWS, FieldShapeError, write_blocks, write_field_csv
+from parax.fields import CSV_NUMBERS, FieldShapeError, write_blocks, write_field_csv
 from parax.mesh import build_mesh
 from parax.pic import ParticleEnsemble
 
@@ -104,11 +104,14 @@ def ensemble(n, rng):
     )
 
 
+PARTICLE_ROWS = CSV_NUMBERS // 8  # an id and seven floats a row
+
+
 @pytest.mark.parametrize("n", [
     pytest.param(0, id="empty"),
     pytest.param(1, id="one_row"),
-    pytest.param(CSV_ROWS, id="one_block"),
-    pytest.param(2 * CSV_ROWS + 17, id="two_blocks_and_17"),
+    pytest.param(PARTICLE_ROWS, id="one_block"),
+    pytest.param(2 * PARTICLE_ROWS + 17, id="two_blocks_and_17"),
 ])
 def test_particle_csv_matches_row_writer(tmp_path, monkeypatch, n):
     p = ensemble(n, np.random.default_rng(n))
