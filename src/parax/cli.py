@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config, serialize_config, validate
+from .config import ConfigError, RunConfig, read_config, serialize_config, validate
 from .elliptic import (
     BoundarySpec,
     DIRICHLET,
@@ -403,11 +403,11 @@ def run_command(
         cfg.hierarchy.n_max = order
     if seed is not None:
         cfg.pic.seed = seed
-    validate(cfg)
     out = out_dir or os.environ.get("PARAX_OUT") or cfg.output.directory
     out = _ensure_outdir(out)
     _keep_freed_memory()
     try:
+        validate(cfg)  # a refused config leaves error.json like a failed run
         results = COMMANDS[verb](cfg, out, quiet)
     except Exception as exc:
         report = {"verb": verb, "error": f"{type(exc).__name__}: {exc}"}
@@ -462,7 +462,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging(args.quiet)
     try:
-        cfg = parse_config(args.config) if args.config else RunConfig()
+        cfg = read_config(args.config) if args.config else RunConfig()
         return run_command(
             args.verb, cfg, out_dir=args.out, order=args.order,
             seed=args.seed, quiet=args.quiet,

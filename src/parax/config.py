@@ -165,6 +165,12 @@ def validate(cfg: RunConfig) -> RunConfig:
 
 def parse_config(text_or_path: str) -> RunConfig:
     """Parse and validate a config from a path or literal text."""
+    return validate(read_config(text_or_path))
+
+
+def read_config(text_or_path: str) -> RunConfig:
+    """Parse a config from a path or literal text: every section, key and
+    value type is checked, no value range (see :func:`validate`)."""
     text = text_or_path
     if "\n" not in text_or_path and not text_or_path.lstrip().startswith("["):
         with open(text_or_path) as fh:
@@ -190,7 +196,7 @@ def parse_config(text_or_path: str) -> RunConfig:
                 extra = f"; did you mean {hint[0]!r}?" if hint else ""
                 raise ConfigError(f"unknown key {key!r} in [{section}]{extra}")
             setattr(block, key, _convert(raw, types[key], f"[{section}] {key}"))
-    return validate(cfg)
+    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -31,6 +31,7 @@ import numpy as np
 from .fields import ScalarField, VectorField2, same_mesh
 from .mesh import FACE_ORDER, Mesh
 from .operators import (
+    axis_index,
     boundary_tangential_trace,
     curl_perp_scalar,
     gamma_ccw_faces,
@@ -156,14 +157,14 @@ def _apply(u: np.ndarray, spacings, coeffs, kinds) -> np.ndarray:
     out = np.zeros_like(u)
     nd = len(spacings)
     for d, (h, c, (lo, hi)) in enumerate(zip(spacings, coeffs, kinds)):
-        a = np.moveaxis(u, d - nd, -1)
-        o = np.moveaxis(out, d - nd, -1)
+        ix = axis_index(u.ndim, d - nd)
         s = c / h**2
-        o[..., 1:-1] += s * (a[..., :-2] - 2.0 * a[..., 1:-1] + a[..., 2:])
+        out[ix(np.s_[1:-1])] += s * (u[ix(np.s_[:-2])] - 2.0 * u[ix(np.s_[1:-1])]
+                                     + u[ix(np.s_[2:])])
         if lo == NEUMANN:
-            o[..., 0] += 2.0 * s * (a[..., 1] - a[..., 0])
+            out[ix(0)] += 2.0 * s * (u[ix(1)] - u[ix(0)])
         if hi == NEUMANN:
-            o[..., -1] += 2.0 * s * (a[..., -2] - a[..., -1])
+            out[ix(-1)] += 2.0 * s * (u[ix(-2)] - u[ix(-1)])
     return out
 
 
@@ -296,6 +297,20 @@ def _corner_bilinear(mesh: Mesh, values: np.ndarray):
     return c00, (c10 - c00) / a, (c01 - c00) / b, (c11 - c10 - c01 + c00) / (a * b)
 
 
+@functools.lru_cache(maxsize=32)
+def _slice_monomials(mesh: Mesh) -> tuple[np.ndarray, ...]:
+    """Monomials of the local coordinates xt = x - x0, yt = y - y0 on the
+    (ny, nx) slice, built once per mesh and read-only: xt, yt, xt yt,
+    xt^2/2, yt^2/2, xt^2 yt/2, xt yt^2/2, xt^3/6 and yt^3/6."""
+    X, Y = mesh.xy()
+    xt, yt = X - mesh.x0, Y - mesh.y0
+    x2, y2 = xt**2 / 2, yt**2 / 2
+    mono = (xt, yt, xt * yt, x2, y2, x2 * yt, xt * y2, xt**3 / 6, yt**3 / 6)
+    for arr in mono:
+        arr.flags.writeable = False
+    return mono
+
+
 def _particular_field(mesh: Mesh, div_coeffs, curl_coeffs) -> VectorField2:
     """Closed-form polynomial field with bilinear divergence and curl.
 
@@ -303,19 +318,17 @@ def _particular_field(mesh: Mesh, div_coeffs, curl_coeffs) -> VectorField2:
     Dirichlet potential edges meet) develop r^2 log r potentials that degrade
     the split to O(h); subtracting this field first restores O(h^2).
     """
-    X, Y = mesh.xy()
-    xt, yt = X - mesh.x0, Y - mesh.y0
+    xt, yt, xy, x2, y2, x2y, xy2, x3, y3 = _slice_monomials(mesh)
     da, db_, dg, dd = div_coeffs
     ca, cb, cg, cd = curl_coeffs
-    # monomials on the slice first: each per-slice coefficient then costs
-    # one multiply over the volume
-    x2, y2, xy = xt**2 / 2, yt**2 / 2, xt * yt
+    # monomials on the slice: each per-slice coefficient then costs one
+    # multiply over the volume
     # divergence part: (int d dxt, 0) plus a curl-free fix keeping curl zero
-    ux = da * xt + db_ * x2 + dg * xy + dd * (x2 * yt)
-    uy = dg * x2 + dd * (xt**3 / 6)
+    ux = da * xt + db_ * x2 + dg * xy + dd * x2y
+    uy = dg * x2 + dd * x3
     # curl part: (-int c dyt, 0) plus a divergence-free fix keeping div zero
-    vx = -(ca * yt + cb * xy + cg * y2 + cd * (xt * y2))
-    vy = cb * y2 + cd * (yt**3 / 6)
+    vx = -(ca * yt + cb * xy + cg * y2 + cd * xy2)
+    vy = cb * y2 + cd * y3
     return VectorField2(mesh, ux + vx, uy + vy)
 
 
@@ -398,12 +411,10 @@ def solve_divcurl_2d(
 
     # peel off the corner-bilinear source content analytically so the
     # remaining potential problems are corner-compatible (O(h^2) split)
-    X, Y = mesh.xy()
-    xt, yt = X - mesh.x0, Y - mesh.y0
+    xt, yt, xy = _slice_monomials(mesh)[:3]
     dc = _corner_bilinear(mesh, div)
     cc = _corner_bilinear(mesh, curl)
     A0 = _particular_field(mesh, dc, cc)
-    xy = xt * yt
     div_rem = div - (dc[0] + dc[1] * xt + dc[2] * yt + dc[3] * xy)
     curl_rem = curl - (cc[0] + cc[1] * xt + cc[2] * yt + cc[3] * xy)
     t0 = boundary_tangential_trace(A0)

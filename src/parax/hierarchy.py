@@ -224,6 +224,10 @@ class FieldHistory:
         return prev, last, last.time - prev.time
 
 
+def _volume(mesh: Mesh) -> tuple[int, int, int]:
+    return mesh.nzeta, mesh.ny, mesh.nx
+
+
 def _zeta_bc(order_parity_even: bool, for_Ez: bool) -> tuple[str, str]:
     """Zeta-end boundary kinds; see module docstring for the parity rule."""
     dirichlet_ends = for_Ez == order_parity_even
@@ -259,22 +263,22 @@ class ChainContext:
             return 0.0, 0.0, 0.0
         return self.sources.Jperp.x, self.sources.Jperp.y, self.sources.Jzeta.values
 
-    def rates(self, n: int) -> FieldRates:
+    def rates(self, n: int) -> FieldRates | None:
         """d/dt of the completed order n, anchored at the solve time against
         the latest snapshot: order n at this time is already on the chain
         when order n+1 is assembled, so one prior snapshot suffices, and the
         per-order equations hold with the quotient the residual harness uses.
-        Formed once per order and shared by every stage; zeros below order 0
-        and on a cold start."""
+        Formed once per order and shared by every stage.  None below order 0
+        and on a cold start, where every time derivative is zero: the stages
+        then form no d/dt terms."""
+        latest = self.history.latest
+        if n < 0 or latest is None:
+            return None
         if n not in self._rates:
             self._rates.clear()  # only the order below the current one is read
-            latest = self.history.latest
-            if n < 0 or latest is None:
-                self._rates[n] = FieldRates.zeros(self.sources.rho.mesh)
-            else:
-                self._rates[n] = backward_rate(
-                    self.orders[n], latest.order(n), self.time - latest.time
-                )
+            self._rates[n] = backward_rate(
+                self.orders[n], latest.order(n), self.time - latest.time
+            )
         return self._rates[n]
 
 
@@ -306,15 +310,18 @@ class HierarchySolver:
     def solve_Ez_order(self, n: int, ctx: ChainContext) -> ScalarField:
         mesh, beta = self.mesh, self.beta
 
-        # d/dt (beta dEz^{n-1}/dzeta + curl Bperp^{n-1}), applied to the rates
-        rates = ctx.rates(n - 1)
-        dt_term = beta * dzeta(rates.Ez, high_order=True).values \
-            + curl_perp_vector(rates.Bperp).values
-
         source = beta * ctx.current(n - 1)[2] + self.kappa * ctx.rho(n)  # 0.0 above order 1
-        rhs = dt_term - dzeta(
-            ScalarField(mesh, np.broadcast_to(source, dt_term.shape)), high_order=True
+        d_source = dzeta(
+            ScalarField(mesh, np.broadcast_to(source, _volume(mesh))), high_order=True
         ).values
+        # d/dt (beta dEz^{n-1}/dzeta + curl Bperp^{n-1}), applied to the rates;
+        # without rates 0.0 - d_source keeps the zero signs a zero term gave
+        rates = ctx.rates(n - 1)
+        dt_term = 0.0 if rates is None else (
+            beta * dzeta(rates.Ez, high_order=True).values
+            + curl_perp_vector(rates.Bperp).values
+        )
+        rhs = dt_term - d_source
 
         kind = _zeta_bc(n % 2 == 0, for_Ez=True)[0]
         bc = BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True) \
@@ -336,9 +343,15 @@ class HierarchySolver:
         """
         mesh, beta = self.mesh, self.beta
         rates = ctx.rates(n - 1)
-        dt_Bz_prev, dt_Ez_prev = rates.Bz.values, rates.Ez.values
+        if rates is None:
+            dt_Ez_prev = dt_Bz_max = circulation = 0.0
+            curl_src = np.full(_volume(mesh), -0.0)  # -(dBz/dt) of a zero rate
+        else:
+            dt_Ez_prev = rates.Ez.values
+            dt_Bz_max = float(np.abs(rates.Bz.values).max())
+            circulation = -mesh.integrate_2d(rates.Bz.values)
+            curl_src = -rates.Bz.values
 
-        curl_src = -dt_Bz_prev
         div_src = (
             self.kappa * (dzeta(Ez_n, high_order=True).values + ctx.rho(n))
             + beta * (ctx.current(n - 1)[2] - dt_Ez_prev)
@@ -349,7 +362,7 @@ class HierarchySolver:
             ScalarField(mesh, div_src),
             ScalarField(mesh, curl_src),
             {f: beta * bperp_nu[f] for f in FACE_ORDER},
-            -mesh.integrate_2d(dt_Bz_prev),
+            circulation,
             diagnostics_out=diag,
             check_compatibility=False,
         )
@@ -357,7 +370,7 @@ class HierarchySolver:
         ctx.diagnostics["circulation_mismatch_max"] = worst
         # an O(h^2) gap between requested and achieved circulation is the
         # expected discretization level; only gross violations are loud
-        scale = 1.0 + float(np.abs(dt_Bz_prev).max()) * mesh.a * mesh.b
+        scale = 1.0 + dt_Bz_max * mesh.a * mesh.b
         if worst > 0.02 * scale:
             log.warning("order %d pseudo-field circulation mismatch %.3e", n, worst)
         return A
@@ -376,16 +389,26 @@ class HierarchySolver:
 
         d2_Ecal = dzeta2(Ecal_n)
         rates = ctx.rates(n - 1)
-        curl_dtBz = curl_perp_scalar(rates.Bz)
-        dtE_prev = rates.Eperp
         Jx_prev, Jy_prev, _ = ctx.current(n - 1)
-        dz_x = dzeta(ScalarField(mesh, dtE_prev.x + Jx_prev), high_order=True).values
-        dz_y = dzeta(ScalarField(mesh, dtE_prev.y + Jy_prev), high_order=True).values
+        if rates is None:
+            # curl_perp_scalar of a zero array is (+0.0, -0.0)
+            curl_x, curl_y, dtE_x, dtE_y = 0.0, -0.0, 0.0, 0.0
+        else:
+            curl_dtBz = curl_perp_scalar(rates.Bz)
+            curl_x, curl_y = curl_dtBz.x, curl_dtBz.y
+            dtE_x, dtE_y = rates.Eperp.x, rates.Eperp.y
+        if rates is None and np.ndim(Jx_prev) == 0:
+            # no rate and no current: the dz term is zero; which of its zeros
+            # are -0.0 does not matter, as the 3D solve reads no zero sign
+            dz_x = dz_y = 0.0
+        else:
+            dz_x = dzeta(ScalarField(mesh, dtE_x + Jx_prev), high_order=True).values
+            dz_y = dzeta(ScalarField(mesh, dtE_y + Jy_prev), high_order=True).values
 
         # (lap + kappa dzz) Eperp = grad(gauss) + dzz Ecal + curl(dBz'/dt)
         #                           + beta dz(dEperp'/dt + Jperp')
-        rhs_x = gg.x + d2_Ecal.x + curl_dtBz.x + beta * dz_x
-        rhs_y = gg.y + d2_Ecal.y + curl_dtBz.y + beta * dz_y
+        rhs_x = gg.x + d2_Ecal.x + curl_x + beta * dz_x
+        rhs_y = gg.y + d2_Ecal.y + curl_y + beta * dz_y
 
         zk = _zeta_bc(n % 2 == 0, for_Ez=False)[0]
         # tangential components vanish on Gamma; the normal component takes
@@ -421,7 +444,11 @@ class HierarchySolver:
         ``bperp_nu`` (see :meth:`_bperp_normal_trace`)."""
         mesh, beta = self.mesh, self.beta
         rates = ctx.rates(n - 1)
-        dt_Ez_prev, dt_Bz_prev = rates.Ez.values, rates.Bz.values
+        if rates is None:
+            dt_Ez_prev = dt_Bz_prev = flux = 0.0
+        else:
+            dt_Ez_prev, dt_Bz_prev = rates.Ez.values, rates.Bz.values
+            flux = mesh.integrate_2d(dt_Bz_prev) / beta
 
         curl_src = dt_Ez_prev + beta * div_perp(Eperp_n).values - ctx.current(n - 1)[2]
         div_src = -(curl_perp_vector(Eperp_n).values + dt_Bz_prev) / beta
@@ -433,7 +460,7 @@ class HierarchySolver:
             ScalarField(mesh, curl_src),
             ScalarField(mesh, -div_src),
             {f: -bperp_nu[f] for f in FACE_ORDER},
-            mesh.integrate_2d(dt_Bz_prev) / beta,
+            flux,
             diagnostics_out=diag,
             check_compatibility=False,
         )
@@ -450,8 +477,12 @@ class HierarchySolver:
         """Bperp^n . nu on Gamma by zeta-integration of the boundary condition
         (dBperp^{n-1}/dt + beta dBperp^n/dzeta) . nu = 0 from zero at the
         zeta=0 plane."""
-        dt_nu = boundary_normal_trace(ctx.rates(n - 1).Bperp)
-        return {f: cumint_zeta(-dt_nu[f] / self.beta, self.mesh) for f in FACE_ORDER}
+        mesh, rates = self.mesh, ctx.rates(n - 1)
+        if rates is None:
+            return {f: np.zeros((mesh.nzeta, mesh.ny if f.startswith("x") else mesh.nx))
+                    for f in FACE_ORDER}
+        dt_nu = boundary_normal_trace(rates.Bperp)
+        return {f: cumint_zeta(-dt_nu[f] / self.beta, mesh) for f in FACE_ORDER}
 
     def solve_Bz_order(self, n: int, Bperp_n: VectorField2, ctx: ChainContext) -> ScalarField:
         mesh = self.mesh
@@ -460,7 +491,8 @@ class HierarchySolver:
         Bz = ScalarField(mesh, cumint_zeta(divB, mesh, initial=init))
         # integral constraint: d/dzeta int Bz = -(1/beta) int dBz^{n-1}/dt
         lhs = mesh.integrate_2d(divB)
-        rhs = -mesh.integrate_2d(ctx.rates(n - 1).Bz.values) / self.beta
+        rates = ctx.rates(n - 1)
+        rhs = 0.0 if rates is None else -mesh.integrate_2d(rates.Bz.values) / self.beta
         ctx.diagnostics["bz_integral_residual"] = float(np.abs(lhs - rhs).max())
         return Bz
 

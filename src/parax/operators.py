@@ -24,28 +24,37 @@ from .mesh import FACE_NORMALS, FACE_ORDER, MIN_NZETA, Mesh, face_tangent
 _AX_X, _AX_Y, _AX_ZETA = -1, -2, 0
 
 
+def axis_index(ndim: int, axis: int):
+    """Index builder for one axis of an ``ndim``-dimensional array: ``ix(k)``
+    selects ``k`` (an int or a slice) along ``axis`` and everything along the
+    others, the view ``np.moveaxis(arr, axis, 0)[k]`` names without the
+    transposes."""
+    lead = (slice(None),) * (axis % ndim)
+    return lambda k: lead + (k,)
+
+
 def _d1(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Centered interior, one-sided second order at the ends: the arithmetic
     of ``np.gradient(arr, h, axis=axis, edge_order=2)`` without its general
     (non-uniform spacing) set-up."""
-    a = np.moveaxis(arr, axis, 0)
-    out = np.empty_like(a, dtype=float)
-    mid = out[1:-1]
-    np.subtract(a[2:], a[:-2], out=mid)
+    ix = axis_index(arr.ndim, axis)
+    out = np.empty_like(arr, dtype=float)
+    mid = out[ix(np.s_[1:-1])]
+    np.subtract(arr[ix(np.s_[2:])], arr[ix(np.s_[:-2])], out=mid)
     mid /= 2.0 * h
-    out[0] = (-1.5 / h) * a[0] + (2.0 / h) * a[1] + (-0.5 / h) * a[2]
-    out[-1] = (0.5 / h) * a[-3] + (-2.0 / h) * a[-2] + (1.5 / h) * a[-1]
-    return np.moveaxis(out, 0, axis)
+    out[ix(0)] = (-1.5 / h) * arr[ix(0)] + (2.0 / h) * arr[ix(1)] + (-0.5 / h) * arr[ix(2)]
+    out[ix(-1)] = (0.5 / h) * arr[ix(-3)] + (-2.0 / h) * arr[ix(-2)] + (1.5 / h) * arr[ix(-1)]
+    return out
 
 
 def _d2(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    a = np.moveaxis(arr, axis, 0)
-    out = np.empty_like(a)
-    out[1:-1] = a[2:] - 2.0 * a[1:-1] + a[:-2]
+    ix = axis_index(arr.ndim, axis)
+    out = np.empty_like(arr)
+    out[ix(np.s_[1:-1])] = arr[ix(np.s_[2:])] - 2.0 * arr[ix(np.s_[1:-1])] + arr[ix(np.s_[:-2])]
     # one-sided 4-point second derivative, exact for cubics
-    out[0] = 2.0 * a[0] - 5.0 * a[1] + 4.0 * a[2] - a[3]
-    out[-1] = 2.0 * a[-1] - 5.0 * a[-2] + 4.0 * a[-3] - a[-4]
-    return np.moveaxis(out, 0, axis) / h**2
+    out[ix(0)] = 2.0 * arr[ix(0)] - 5.0 * arr[ix(1)] + 4.0 * arr[ix(2)] - arr[ix(3)]
+    out[ix(-1)] = 2.0 * arr[ix(-1)] - 5.0 * arr[ix(-2)] + 4.0 * arr[ix(-3)] - arr[ix(-4)]
+    return out / h**2
 
 
 def grad_perp(phi: ScalarField, high_order: bool = False) -> VectorField2:
@@ -102,27 +111,30 @@ def _d_high(arr: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
     order more accurate than the operator removes correlated truncation
     noise from manufactured-solution studies without changing the scheme.
     """
-    a = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
-    n = a.shape[0]
+    a = np.asarray(arr, dtype=float)
+    n = a.shape[axis]
     width = 5 if order == 1 else 6
     if n < width + 1:
         fallback = _d1_cubic_ends if order == 1 else _d2_cubic_ends
         return fallback(arr, h, axis)
+    ix = axis_index(a.ndim, axis)
+    s = np.s_
     out = np.empty_like(a)
     if order == 1:
-        out[2:-2] = (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
+        out[ix(s[2:-2])] = (a[ix(s[:-4])] - 8.0 * a[ix(s[1:-3])]
+                            + 8.0 * a[ix(s[3:-1])] - a[ix(s[4:])]) / (12.0 * h)
     else:
-        out[2:-2] = (-a[:-4] + 16.0 * a[1:-3] - 30.0 * a[2:-2]
-                     + 16.0 * a[3:-1] - a[4:]) / (12.0 * h**2)
+        out[ix(s[2:-2])] = (-a[ix(s[:-4])] + 16.0 * a[ix(s[1:-3])] - 30.0 * a[ix(s[2:-2])]
+                            + 16.0 * a[ix(s[3:-1])] - a[ix(s[4:])]) / (12.0 * h**2)
     scale = h**order
     for row in (0, 1):
         offs = tuple(range(-row, width - row))
         w = _fd_weights(offs, order)
-        lo = sum(wk * a[row + off] for wk, off in zip(w, offs))
-        hi = sum(wk * a[n - 1 - row - off] for wk, off in zip(w, offs))
-        out[row] = lo / scale
-        out[n - 1 - row] = (hi if order == 2 else -hi) / scale
-    return np.moveaxis(out, 0, axis)
+        lo = sum(wk * a[ix(row + off)] for wk, off in zip(w, offs))
+        hi = sum(wk * a[ix(n - 1 - row - off)] for wk, off in zip(w, offs))
+        out[ix(row)] = lo / scale
+        out[ix(n - 1 - row)] = (hi if order == 2 else -hi) / scale
+    return out
 
 
 def _d1_cubic_ends(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -131,10 +143,11 @@ def _d1_cubic_ends(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     out = _d1(arr, h, axis)
     if arr.shape[axis] < 4:
         return out
-    a = np.moveaxis(arr, axis, 0)
-    o = np.moveaxis(out, axis, 0)
-    o[0] = (-11.0 * a[0] + 18.0 * a[1] - 9.0 * a[2] + 2.0 * a[3]) / (6.0 * h)
-    o[-1] = (11.0 * a[-1] - 18.0 * a[-2] + 9.0 * a[-3] - 2.0 * a[-4]) / (6.0 * h)
+    ix = axis_index(arr.ndim, axis)
+    a0, a1, a2, a3 = (arr[ix(k)] for k in range(4))
+    out[ix(0)] = (-11.0 * a0 + 18.0 * a1 - 9.0 * a2 + 2.0 * a3) / (6.0 * h)
+    b0, b1, b2, b3 = (arr[ix(-1 - k)] for k in range(4))
+    out[ix(-1)] = (11.0 * b0 - 18.0 * b1 + 9.0 * b2 - 2.0 * b3) / (6.0 * h)
     return out
 
 
@@ -142,11 +155,12 @@ def _d2_cubic_ends(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
     out = _d2(arr, h, axis)
     if arr.shape[axis] < 5:
         return out
-    a = np.moveaxis(arr, axis, 0)
-    o = np.moveaxis(out, axis, 0)
+    ix = axis_index(arr.ndim, axis)
     c = np.array([35.0 / 12.0, -26.0 / 3.0, 19.0 / 2.0, -14.0 / 3.0, 11.0 / 12.0]) / h**2
-    o[0] = c[0] * a[0] + c[1] * a[1] + c[2] * a[2] + c[3] * a[3] + c[4] * a[4]
-    o[-1] = c[0] * a[-1] + c[1] * a[-2] + c[2] * a[-3] + c[3] * a[-4] + c[4] * a[-5]
+    a0, a1, a2, a3, a4 = (arr[ix(k)] for k in range(5))
+    out[ix(0)] = c[0] * a0 + c[1] * a1 + c[2] * a2 + c[3] * a3 + c[4] * a4
+    b0, b1, b2, b3, b4 = (arr[ix(-1 - k)] for k in range(5))
+    out[ix(-1)] = c[0] * b0 + c[1] * b1 + c[2] * b2 + c[3] * b3 + c[4] * b4
     return out
 
 
@@ -191,13 +205,21 @@ def cumint_zeta(values: np.ndarray, mesh: Mesh, initial: np.ndarray | float = 0.
 
 # -- boundary traces and contour integrals -------------------------------------
 
-def face_values(arr: np.ndarray, mesh: Mesh, face: str) -> np.ndarray:
-    """Values of a nodal array on one transverse face, natural order.
+_FACE_INDEX = {
+    "x_lo": (Ellipsis, slice(None), 0),
+    "x_hi": (Ellipsis, slice(None), -1),
+    "y_lo": (Ellipsis, 0, slice(None)),
+    "y_hi": (Ellipsis, -1, slice(None)),
+}
+
+
+def face_values(arr: np.ndarray, face: str) -> np.ndarray:
+    """Values of a nodal array on one transverse face, natural order: the
+    nodes of ``mesh.face_nodes(face)``, read as a view.
 
     For volumetric input the result has shape (nzeta, nface).
     """
-    j, i = mesh.face_nodes(face)
-    return arr[..., j, i]
+    return arr[_FACE_INDEX[face]]
 
 
 def boundary_tangential_trace(A: VectorField2) -> dict[str, np.ndarray]:
@@ -205,7 +227,7 @@ def boundary_tangential_trace(A: VectorField2) -> dict[str, np.ndarray]:
     out = {}
     for f in FACE_ORDER:
         tx, ty = face_tangent(f)
-        out[f] = tx * face_values(A.x, A.mesh, f) + ty * face_values(A.y, A.mesh, f)
+        out[f] = tx * face_values(A.x, f) + ty * face_values(A.y, f)
     return out
 
 
@@ -214,7 +236,7 @@ def boundary_normal_trace(A: VectorField2) -> dict[str, np.ndarray]:
     out = {}
     for f in FACE_ORDER:
         nx_, ny_ = FACE_NORMALS[f]
-        out[f] = nx_ * face_values(A.x, A.mesh, f) + ny_ * face_values(A.y, A.mesh, f)
+        out[f] = nx_ * face_values(A.x, f) + ny_ * face_values(A.y, f)
     return out
 
 
@@ -225,7 +247,9 @@ def _face_h(mesh: Mesh, face: str) -> float:
 def _contour_integral(mesh: Mesh, traces: dict[str, np.ndarray]) -> np.ndarray:
     total = 0.0
     for f in FACE_ORDER:
-        total = total + np.trapezoid(traces[f], dx=_face_h(mesh, f), axis=-1)
+        # in zeta-major memory order each slice's sum runs node by node along
+        # the face, which fixes the rounding of the reported integrals
+        total = total + np.trapezoid(np.asfortranarray(traces[f]), dx=_face_h(mesh, f), axis=-1)
     return total
 
 

@@ -417,8 +417,25 @@ def test_cli_main_and_env_out(tmp_path, monkeypatch):
 def test_cli_error_paths(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text("[scaling]\nbeta = 2.0\n")
-    assert main(["fields", "--config", str(bad), "--quiet"]) == 2
+    assert main(["fields", "--config", str(bad), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert "beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb, text, key", [
+    ("fields", "[mesh]\nnzeta = 3\n", "[mesh] nzeta"),   # refused by validate
+    ("pic", "[mesh]\nx0 = nan\n", "[mesh] x0"),          # refused by validate
+    ("mms", "[study]\ntarget = eta\n", "[study] target"),  # refused by the verb
+])
+def test_refused_config_leaves_error_json(tmp_path, capsys, verb, text, key):
+    ini = tmp_path / "refused.ini"
+    ini.write_text(text)
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(ini), "--out", str(out), "--quiet"]) == 2
+    assert key in capsys.readouterr().err
+    assert json_outputs(out) == {"error.json"}
+    report = json.loads((out / "error.json").read_text())
+    assert report["verb"] == verb
+    assert report["error"].startswith("ConfigError") and key in report["error"]
 
 
 def test_unwritable_output_dir(tmp_path):

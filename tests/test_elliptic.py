@@ -421,3 +421,18 @@ def test_gamma_dirichlet_matches_loop_reference():
         ref = _gamma_dirichlet_loop(m, {f: v[k] for f, v in g.items()})
         for f in ref:
             np.testing.assert_array_equal(got[f][k], ref[f])
+
+
+def test_slice_monomials_built_once_per_mesh_read_only():
+    from parax.elliptic import _slice_monomials
+
+    m = build_mesh(1.0, 2.0, 1.0, 7, 5, 4, x0=-0.5, y0=0.25)
+    mono = _slice_monomials(m)
+    assert _slice_monomials(build_mesh(1.0, 2.0, 1.0, 7, 5, 4, x0=-0.5, y0=0.25)) is mono
+    X, Y = m.xy()
+    xt, yt = X - m.x0, Y - m.y0
+    x2, y2 = xt**2 / 2, yt**2 / 2
+    for got, want in zip(mono, (xt, yt, xt * yt, x2, y2, x2 * yt, xt * y2,
+                                xt**3 / 6, yt**3 / 6)):
+        assert got.shape == (m.ny, m.nx) and not got.flags.writeable
+        assert np.array_equal(got, want)

@@ -253,6 +253,25 @@ def test_sources_are_one_order_0_source_terms():
         HierarchySolver(mesh, BETA).solve_hierarchy(1, [src])
 
 
+def test_order_0_reads_no_time_derivative():
+    # order 0 reads the rates of order -1, which do not exist: a history
+    # changes none of its bits, zero signs and diagnostics included
+    mesh = small_mesh(9)
+    case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0, jc=0.5, bz_external=0.3)
+    solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=case.bz_external))
+    hist = FieldHistory()
+    hist.push(solver.solve_hierarchy(1, case.sources(0.0), hist, time=0.0))
+    sources = case.sources(0.2)
+    warm = solver.solve_hierarchy(0, sources, hist, 0.2).order(0)
+    cold = solver.solve_hierarchy(0, sources, FieldHistory(), 0.2).order(0)
+    for a, b in ((warm.Ez.values, cold.Ez.values), (warm.Bz.values, cold.Bz.values),
+                 (warm.Ecal.x, cold.Ecal.x), (warm.Ecal.y, cold.Ecal.y),
+                 (warm.Eperp.x, cold.Eperp.x), (warm.Eperp.y, cold.Eperp.y),
+                 (warm.Bperp.x, cold.Bperp.x), (warm.Bperp.y, cold.Bperp.y)):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+    assert warm.diagnostics == cold.diagnostics
+
+
 def test_non_finite_source_is_an_error():
     # a NaN written into a source after construction reaches the chain, whose
     # first field built from it refuses the non-finite entries

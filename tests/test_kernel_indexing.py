@@ -1,0 +1,195 @@
+"""The stencils and face traces index one axis by slice tuples; these tests pin
+them bit for bit, zero signs included, to the ``np.moveaxis`` and
+fancy-index forms they replaced, which are kept here as references."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from parax.elliptic import DIRICHLET, NEUMANN, BoundarySpec, FaceBC, _apply
+from parax.elliptic import solve_anisotropic_poisson_3d
+from parax.fields import ScalarField, VectorField2
+from parax.mesh import FACE_NORMALS, FACE_ORDER, build_mesh, face_tangent
+from parax.operators import (
+    _d_high,
+    _fd_weights,
+    boundary_normal_trace,
+    boundary_tangential_trace,
+    circulation,
+    face_values,
+    flux,
+)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a, b) \
+        and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def drawn(seed: int, shape) -> np.ndarray:
+    """Normal values with a share of the entries, drawn from the seed
+    (none, some, most or all), exact zeros of either sign."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) * 10.0
+    zero = rng.random(shape) < rng.choice([0.0, 0.3, 0.9, 1.0])
+    a[zero] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[zero]
+    return a
+
+
+# -- references: the moveaxis and fancy-index forms ------------------------------
+
+def _d2_ref(arr, h, axis):
+    a = np.moveaxis(arr, axis, 0)
+    out = np.empty_like(a)
+    out[1:-1] = a[2:] - 2.0 * a[1:-1] + a[:-2]
+    out[0] = 2.0 * a[0] - 5.0 * a[1] + 4.0 * a[2] - a[3]
+    out[-1] = 2.0 * a[-1] - 5.0 * a[-2] + 4.0 * a[-3] - a[-4]
+    return np.moveaxis(out, 0, axis) / h**2
+
+
+def _d1_cubic_ends_ref(arr, h, axis):
+    out = np.gradient(arr, h, axis=axis, edge_order=2)
+    if arr.shape[axis] < 4:
+        return out
+    a = np.moveaxis(arr, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    o[0] = (-11.0 * a[0] + 18.0 * a[1] - 9.0 * a[2] + 2.0 * a[3]) / (6.0 * h)
+    o[-1] = (11.0 * a[-1] - 18.0 * a[-2] + 9.0 * a[-3] - 2.0 * a[-4]) / (6.0 * h)
+    return out
+
+
+def _d2_cubic_ends_ref(arr, h, axis):
+    out = _d2_ref(arr, h, axis)
+    if arr.shape[axis] < 5:
+        return out
+    a = np.moveaxis(arr, axis, 0)
+    o = np.moveaxis(out, axis, 0)
+    c = np.array([35.0 / 12.0, -26.0 / 3.0, 19.0 / 2.0, -14.0 / 3.0, 11.0 / 12.0]) / h**2
+    o[0] = c[0] * a[0] + c[1] * a[1] + c[2] * a[2] + c[3] * a[3] + c[4] * a[4]
+    o[-1] = c[0] * a[-1] + c[1] * a[-2] + c[2] * a[-3] + c[3] * a[-4] + c[4] * a[-5]
+    return out
+
+
+def _d_high_ref(arr, h, axis, order):
+    a = np.moveaxis(np.asarray(arr, dtype=float), axis, 0)
+    n = a.shape[0]
+    width = 5 if order == 1 else 6
+    if n < width + 1:
+        fallback = _d1_cubic_ends_ref if order == 1 else _d2_cubic_ends_ref
+        return fallback(arr, h, axis)
+    out = np.empty_like(a)
+    if order == 1:
+        out[2:-2] = (a[:-4] - 8.0 * a[1:-3] + 8.0 * a[3:-1] - a[4:]) / (12.0 * h)
+    else:
+        out[2:-2] = (-a[:-4] + 16.0 * a[1:-3] - 30.0 * a[2:-2]
+                     + 16.0 * a[3:-1] - a[4:]) / (12.0 * h**2)
+    scale = h**order
+    for row in (0, 1):
+        offs = tuple(range(-row, width - row))
+        w = _fd_weights(offs, order)
+        lo = sum(wk * a[row + off] for wk, off in zip(w, offs))
+        hi = sum(wk * a[n - 1 - row - off] for wk, off in zip(w, offs))
+        out[row] = lo / scale
+        out[n - 1 - row] = (hi if order == 2 else -hi) / scale
+    return np.moveaxis(out, 0, axis)
+
+
+def _apply_ref(u, spacings, coeffs, kinds):
+    out = np.zeros_like(u)
+    nd = len(spacings)
+    for d, (h, c, (lo, hi)) in enumerate(zip(spacings, coeffs, kinds)):
+        a = np.moveaxis(u, d - nd, -1)
+        o = np.moveaxis(out, d - nd, -1)
+        s = c / h**2
+        o[..., 1:-1] += s * (a[..., :-2] - 2.0 * a[..., 1:-1] + a[..., 2:])
+        if lo == NEUMANN:
+            o[..., 0] += 2.0 * s * (a[..., 1] - a[..., 0])
+        if hi == NEUMANN:
+            o[..., -1] += 2.0 * s * (a[..., -2] - a[..., -1])
+    return out
+
+
+def _face_values_ref(arr, mesh, face):
+    j, i = mesh.face_nodes(face)
+    return arr[..., j, i]
+
+
+def _traces_ref(A, weights):
+    return {f: weights(f)[0] * _face_values_ref(A.x, A.mesh, f)
+            + weights(f)[1] * _face_values_ref(A.y, A.mesh, f) for f in FACE_ORDER}
+
+
+def _contour_integral_ref(mesh, traces):
+    total = 0.0
+    for f in FACE_ORDER:
+        h = mesh.hx if f in ("y_lo", "y_hi") else mesh.hy
+        total = total + np.trapezoid(traces[f], dx=h, axis=-1)
+    return total
+
+
+# -- the re-indexed kernels against them -------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(4, 9), st.integers(3, 6), st.sampled_from([0, -2, -1]),
+       st.sampled_from([1, 2]), st.floats(0.01, 3.0), st.integers(0, 2**32 - 1))
+def test_d_high_matches_moveaxis_form(n_axis, n_other, axis, order, h, seed):
+    # axis lengths 4-9 reach the cubic-end fallbacks (below 6 or 7 nodes)
+    # and the one-sided 4th-order rows
+    shape = [n_other, n_other + 1, n_other + 2]
+    shape[axis] = n_axis
+    a = drawn(seed, tuple(shape))
+    assert same_bits(_d_high(a, h, axis, order), _d_high_ref(a, h, axis, order))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(3, 7),
+       st.lists(st.sampled_from([DIRICHLET, NEUMANN]), min_size=6, max_size=6),
+       st.integers(0, 2**32 - 1))
+def test_apply_matches_moveaxis_form(nd, n, ends, seed):
+    # every Dirichlet/Neumann mix at the two ends of each axis
+    shape = tuple(n + k for k in range(nd))
+    u = drawn(seed, shape)
+    spacings = tuple(0.1 * (k + 1) for k in range(nd))
+    coeffs = tuple(0.75 if k == 0 and nd == 3 else 1.0 for k in range(nd))
+    kinds = [(ends[2 * k], ends[2 * k + 1]) for k in range(nd)]
+    assert same_bits(_apply(u, spacings, coeffs, kinds), _apply_ref(u, spacings, coeffs, kinds))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(3, 9), st.integers(3, 9), st.integers(4, 7), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_face_traces_match_fancy_index_form(nx, ny, nzeta, volumetric, seed):
+    mesh = build_mesh(1.0, 0.7, 2.0, nx, ny, nzeta, x0=-0.2, y0=0.3)
+    shape = (nzeta, ny, nx) if volumetric else (ny, nx)
+    A = VectorField2(mesh, drawn(seed, shape), drawn(seed + 1, shape))
+    for f in FACE_ORDER:
+        assert same_bits(face_values(A.x, f), _face_values_ref(A.x, mesh, f))
+    tangential = _traces_ref(A, face_tangent)
+    normal = _traces_ref(A, FACE_NORMALS.get)
+    got_t, got_n = boundary_tangential_trace(A), boundary_normal_trace(A)
+    for f in FACE_ORDER:
+        assert same_bits(got_t[f], tangential[f])
+        assert same_bits(got_n[f], normal[f])
+    # the contour integrals keep the summation order of the gathered traces
+    assert same_bits(circulation(A), _contour_integral_ref(mesh, tangential))
+    assert same_bits(flux(A), _contour_integral_ref(mesh, normal))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(4, 9), st.booleans(), st.integers(0, 2**32 - 1))
+def test_3d_solve_reads_no_zero_sign_of_its_rhs(nzeta, neumann_ends, seed):
+    # the chain's cold-start terms may change which zeros of a 3D right-hand
+    # side are -0.0; the solve must give the same bits either way
+    mesh = build_mesh(1.0, 1.0, 2.0, 7, 6, nzeta)
+    rhs = drawn(seed, (nzeta, 6, 7))
+    rhs[:, 2] = 0.0  # whole lines of zeros as well
+    flipped = np.where(rhs == 0.0, np.where(np.signbit(rhs), 0.0, -0.0), rhs)
+    kind = NEUMANN if neumann_ends else DIRICHLET
+    bc = BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True) \
+        .with_face("zeta_lo", FaceBC(kind, 0.0)).with_face("zeta_hi", FaceBC(kind, 0.0))
+    info_a, info_b = {}, {}
+    a = solve_anisotropic_poisson_3d(0.75, ScalarField(mesh, rhs), bc, info_out=info_a)
+    b = solve_anisotropic_poisson_3d(0.75, ScalarField(mesh, flipped), bc, info_out=info_b)
+    assert same_bits(a.values, b.values)
+    assert info_a == info_b
