@@ -1,7 +1,7 @@
 """parax: hierarchical paraxial field solver and PIC transport for
 non-relativistic charged beams in the co-moving frame."""
 
-from .config import RunConfig, parse_config, serialize_config
+from .config import RunConfig, serialize_config
 from .elliptic import (
     BoundarySpec,
     FaceBC,

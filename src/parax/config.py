@@ -1,8 +1,9 @@
 """Run configuration: flat-section key=value files (INI grammar).
 
-Every key is validated against the schema below at parse time; unknown keys
-are rejected with a close-match suggestion, and constraint violations name
-the offending key.  parse(serialize(config)) is a fixed point.
+:func:`read_config` checks every section, key and value type against the
+schema below and rejects unknown ones with a close-match suggestion;
+:func:`validate` checks value ranges, and each refusal names its
+``[section] key``.  read_config(serialize_config(config)) is a fixed point.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass, field, fields as dc_fields
 
 from .mesh import MIN_NZETA
+from .scaling import SPEED_OF_LIGHT
 
 
 class ConfigError(ValueError):
@@ -120,52 +122,55 @@ def _convert(raw: str, target_type: type, where: str):
         raise ConfigError(f"{where}: cannot parse {raw!r} as {target_type.__name__}")
 
 
-def _floats(cfg: RunConfig):
-    """``([section] key, value)`` for every float setting."""
+def _range_checks(cfg: RunConfig):
+    """``(section, key, ok, requirement)`` for every range check of
+    :func:`validate`, in the order it applies them."""
+    m, s, h, p, f, o = cfg.mesh, cfg.scaling, cfg.hierarchy, cfg.pic, cfg.fields, cfg.output
     for name in _BLOCKS:
         block = getattr(cfg, name)
-        for f in dc_fields(block):
-            value = getattr(block, f.name)
+        for fd in dc_fields(block):
+            value = getattr(block, fd.name)
             if isinstance(value, float):
-                yield f"[{name}] {f.name}", value
+                yield name, fd.name, math.isfinite(value), "must be finite"
+    for key in ("a", "b", "zlen"):
+        yield "mesh", key, getattr(m, key) > 0, "must be positive"
+    yield "mesh", "nx", m.nx >= 3, "must be >= 3"
+    yield "mesh", "ny", m.ny >= 3, "must be >= 3"
+    yield ("mesh", "nzeta", m.nzeta >= MIN_NZETA,
+           f"must be >= {MIN_NZETA}, the fewest zeta nodes the field chain runs on")
+    yield "scaling", "beta", 0.0 < s.beta < 1.0, "must lie in (0, 1)"
+    # below about 7.5e-9 the field chain's kappa = 1 - beta^2 rounds to 1
+    yield "scaling", "beta", 1.0 - s.beta**2 < 1.0, "is too small: 1 - beta^2 rounds to 1"
+    yield "scaling", "mode", s.mode in ("dimensionless", "physical"), \
+        "must be dimensionless or physical"
+    yield "scaling", "eta", s.mode != "dimensionless" or s.eta > 0, \
+        "must be positive in dimensionless mode"
+    yield "scaling", "vbar", s.mode != "physical" or 0 < s.vbar < SPEED_OF_LIGHT, \
+        f"must lie in (0, {SPEED_OF_LIGHT:.0f}) m/s in physical mode"
+    yield "hierarchy", "n_max", h.n_max >= 0, "must be >= 0"
+    yield "pic", "n_particles", p.n_particles > 0, "must be positive"
+    yield "pic", "seed", p.seed >= 0, "must be >= 0"
+    yield "pic", "dt", p.dt > 0, "must be positive"
+    yield "pic", "steps", p.steps >= 0, "must be >= 0"
+    yield "pic", "total_weight", p.total_weight > 0, "must be positive"
+    for key in ("radius", "sigma", "vth", "vzeta_th"):
+        yield "pic", key, getattr(p, key) >= 0, "must be >= 0"
+    yield "pic", "family", p.family in ("uniform", "gaussian", "cold"), \
+        "must be uniform, gaussian or cold"
+    yield "output", "cadence", o.cadence >= 1, "must be >= 1"
+    yield "fields", "case", f.case in ("qs-mode-111", "zero"), "must be qs-mode-111 or zero"
+    yield "fields", "snapshots", f.snapshots >= 1, "must be >= 1"
+    yield "fields", "dt", f.dt > 0, "must be positive"
 
 
 def validate(cfg: RunConfig) -> RunConfig:
-    """Return ``cfg``, or raise ConfigError naming the first setting out of range."""
-    m, s, h, p, o = cfg.mesh, cfg.scaling, cfg.hierarchy, cfg.pic, cfg.output
-    checks = [
-        *((math.isfinite(v), f"{key} must be finite, got {v!r}") for key, v in _floats(cfg)),
-        (m.a > 0 and m.b > 0 and m.zlen > 0, "mesh extents (a, b, zlen) must be positive"),
-        (m.nx >= 3 and m.ny >= 3, "[mesh] nx and ny must be >= 3"),
-        (m.nzeta >= MIN_NZETA,
-         f"[mesh] nzeta must be >= {MIN_NZETA}, the fewest zeta nodes the field chain runs on"),
-        (0.0 < s.beta < 1.0, "beta must lie in (0, 1)"),
-        (s.mode in ("dimensionless", "physical"), "scaling mode must be dimensionless|physical"),
-        (s.mode != "dimensionless" or s.eta > 0, "eta must be positive"),
-        (s.mode != "physical" or s.vbar > 0, "physical mode needs vbar > 0"),
-        (h.n_max >= 0, "n_max must be >= 0"),
-        (p.n_particles > 0, "n_particles must be positive"),
-        (p.dt > 0, "pic dt must be positive"),
-        (p.steps >= 0, "steps must be >= 0"),
-        (p.total_weight > 0, "total_weight must be positive"),
-        *((getattr(p, k) >= 0, f"[pic] {k} must be >= 0")
-          for k in ("radius", "sigma", "vth", "vzeta_th")),
-        (p.family in ("uniform", "gaussian", "cold"), "family must be uniform|gaussian|cold"),
-        (o.cadence >= 1, "cadence must be >= 1"),
-        (cfg.fields.case in ("qs-mode-111", "zero"),
-         f"[fields] case must be qs-mode-111 or zero, got {cfg.fields.case!r}"),
-        (cfg.fields.snapshots >= 1, "snapshots must be >= 1"),
-        (cfg.fields.dt > 0, "fields dt must be positive"),
-    ]
-    for ok, message in checks:
+    """Return ``cfg``, or raise ConfigError naming the ``[section] key`` of
+    the first setting out of range."""
+    for section, key, ok, requirement in _range_checks(cfg):
         if not ok:
-            raise ConfigError(message)
+            value = getattr(getattr(cfg, section), key)
+            raise ConfigError(f"[{section}] {key} {requirement}, got {value!r}")
     return cfg
-
-
-def parse_config(text_or_path: str) -> RunConfig:
-    """Parse and validate a config from a path or literal text."""
-    return validate(read_config(text_or_path))
 
 
 def read_config(text_or_path: str) -> RunConfig:

@@ -246,7 +246,6 @@ def _solve_scalar(
         info_out.update(
             method="fdm",
             relative_residual=float(np.linalg.norm(res) / bn) if bn > 0 else 0.0,
-            n_unknowns=x.size,
         )
     u[inner] = x
     return u
@@ -391,23 +390,24 @@ def solve_divcurl_2d(
         raise ValueError("div and curl sources must have the same shape")
     circulation = np.asarray(circulation, dtype=float)
 
-    area_curl = mesh.integrate_2d(curl)
-    area = mesh.a * mesh.b
-    # judge the mismatch against the full source amplitude, not just the curl
-    # channel, so discrete-noise sources with tiny curl do not trip the check
-    scale = np.maximum.reduce([
-        np.abs(area_curl),
-        np.abs(curl).max(axis=(-2, -1)) * area,
-        np.abs(div).max(axis=(-2, -1)) * area,
-        np.full(np.shape(area_curl), 1e-12),
-    ])
-    gap = np.abs(circulation - area_curl)
-    if check_compatibility and np.any(gap > np.maximum(COMPAT_RTOL * scale, 1e-12)):
-        k = np.argmax(gap)
-        raise IncompatibleDataError(
-            f"circulation {np.broadcast_to(circulation, gap.shape).flat[k]:.6e} "
-            f"inconsistent with curl integral {np.ravel(area_curl)[k]:.6e}"
-        )
+    if check_compatibility:
+        area_curl = mesh.integrate_2d(curl)
+        area = mesh.a * mesh.b
+        # judge the mismatch against the full source amplitude, not just the
+        # curl channel, so discrete-noise sources with tiny curl do not trip it
+        scale = np.maximum.reduce([
+            np.abs(area_curl),
+            np.abs(curl).max(axis=(-2, -1)) * area,
+            np.abs(div).max(axis=(-2, -1)) * area,
+            np.full(np.shape(area_curl), 1e-12),
+        ])
+        gap = np.abs(circulation - area_curl)
+        if np.any(gap > np.maximum(COMPAT_RTOL * scale, 1e-12)):
+            k = np.argmax(gap)
+            raise IncompatibleDataError(
+                f"circulation {np.broadcast_to(circulation, gap.shape).flat[k]:.6e} "
+                f"inconsistent with curl integral {np.ravel(area_curl)[k]:.6e}"
+            )
 
     # peel off the corner-bilinear source content analytically so the
     # remaining potential problems are corner-compatible (O(h^2) split)

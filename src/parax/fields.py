@@ -45,9 +45,8 @@ class ScalarField:
         return self.values.ndim == 3
 
     @classmethod
-    def zeros(cls, mesh: Mesh, volumetric: bool = True) -> "ScalarField":
-        shape = (mesh.nzeta, mesh.ny, mesh.nx) if volumetric else (mesh.ny, mesh.nx)
-        return cls(mesh, np.zeros(shape))
+    def zeros(cls, mesh: Mesh) -> "ScalarField":
+        return cls(mesh, np.zeros((mesh.nzeta, mesh.ny, mesh.nx)))
 
 
 @dataclass
@@ -69,8 +68,8 @@ class VectorField2:
         return self.x.ndim == 3
 
     @classmethod
-    def zeros(cls, mesh: Mesh, volumetric: bool = True) -> "VectorField2":
-        shape = (mesh.nzeta, mesh.ny, mesh.nx) if volumetric else (mesh.ny, mesh.nx)
+    def zeros(cls, mesh: Mesh) -> "VectorField2":
+        shape = (mesh.nzeta, mesh.ny, mesh.nx)
         return cls(mesh, np.zeros(shape), np.zeros(shape))
 
 

@@ -114,23 +114,14 @@ class FieldRates:
     Eperp: VectorField2
     Bperp: VectorField2
 
-    @classmethod
-    def zeros(cls, mesh: Mesh) -> "FieldRates":
-        return cls(ScalarField.zeros(mesh), ScalarField.zeros(mesh),
-                   VectorField2.zeros(mesh), VectorField2.zeros(mesh))
 
+def backward_rate(now: FieldOrder, before: FieldOrder, dt: float) -> FieldRates:
+    """(now - before) / dt for Ez, Bz, Eperp and Bperp.
 
-def backward_rate(now: FieldOrder, before: FieldOrder | None, dt: float) -> FieldRates:
-    """(now - before) / dt for Ez, Bz, Eperp and Bperp; zeros on a cold start
-    (``before`` is None).
-
-    This is the one difference quotient of the program: the chain applies it
-    to the completed order n-1 against the latest snapshot, the residual
-    harness to each order of the last two snapshots.
+    The chain applies it to the completed order n-1 against the latest
+    snapshot, the residual harness to each order of the last two snapshots.
     """
     mesh = now.Ez.mesh
-    if before is None:
-        return FieldRates.zeros(mesh)
     if dt <= 0:
         raise ValueError("solve time must exceed the latest snapshot time")
 
@@ -165,9 +156,8 @@ class FieldHierarchy:
     def n_max(self) -> int:
         return len(self.orders) - 1
 
-    def reconstruct(self, eta: float, n_max: int | None = None) -> FieldOrder:
+    def reconstruct(self, eta: float, n_max: int) -> FieldOrder:
         """Total fields as eta-weighted sums over orders 0..n_max."""
-        n_max = self.n_max if n_max is None else n_max
         mesh = self.mesh
         Ez = np.zeros((mesh.nzeta, mesh.ny, mesh.nx))
         Bz = np.zeros_like(Ez)
@@ -228,11 +218,10 @@ def _volume(mesh: Mesh) -> tuple[int, int, int]:
     return mesh.nzeta, mesh.ny, mesh.nx
 
 
-def _zeta_bc(order_parity_even: bool, for_Ez: bool) -> tuple[str, str]:
-    """Zeta-end boundary kinds; see module docstring for the parity rule."""
-    dirichlet_ends = for_Ez == order_parity_even
-    kind = DIRICHLET if dirichlet_ends else NEUMANN
-    return kind, kind
+def _zeta_kind(n: int, for_Ez: bool) -> str:
+    """Boundary kind of both zeta ends at order n; see module docstring for
+    the parity rule."""
+    return DIRICHLET if for_Ez == (n % 2 == 0) else NEUMANN
 
 
 @dataclass
@@ -323,7 +312,7 @@ class HierarchySolver:
         )
         rhs = dt_term - d_source
 
-        kind = _zeta_bc(n % 2 == 0, for_Ez=True)[0]
+        kind = _zeta_kind(n, for_Ez=True)
         bc = BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True) \
             .with_face("zeta_lo", FaceBC(kind, 0.0)) \
             .with_face("zeta_hi", FaceBC(kind, 0.0))
@@ -410,7 +399,7 @@ class HierarchySolver:
         rhs_x = gg.x + d2_Ecal.x + curl_x + beta * dz_x
         rhs_y = gg.y + d2_Ecal.y + curl_y + beta * dz_y
 
-        zk = _zeta_bc(n % 2 == 0, for_Ez=False)[0]
+        zk = _zeta_kind(n, for_Ez=False)
         # tangential components vanish on Gamma; the normal component takes
         # the Gauss constraint as a Neumann condition (dEx/dx = gauss there)
         bc_x = BoundarySpec({

@@ -279,23 +279,13 @@ def gamma_ccw_faces(mesh: Mesh):
     return path
 
 
-def norms(
-    values: np.ndarray,
-    mesh: Mesh,
-    interior_only: bool = True,
-    collar: int = 1,
-) -> dict[str, float]:
-    """Discrete L2 (volume-weighted) and max norms over interior nodes.
-
-    ``collar`` is the number of boundary rows excluded per face; residual
-    evaluation uses 2 so that one-sided stencil rows never enter the norm.
-    """
+def norms(values: np.ndarray, mesh: Mesh) -> dict[str, float]:
+    """Discrete L2 (volume-weighted) and max norms over the nodes one row in
+    from each face."""
     v = np.asarray(values)
     w = mesh.dual_area_2d if v.ndim == 2 else mesh.dual_volume_3d
-    if interior_only:
-        keep = tuple(slice(collar, n - collar) for n in v.shape)
-        v, w = v[keep], w[keep]
-    return weighted_norms(v, w)
+    keep = (slice(1, -1),) * v.ndim
+    return weighted_norms(v[keep], w[keep])
 
 
 def weighted_norms(values: np.ndarray, weights: np.ndarray) -> dict[str, float]:

@@ -262,10 +262,10 @@ def _interior(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OrderTerms:
-    """Residual pieces of one expansion order on the collar-2 interior, keyed
-    by equation component (``ampere_perp_x``, ``ampere_perp_y``,
-    ``ampere_zeta``, ``gauss``, ``faraday_perp_x``, ``faraday_perp_y``,
-    ``faraday_zeta``, ``monopole``).
+    """Residual pieces of one expansion order on the nodes two rows in from
+    each face (``_INTERIOR``), keyed by equation component
+    (``ampere_perp_x``, ``ampere_perp_y``, ``ampere_zeta``, ``gauss``,
+    ``faraday_perp_x``, ``faraday_perp_y``, ``faraday_zeta``, ``monopole``).
 
     ``spatial`` (the zeta and transverse derivative terms) enters the
     residual as is, ``rate`` (the d/dt terms) times eta; a component missing
@@ -436,10 +436,9 @@ def convergence_study(
     return ConvergenceReport(parameters, errors, slope, target_order, label)
 
 
-def richardson_combine(coarse: float, fine: float, order: int = 2, ratio: float = 2.0) -> float:
-    """Extrapolate away the O(h^order) part of two norms on grids h, h/ratio."""
-    w = ratio**order
-    return (w * fine - coarse) / (w - 1.0)
+def richardson_combine(coarse: float, fine: float) -> float:
+    """Extrapolate away the O(h^2) part of two norms on grids h and h/2."""
+    return (4.0 * fine - coarse) / 3.0
 
 
 def eta_scaling_study(etas, n_max: int, coarse: ResidualTerms, fine: ResidualTerms):

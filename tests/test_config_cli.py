@@ -8,7 +8,7 @@ import pytest
 
 import parax
 from parax.cli import main, run_command
-from parax.config import ConfigError, RunConfig, parse_config, serialize_config
+from parax.config import ConfigError, RunConfig, read_config, serialize_config, validate
 
 MINIMAL = """
 [mesh]
@@ -21,8 +21,13 @@ beta = 0.4
 """
 
 
+def read_validated(text_or_path):
+    """A config as ``parax`` takes it: read, then range-checked."""
+    return validate(read_config(text_or_path))
+
+
 def test_parse_minimal_applies_defaults():
-    cfg = parse_config(MINIMAL)
+    cfg = read_validated(MINIMAL)
     assert cfg.scaling.beta == 0.4
     assert cfg.hierarchy.n_max == 1
     assert cfg.output.cadence == 1
@@ -31,15 +36,15 @@ def test_parse_minimal_applies_defaults():
 def test_parse_from_file(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text(MINIMAL)
-    cfg = parse_config(str(p))
+    cfg = read_validated(str(p))
     assert cfg.mesh.nx == 9
 
 
 def test_unknown_key_suggestion():
     with pytest.raises(ConfigError, match="betaa"):
-        parse_config("[scaling]\nbetaa = 0.5\n")
+        read_validated("[scaling]\nbetaa = 0.5\n")
     try:
-        parse_config("[scaling]\nbetaa = 0.5\n")
+        read_validated("[scaling]\nbetaa = 0.5\n")
     except ConfigError as exc:
         assert "beta" in str(exc)  # suggestion names the close match
 
@@ -52,20 +57,20 @@ def test_unknown_key_suggestion():
 def test_removed_keys_rejected(section, key, value):
     # keys of earlier formats that no longer select anything
     with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[{section}\\]"):
-        parse_config(f"[{section}]\n{key} = {value}\n")
+        read_validated(f"[{section}]\n{key} = {value}\n")
 
 
 def test_constraint_violation_named(tmp_path):
     with pytest.raises(ConfigError, match="beta"):
-        parse_config("[scaling]\nbeta = 1.2\n")
+        read_validated("[scaling]\nbeta = 1.2\n")
     with pytest.raises(ConfigError, match="n_max"):
-        parse_config("[hierarchy]\nn_max = -1\n")
+        read_validated("[hierarchy]\nn_max = -1\n")
     with pytest.raises(ConfigError, match="family"):
-        parse_config("[pic]\nfamily = ring\n")
+        read_validated("[pic]\nfamily = ring\n")
     for case in ("qs-mode-999", "qs-mode", ""):  # only qs-mode-111 is implemented
         with pytest.raises(ConfigError, match=r"\[fields\] case"):
-            parse_config(f"[fields]\ncase = {case}\n")
-    assert parse_config("[fields]\ncase = zero\n").fields.case == "zero"
+            read_validated(f"[fields]\ncase = {case}\n")
+    assert read_validated("[fields]\ncase = zero\n").fields.case == "zero"
     with pytest.raises(ConfigError, match=r"\[fields\] case"):  # a config built in code
         run_command("residual", small_cfg(fields__case="foo"), out_dir=str(tmp_path), quiet=True)
 
@@ -92,18 +97,18 @@ def test_constraint_violation_named(tmp_path):
 ])
 def test_unrunnable_config_names_its_key(tmp_path, verb, section, key, value):
     # refused before any solve: study lists by the verb that fits a slope
-    # to them, every other setting by parse_config
+    # to them, every other setting by validate
     text = f"[{section}]\n{key} = {value}\n"
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key}"):
-        run_command(verb, parse_config(text), out_dir=str(tmp_path), quiet=True)
+        run_command(verb, read_validated(text), out_dir=str(tmp_path), quiet=True)
     if section != "study":
         with pytest.raises(ConfigError):
-            parse_config(text)
+            read_validated(text)
 
 
 @pytest.mark.parametrize("verb", ["fields", "pic", "residual"])
 def test_smallest_mesh_runs(tmp_path, verb):
-    cfg = parse_config("[mesh]\nnx = 3\nny = 3\nnzeta = 4\n[pic]\nn_particles = 200\nsteps = 2\n")
+    cfg = read_validated("[mesh]\nnx = 3\nny = 3\nnzeta = 4\n[pic]\nn_particles = 200\nsteps = 2\n")
     assert run_command(verb, cfg, out_dir=str(tmp_path), quiet=True) == 0
 
 
@@ -111,7 +116,7 @@ def test_smallest_mesh_runs(tmp_path, verb):
 def test_convergence_grids_must_halve_the_spacing(tmp_path, grids):
     # Richardson extrapolation of the two largest grids assumes ratio 2, and
     # the eta study's second zeta derivatives need a coarse grid of 7 or more
-    cfg = parse_config(f"[study]\ngrids = {grids}\n")  # other verbs accept any grids
+    cfg = read_validated(f"[study]\ngrids = {grids}\n")  # other verbs accept any grids
     with pytest.raises(ConfigError, match=r"\[study\] grids"):
         run_command("convergence", cfg, out_dir=str(tmp_path), quiet=True)
 
@@ -124,13 +129,13 @@ def test_convergence_grids_halving_the_spacing_pass(grids, pair):
 
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"\[mesch\]"):
-        parse_config("[mesch]\nnx = 9\n")
+        read_validated("[mesch]\nnx = 9\n")
 
 
 def test_round_trip_fixed_point():
-    cfg = parse_config(MINIMAL)
+    cfg = read_validated(MINIMAL)
     text = serialize_config(cfg)
-    cfg2 = parse_config(text)
+    cfg2 = read_validated(text)
     assert serialize_config(cfg2) == text
     assert cfg2 == cfg
 
@@ -511,4 +516,4 @@ def test_physical_scaling_mode(tmp_path):
     rep = json.loads(Path(out, "residual.json").read_text())
     assert abs(rep["eta"] - 0.1) < 1e-3
     with pytest.raises(ConfigError, match="physical"):
-        parse_config("[scaling]\nmode = physical\n")  # vbar missing
+        read_validated("[scaling]\nmode = physical\n")  # vbar missing

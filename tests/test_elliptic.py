@@ -30,7 +30,7 @@ def dirichlet0():
 
 def test_poisson_zero():
     m = mesh2d(9)
-    u = solve_poisson_2d(ScalarField.zeros(m, volumetric=False), dirichlet0())
+    u = solve_poisson_2d(ScalarField(m, np.zeros((m.ny, m.nx))), dirichlet0())
     np.testing.assert_allclose(u.values, 0.0, atol=1e-14)
 
 
@@ -140,8 +140,8 @@ def zero_trace(m):
 def test_divcurl_zero():
     m = mesh2d(9)
     A = solve_divcurl_2d(
-        ScalarField.zeros(m, volumetric=False),
-        ScalarField.zeros(m, volumetric=False),
+        ScalarField(m, np.zeros((m.ny, m.nx))),
+        ScalarField(m, np.zeros((m.ny, m.nx))),
         zero_trace(m),
         0.0,
     )
@@ -161,7 +161,7 @@ def test_divcurl_gradient_case():
     diag = {}
     A = solve_divcurl_2d(
         ScalarField(m, np.full_like(X, 2.0)),
-        ScalarField.zeros(m, volumetric=False),
+        ScalarField(m, np.zeros((m.ny, m.nx))),
         trace_of(m, X, Y),
         0.0,
         diagnostics_out=diag,
@@ -176,7 +176,7 @@ def test_divcurl_rotational_case():
     m = mesh2d(33, x0=-0.5, y0=-0.5)
     X, Y = m.xy()
     A = solve_divcurl_2d(
-        ScalarField.zeros(m, volumetric=False),
+        ScalarField(m, np.zeros((m.ny, m.nx))),
         ScalarField(m, np.full_like(X, 2.0)),
         trace_of(m, -Y, X),
         2.0,
@@ -190,7 +190,7 @@ def test_divcurl_incompatible_circulation():
     X, Y = m.xy()
     with pytest.raises(IncompatibleDataError):
         solve_divcurl_2d(
-            ScalarField.zeros(m, volumetric=False),
+            ScalarField(m, np.zeros((m.ny, m.nx))),
             ScalarField(m, np.full_like(X, 2.0)),
             trace_of(m, -Y, X),
             0.0,  # Green's theorem demands 2*area

@@ -58,7 +58,7 @@ def test_boundary_table_normals():
 
 def test_mesh_mismatch_rejected():
     m1, m2 = unit_square(9), unit_square(11)
-    f = ScalarField.zeros(m1, volumetric=False)
+    f = ScalarField(m1, np.zeros((m1.ny, m1.nx)))
     with pytest.raises(FieldShapeError):
         ScalarField(m2, f.values)
 
@@ -202,15 +202,12 @@ def test_d1_matches_numpy_gradient(shape, h, seed):
         assert np.array_equal(out, ref), axis
 
 
-def _mask_norms(values, mesh, interior_only=True, collar=1):
+def _mask_norms(values, mesh):
     # the boolean-mask selection the sliced norms replaced
     v = np.asarray(values)
     w = mesh.dual_area_2d if v.ndim == 2 else mesh.dual_volume_3d
     mask = np.zeros_like(v, dtype=bool)
-    if interior_only:
-        mask[(slice(collar, -collar),) * v.ndim] = True
-    else:
-        mask[...] = True
+    mask[(slice(1, -1),) * v.ndim] = True
     sel = v[mask]
     return {"l2": float(np.sqrt(np.sum(sel**2 * w[mask]))),
             "max": float(np.max(np.abs(sel))) if sel.size else 0.0}
@@ -222,10 +219,7 @@ def test_norms_match_mask_selection():
         m = build_mesh(1.0, 1.5, 2.0, n, n + 2, nzeta)
         for v in (rng.standard_normal((m.ny, m.nx)),
                   rng.standard_normal((m.nzeta, m.ny, m.nx))):
-            for interior_only in (True, False):
-                for collar in (1, 2):
-                    kw = dict(interior_only=interior_only, collar=collar)
-                    assert norms(v, m, **kw) == _mask_norms(v, m, **kw)
+            assert norms(v, m) == _mask_norms(v, m)
 
 
 def test_norms_interior_only():
@@ -234,16 +228,6 @@ def test_norms_interior_only():
     v[0, 0] = 100.0  # boundary value must not affect interior norms
     n = norms(v, m)
     assert n["l2"] == 0.0 and n["max"] == 0.0
-
-
-def test_norms_collar_zero_keeps_every_node():
-    # slice(0, -0) is empty: collar 0 must mean the whole field, as interior_only=False
-    m = build_mesh(1.0, 1.0, 1.0, 5, 5, 5)
-    v = np.ones((m.nzeta, m.ny, m.nx))
-    whole = norms(v, m, interior_only=False)
-    assert whole["max"] == 1.0
-    assert norms(v, m, collar=0) == whole
-    assert norms(v[0], m, collar=0) == norms(v[0], m, interior_only=False)
 
 
 def test_csv_round_trip(tmp_path):
