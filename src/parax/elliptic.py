@@ -16,20 +16,22 @@ solves every transverse slice in one call.
 The div-curl solver prescribes div A, curl A and the tangential trace A.tau
 on Gamma.  It splits A = grad p + curl q:  q absorbs the curl source through
 a homogeneous Dirichlet solve (its trace carries the full circulation by
-Green's theorem), and p gets Dirichlet data integrated from the remaining
+Green's theorem; with no curl left after the corner-bilinear part, q is zero
+and not solved for), and p gets Dirichlet data integrated from the remaining
 tangential trace along Gamma.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from .fields import ScalarField, VectorField2, same_mesh
-from .mesh import FACE_ORDER, Mesh
+from .mesh import FACE_ORDER, Mesh, face_tangent
 from .operators import (
     axis_index,
     boundary_tangential_trace,
@@ -168,6 +170,86 @@ def _apply(u: np.ndarray, spacings, coeffs, kinds) -> np.ndarray:
     return out
 
 
+def _is_zero(value) -> bool:
+    """True for a face value of scalar +0.0, which changes nothing."""
+    return isinstance(value, (int, float)) and value == 0 and math.copysign(1.0, value) > 0
+
+
+def _boundary_rhs(values, spacings, coeffs, bc: BoundarySpec):
+    """Boundary data of a solve over the trailing len(spacings) axes.
+
+    Returns ``(u, g, kinds, inner, lifted)``: ``u`` is zero but for the
+    Dirichlet values on its faces, ``g`` the right-hand side on the unknowns
+    ``u[inner]``, and ``lifted`` whether a Dirichlet face carries data.
+    Neumann fluxes enter ``g`` on the end layer of their axis (the ghost
+    elimination adds 2*c*v/h on the operator side).  Dirichlet values enter
+    through the stencils of the unknowns next to their face: the first or
+    last unknown layer of the axis, or its only layer, which takes both
+    faces.  A node next to several faces sums their terms in axis order
+    before its one subtraction, so every bit equals
+    ``values[inner] - _apply(u)[inner]``.  Faces of scalar value 0.0 are not
+    touched, and ``values`` is copied only when some face changes it.
+    """
+    nd = len(spacings)
+    axes = range(-nd, 0)
+    invalid = set(bc.faces) - {f for ax in axes for f in _AXIS_FACES[ax]}
+    if invalid:
+        raise ValueError(f"faces {sorted(invalid)} not valid for a {nd}D solve")
+    kinds = [tuple(bc.kind(f) for f in _AXIS_FACES[ax]) for ax in axes]
+    values = np.asarray(values, dtype=float)
+    shape = values.shape
+    ranges = [_unknown_range(shape[ax], *kinds[ax]) for ax in axes]
+    inner = (Ellipsis, *ranges)
+
+    def at(ax, k, rest=(slice(None),) * nd):
+        """Position k on axis ax, ``rest`` on the other axes."""
+        idx = list(rest)
+        idx[ax] = k
+        return (Ellipsis, *idx)
+
+    u = np.zeros(shape)
+    g = values[inner]
+    copied = False
+    data: dict[int, list[int]] = {}  # axis -> ends of its Dirichlet faces with data
+    for name, fbc in bc.faces.items():
+        ax = _FACE_AXIS[name]
+        end = 0 if name.endswith("_lo") else -1
+        zero = _is_zero(fbc.value)
+        if fbc.kind == DIRICHLET:
+            # once u holds data, a zero face still overwrites the edge nodes
+            # it shares with an earlier face
+            if data or not zero:
+                u[at(ax, end)] = np.broadcast_to(np.asarray(fbc.value, dtype=float),
+                                                 u[at(ax, end)].shape)
+            if not zero:
+                data.setdefault(ax, []).append(end)
+        elif not zero:
+            if not copied:
+                g, copied = np.array(g), True
+            vals = np.broadcast_to(np.asarray(fbc.value, dtype=float), u[at(ax, end)].shape)
+            others = [r for a, r in zip(axes, ranges) if a != ax]
+            g[at(ax, end)] -= 2.0 * coeffs[ax] * vals[(Ellipsis, *others)] / spacings[ax]
+
+    if data:
+        if not copied:
+            g = np.array(g)
+        terms = u[inner]  # zero on the unknowns: it collects the Dirichlet terms
+        for ax in sorted(data):
+            s = coeffs[ax] / spacings[ax]**2
+            if terms.shape[ax] == 1:  # one unknown layer takes both faces
+                terms[at(ax, 0)] += s * (u[at(ax, 0, ranges)] + u[at(ax, -1, ranges)])
+            else:
+                for end in data[ax]:
+                    terms[at(ax, end)] += s * u[at(ax, end, ranges)]
+        # one subtraction per node: a layer shared with an earlier axis reads
+        # zero by then, and u is left zero on the unknowns
+        for ax in sorted(data):
+            for end in data[ax]:
+                g[at(ax, end)] -= terms[at(ax, end)]
+                terms[at(ax, end)] = 0.0
+    return u, g, kinds, inner, bool(data)
+
+
 def _solve_scalar(
     values: np.ndarray,
     spacings: tuple[float, ...],
@@ -180,32 +262,8 @@ def _solve_scalar(
     array including Dirichlet values."""
     nd = len(spacings)
     axes = range(-nd, 0)
-    invalid = set(bc.faces) - {f for ax in axes for f in _AXIS_FACES[ax]}
-    if invalid:
-        raise ValueError(f"faces {sorted(invalid)} not valid for a {nd}D solve")
-    kinds = [tuple(bc.kind(f) for f in _AXIS_FACES[ax]) for ax in axes]
-    shape = values.shape
-
-    # boundary data: Dirichlet values in u, Neumann fluxes onto the rhs (the
-    # ghost elimination adds 2*c*g/h on the operator side)
-    f = np.array(values, dtype=float)
-    u = np.zeros(shape)
-    for name, fbc in bc.faces.items():
-        ax = _FACE_AXIS[name]
-        face = [slice(None)] * nd
-        face[ax] = 0 if name.endswith("_lo") else -1
-        fs = (Ellipsis, *face)
-        vals = np.broadcast_to(np.asarray(fbc.value, dtype=float), u[fs].shape)
-        if fbc.kind == DIRICHLET:
-            u[fs] = vals
-        else:
-            f[fs] -= 2.0 * coeffs[ax] * vals / spacings[ax]
-
-    inner = (Ellipsis, *(_unknown_range(shape[ax], *kinds[ax]) for ax in axes))
-    # Dirichlet values enter through the stencils of their unknown neighbors
-    g = f[inner]
-    if u.any():
-        g = g - _apply(u, spacings, coeffs, kinds)[inner]
+    u, g, kinds, inner, lifted = _boundary_rhs(values, spacings, coeffs, bc)
+    shape = u.shape
     eigs = [_axis_eig(shape[ax], spacings[ax], coeffs[ax], *kinds[ax]) for ax in axes]
     w = functools.reduce(np.multiply.outer, [_end_weights(len(e[0]), *k)
                                              for e, k in zip(eigs, kinds)])
@@ -238,16 +296,20 @@ def _solve_scalar(
     if pure_neumann:
         x = x - (w * x).sum(axis=trailing, keepdims=True) / w.sum()
 
+    u[inner] = x
     if info_out is not None:
-        x_full = np.zeros(shape)
-        x_full[inner] = x
+        # the operator on x alone, zero on the faces: u itself when no
+        # Dirichlet face carries data
+        x_full = u
+        if lifted:
+            x_full = np.zeros(shape)
+            x_full[inner] = x
         res = w * (_apply(x_full, spacings, coeffs, kinds)[inner] - g)
         bn = np.linalg.norm(w * g)
         info_out.update(
             method="fdm",
             relative_residual=float(np.linalg.norm(res) / bn) if bn > 0 else 0.0,
         )
-    u[inner] = x
     return u
 
 
@@ -419,11 +481,18 @@ def solve_divcurl_2d(
     curl_rem = curl - (cc[0] + cc[1] * xt + cc[2] * yt + cc[3] * xy)
     t0 = boundary_tangential_trace(A0)
 
-    q = solve_poisson_2d(
-        ScalarField(mesh, -curl_rem), BoundarySpec.uniform(DIRICHLET, 0.0)
-    )
-    A_q = curl_perp_scalar(q)
-    t_q = boundary_tangential_trace(A_q)
+    if curl_rem.any():
+        q = solve_poisson_2d(
+            ScalarField(mesh, -curl_rem), BoundarySpec.uniform(DIRICHLET, 0.0)
+        )
+        A_q = curl_perp_scalar(q)
+        qx, qy = A_q.x, A_q.y
+        t_q = boundary_tangential_trace(A_q)
+    else:
+        # q = 0 and its curl is (+0.0, -0.0): the scalars keep the zero signs
+        # those terms gave
+        qx, qy = 0.0, -0.0
+        t_q = {f: face_tangent(f)[0] * qx + face_tangent(f)[1] * qy for f in FACE_ORDER}
     g_p = {
         f: np.asarray(tangential_data[f], dtype=float) - t0[f] - t_q[f]
         for f in FACE_ORDER
@@ -433,7 +502,7 @@ def solve_divcurl_2d(
     bc_p = BoundarySpec({f: FaceBC(DIRICHLET, p_gamma[f]) for f in FACE_ORDER})
     p = solve_poisson_2d(ScalarField(mesh, div_rem), bc_p)
     A_p = grad_perp(p)
-    A = VectorField2(mesh, A0.x + A_p.x + A_q.x, A0.y + A_p.y + A_q.y)
+    A = VectorField2(mesh, A0.x + A_p.x + qx, A0.y + A_p.y + qy)
 
     if diagnostics_out is not None:
         from .operators import circulation as circ_fn

@@ -344,6 +344,7 @@ def map_blocks(block, n: int, rows: int):
                     break
                 mine[b] = block(*spans[b])
             yield mine.pop(due) if due in mine else futures[due].result()
+            futures[due] = None  # the caller holds the yielded result, or dropped it
     finally:
         pool.shutdown(cancel_futures=True)
 

@@ -218,6 +218,11 @@ def _volume(mesh: Mesh) -> tuple[int, int, int]:
     return mesh.nzeta, mesh.ny, mesh.nx
 
 
+def _div(A: VectorField2) -> np.ndarray:
+    """div_perp A as an array, for ``ChainContext.shared``."""
+    return div_perp(A).values
+
+
 def _zeta_kind(n: int, for_Ez: bool) -> str:
     """Boundary kind of both zeta ends at order n; see module docstring for
     the parity rule."""
@@ -240,6 +245,7 @@ class ChainContext:
     orders: list[FieldOrder] = dc_field(default_factory=list, init=False)
     diagnostics: dict = dc_field(default_factory=dict, init=False)
     _rates: dict[int, FieldRates] = dc_field(default_factory=dict, init=False, repr=False)
+    _shared: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def rho(self, n: int):
         """Charge density of order n: the sources' rho at n == 0, 0.0 otherwise."""
@@ -269,6 +275,17 @@ class ChainContext:
                 self.orders[n], latest.order(n), self.time - latest.time
             )
         return self._rates[n]
+
+    def shared(self, name: str, of, form, last: bool = False):
+        """``form(of)``, formed once for the stages that read it: a reader
+        takes the array an earlier reader formed from the same ``of``, or
+        forms it, and keeps it for the next reader unless it is the ``last``,
+        so a shared array lives only between its readers."""
+        held = self._shared.pop(name, None)
+        value = held[1] if held is not None and held[0] is of else form(of)
+        if not last:
+            self._shared[name] = (of, value)
+        return value
 
 
 class HierarchySolver:
@@ -318,6 +335,11 @@ class HierarchySolver:
             .with_face("zeta_hi", FaceBC(kind, 0.0))
         return self._solve_3d("Ez", rhs, bc, ctx)
 
+    def _gauss(self, n: int, Ez_n: ScalarField, ctx: ChainContext) -> np.ndarray:
+        """dEz/dzeta + rho: the target div Eperp, read by the Ecal and Eperp
+        stages through ``ctx.shared("gauss", ...)``."""
+        return dzeta(Ez_n, high_order=True).values + ctx.rho(n)
+
     def solve_Ecal_order(
         self,
         n: int,
@@ -342,7 +364,7 @@ class HierarchySolver:
             curl_src = -rates.Bz.values
 
         div_src = (
-            self.kappa * (dzeta(Ez_n, high_order=True).values + ctx.rho(n))
+            self.kappa * ctx.shared("gauss", Ez_n, lambda Ez: self._gauss(n, Ez, ctx))
             + beta * (ctx.current(n - 1)[2] - dt_Ez_prev)
         )
 
@@ -373,7 +395,7 @@ class HierarchySolver:
     ) -> VectorField2:
         mesh, beta = self.mesh, self.beta
 
-        gauss = dzeta(Ez_n, high_order=True).values + ctx.rho(n)  # target div of Eperp
+        gauss = ctx.shared("gauss", Ez_n, lambda Ez: self._gauss(n, Ez, ctx), last=True)
         gg = grad_perp(ScalarField(mesh, gauss), high_order=True)
 
         d2_Ecal = dzeta2(Ecal_n)
@@ -439,7 +461,8 @@ class HierarchySolver:
             dt_Ez_prev, dt_Bz_prev = rates.Ez.values, rates.Bz.values
             flux = mesh.integrate_2d(dt_Bz_prev) / beta
 
-        curl_src = dt_Ez_prev + beta * div_perp(Eperp_n).values - ctx.current(n - 1)[2]
+        div_E = ctx.shared("div_Eperp", Eperp_n, _div)
+        curl_src = dt_Ez_prev + beta * div_E - ctx.current(n - 1)[2]
         div_src = -(curl_perp_vector(Eperp_n).values + dt_Bz_prev) / beta
 
         # rotate onto the tangential-data solver: W = Bperp x e_z has
@@ -475,7 +498,7 @@ class HierarchySolver:
 
     def solve_Bz_order(self, n: int, Bperp_n: VectorField2, ctx: ChainContext) -> ScalarField:
         mesh = self.mesh
-        divB = div_perp(Bperp_n).values
+        divB = ctx.shared("div_Bperp", Bperp_n, _div)
         init = self.external.bz if n == 0 else 0.0
         Bz = ScalarField(mesh, cumint_zeta(divB, mesh, initial=init))
         # integral constraint: d/dzeta int Bz = -(1/beta) int dBz^{n-1}/dt
@@ -499,8 +522,10 @@ class HierarchySolver:
         Bperp = self.solve_Bperp_order(n, Eperp, ctx, nu)
         Bz = self.solve_Bz_order(n, Bperp, ctx)
 
-        gauss = div_perp(Eperp).values - dzeta(Ez).values - ctx.rho(n)
-        sol = div_perp(Bperp).values - dzeta(Bz).values
+        div_E = ctx.shared("div_Eperp", Eperp, _div, last=True)
+        div_B = ctx.shared("div_Bperp", Bperp, _div, last=True)
+        gauss = div_E - dzeta(Ez).values - ctx.rho(n)
+        sol = div_B - dzeta(Bz).values
         consist_x = Ecal.x - (Eperp.x - self.beta * Bperp.y)
         consist_y = Ecal.y - (Eperp.y + self.beta * Bperp.x)
         diag["gauss_residual"] = norms(gauss, mesh)

@@ -1,12 +1,15 @@
-"""The stencils and face traces index one axis by slice tuples; these tests pin
-them bit for bit, zero signs included, to the ``np.moveaxis`` and
-fancy-index forms they replaced, which are kept here as references."""
+"""The stencils and face traces index one axis by slice tuples, and the
+scalar solver lifts Dirichlet data through the unknown layers next to each
+face; these tests pin them bit for bit, zero signs included, to the
+``np.moveaxis``, fancy-index and whole-volume forms they replaced, which are
+kept here as references."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parax.elliptic import DIRICHLET, NEUMANN, BoundarySpec, FaceBC, _apply
+from parax.elliptic import _AXIS_FACES, _FACE_AXIS, _boundary_rhs, _unknown_range
 from parax.elliptic import solve_anisotropic_poisson_3d
 from parax.fields import ScalarField, VectorField2
 from parax.mesh import FACE_NORMALS, FACE_ORDER, build_mesh, face_tangent
@@ -110,6 +113,31 @@ def _apply_ref(u, spacings, coeffs, kinds):
     return out
 
 
+def _boundary_rhs_ref(values, spacings, coeffs, bc):
+    """(u, rhs on the unknowns) as the solver formed them with one operator
+    pass over the whole volume: f[inner] - _apply(u)[inner]."""
+    nd = len(spacings)
+    axes = range(-nd, 0)
+    kinds = [tuple(bc.kind(f) for f in _AXIS_FACES[ax]) for ax in axes]
+    f = np.array(values, dtype=float)
+    u = np.zeros(values.shape)
+    for name, fbc in bc.faces.items():
+        ax = _FACE_AXIS[name]
+        face = [slice(None)] * nd
+        face[ax] = 0 if name.endswith("_lo") else -1
+        fs = (Ellipsis, *face)
+        vals = np.broadcast_to(np.asarray(fbc.value, dtype=float), u[fs].shape)
+        if fbc.kind == DIRICHLET:
+            u[fs] = vals
+        else:
+            f[fs] -= 2.0 * coeffs[ax] * vals / spacings[ax]
+    inner = (Ellipsis, *(_unknown_range(values.shape[ax], *kinds[ax]) for ax in axes))
+    g = f[inner]
+    if u.any():
+        g = g - _apply(u, spacings, coeffs, kinds)[inner]
+    return u, g
+
+
 def _face_values_ref(arr, mesh, face):
     j, i = mesh.face_nodes(face)
     return arr[..., j, i]
@@ -193,3 +221,46 @@ def test_3d_solve_reads_no_zero_sign_of_its_rhs(nzeta, neumann_ends, seed):
     b = solve_anisotropic_poisson_3d(0.75, ScalarField(mesh, flipped), bc, info_out=info_b)
     assert same_bits(a.values, b.values)
     assert info_a == info_b
+
+
+FACE_FORMS = ["zero", "negative zero", "scalar", "array"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]), st.lists(st.integers(3, 9), min_size=3, max_size=3),
+       st.lists(st.sampled_from([DIRICHLET, NEUMANN]), min_size=6, max_size=6),
+       st.lists(st.sampled_from(FACE_FORMS), min_size=6, max_size=6),
+       st.integers(0, 2**32 - 1))
+# data on every face: the corner nodes of a volume sum three terms, whose
+# rounding depends on the order of the adds
+@example(3, [5, 6, 7], [DIRICHLET] * 6, ["array"] * 6, 0)
+@example(3, [4, 3, 5], [DIRICHLET] * 6, ["scalar"] * 6, 1)
+def test_face_layer_lift_matches_volume_form(nd, sizes, ends, forms, seed):
+    # a 2D solve runs on a stack of slices, a 3D one on a volume; axes of 3
+    # nodes with two Dirichlet ends have one unknown layer, which takes both
+    # faces, and nodes next to two or three Dirichlet faces sum their terms
+    shape = tuple(sizes) if nd == 3 else (2, *sizes[:2])
+    rng = np.random.default_rng(seed)
+    names = [f for ax in range(-nd, 0) for f in _AXIS_FACES[ax]]
+    faces = {}
+    for k in rng.permutation(len(names)):  # faces in any order: edges overlap
+        name = names[k]
+        ax = _FACE_AXIS[name]
+        face_shape = shape[:len(shape) + ax] + shape[len(shape) + ax + 1:]
+        value = {"zero": 0.0, "negative zero": -0.0, "scalar": float(rng.normal()),
+                 "array": drawn(seed + k + 1, face_shape)}[forms[k]]
+        faces[name] = FaceBC(ends[k], value)
+    bc = BoundarySpec(faces)
+    values = drawn(seed, shape)
+    spacings = tuple(float(h) for h in rng.uniform(0.05, 1.0, nd))
+    coeffs = tuple(float(c) for c in rng.uniform(0.2, 1.0, nd))
+    u, g, kinds, inner, lifted = _boundary_rhs(values, spacings, coeffs, bc)
+    u_ref, g_ref = _boundary_rhs_ref(values, spacings, coeffs, bc)
+    assert same_bits(u, u_ref)
+    assert same_bits(g, g_ref)
+    assert kinds == [tuple(bc.kind(f) for f in _AXIS_FACES[ax]) for ax in range(-nd, 0)]
+    assert same_bits(u[inner], np.zeros_like(g))
+    assert lifted == any(faces[name].kind == DIRICHLET and forms[k] != "zero"
+                         for k, name in enumerate(names))
+    # the caller's array is never written
+    assert same_bits(values, drawn(seed, shape))
