@@ -67,12 +67,21 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
+def _json_text(path: str, obj, indent: int | None = None) -> str:
+    """``obj`` as JSON with sorted keys, or ValueError naming the file
+    ``path`` when it holds a NaN or an infinity, which JSON cannot carry."""
+    try:
+        return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{os.path.basename(path)}: {exc}") from None
+
+
 def _write_json(path: str, obj) -> None:
     """Every JSON output: indent 2, sorted keys, a final newline, written to
     a temporary file and moved into place."""
+    text = _json_text(path, obj, indent=2)
     with open(path + ".tmp", "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     os.replace(path + ".tmp", path)
 
 
@@ -170,7 +179,7 @@ def cmd_pic(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     files = []
     with open(diag_path, "w") as diag_fh:
         def on_step(step, parts, hierarchy, record):
-            diag_fh.write(json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n")
+            diag_fh.write(_json_text(diag_path, dataclasses.asdict(record)) + "\n")
             if step % cfg.output.cadence == 0 or step == p.steps:
                 name = f"particles_0_{step}.csv"
                 _write_particles(os.path.join(out_dir, name), parts)
@@ -227,7 +236,7 @@ def _mms_chain(g, beta, which):
     Ez = solver.solve_Ez_order(0, ctx)
     if which == "ez":
         return Ez.values - exact["Ez"].values, mesh
-    E = solver.solve_Eperp_order(0, exact["Ecal"], exact["Ez"], ctx)
+    E = solver.solve_Eperp_order(0, exact["Ecal"], solver.gauss(0, exact["Ez"], ctx), ctx)
     return np.hypot(E.x - exact["Eperp"].x, E.y - exact["Eperp"].y), mesh
 
 
@@ -408,7 +417,7 @@ def run_command(
     _keep_freed_memory()
     try:
         validate(cfg)  # a refused config leaves error.json like a failed run
-        results = COMMANDS[verb](cfg, out, quiet)
+        _write_manifest(out, verb, cfg, COMMANDS[verb](cfg, out, quiet))
     except Exception as exc:
         report = {"verb": verb, "error": f"{type(exc).__name__}: {exc}"}
         try:
@@ -416,7 +425,6 @@ def run_command(
         except OSError:
             pass
         raise
-    _write_manifest(out, verb, cfg, results)
     return 0
 
 

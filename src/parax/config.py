@@ -161,6 +161,24 @@ def _range_checks(cfg: RunConfig):
     yield "fields", "case", f.case in ("qs-mode-111", "zero"), "must be qs-mode-111 or zero"
     yield "fields", "snapshots", f.snapshots >= 1, "must be >= 1"
     yield "fields", "dt", f.dt > 0, "must be positive"
+    # derived values, formed by products: a float power would raise on overflow
+    kappa = 1.0 - s.beta**2
+    for key, nodes, coeff in (("a", m.nx, 1.0), ("b", m.ny, 1.0), ("zlen", m.nzeta, kappa)):
+        step = getattr(m, key) / (nodes - 1)
+        yield "mesh", key, 0.0 < step * step < math.inf and coeff / (step * step) < math.inf, \
+            "gives a mesh spacing whose square (or coefficient / square) is 0 or not finite"
+    last = (f.snapshots - 1) * f.dt
+    yield "fields", "dt", last * last < math.inf, \
+        "is too large: the last snapshot time squared is not finite"
+    yield "scaling", "eta", s.mode != "dimensionless" or _finite_power(s.eta, h.n_max + 1), \
+        "is too large: eta^(n_max + 1) is not finite"
+
+
+def _finite_power(x: float, k: int) -> bool:
+    try:
+        return math.isfinite(x**k)
+    except OverflowError:
+        return False
 
 
 def validate(cfg: RunConfig) -> RunConfig:

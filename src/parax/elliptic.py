@@ -18,7 +18,8 @@ on Gamma.  It splits A = grad p + curl q:  q absorbs the curl source through
 a homogeneous Dirichlet solve (its trace carries the full circulation by
 Green's theorem; with no curl left after the corner-bilinear part, q is zero
 and not solved for), and p gets Dirichlet data integrated from the remaining
-tangential trace along Gamma.
+tangential trace along Gamma.  A circulation, when given, is checked against
+the curl source (Green's theorem), never imposed.
 """
 
 from __future__ import annotations
@@ -430,29 +431,26 @@ def solve_divcurl_2d(
     div_src: ScalarField,
     curl_src: ScalarField,
     tangential_data: dict[str, np.ndarray],
-    circulation,
-    diagnostics_out: dict | None = None,
-    check_compatibility: bool = True,
+    circulation=None,
 ) -> VectorField2:
     """Reconstruct A from div A, curl A and A.tau on Gamma, on one transverse
     slice or on every slice of a volume at once.
 
-    For a volume, ``tangential_data`` holds (nzeta, nface) arrays and
-    ``circulation`` one value per slice.  The requested circulation must
-    agree with the integral of curl_src (Green's theorem); it is verified,
-    not imposed - the tangential trace already determines the solution.  The
-    field chain disables the fatal pre-check (its data is consistent by
-    construction up to discretization) and relies on the a-posteriori
-    per-slice mismatch report instead; on a volume the requested, achieved
-    and mismatched circulations in ``diagnostics_out`` are per slice.
+    For a volume, ``tangential_data`` holds (nzeta, nface) arrays.  The
+    tangential trace determines the solution, so a ``circulation`` is never
+    imposed.  When one is given (one value per slice for a volume), it is
+    checked against the integral of curl_src (Green's theorem) first, and a
+    gross mismatch raises IncompatibleDataError.  The field chain gives none:
+    its data agree only up to discretization, and its order audit reports the
+    achieved circulation instead.
     """
     mesh = same_mesh(div_src, curl_src)
     div, curl = div_src.values, curl_src.values
     if div.shape != curl.shape:
         raise ValueError("div and curl sources must have the same shape")
-    circulation = np.asarray(circulation, dtype=float)
 
-    if check_compatibility:
+    if circulation is not None:
+        circulation = np.asarray(circulation, dtype=float)
         area_curl = mesh.integrate_2d(curl)
         area = mesh.a * mesh.b
         # judge the mismatch against the full source amplitude, not just the
@@ -502,18 +500,4 @@ def solve_divcurl_2d(
     bc_p = BoundarySpec({f: FaceBC(DIRICHLET, p_gamma[f]) for f in FACE_ORDER})
     p = solve_poisson_2d(ScalarField(mesh, div_rem), bc_p)
     A_p = grad_perp(p)
-    A = VectorField2(mesh, A0.x + A_p.x + qx, A0.y + A_p.y + qy)
-
-    if diagnostics_out is not None:
-        from .operators import circulation as circ_fn
-
-        achieved = circ_fn(A)
-        mismatch = np.abs(achieved - circulation)
-        if not A.is3d:
-            circulation, achieved, mismatch = float(circulation), float(achieved), float(mismatch)
-        diagnostics_out.update(
-            circulation_requested=circulation,
-            circulation_achieved=achieved,
-            circulation_mismatch=mismatch,
-        )
-    return A
+    return VectorField2(mesh, A0.x + A_p.x + qx, A0.y + A_p.y + qy)

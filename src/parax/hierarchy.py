@@ -18,7 +18,7 @@ every order.  The chain per order, in dimensionless beam-frame variables:
   Ecal^n  : per-slice div-curl; curl = -dBz'/dt,
             div = (1-b^2)(dEz/dz + rho) + b (Jz' - dEz'/dt),
             tangential trace b*(Bperp^n . nu), the normal trace the Bperp
-            stage imposes; circulation checked a posteriori
+            stage imposes
   Eperp^n : componentwise (lap_perp + (1-b^2) dzz) solve of the rewritten
             curl-curl system; E.tau = 0 on Gamma, normal component closed by
             the Gauss constraint div Eperp = dEz/dz + rho on Gamma
@@ -27,6 +27,10 @@ every order.  The chain per order, in dimensionless beam-frame variables:
             the zeta=0 plane
   Bz^n    : trapezoid zeta-integration of div Bperp from the zeta=0 plane
             (the external Bz at order 0, zero above)
+
+The stages only solve.  ``solve_order`` forms dEz/dz + rho, div Eperp and
+div Bperp once each and passes them to the stages that read them; after the
+Bz stage one audit forms every a-posteriori check of the order.
 
 Zeta-end closures alternate with order parity (even orders: Dirichlet for
 Ez, Neumann for Eperp; odd orders swapped), which is the unique assignment
@@ -53,6 +57,8 @@ from .fields import ScalarField, VectorField2, same_mesh
 from .mesh import FACE_ORDER, Mesh
 from .operators import (
     boundary_normal_trace,
+    circulation,
+    cross_ez,
     cumint_zeta,
     curl_perp_scalar,
     curl_perp_vector,
@@ -218,11 +224,6 @@ def _volume(mesh: Mesh) -> tuple[int, int, int]:
     return mesh.nzeta, mesh.ny, mesh.nx
 
 
-def _div(A: VectorField2) -> np.ndarray:
-    """div_perp A as an array, for ``ChainContext.shared``."""
-    return div_perp(A).values
-
-
 def _zeta_kind(n: int, for_Ez: bool) -> str:
     """Boundary kind of both zeta ends at order n; see module docstring for
     the parity rule."""
@@ -245,7 +246,6 @@ class ChainContext:
     orders: list[FieldOrder] = dc_field(default_factory=list, init=False)
     diagnostics: dict = dc_field(default_factory=dict, init=False)
     _rates: dict[int, FieldRates] = dc_field(default_factory=dict, init=False, repr=False)
-    _shared: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def rho(self, n: int):
         """Charge density of order n: the sources' rho at n == 0, 0.0 otherwise."""
@@ -275,17 +275,6 @@ class ChainContext:
                 self.orders[n], latest.order(n), self.time - latest.time
             )
         return self._rates[n]
-
-    def shared(self, name: str, of, form, last: bool = False):
-        """``form(of)``, formed once for the stages that read it: a reader
-        takes the array an earlier reader formed from the same ``of``, or
-        forms it, and keeps it for the next reader unless it is the ``last``,
-        so a shared array lives only between its readers."""
-        held = self._shared.pop(name, None)
-        value = held[1] if held is not None and held[0] is of else form(of)
-        if not last:
-            self._shared[name] = (of, value)
-        return value
 
 
 class HierarchySolver:
@@ -335,67 +324,49 @@ class HierarchySolver:
             .with_face("zeta_hi", FaceBC(kind, 0.0))
         return self._solve_3d("Ez", rhs, bc, ctx)
 
-    def _gauss(self, n: int, Ez_n: ScalarField, ctx: ChainContext) -> np.ndarray:
-        """dEz/dzeta + rho: the target div Eperp, read by the Ecal and Eperp
-        stages through ``ctx.shared("gauss", ...)``."""
+    def gauss(self, n: int, Ez_n: ScalarField, ctx: ChainContext) -> np.ndarray:
+        """dEz/dzeta + rho: the target div Eperp, which the Ecal and Eperp
+        stages read."""
         return dzeta(Ez_n, high_order=True).values + ctx.rho(n)
 
     def solve_Ecal_order(
         self,
         n: int,
-        Ez_n: ScalarField,
+        gauss: np.ndarray,
         ctx: ChainContext,
         bperp_nu: dict[str, np.ndarray],
     ) -> VectorField2:
         """Per-slice div-curl solve for the pseudo-field.
 
-        ``bperp_nu`` holds the imposed same-order Bperp . nu trace per face,
-        shaped (nzeta, nface); the tangential data is beta times it.
+        ``gauss`` is :meth:`gauss` of this order's Ez.  ``bperp_nu`` holds the
+        imposed same-order Bperp . nu trace per face, shaped (nzeta, nface);
+        the tangential data is beta times it.
         """
         mesh, beta = self.mesh, self.beta
         rates = ctx.rates(n - 1)
         if rates is None:
-            dt_Ez_prev = dt_Bz_max = circulation = 0.0
+            dt_Ez_prev = 0.0
             curl_src = np.full(_volume(mesh), -0.0)  # -(dBz/dt) of a zero rate
         else:
             dt_Ez_prev = rates.Ez.values
-            dt_Bz_max = float(np.abs(rates.Bz.values).max())
-            circulation = -mesh.integrate_2d(rates.Bz.values)
             curl_src = -rates.Bz.values
 
-        div_src = (
-            self.kappa * ctx.shared("gauss", Ez_n, lambda Ez: self._gauss(n, Ez, ctx))
-            + beta * (ctx.current(n - 1)[2] - dt_Ez_prev)
-        )
-
-        diag: dict = {}
-        A = solve_divcurl_2d(
+        div_src = self.kappa * gauss + beta * (ctx.current(n - 1)[2] - dt_Ez_prev)
+        return solve_divcurl_2d(
             ScalarField(mesh, div_src),
             ScalarField(mesh, curl_src),
             {f: beta * bperp_nu[f] for f in FACE_ORDER},
-            circulation,
-            diagnostics_out=diag,
-            check_compatibility=False,
         )
-        worst = float(np.max(diag["circulation_mismatch"]))
-        ctx.diagnostics["circulation_mismatch_max"] = worst
-        # an O(h^2) gap between requested and achieved circulation is the
-        # expected discretization level; only gross violations are loud
-        scale = 1.0 + dt_Bz_max * mesh.a * mesh.b
-        if worst > 0.02 * scale:
-            log.warning("order %d pseudo-field circulation mismatch %.3e", n, worst)
-        return A
 
     def solve_Eperp_order(
         self,
         n: int,
         Ecal_n: VectorField2,
-        Ez_n: ScalarField,
+        gauss: np.ndarray,
         ctx: ChainContext,
     ) -> VectorField2:
+        """Componentwise 3D solve; ``gauss`` is :meth:`gauss` of this order's Ez."""
         mesh, beta = self.mesh, self.beta
-
-        gauss = ctx.shared("gauss", Ez_n, lambda Ez: self._gauss(n, Ez, ctx), last=True)
         gg = grad_perp(ScalarField(mesh, gauss), high_order=True)
 
         d2_Ecal = dzeta2(Ecal_n)
@@ -448,42 +419,31 @@ class HierarchySolver:
         self,
         n: int,
         Eperp_n: VectorField2,
+        div_E: np.ndarray,
         ctx: ChainContext,
         bperp_nu: dict[str, np.ndarray],
     ) -> VectorField2:
         """Per-slice div-curl solve for Bperp with the imposed normal trace
-        ``bperp_nu`` (see :meth:`_bperp_normal_trace`)."""
+        ``bperp_nu`` (see :meth:`_bperp_normal_trace`); ``div_E`` is
+        div_perp of ``Eperp_n``."""
         mesh, beta = self.mesh, self.beta
         rates = ctx.rates(n - 1)
         if rates is None:
-            dt_Ez_prev = dt_Bz_prev = flux = 0.0
+            dt_Ez_prev = dt_Bz_prev = 0.0
         else:
             dt_Ez_prev, dt_Bz_prev = rates.Ez.values, rates.Bz.values
-            flux = mesh.integrate_2d(dt_Bz_prev) / beta
 
-        div_E = ctx.shared("div_Eperp", Eperp_n, _div)
         curl_src = dt_Ez_prev + beta * div_E - ctx.current(n - 1)[2]
         div_src = -(curl_perp_vector(Eperp_n).values + dt_Bz_prev) / beta
 
         # rotate onto the tangential-data solver: W = Bperp x e_z has
         # div W = curl B, curl W = -div B, W.tau = -(B.nu)
-        diag: dict = {}
         W = solve_divcurl_2d(
             ScalarField(mesh, curl_src),
             ScalarField(mesh, -div_src),
             {f: -bperp_nu[f] for f in FACE_ORDER},
-            flux,
-            diagnostics_out=diag,
-            check_compatibility=False,
         )
-        B = VectorField2(mesh, -W.y, W.x)  # B = -(W x e_z)
-        ctx.diagnostics["flux_mismatch_max"] = float(np.max(diag["circulation_mismatch"]))
-        # achieved against imposed Bperp . nu, a discretization error
-        achieved = boundary_normal_trace(B)
-        gap = max(np.abs(achieved[f] - bperp_nu[f]).max() for f in FACE_ORDER)
-        scale = 1.0 + max(np.abs(bperp_nu[f]).max() for f in FACE_ORDER)
-        ctx.diagnostics["bperp_trace_defect"] = float(gap / scale)
-        return B
+        return VectorField2(mesh, -W.y, W.x)  # B = -(W x e_z)
 
     def _bperp_normal_trace(self, n: int, ctx: ChainContext) -> dict[str, np.ndarray]:
         """Bperp^n . nu on Gamma by zeta-integration of the boundary condition
@@ -496,43 +456,67 @@ class HierarchySolver:
         dt_nu = boundary_normal_trace(rates.Bperp)
         return {f: cumint_zeta(-dt_nu[f] / self.beta, mesh) for f in FACE_ORDER}
 
-    def solve_Bz_order(self, n: int, Bperp_n: VectorField2, ctx: ChainContext) -> ScalarField:
-        mesh = self.mesh
-        divB = ctx.shared("div_Bperp", Bperp_n, _div)
+    def solve_Bz_order(self, n: int, div_B: np.ndarray, ctx: ChainContext) -> ScalarField:
+        """Bz from ``div_B``, div_perp of this order's Bperp."""
         init = self.external.bz if n == 0 else 0.0
-        Bz = ScalarField(mesh, cumint_zeta(divB, mesh, initial=init))
-        # integral constraint: d/dzeta int Bz = -(1/beta) int dBz^{n-1}/dt
-        lhs = mesh.integrate_2d(divB)
-        rates = ctx.rates(n - 1)
-        rhs = 0.0 if rates is None else -mesh.integrate_2d(rates.Bz.values) / self.beta
-        ctx.diagnostics["bz_integral_residual"] = float(np.abs(lhs - rhs).max())
-        return Bz
+        return ScalarField(self.mesh, cumint_zeta(div_B, self.mesh, initial=init))
 
     # -- full chain --------------------------------------------------------------
 
+    def _audit(self, o: FieldOrder, div_E: np.ndarray, div_B: np.ndarray,
+               bperp_nu: dict[str, np.ndarray], ctx: ChainContext) -> dict:
+        """The a-posteriori checks of one solved order, each formed once from
+        the arrays the chain already holds."""
+        mesh, beta = self.mesh, self.beta
+        rates = ctx.rates(o.n - 1)
+        if rates is None:
+            circ = flux = bz_rhs = dt_Bz_max = 0.0
+        else:
+            int_dBz = mesh.integrate_2d(rates.Bz.values)  # int dBz^{n-1}/dt per slice
+            circ, flux, bz_rhs = -int_dBz, int_dBz / beta, -int_dBz / beta
+            dt_Bz_max = float(np.abs(rates.Bz.values).max())
+
+        # Green's theorem on the Ecal curl source -dBz'/dt; an O(h^2) gap is
+        # the expected discretization level, only gross violations are loud
+        circ_worst = float(np.max(np.abs(circulation(o.Ecal) - circ)))
+        if circ_worst > 0.02 * (1.0 + dt_Bz_max * mesh.a * mesh.b):
+            log.warning("order %d pseudo-field circulation mismatch %.3e", o.n, circ_worst)
+        # achieved against imposed Bperp . nu, a discretization error
+        achieved = boundary_normal_trace(o.Bperp)
+        gap = max(np.abs(achieved[f] - bperp_nu[f]).max() for f in FACE_ORDER)
+        scale = 1.0 + max(np.abs(bperp_nu[f]).max() for f in FACE_ORDER)
+        consist_x = o.Ecal.x - (o.Eperp.x - beta * o.Bperp.y)
+        consist_y = o.Ecal.y - (o.Eperp.y + beta * o.Bperp.x)
+        return {
+            "circulation_mismatch_max": circ_worst,
+            # the divergence theorem on the Bperp solve, as the circulation of
+            # the rotated field W = Bperp x e_z that it solves for
+            "flux_mismatch_max": float(np.max(np.abs(circulation(cross_ez(o.Bperp)) - flux))),
+            "bperp_trace_defect": float(gap / scale),
+            # d/dzeta int Bz = -(1/beta) int dBz^{n-1}/dt
+            "bz_integral_residual": float(np.abs(mesh.integrate_2d(div_B) - bz_rhs).max()),
+            "gauss_residual": norms(div_E - dzeta(o.Ez).values - ctx.rho(o.n), mesh),
+            "solenoidal_residual": norms(div_B - dzeta(o.Bz).values, mesh),
+            "pseudo_field_consistency": norms(np.hypot(consist_x, consist_y), mesh),
+        }
+
     def solve_order(self, n: int, ctx: ChainContext) -> FieldOrder:
-        mesh = self.mesh
         ctx.diagnostics = diag = {"order": n}
         Ez = self.solve_Ez_order(n, ctx)
         # the boundary condition fixes Bperp . nu from order n-1 data alone, so
         # the Ecal, Eperp and Bperp stages each run once
         nu = self._bperp_normal_trace(n, ctx)
-        Ecal = self.solve_Ecal_order(n, Ez, ctx, nu)
-        Eperp = self.solve_Eperp_order(n, Ecal, Ez, ctx)
-        Bperp = self.solve_Bperp_order(n, Eperp, ctx, nu)
-        Bz = self.solve_Bz_order(n, Bperp, ctx)
-
-        div_E = ctx.shared("div_Eperp", Eperp, _div, last=True)
-        div_B = ctx.shared("div_Bperp", Bperp, _div, last=True)
-        gauss = div_E - dzeta(Ez).values - ctx.rho(n)
-        sol = div_B - dzeta(Bz).values
-        consist_x = Ecal.x - (Eperp.x - self.beta * Bperp.y)
-        consist_y = Ecal.y - (Eperp.y + self.beta * Bperp.x)
-        diag["gauss_residual"] = norms(gauss, mesh)
-        diag["solenoidal_residual"] = norms(sol, mesh)
-        diag["pseudo_field_consistency"] = norms(np.hypot(consist_x, consist_y), mesh)
+        gauss = self.gauss(n, Ez, ctx)
+        Ecal = self.solve_Ecal_order(n, gauss, ctx, nu)
+        Eperp = self.solve_Eperp_order(n, Ecal, gauss, ctx)
+        del gauss
+        div_E = div_perp(Eperp).values
+        Bperp = self.solve_Bperp_order(n, Eperp, div_E, ctx, nu)
+        div_B = div_perp(Bperp).values
+        Bz = self.solve_Bz_order(n, div_B, ctx)
         order = FieldOrder(n=n, Ez=Ez, Ecal=Ecal, Eperp=Eperp, Bperp=Bperp, Bz=Bz,
                            diagnostics=diag).freeze()
+        diag.update(self._audit(order, div_E, div_B, nu, ctx))
         ctx.orders.append(order)
         return order
 

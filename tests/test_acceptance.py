@@ -120,7 +120,8 @@ def test_criterion_2_mms_convergence():
                 got = solver.solve_Ez_order(0, ctx)
                 err = got.values - exact["Ez"].values
             else:
-                E = solver.solve_Eperp_order(0, exact["Ecal"], exact["Ez"], ctx)
+                E = solver.solve_Eperp_order(0, exact["Ecal"],
+                                             solver.gauss(0, exact["Ez"], ctx), ctx)
                 err = np.hypot(E.x - exact["Eperp"].x, E.y - exact["Eperp"].y)
             errs.append(norms(err, mesh)["l2"])
             hs.append(1.0 / (n - 1))

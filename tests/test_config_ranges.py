@@ -8,7 +8,7 @@ import math
 import pytest
 
 from parax.cli import VERBS, main, run_command
-from parax.config import ConfigError, RunConfig, _range_checks, validate
+from parax.config import ConfigError, RunConfig, _range_checks, serialize_config, validate
 from parax.pic import SamplingError
 
 NAN = math.nan
@@ -48,6 +48,12 @@ OUT_OF_RANGE = [
     ("fields.case", "qs-mode-999"),
     ("fields.snapshots", 0),
     ("fields.dt", -1.0),
+    # derived quantities that overflow or underflow
+    ("mesh.a", 1e300),
+    ("mesh.b", 1e-300),
+    ("mesh.zlen", 1e300),
+    ("fields.dt", 1e300),
+    ("scaling.eta", 1e300),
 ]
 
 
@@ -88,6 +94,10 @@ def test_every_check_has_an_out_of_range_case():
     ("fields", [], "[scaling]\nmode = physical\nvbar = 1e12\n", "[scaling] vbar"),
     ("pic", [], "[pic]\nseed = -1\n", "[pic] seed"),
     ("pic", ["--seed", "-1"], "", "[pic] seed"),
+    ("fields", [], "[mesh]\nb = 1e-300\n", "[mesh] b"),  # h^2 underflows to 0
+    ("fields", [], "[mesh]\na = 1e300\n", "[mesh] a"),  # h^2 overflows
+    ("fields", [], "[fields]\ndt = 1e300\n", "[fields] dt"),  # t^2 overflows
+    ("fields", [], "[scaling]\neta = 1e300\n", "[scaling] eta"),  # eta^(n_max + 1) overflows
 ])
 def test_refused_edge_value_exits_2_and_names_the_key(tmp_path, capsys, verb, args, text, key):
     ini = tmp_path / "edge.ini"
@@ -141,3 +151,28 @@ def test_numeric_edge_values_run_or_are_refused(tmp_path, name, value):
             assert run_command(verb, cfg, out_dir=str(tmp_path / verb), quiet=True) == 0
         except (ConfigError, SamplingError):
             pass
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("name, value, file", [
+    ("fields.amplitude", 1e300, "manifest.json"),  # the order-0 solve reports NaN and inf
+    ("pic.vzeta_mean", 1e300, "diagnostics.jsonl"),  # order-1 field norms overflow
+    ("pic.dt", 1e300, "diagnostics.jsonl"),  # the cell displacement overflows
+])
+def test_non_finite_output_fails_and_leaves_strict_json(tmp_path, capsys, name, value, file):
+    verb = name.split(".")[0]
+    ini = tmp_path / "edge.ini"
+    ini.write_text(serialize_config(_set(_tiny_cfg(), name, value)))
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(ini), "--out", str(out), "--quiet"]) != 0
+    assert file in capsys.readouterr().err
+    assert file in json.loads((out / "error.json").read_text())["error"]
+    for path in out.glob("*.json*"):
+        for line in (path.read_text().splitlines() if path.suffix == ".jsonl"
+                     else [path.read_text()]):
+            json.loads(line, parse_constant=_refuse_constant)

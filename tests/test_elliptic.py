@@ -158,17 +158,15 @@ def test_divcurl_gradient_case():
     # A* = (x, y): div 2, curl 0
     m = mesh2d(33, x0=-0.5, y0=-0.5)
     X, Y = m.xy()
-    diag = {}
     A = solve_divcurl_2d(
         ScalarField(m, np.full_like(X, 2.0)),
         ScalarField(m, np.zeros((m.ny, m.nx))),
         trace_of(m, X, Y),
         0.0,
-        diagnostics_out=diag,
     )
     np.testing.assert_allclose(A.x, X, atol=2e-8)
     np.testing.assert_allclose(A.y, Y, atol=2e-8)
-    assert diag["circulation_mismatch"] < 1e-8
+    assert abs(float(circulation(A)) - 0.0) < 1e-8
 
 
 def test_divcurl_rotational_case():
@@ -372,19 +370,16 @@ def test_divcurl_volume_matches_per_slice():
     tan = {f: rng.standard_normal((m.nzeta, len(m.face_nodes(f)[0])))
            for f in ("x_lo", "x_hi", "y_lo", "y_hi")}
     circ = rng.standard_normal(m.nzeta)
-    diag = {}
-    A = solve_divcurl_2d(ScalarField(m, div), ScalarField(m, curl), tan, circ,
-                         diagnostics_out=diag, check_compatibility=False)
+    A = solve_divcurl_2d(ScalarField(m, div), ScalarField(m, curl), tan)
+    mismatch = np.abs(circulation(A) - circ)
     scale = max(np.abs(A.x).max(), np.abs(A.y).max())
     for k in range(m.nzeta):
-        diag_k = {}
         A_k = solve_divcurl_2d(ScalarField(m, div[k]), ScalarField(m, curl[k]),
-                               {f: v[k] for f, v in tan.items()}, circ[k],
-                               diagnostics_out=diag_k, check_compatibility=False)
+                               {f: v[k] for f, v in tan.items()})
         np.testing.assert_allclose(A.x[k], A_k.x, rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(A.y[k], A_k.y, rtol=0, atol=1e-13 * scale)
-        assert diag["circulation_mismatch"][k] == pytest.approx(
-            diag_k["circulation_mismatch"], rel=1e-9, abs=1e-12)
+        assert mismatch[k] == pytest.approx(
+            abs(float(circulation(A_k)) - circ[k]), rel=1e-9, abs=1e-12)
     with pytest.raises(IncompatibleDataError):
         solve_divcurl_2d(ScalarField(m, div), ScalarField(m, curl), tan, circ)
 

@@ -221,7 +221,7 @@ def test_bz_antiderivative_oracle():
                              np.zeros_like(X))
         ctx = ChainContext(sources=SourceTerms.zeros(mesh), history=FieldHistory(),
                            time=0.0)
-        Bz = solver.solve_Bz_order(0, Bperp, ctx)
+        Bz = solver.solve_Bz_order(0, div_perp(Bperp).values, ctx)
         exact = (1.0 - np.cos(kz * Z)) / kz * g
         errs.append(np.abs(Bz.values - exact).max())
     assert errs[0] / errs[1] > 3.5  # O(h^2) from div stencil + trapezoid
