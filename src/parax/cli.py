@@ -13,8 +13,10 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -35,6 +37,7 @@ from .pic import run_pic, sample_initial_distribution
 from .scaling import compute_scaling
 from .verify import (
     QuasiStaticMode,
+    chain_audit,
     convergence_study,
     eta_scaling_study,
     eta_study_terms,
@@ -67,13 +70,30 @@ def _ensure_outdir(path: str) -> str:
     return path
 
 
+def _non_finite(obj, keys=()):
+    """(dotted key path, value) of the first NaN or infinity in ``obj``, in
+    the sorted-key order JSON is written in, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (".".join(keys), obj)
+    items = sorted(obj.items()) if isinstance(obj, dict) \
+        else enumerate(obj) if isinstance(obj, (list, tuple)) else ()
+    for k, v in items:
+        found = _non_finite(v, keys + (str(k),))
+        if found:
+            return found
+    return None
+
+
 def _json_text(path: str, obj, indent: int | None = None) -> str:
     """``obj`` as JSON with sorted keys, or ValueError naming the file
-    ``path`` when it holds a NaN or an infinity, which JSON cannot carry."""
+    ``path`` and the key path of its first NaN or infinity, which JSON cannot
+    carry."""
     try:
         return json.dumps(obj, indent=indent, sort_keys=True, allow_nan=False)
     except ValueError as exc:
-        raise ValueError(f"{os.path.basename(path)}: {exc}") from None
+        found = _non_finite(obj)
+        what = exc if found is None else f"{found[0]} is {found[1]}"
+        raise ValueError(f"{os.path.basename(path)}: {what}") from None
 
 
 def _write_json(path: str, obj) -> None:
@@ -151,8 +171,10 @@ def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     for step, hist in enumerate(solve_timeline(case, cfg.hierarchy.n_max, n_steps)):
         if step % cfg.output.cadence == 0 or step == n_steps - 1:
             files += _dump_hierarchy(out_dir, mesh, hist.latest, step)
-    diag = {f"order{o.n}": o.diagnostics for o in hist.latest.orders}
-    rep = maxwell_residual(residual_terms(hist, case.sources(hist.latest.time)), eta)
+    sources = case.sources(hist.latest.time)
+    audit = chain_audit(hist, sources)
+    diag = {f"order{o.n}": {**o.diagnostics, **audit[o.n]} for o in hist.latest.orders}
+    rep = maxwell_residual(residual_terms(hist, sources), eta)
     results = {
         "files": files,
         "diagnostics": diag,
@@ -469,18 +491,23 @@ def _configure_logging(quiet: bool) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging(args.quiet)
-    try:
-        cfg = read_config(args.config) if args.config else RunConfig()
-        return run_command(
-            args.verb, cfg, out_dir=args.out, order=args.order,
-            seed=args.seed, quiet=args.quiet,
-        )
-    except (ConfigError, RunError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Exception as exc:  # solver failures already wrote error.json
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    # --quiet also drops numpy's RuntimeWarnings (overflow, invalid value);
+    # the filter lives only for this call, so callers keep their own
+    with warnings.catch_warnings():
+        if args.quiet:
+            warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            cfg = read_config(args.config) if args.config else RunConfig()
+            return run_command(
+                args.verb, cfg, out_dir=args.out, order=args.order,
+                seed=args.seed, quiet=args.quiet,
+            )
+        except (ConfigError, RunError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except Exception as exc:  # solver failures already wrote error.json
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

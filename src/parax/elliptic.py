@@ -441,8 +441,8 @@ def solve_divcurl_2d(
     imposed.  When one is given (one value per slice for a volume), it is
     checked against the integral of curl_src (Green's theorem) first, and a
     gross mismatch raises IncompatibleDataError.  The field chain gives none:
-    its data agree only up to discretization, and its order audit reports the
-    achieved circulation instead.
+    its data agree only up to discretization, and ``verify.chain_audit``
+    reports the achieved circulation of a solved order instead.
     """
     mesh = same_mesh(div_src, curl_src)
     div, curl = div_src.values, curl_src.values

@@ -29,8 +29,9 @@ every order.  The chain per order, in dimensionless beam-frame variables:
             (the external Bz at order 0, zero above)
 
 The stages only solve.  ``solve_order`` forms dEz/dz + rho, div Eperp and
-div Bperp once each and passes them to the stages that read them; after the
-Bz stage one audit forms every a-posteriori check of the order.
+div Bperp once each and passes them to the stages that read them.  The chain
+records only what its 3D solves report; the a-posteriori checks of a solved
+order are formed apart from it, by ``parax.verify.chain_audit``.
 
 Zeta-end closures alternate with order parity (even orders: Dirichlet for
 Ez, Neumann for Eperp; odd orders swapped), which is the unique assignment
@@ -40,7 +41,6 @@ module tests for the single-mode verification family that pins this down.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -57,8 +57,6 @@ from .fields import ScalarField, VectorField2, same_mesh
 from .mesh import FACE_ORDER, Mesh
 from .operators import (
     boundary_normal_trace,
-    circulation,
-    cross_ez,
     cumint_zeta,
     curl_perp_scalar,
     curl_perp_vector,
@@ -66,10 +64,7 @@ from .operators import (
     dzeta,
     dzeta2,
     grad_perp,
-    norms,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -277,6 +272,19 @@ class ChainContext:
         return self._rates[n]
 
 
+def bperp_normal_trace(rates: FieldRates | None, beta: float,
+                       mesh: Mesh) -> dict[str, np.ndarray]:
+    """Bperp^n . nu on Gamma per face, shaped (nzeta, nface), by zeta-integration
+    of the boundary condition (dBperp^{n-1}/dt + beta dBperp^n/dzeta) . nu = 0
+    from zero at the zeta=0 plane; ``rates`` are those of order n-1 (None: zero
+    rates)."""
+    if rates is None:
+        return {f: np.zeros((mesh.nzeta, mesh.ny if f.startswith("x") else mesh.nx))
+                for f in FACE_ORDER}
+    dt_nu = boundary_normal_trace(rates.Bperp)
+    return {f: cumint_zeta(-dt_nu[f] / beta, mesh) for f in FACE_ORDER}
+
+
 class HierarchySolver:
     """Builds a FieldHierarchy order by order for fixed sources and history."""
 
@@ -424,7 +432,7 @@ class HierarchySolver:
         bperp_nu: dict[str, np.ndarray],
     ) -> VectorField2:
         """Per-slice div-curl solve for Bperp with the imposed normal trace
-        ``bperp_nu`` (see :meth:`_bperp_normal_trace`); ``div_E`` is
+        ``bperp_nu`` (see :func:`bperp_normal_trace`); ``div_E`` is
         div_perp of ``Eperp_n``."""
         mesh, beta = self.mesh, self.beta
         rates = ctx.rates(n - 1)
@@ -445,17 +453,6 @@ class HierarchySolver:
         )
         return VectorField2(mesh, -W.y, W.x)  # B = -(W x e_z)
 
-    def _bperp_normal_trace(self, n: int, ctx: ChainContext) -> dict[str, np.ndarray]:
-        """Bperp^n . nu on Gamma by zeta-integration of the boundary condition
-        (dBperp^{n-1}/dt + beta dBperp^n/dzeta) . nu = 0 from zero at the
-        zeta=0 plane."""
-        mesh, rates = self.mesh, ctx.rates(n - 1)
-        if rates is None:
-            return {f: np.zeros((mesh.nzeta, mesh.ny if f.startswith("x") else mesh.nx))
-                    for f in FACE_ORDER}
-        dt_nu = boundary_normal_trace(rates.Bperp)
-        return {f: cumint_zeta(-dt_nu[f] / self.beta, mesh) for f in FACE_ORDER}
-
     def solve_Bz_order(self, n: int, div_B: np.ndarray, ctx: ChainContext) -> ScalarField:
         """Bz from ``div_B``, div_perp of this order's Bperp."""
         init = self.external.bz if n == 0 else 0.0
@@ -463,60 +460,20 @@ class HierarchySolver:
 
     # -- full chain --------------------------------------------------------------
 
-    def _audit(self, o: FieldOrder, div_E: np.ndarray, div_B: np.ndarray,
-               bperp_nu: dict[str, np.ndarray], ctx: ChainContext) -> dict:
-        """The a-posteriori checks of one solved order, each formed once from
-        the arrays the chain already holds."""
-        mesh, beta = self.mesh, self.beta
-        rates = ctx.rates(o.n - 1)
-        if rates is None:
-            circ = flux = bz_rhs = dt_Bz_max = 0.0
-        else:
-            int_dBz = mesh.integrate_2d(rates.Bz.values)  # int dBz^{n-1}/dt per slice
-            circ, flux, bz_rhs = -int_dBz, int_dBz / beta, -int_dBz / beta
-            dt_Bz_max = float(np.abs(rates.Bz.values).max())
-
-        # Green's theorem on the Ecal curl source -dBz'/dt; an O(h^2) gap is
-        # the expected discretization level, only gross violations are loud
-        circ_worst = float(np.max(np.abs(circulation(o.Ecal) - circ)))
-        if circ_worst > 0.02 * (1.0 + dt_Bz_max * mesh.a * mesh.b):
-            log.warning("order %d pseudo-field circulation mismatch %.3e", o.n, circ_worst)
-        # achieved against imposed Bperp . nu, a discretization error
-        achieved = boundary_normal_trace(o.Bperp)
-        gap = max(np.abs(achieved[f] - bperp_nu[f]).max() for f in FACE_ORDER)
-        scale = 1.0 + max(np.abs(bperp_nu[f]).max() for f in FACE_ORDER)
-        consist_x = o.Ecal.x - (o.Eperp.x - beta * o.Bperp.y)
-        consist_y = o.Ecal.y - (o.Eperp.y + beta * o.Bperp.x)
-        return {
-            "circulation_mismatch_max": circ_worst,
-            # the divergence theorem on the Bperp solve, as the circulation of
-            # the rotated field W = Bperp x e_z that it solves for
-            "flux_mismatch_max": float(np.max(np.abs(circulation(cross_ez(o.Bperp)) - flux))),
-            "bperp_trace_defect": float(gap / scale),
-            # d/dzeta int Bz = -(1/beta) int dBz^{n-1}/dt
-            "bz_integral_residual": float(np.abs(mesh.integrate_2d(div_B) - bz_rhs).max()),
-            "gauss_residual": norms(div_E - dzeta(o.Ez).values - ctx.rho(o.n), mesh),
-            "solenoidal_residual": norms(div_B - dzeta(o.Bz).values, mesh),
-            "pseudo_field_consistency": norms(np.hypot(consist_x, consist_y), mesh),
-        }
-
     def solve_order(self, n: int, ctx: ChainContext) -> FieldOrder:
         ctx.diagnostics = diag = {"order": n}
         Ez = self.solve_Ez_order(n, ctx)
         # the boundary condition fixes Bperp . nu from order n-1 data alone, so
         # the Ecal, Eperp and Bperp stages each run once
-        nu = self._bperp_normal_trace(n, ctx)
+        nu = bperp_normal_trace(ctx.rates(n - 1), self.beta, self.mesh)
         gauss = self.gauss(n, Ez, ctx)
         Ecal = self.solve_Ecal_order(n, gauss, ctx, nu)
         Eperp = self.solve_Eperp_order(n, Ecal, gauss, ctx)
         del gauss
-        div_E = div_perp(Eperp).values
-        Bperp = self.solve_Bperp_order(n, Eperp, div_E, ctx, nu)
-        div_B = div_perp(Bperp).values
-        Bz = self.solve_Bz_order(n, div_B, ctx)
+        Bperp = self.solve_Bperp_order(n, Eperp, div_perp(Eperp).values, ctx, nu)
+        Bz = self.solve_Bz_order(n, div_perp(Bperp).values, ctx)
         order = FieldOrder(n=n, Ez=Ez, Ecal=Ecal, Eperp=Eperp, Bperp=Bperp, Bz=Bz,
                            diagnostics=diag).freeze()
-        diag.update(self._audit(order, div_E, div_B, nu, ctx))
         ctx.orders.append(order)
         return order
 

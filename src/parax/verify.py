@@ -1,5 +1,5 @@
-"""Verification harness: manufactured cases, scaled-Maxwell residuals,
-convergence and eta-scaling studies.
+"""Verification harness: manufactured cases, the per-order chain audit,
+scaled-Maxwell residuals, convergence and eta-scaling studies.
 
 The workhorse manufactured case is a separable trigonometric mode family
 with polynomial-in-time charge density and conservation-compatible currents.
@@ -12,21 +12,34 @@ error Richardson-corrected across two grids.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .fields import ScalarField, VectorField2
-from .hierarchy import ExternalField, FieldHistory, HierarchySolver, SourceTerms, backward_rate
-from .mesh import Mesh, build_mesh
+from .hierarchy import (
+    ExternalField,
+    FieldHistory,
+    HierarchySolver,
+    SourceTerms,
+    backward_rate,
+    bperp_normal_trace,
+)
+from .mesh import FACE_ORDER, Mesh, build_mesh
 from .operators import (
+    boundary_normal_trace,
+    circulation,
     cross_ez,
     curl_perp_scalar,
     curl_perp_vector,
     div_perp,
     dzeta,
+    norms,
     weighted_norms,
 )
+
+log = logging.getLogger(__name__)
 
 ETA_DEPENDENT_EQUATIONS = ("ampere_perp", "ampere_zeta", "faraday_perp", "faraday_zeta")
 
@@ -231,6 +244,63 @@ def mms_case(case_id: str, mesh: Mesh, beta: float):
             "curl": ScalarField(mesh, (kx**2 + ky**2) * cx * cy),
         }
     raise KeyError(f"unknown manufactured case {case_id!r}")
+
+
+# -- chain audit -----------------------------------------------------------------
+
+def chain_audit(history: FieldHistory, sources: SourceTerms) -> dict[int, dict]:
+    """The a-posteriori checks of every order of ``history.latest``, keyed by
+    order, each formed from what the chain held when it solved that order.
+
+    ``history`` is the one the solve read, with the solved hierarchy pushed
+    onto it, and ``sources`` are the ones it solved with.  The order n-1 rates are the
+    :func:`backward_rate` of the last two snapshots (None at order 0 and on a
+    cold start), and the imposed Bperp . nu is the chain's own
+    :func:`bperp_normal_trace` of them.
+    """
+    latest = history.latest
+    if latest is None:
+        raise ValueError("history holds no snapshots")
+    pair = history.pair()
+    mesh, beta = latest.mesh, latest.beta
+    audit = {}
+    for o in latest.orders:
+        rates = None if o.n == 0 or pair is None else backward_rate(
+            latest.order(o.n - 1), pair[0].order(o.n - 1), pair[2])
+        if rates is None:
+            circ = flux = bz_rhs = dt_Bz_max = 0.0
+        else:
+            int_dBz = mesh.integrate_2d(rates.Bz.values)  # int dBz^{n-1}/dt per slice
+            circ, flux, bz_rhs = -int_dBz, int_dBz / beta, -int_dBz / beta
+            dt_Bz_max = float(np.abs(rates.Bz.values).max())
+
+        # Green's theorem on the Ecal curl source -dBz'/dt; an O(h^2) gap is
+        # the expected discretization level, only gross violations are loud
+        circ_worst = float(np.max(np.abs(circulation(o.Ecal) - circ)))
+        if circ_worst > 0.02 * (1.0 + dt_Bz_max * mesh.a * mesh.b):
+            log.warning("order %d pseudo-field circulation mismatch %.3e", o.n, circ_worst)
+        # achieved against imposed Bperp . nu, a discretization error
+        bperp_nu = bperp_normal_trace(rates, beta, mesh)
+        achieved = boundary_normal_trace(o.Bperp)
+        gap = max(np.abs(achieved[f] - bperp_nu[f]).max() for f in FACE_ORDER)
+        scale = 1.0 + max(np.abs(bperp_nu[f]).max() for f in FACE_ORDER)
+        div_E, div_B = div_perp(o.Eperp).values, div_perp(o.Bperp).values
+        rho = sources.rho.values if o.n == 0 else 0.0  # the sources belong to order 0
+        consist_x = o.Ecal.x - (o.Eperp.x - beta * o.Bperp.y)
+        consist_y = o.Ecal.y - (o.Eperp.y + beta * o.Bperp.x)
+        audit[o.n] = {
+            "circulation_mismatch_max": circ_worst,
+            # the divergence theorem on the Bperp solve, as the circulation of
+            # the rotated field W = Bperp x e_z that it solves for
+            "flux_mismatch_max": float(np.max(np.abs(circulation(cross_ez(o.Bperp)) - flux))),
+            "bperp_trace_defect": float(gap / scale),
+            # d/dzeta int Bz = -(1/beta) int dBz^{n-1}/dt
+            "bz_integral_residual": float(np.abs(mesh.integrate_2d(div_B) - bz_rhs).max()),
+            "gauss_residual": norms(div_E - dzeta(o.Ez).values - rho, mesh),
+            "solenoidal_residual": norms(div_B - dzeta(o.Bz).values, mesh),
+            "pseudo_field_consistency": norms(np.hypot(consist_x, consist_y), mesh),
+        }
+    return audit
 
 
 # -- scaled-Maxwell residuals ---------------------------------------------------

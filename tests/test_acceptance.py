@@ -39,6 +39,7 @@ from parax.pic import (
 )
 from parax.verify import (
     QuasiStaticMode,
+    chain_audit,
     convergence_study,
     eta_scaling_study,
     eta_study_terms,
@@ -205,9 +206,10 @@ def test_criterion_6_constraint_residuals():
         for k in range(3):
             h = solver.solve_hierarchy(1, case.sources(k * dt), hist, time=k * dt)
             hist.push(h)
+        audit = chain_audit(hist, case.sources(h.time))
         res[n] = {
-            o.n: (o.diagnostics["gauss_residual"]["l2"],
-                  o.diagnostics["solenoidal_residual"]["l2"])
+            o.n: (audit[o.n]["gauss_residual"]["l2"],
+                  audit[o.n]["solenoidal_residual"]["l2"])
             for o in h.orders
         }
     ratios = []

@@ -26,7 +26,7 @@ from parax.fields import ScalarField, VectorField2
 from parax.hierarchy import ExternalField, FieldHistory, HierarchySolver, SourceTerms
 from parax.mesh import FACE_ORDER, build_mesh
 from parax.operators import boundary_tangential_trace, circulation, curl_perp_scalar, grad_perp
-from parax.verify import QuasiStaticMode
+from parax.verify import QuasiStaticMode, chain_audit
 
 BETA = 0.5
 
@@ -154,8 +154,8 @@ def _signed_zero_sources(mesh, seed):
 @pytest.mark.parametrize("warm", [False, True])
 def test_skipped_curl_solve_keeps_every_bit(monkeypatch, sources, warm):
     # order 0 (and every order on a cold start) has a zero Ecal curl; the
-    # fields and diagnostics of every order match the split that still
-    # solves for q, zero signs included
+    # fields, diagnostics and audit of every order match the split that
+    # still solves for q, zero signs included
     mesh = build_mesh(1.0, 1.3, 2.0, 9, 7, 6)
     case = mode_case(mesh)
     src = {"mode": case.sources(0.1),
@@ -170,11 +170,14 @@ def test_skipped_curl_solve_keeps_every_bit(monkeypatch, sources, warm):
         hist = FieldHistory()
         if warm:
             hist.push(solver.solve_hierarchy(1, case.sources(0.0), hist, time=0.0))
-        return solver.solve_hierarchy(1, src, hist, time=0.1)
+        hist.push(solver.solve_hierarchy(1, src, hist, time=0.1))
+        return hist
 
-    got = solve()
+    got_hist = solve()
     monkeypatch.setattr(hierarchy, "solve_divcurl_2d", _divcurl_with_q)
-    ref = solve()
+    ref_hist = solve()
+    got, ref = got_hist.latest, ref_hist.latest
+    assert chain_audit(got_hist, src) == chain_audit(ref_hist, src)
     for a, b in zip(got.orders, ref.orders):
         for name in ("Ez", "Bz"):
             assert same_bits(getattr(a, name).values, getattr(b, name).values), name

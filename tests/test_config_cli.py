@@ -172,6 +172,74 @@ def test_fields_run_writes_outputs(tmp_path):
         assert order0[f"{name}_relative_residual"] <= 1e-12
 
 
+# what the chain's own solves record per order, and what the audit of
+# parax fields adds to it
+SOLVE_KEYS = {"order", *(f"{name}_{what}" for name in ("Ez", "Eperp_x", "Eperp_y")
+                         for what in ("method", "relative_residual"))}
+AUDIT_KEYS = {"circulation_mismatch_max", "flux_mismatch_max", "bperp_trace_defect",
+              "bz_integral_residual", "gauss_residual", "solenoidal_residual",
+              "pseudo_field_consistency"}
+
+
+def tiny_cfg():
+    """5^2 x 4 nodes, 50 particles and study grids parax convergence accepts."""
+    return small_cfg(mesh__nx=5, mesh__ny=5, mesh__nzeta=4, pic__n_particles=50,
+                     study__grids="5,7,13")
+
+
+def test_chain_audit_runs_only_where_it_is_written(tmp_path, monkeypatch):
+    # the chain only solves: parax fields audits its last snapshot once, and
+    # no other run forms an audit
+    from parax import cli, verify
+    from parax.hierarchy import ExternalField
+    from parax.mesh import build_mesh
+    from parax.pic import run_pic, sample_initial_distribution
+
+    times = []
+
+    def counted(history, sources, _audit=verify.chain_audit):
+        times.append(history.latest.time)
+        return _audit(history, sources)
+
+    monkeypatch.setattr(verify, "chain_audit", counted)
+    monkeypatch.setattr(cli, "chain_audit", counted)
+    cfg = tiny_cfg()
+    mesh = build_mesh(1.0, 1.0, 2.0, 5, 5, 4)
+    particles = sample_initial_distribution(mesh, "uniform", 50, 1)
+    run_pic(mesh, 0.5, 0.1, particles, n_max=1, steps=2, external=ExternalField(bz=0.3))
+    for verb in ("pic", "residual", "convergence"):
+        assert run_command(verb, tiny_cfg(), out_dir=str(tmp_path / verb), quiet=True) == 0
+    assert times == []
+    out = tmp_path / "fields"
+    assert run_command("fields", cfg, out_dir=str(out), quiet=True) == 0
+    assert times == [(cfg.fields.snapshots - 1) * cfg.fields.dt]
+    diag = json.loads((out / "manifest.json").read_text())["results"]["diagnostics"]
+    assert set(diag) == {f"order{n}" for n in range(cfg.hierarchy.n_max + 1)}
+    for d in diag.values():
+        assert set(d) == SOLVE_KEYS | AUDIT_KEYS
+
+
+def test_quiet_silences_numpy_warnings(tmp_path, capsys):
+    # a total weight of 1e300 overflows the field norms; --quiet leaves only
+    # the error line, and the caller's warning filters are its own again after
+    import warnings
+
+    cfg = tiny_cfg()
+    cfg.pic.total_weight = 1e300
+    ini = tmp_path / "huge.ini"
+    ini.write_text(serialize_config(cfg))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        filters = list(warnings.filters)
+        assert main(["pic", "--config", str(ini), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 1
+        assert warnings.filters == filters
+    assert seen == []
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: ValueError: diagnostics.jsonl: field_norms.order0.Bperp is inf"]
+
+
 def test_zero_case_all_zero_dumps(tmp_path):
     out = str(tmp_path / "zero")
     cfg = small_cfg(fields__case="zero")

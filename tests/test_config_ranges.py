@@ -157,6 +157,15 @@ def _refuse_constant(token):
     raise ValueError(f"non-finite JSON token {token}")
 
 
+# the first non-finite number, in sorted-key order, of the file each case
+# refuses to write
+NON_FINITE_AT = {
+    "fields.amplitude": "results.diagnostics.order0.Eperp_x_relative_residual is nan",
+    "pic.vzeta_mean": "field_norms.order1.Bperp is inf",
+    "pic.dt": "max_cell_displacement is inf",
+}
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                             "ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("name, value, file", [
@@ -170,8 +179,12 @@ def test_non_finite_output_fails_and_leaves_strict_json(tmp_path, capsys, name, 
     ini.write_text(serialize_config(_set(_tiny_cfg(), name, value)))
     out = tmp_path / "out"
     assert main([verb, "--config", str(ini), "--out", str(out), "--quiet"]) != 0
-    assert file in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert file in err
     assert file in json.loads((out / "error.json").read_text())["error"]
+    named = f"{file}: {NON_FINITE_AT[name]}"
+    assert named in err
+    assert json.loads((out / "error.json").read_text())["error"].endswith(named)
     for path in out.glob("*.json*"):
         for line in (path.read_text().splitlines() if path.suffix == ".jsonl"
                      else [path.read_text()]):

@@ -14,7 +14,7 @@ from parax.hierarchy import (
 )
 from parax.mesh import build_mesh
 from parax.operators import div_perp, norms
-from parax.verify import QuasiStaticMode
+from parax.verify import QuasiStaticMode, chain_audit
 
 BETA = 0.5
 
@@ -102,8 +102,8 @@ def test_gauss_and_solenoidal_residuals_shrink():
     for n in (13, 25):
         mesh = small_mesh(n)
         case = QuasiStaticMode(mesh=mesh, beta=BETA)
-        _, _, h = run_case(mesh, case, 0, [0.0])
-        d = h.order(0).diagnostics
+        _, hist, _ = run_case(mesh, case, 0, [0.0])
+        d = chain_audit(hist, case.sources(0.0))[0]
         res[n] = (d["gauss_residual"]["l2"], d["solenoidal_residual"]["l2"])
     assert res[13][0] / res[25][0] > 3.0
     # solenoidal is near-exact for the curl-free family; just require small
@@ -113,8 +113,8 @@ def test_gauss_and_solenoidal_residuals_shrink():
 def test_pseudo_field_consistency():
     mesh = small_mesh(13)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.2)
-    _, _, h = run_case(mesh, case, 0, [0.0])
-    assert h.order(0).diagnostics["pseudo_field_consistency"]["l2"] < 5e-3
+    _, hist, _ = run_case(mesh, case, 0, [0.0])
+    assert chain_audit(hist, case.sources(0.0))[0]["pseudo_field_consistency"]["l2"] < 5e-3
 
 
 def test_order_immutability_and_reproducibility():
@@ -197,8 +197,8 @@ def test_snapshot_missing_an_order_is_an_error():
 def test_order_diagnostics_present():
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.3)
-    _, _, h = run_case(mesh, case, 0, [0.0])
-    d = h.order(0).diagnostics
+    _, hist, _ = run_case(mesh, case, 0, [0.0])
+    d = chain_audit(hist, case.sources(0.0))[0]
     assert d["bperp_trace_defect"] < 1e-5
     assert "circulation_mismatch_max" in d
     assert "flux_mismatch_max" in d
@@ -253,21 +253,25 @@ def test_sources_are_one_order_0_source_terms():
 
 def test_order_0_reads_no_time_derivative():
     # order 0 reads the rates of order -1, which do not exist: a history
-    # changes none of its bits, zero signs and diagnostics included
+    # changes none of its bits, zero signs, diagnostics and audit included
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0, jc=0.5, bz_external=0.3)
     solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=case.bz_external))
     hist = FieldHistory()
     hist.push(solver.solve_hierarchy(1, case.sources(0.0), hist, time=0.0))
     sources = case.sources(0.2)
-    warm = solver.solve_hierarchy(0, sources, hist, 0.2).order(0)
-    cold = solver.solve_hierarchy(0, sources, FieldHistory(), 0.2).order(0)
+    warm_h = solver.solve_hierarchy(0, sources, hist, 0.2)
+    cold_hist = FieldHistory()
+    cold_hist.push(solver.solve_hierarchy(0, sources, cold_hist, 0.2))
+    warm, cold = warm_h.order(0), cold_hist.latest.order(0)
     for a, b in ((warm.Ez.values, cold.Ez.values), (warm.Bz.values, cold.Bz.values),
                  (warm.Ecal.x, cold.Ecal.x), (warm.Ecal.y, cold.Ecal.y),
                  (warm.Eperp.x, cold.Eperp.x), (warm.Eperp.y, cold.Eperp.y),
                  (warm.Bperp.x, cold.Bperp.x), (warm.Bperp.y, cold.Bperp.y)):
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
     assert warm.diagnostics == cold.diagnostics
+    hist.push(warm_h)
+    assert chain_audit(hist, sources) == chain_audit(cold_hist, sources)
 
 
 def test_non_finite_source_is_an_error():
@@ -285,10 +289,11 @@ def test_non_finite_source_is_an_error():
 def test_solve_diagnostics_recorded():
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.3)
-    _, _, h = run_case(mesh, case, 1, [0.0, 0.1])
+    _, hist, h = run_case(mesh, case, 1, [0.0, 0.1])
+    audit = chain_audit(hist, case.sources(0.1))
     for o in h.orders:
         d = o.diagnostics
-        assert np.isfinite(d["bperp_trace_defect"])
+        assert np.isfinite(audit[o.n]["bperp_trace_defect"])
         for name in ("Ez", "Eperp_x", "Eperp_y"):
             assert d[f"{name}_method"] == "fdm"
             assert 0.0 <= d[f"{name}_relative_residual"] <= 1e-12
@@ -322,6 +327,6 @@ def test_bperp_trace_defect_is_a_discretization_error():
     for n in (9, 17):
         mesh = small_mesh(n)
         case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.3)
-        _, _, h = run_case(mesh, case, 0, [0.0])
-        defects.append(h.order(0).diagnostics["bperp_trace_defect"])
+        _, hist, _ = run_case(mesh, case, 0, [0.0])
+        defects.append(chain_audit(hist, case.sources(0.0))[0]["bperp_trace_defect"])
     assert defects[0] / defects[1] >= 3.5
