@@ -5,7 +5,6 @@ from .config import RunConfig, serialize_config
 from .elliptic import (
     BoundarySpec,
     FaceBC,
-    IncompatibleDataError,
     SolverSettings,
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,

@@ -32,7 +32,7 @@ from .elliptic import (
 from .fields import write_field_csv, write_table
 from .hierarchy import ChainContext, ExternalField, FieldHistory, HierarchySolver
 from .mesh import MIN_NZETA, build_mesh
-from .operators import boundary_tangential_trace, circulation, norms
+from .operators import boundary_tangential_trace, norms
 from .pic import run_pic, sample_initial_distribution
 from .scaling import compute_scaling
 from .verify import (
@@ -244,7 +244,6 @@ def _mms_divcurl(g, beta):
     A = solve_divcurl_2d(
         case["div"], case["curl"],
         boundary_tangential_trace(case["exact"]),
-        float(circulation(case["exact"])),
     )
     return np.hypot(A.x - case["exact"].x, A.y - case["exact"].y), mesh
 

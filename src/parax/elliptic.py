@@ -1,25 +1,27 @@
 """Reusable elliptic kernels: 2D Poisson, 3D anisotropic Poisson, 2D div-curl.
 
 The scalar solvers discretize  sum_d c_d d^2u/dx_d^2 = f  on the tensor grid
-with per-face Dirichlet or Neumann conditions.  Dirichlet nodes drop out of
-the unknowns and Neumann faces are eliminated through ghost nodes, so the
-operator is a Kronecker sum of 1D second differences, one per axis, and any
-mix of face kinds keeps that structure.  Each 1D operator turns symmetric
-when scaled by the square root of its dual-cell weights (1/2 at end nodes);
-its eigendecomposition is cached.  A solve is then one contraction per axis
-into the joint eigenbasis, a division by the summed eigenvalues, and one
-contraction per axis back: the fast diagonalization method (Lynch, Rice &
-Thomas, Numer. Math. 6, 1964), direct and exact to rounding.  The 2D solver
-runs the same kernel on the trailing two axes, so a (nzeta, ny, nx) volume
-solves every transverse slice in one call.
+with per-face Dirichlet or Neumann conditions, at least one face Dirichlet:
+all-Neumann data fix u only up to a constant and are refused.  Dirichlet
+nodes drop out of the unknowns and Neumann faces are eliminated through
+ghost nodes, so the operator is a Kronecker sum of 1D second differences,
+one per axis, and any mix of face kinds keeps that structure.  Each 1D
+operator turns symmetric when scaled by the square root of its dual-cell
+weights (1/2 at end nodes); its eigendecomposition is cached.  A solve is
+then one contraction per axis into the joint eigenbasis, a division by the
+summed eigenvalues, and one contraction per axis back: the fast
+diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964), direct
+and exact to rounding.  The 2D solver runs the same kernel on the trailing
+two axes, so a (nzeta, ny, nx) volume solves every transverse slice in one
+call.
 
 The div-curl solver prescribes div A, curl A and the tangential trace A.tau
 on Gamma.  It splits A = grad p + curl q:  q absorbs the curl source through
 a homogeneous Dirichlet solve (its trace carries the full circulation by
 Green's theorem; with no curl left after the corner-bilinear part, q is zero
 and not solved for), and p gets Dirichlet data integrated from the remaining
-tangential trace along Gamma.  A circulation, when given, is checked against
-the curl source (Green's theorem), never imposed.
+tangential trace along Gamma.  No circulation is imposed or checked: the
+tangential trace fixes it.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ _FACE_AXIS = {"x_lo": -1, "x_hi": -1, "y_lo": -2, "y_hi": -2, "zeta_lo": -3, "ze
 _AXIS_FACES = {-1: ("x_lo", "x_hi"), -2: ("y_lo", "y_hi"), -3: ("zeta_lo", "zeta_hi")}
 
 
-class IncompatibleDataError(ValueError):
-    """Boundary/source data violate the discrete solvability condition."""
-
-
 @dataclass(frozen=True)
 class FaceBC:
     kind: str
@@ -79,11 +77,6 @@ class BoundarySpec:
 
     def kind(self, name: str) -> str:
         return self.faces[name].kind
-
-
-# solvability-condition mismatch allowance of the pure-Neumann and
-# circulation pre-checks, relative to the data scale
-COMPAT_RTOL = 1e-2
 
 
 class SolverSettings:
@@ -264,38 +257,17 @@ def _solve_scalar(
     nd = len(spacings)
     axes = range(-nd, 0)
     u, g, kinds, inner, lifted = _boundary_rhs(values, spacings, coeffs, bc)
+    if all(k == (NEUMANN, NEUMANN) for k in kinds):
+        raise ValueError("all faces Neumann: the solution is fixed only up to a "
+                         "constant; give at least one face Dirichlet")
     shape = u.shape
     eigs = [_axis_eig(shape[ax], spacings[ax], coeffs[ax], *kinds[ax]) for ax in axes]
-    w = functools.reduce(np.multiply.outer, [_end_weights(len(e[0]), *k)
-                                             for e, k in zip(eigs, kinds)])
-    trailing = tuple(axes)
-
-    pure_neumann = all(k == (NEUMANN, NEUMANN) for k in kinds)
-    if pure_neumann:
-        # solvability: the weighted rhs must sum to zero on each problem
-        b = w * g
-        defect = b.sum(axis=trailing, keepdims=True)
-        ref = np.abs(b).sum(axis=trailing, keepdims=True)
-        if np.any(np.abs(defect) > COMPAT_RTOL * np.maximum(ref, 1e-12)):
-            worst = np.argmax(np.abs(defect) / np.maximum(ref, 1e-300))
-            raise IncompatibleDataError(
-                f"pure-Neumann data incompatible: defect {defect.flat[worst]:.3e} "
-                f"vs scale {ref.flat[worst]:.3e}"
-            )
-        g = (b - defect / w.size) / w
-
     x = g
     for ax, (_, to_modes, _) in zip(axes, eigs):
         x = _along(to_modes, x, ax)
-    lam_sum = functools.reduce(np.add.outer, [e[0] for e in eigs])
-    if pure_neumann:
-        lam_sum = lam_sum.copy()
-        lam_sum[(-1,) * nd] = np.inf  # drop the constant mode
-    x = x / lam_sum
+    x = x / functools.reduce(np.add.outer, [e[0] for e in eigs])
     for ax, (_, _, from_modes) in zip(axes, eigs):
         x = _along(from_modes, x, ax)
-    if pure_neumann:
-        x = x - (w * x).sum(axis=trailing, keepdims=True) / w.sum()
 
     u[inner] = x
     if info_out is not None:
@@ -305,6 +277,8 @@ def _solve_scalar(
         if lifted:
             x_full = np.zeros(shape)
             x_full[inner] = x
+        w = functools.reduce(np.multiply.outer, [_end_weights(len(e[0]), *k)
+                                                 for e, k in zip(eigs, kinds)])
         res = w * (_apply(x_full, spacings, coeffs, kinds)[inner] - g)
         bn = np.linalg.norm(w * g)
         info_out.update(
@@ -314,20 +288,11 @@ def _solve_scalar(
     return u
 
 
-def solve_poisson_2d(
-    rhs: ScalarField,
-    bc: BoundarySpec,
-    info_out: dict | None = None,
-) -> ScalarField:
+def solve_poisson_2d(rhs: ScalarField, bc: BoundarySpec) -> ScalarField:
     """Solve lap_perp u = rhs on one transverse slice, or on every slice of a
-    volume at once (face data then per slice, shaped (nzeta, nface)).
-
-    Pure-Neumann problems must satisfy the discrete compatibility condition
-    and come back gauge-fixed to zero weighted mean.
-    """
+    volume at once (face data then per slice, shaped (nzeta, nface))."""
     m = rhs.mesh
-    vals = _solve_scalar(rhs.values, (m.hy, m.hx), (1.0, 1.0), bc, info_out)
-    return ScalarField(m, vals)
+    return ScalarField(m, _solve_scalar(rhs.values, (m.hy, m.hx), (1.0, 1.0), bc))
 
 
 def solve_anisotropic_poisson_3d(
@@ -431,43 +396,19 @@ def solve_divcurl_2d(
     div_src: ScalarField,
     curl_src: ScalarField,
     tangential_data: dict[str, np.ndarray],
-    circulation=None,
 ) -> VectorField2:
     """Reconstruct A from div A, curl A and A.tau on Gamma, on one transverse
     slice or on every slice of a volume at once.
 
     For a volume, ``tangential_data`` holds (nzeta, nface) arrays.  The
-    tangential trace determines the solution, so a ``circulation`` is never
-    imposed.  When one is given (one value per slice for a volume), it is
-    checked against the integral of curl_src (Green's theorem) first, and a
-    gross mismatch raises IncompatibleDataError.  The field chain gives none:
-    its data agree only up to discretization, and ``verify.chain_audit``
-    reports the achieved circulation of a solved order instead.
+    tangential trace determines the solution, circulation included; the
+    circulation a solved order achieves is reported by
+    ``verify.chain_audit``.
     """
     mesh = same_mesh(div_src, curl_src)
     div, curl = div_src.values, curl_src.values
     if div.shape != curl.shape:
         raise ValueError("div and curl sources must have the same shape")
-
-    if circulation is not None:
-        circulation = np.asarray(circulation, dtype=float)
-        area_curl = mesh.integrate_2d(curl)
-        area = mesh.a * mesh.b
-        # judge the mismatch against the full source amplitude, not just the
-        # curl channel, so discrete-noise sources with tiny curl do not trip it
-        scale = np.maximum.reduce([
-            np.abs(area_curl),
-            np.abs(curl).max(axis=(-2, -1)) * area,
-            np.abs(div).max(axis=(-2, -1)) * area,
-            np.full(np.shape(area_curl), 1e-12),
-        ])
-        gap = np.abs(circulation - area_curl)
-        if np.any(gap > np.maximum(COMPAT_RTOL * scale, 1e-12)):
-            k = np.argmax(gap)
-            raise IncompatibleDataError(
-                f"circulation {np.broadcast_to(circulation, gap.shape).flat[k]:.6e} "
-                f"inconsistent with curl integral {np.ravel(area_curl)[k]:.6e}"
-            )
 
     # peel off the corner-bilinear source content analytically so the
     # remaining potential problems are corner-compatible (O(h^2) split)

@@ -219,7 +219,6 @@ def mms_case(case_id: str, mesh: Mesh, beta: float):
             "exact": A,
             "div": ScalarField(mesh, np.zeros_like(X)),
             "curl": ScalarField(mesh, np.full_like(X, 2.0)),
-            "circulation": 2.0 * mesh.a * mesh.b,
         }
     if case_id == "divcurl-grad":
         xc = mesh.x0 + mesh.a / 2.0
@@ -229,7 +228,6 @@ def mms_case(case_id: str, mesh: Mesh, beta: float):
             "exact": A,
             "div": ScalarField(mesh, np.full_like(X, 2.0)),
             "curl": ScalarField(mesh, np.zeros_like(X)),
-            "circulation": 0.0,
         }
     if case_id == "divcurl-mixed":
         # A = grad(sin sin) + curl(cos cos): both channels active, and the

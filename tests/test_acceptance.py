@@ -23,7 +23,6 @@ from parax.hierarchy import (
 from parax.mesh import build_mesh
 from parax.operators import (
     boundary_tangential_trace,
-    circulation,
     cross_ez,
     curl_perp_scalar,
     curl_perp_vector,
@@ -101,8 +100,7 @@ def test_criterion_2_mms_convergence():
         mesh = build_mesh(1.0, 1.0, 1.0, n, n, 3)
         case = mms_case("divcurl-mixed", mesh, BETA)
         A = solve_divcurl_2d(case["div"], case["curl"],
-                             boundary_tangential_trace(case["exact"]),
-                             float(circulation(case["exact"])))
+                             boundary_tangential_trace(case["exact"]))
         err = np.hypot(A.x - case["exact"].x, A.y - case["exact"].y)
         errs.append(norms(err, mesh)["l2"])
         hs.append(1.0 / (n - 1))

@@ -91,7 +91,7 @@ def test_warm_order_forms_each_volume_once(monkeypatch):
 
 def _divcurl_with_q(div_src, curl_src, tangential_data):
     """solve_divcurl_2d as it was before a zero remaining curl skipped the q
-    solve, in the chain's call form (no circulation, so no pre-check)."""
+    solve."""
     mesh = div_src.mesh
     div, curl = div_src.values, curl_src.values
     xt, yt, xy = _slice_monomials(mesh)[:3]

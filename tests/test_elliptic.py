@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from parax.elliptic import (
@@ -9,7 +9,6 @@ from parax.elliptic import (
     NEUMANN,
     BoundarySpec,
     FaceBC,
-    IncompatibleDataError,
     SolverSettings,
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
@@ -41,10 +40,8 @@ def test_poisson_sine_dirichlet():
         X, Y = m.xy()
         exact = np.sin(np.pi * X) * np.sin(np.pi * Y)
         rhs = -2.0 * np.pi**2 * exact
-        info = {}
-        u = solve_poisson_2d(ScalarField(m, rhs), dirichlet0(), info_out=info)
+        u = solve_poisson_2d(ScalarField(m, rhs), dirichlet0())
         errs.append(np.abs(u.values - exact).max())
-        assert info["relative_residual"] <= 1e-10
     assert errs[0] / errs[1] > 3.5
 
 
@@ -63,26 +60,17 @@ def test_poisson_mixed_neumann():
     np.testing.assert_allclose(u.values, exact, atol=5e-10)
 
 
-def test_poisson_pure_neumann_compatible():
-    # u = cos(pi x) cos(pi y): homogeneous Neumann, zero-mean
-    m = mesh2d(33)
-    X, Y = m.xy()
-    exact = np.cos(np.pi * X) * np.cos(np.pi * Y)
-    rhs = -2.0 * np.pi**2 * exact
-    bc = BoundarySpec.uniform(NEUMANN, 0.0)
-    u = solve_poisson_2d(ScalarField(m, rhs), bc)
-    err = np.abs(u.values - exact).max()
-    assert err < 5e-3
-    # gauge: weighted mean is zero
-    assert abs(np.sum(u.values * m.dual_area_2d)) < 1e-8
-
-
-def test_poisson_pure_neumann_incompatible():
-    m = mesh2d(9)
-    X, _ = m.xy()
-    rhs = np.ones_like(X)  # integral 1 vs zero boundary flux
-    with pytest.raises(IncompatibleDataError):
-        solve_poisson_2d(ScalarField(m, rhs), BoundarySpec.uniform(NEUMANN, 0.0))
+@pytest.mark.parametrize("volumetric", [False, True])
+def test_all_neumann_refused_by_name(volumetric):
+    # no chain operator poses an all-Neumann problem: its solution is fixed
+    # only up to a constant, and the kernel refuses it instead of choosing one
+    m = build_mesh(1.0, 1.0, 1.0, 9, 9, 5)
+    bc = BoundarySpec.uniform(NEUMANN, 0.0, volumetric=volumetric)
+    with pytest.raises(ValueError, match="all faces Neumann"):
+        if volumetric:
+            solve_anisotropic_poisson_3d(0.75, ScalarField.zeros(m), bc)
+        else:
+            solve_poisson_2d(ScalarField(m, np.zeros((m.ny, m.nx))), bc)
 
 
 def test_aniso3d_zero_and_mms():
@@ -143,7 +131,6 @@ def test_divcurl_zero():
         ScalarField(m, np.zeros((m.ny, m.nx))),
         ScalarField(m, np.zeros((m.ny, m.nx))),
         zero_trace(m),
-        0.0,
     )
     np.testing.assert_allclose(A.x, 0.0, atol=1e-12)
     np.testing.assert_allclose(A.y, 0.0, atol=1e-12)
@@ -162,7 +149,6 @@ def test_divcurl_gradient_case():
         ScalarField(m, np.full_like(X, 2.0)),
         ScalarField(m, np.zeros((m.ny, m.nx))),
         trace_of(m, X, Y),
-        0.0,
     )
     np.testing.assert_allclose(A.x, X, atol=2e-8)
     np.testing.assert_allclose(A.y, Y, atol=2e-8)
@@ -177,22 +163,9 @@ def test_divcurl_rotational_case():
         ScalarField(m, np.zeros((m.ny, m.nx))),
         ScalarField(m, np.full_like(X, 2.0)),
         trace_of(m, -Y, X),
-        2.0,
     )
     np.testing.assert_allclose(A.x, -Y, atol=2e-6)
     np.testing.assert_allclose(A.y, X, atol=2e-6)
-
-
-def test_divcurl_incompatible_circulation():
-    m = mesh2d(17)
-    X, Y = m.xy()
-    with pytest.raises(IncompatibleDataError):
-        solve_divcurl_2d(
-            ScalarField(m, np.zeros((m.ny, m.nx))),
-            ScalarField(m, np.full_like(X, 2.0)),
-            trace_of(m, -Y, X),
-            0.0,  # Green's theorem demands 2*area
-        )
 
 
 def test_divcurl_mixed_convergence_and_consistency():
@@ -214,7 +187,6 @@ def test_divcurl_mixed_convergence_and_consistency():
             ScalarField(m, div_exact),
             ScalarField(m, curl_exact),
             trace_of(m, Ax, Ay),
-            float(circulation(VectorField2(m, Ax, Ay))),
         )
         errs.append(max(np.abs(A.x - Ax).max(), np.abs(A.y - Ay).max()))
         circ_gaps.append(abs(circulation(A) - float(m.integrate_2d(curl_perp_vector(A).values))))
@@ -264,9 +236,9 @@ def separable_problems(draw):
     # extents stay within a factor 4 of each other to keep 1e-12 meaningful
     extents = [draw(st.floats(0.5, 2.0)) for _ in range(3)]
     kappa = draw(st.floats(0.05, 0.95))
-    pure_neumann = draw(st.booleans())
-    kinds = [(NEUMANN, NEUMANN) if pure_neumann else (draw(_kind), draw(_kind))
-             for _ in range(nd)]
+    # axes with Neumann at both ends run, but not all of them at once
+    kinds = [(draw(_kind), draw(_kind)) for _ in range(nd)]
+    assume(not all(k == (NEUMANN, NEUMANN) for k in kinds))
     seed = draw(st.integers(0, 2**32 - 1))
     return nd, shape, extents, kappa, kinds, seed
 
@@ -297,24 +269,15 @@ def test_separable_kernel_solves_reference_operator(problem):
                 idx = [slice(None)] * nd
                 idx[d] = end
                 f_eff[tuple(idx)] -= 2.0 * coeffs[d] * faces[name].value / spacings[d]
-    if all(k == (NEUMANN, NEUMANN) for k in kinds):
-        # make the data compatible: zero dual-cell-weighted sum
-        w = np.ones(shape)
-        for d in range(nd):
-            wd = np.ones(shape[d])
-            wd[[0, -1]] = 0.5
-            w = w * wd.reshape([-1 if e == d else 1 for e in range(nd)])
-        shift = np.sum(w * f_eff) / np.sum(w)
-        f, f_eff = f - shift, f_eff - shift
 
     bc = BoundarySpec(faces)
-    info = {}
     if nd == 3:
+        info = {}
         u = solve_anisotropic_poisson_3d(kappa, ScalarField(m, f), bc, info_out=info).values
+        assert info["method"] == "fdm"
+        assert info["relative_residual"] <= 1e-12
     else:
-        u = solve_poisson_2d(ScalarField(m, f), bc, info_out=info).values
-    assert info["method"] == "fdm"
-    assert info["relative_residual"] <= 1e-12
+        u = solve_poisson_2d(ScalarField(m, f), bc).values
 
     unknown = np.ones(shape, dtype=bool)
     for d, (lo_hi, kk) in enumerate(zip(names, kinds)):
@@ -339,9 +302,6 @@ def test_separable_kernel_solves_reference_operator(problem):
     rhs = f_eff[unknown] - lift
     res = (L @ u.ravel())[unknown.ravel()] - f_eff[unknown]
     assert np.linalg.norm(res) <= 1e-12 * max(np.linalg.norm(rhs), 1e-300)
-
-    if all(k == (NEUMANN, NEUMANN) for k in kinds):
-        assert abs(np.sum(w * u)) <= 1e-12 * np.sum(w * np.abs(u))
 
 
 def test_poisson_volume_solves_each_slice():
@@ -380,8 +340,6 @@ def test_divcurl_volume_matches_per_slice():
         np.testing.assert_allclose(A.y[k], A_k.y, rtol=0, atol=1e-13 * scale)
         assert mismatch[k] == pytest.approx(
             abs(float(circulation(A_k)) - circ[k]), rel=1e-9, abs=1e-12)
-    with pytest.raises(IncompatibleDataError):
-        solve_divcurl_2d(ScalarField(m, div), ScalarField(m, curl), tan, circ)
 
 
 def _gamma_dirichlet_loop(mesh, g):

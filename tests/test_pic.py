@@ -147,6 +147,26 @@ def test_deposit_chunked_deterministic():
         np.testing.assert_array_equal(m1.Jperp.y, m.Jperp.y)
 
 
+@pytest.mark.parametrize("nx, ny, nz, n", [(9, 7, 5, 20000), (17, 17, 9, 2 * BLOCK + 777)])
+def test_deposit_does_not_depend_on_the_particle_order(nx, ny, nz, n):
+    # the four moments of a permuted sample equal the unpermuted ones to
+    # rounding: only the order of the adds changes
+    mesh = build_mesh(1.0, 1.0, 2.0, nx, ny, nz)
+    p = sample_initial_distribution(mesh, "gaussian", n, seed=1, sigma=0.2, vth=0.2,
+                                    vzeta_mean=0.3, vzeta_th=0.1)
+    moments = lambda m: (m.rho.values, m.Jperp.x, m.Jperp.y, m.Jzeta.values)
+    ref = moments(deposit_sources(p, mesh))
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        perm = rng.permutation(n)
+        q = ParticleEnsemble(p.ids[perm], p.x[perm], p.y[perm], p.zeta[perm], p.vx[perm],
+                             p.vy[perm], p.vzeta[perm], p.weight[perm])
+        for got, want in zip(moments(deposit_sources(q, mesh)), ref):
+            # measured at most 6.3e-15 of max |moment| (17^2 x 9, 100k
+            # particles), 4.1e-15 (9 x 7 x 5, 20k), 1.4e-15 (33^2 x 17, 50k)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def random_ensemble(mesh, n, rng):
     """n particles spread over the whole box, with random velocities and weights."""
     return ParticleEnsemble(

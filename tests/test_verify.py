@@ -46,7 +46,6 @@ def test_mms_registry_cases():
     lam = np.pi**2 * (1.0 + 1.0 + kap / mesh.zlen**2)
     np.testing.assert_allclose(ez["rhs"].values, -lam * ez["exact"].values, atol=1e-12)
     rot = mms_case("divcurl-rot", mesh, BETA)
-    assert rot["circulation"] == pytest.approx(2.0 * mesh.a * mesh.b)
     np.testing.assert_allclose(rot["curl"].values, 2.0)
     with pytest.raises(KeyError):
         mms_case("no-such-case", mesh, BETA)
