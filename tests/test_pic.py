@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from parax.mesh import build_mesh
 from parax.operators import norms
 from parax.pic import (
     BLOCK,
+    PUSH_BLOCK,
     ParticleEnsemble,
     assemble_force,
     check_charge_conservation,
@@ -167,6 +170,27 @@ def test_deposit_does_not_depend_on_the_particle_order(nx, ny, nz, n):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def test_deposit_peak_memory_stays_under_one_bound_up_to_8_cpus(monkeypatch):
+    # every running span holds its stencil, one weighted moment and its
+    # partial, about 27 float64 words a row; on the pic_beam mesh with 400k
+    # particles the deposit peaked at 1.8 / 3.7 / 12.7 MiB (largest of 12
+    # calls) with 1 / 2 / 8 usable CPUs of a 2-CPU host, and 8 spans of
+    # BLOCK rows at their peak at once, with 16 finished partials, would
+    # come to about 15 MiB
+    mesh = build_mesh(2.0, 2.0, 2.0, 17, 17, 9)
+    p = sample_initial_distribution(mesh, "gaussian", 400_000, seed=1, total_weight=5.0,
+                                    sigma=0.3, zeta_width=0.5, vth=0.05)
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(parax.fields, "_usable_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            deposit_sources(p, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 15 * 2**20, (cpus, peak / 2**20)
+
+
 def random_ensemble(mesh, n, rng):
     """n particles spread over the whole box, with random velocities and weights."""
     return ParticleEnsemble(
@@ -307,8 +331,9 @@ def test_assemble_force_is_one_six_component_gather(monkeypatch):
 
 
 def reference_deposit(mesh, p):
-    """The per-corner scatter the deposit must reproduce bit for bit: blocks
-    of BLOCK in particle order, corners z-outermost, weights (wz * wy) * wx."""
+    """The serial per-corner scatter the deposit must match to rounding:
+    blocks of BLOCK in particle order, corners z-outermost, weights
+    (wz * wy) * wx."""
     total = np.zeros((4, mesh.nzeta * mesh.ny * mesh.nx))
     sy, sx = mesh.nx * mesh.ny, mesh.nx
     for s in range(0, len(p), BLOCK):
@@ -332,6 +357,27 @@ def reference_deposit(mesh, p):
     return total.reshape(4, mesh.nzeta, mesh.ny, mesh.nx) / mesh.dual_volume_3d
 
 
+def reference_push(p, force, dt, mesh):
+    """The elementwise push formulas the blocked push must reproduce bit for
+    bit: the kept particles' new phase space, the keep mask, and the largest
+    drift along any axis in cells."""
+    vx = p.vx + force[0] * dt
+    vy = p.vy + force[1] * dt
+    vzeta = p.vzeta - force[2] * dt
+    x, y, zeta = p.x + vx * dt, p.y + vy * dt, p.zeta + vzeta * dt
+    keep = ((x > mesh.x0) & (x < mesh.x0 + mesh.a) & (y > mesh.y0) & (y < mesh.y0 + mesh.b)
+            & (zeta > 0.0) & (zeta < mesh.zlen))
+    drift = max((float(np.abs(v).max()) * dt / h
+                 for v, h in ((vx, mesh.hx), (vy, mesh.hy), (vzeta, mesh.hzeta)) if len(v)),
+                default=0.0)
+    kept = {"ids": p.ids, "x": x, "y": y, "zeta": zeta, "vx": vx, "vy": vy, "vzeta": vzeta,
+            "weight": p.weight}
+    return {name: v[keep] for name, v in kept.items()}, keep, drift
+
+
+PHASE_SPACE = ("ids", "x", "y", "zeta", "vx", "vy", "vzeta", "weight")
+
+
 @pytest.fixture
 def coupling_case():
     rng = np.random.default_rng(12)
@@ -343,17 +389,29 @@ def coupling_case():
 
 
 def test_coupling_does_not_depend_on_the_cpu_count(monkeypatch, coupling_case):
+    # gather, deposit and push give the same bits on 1, 2 and 3 CPUs.  The
+    # deposit adds its fixed spans' bincount partials in another order than
+    # the serial scatter, so it matches that only to rounding.
     mesh, p, h = coupling_case
     F = np.stack([h.order(0).Ez.values, h.order(1).Bz.values])
     want = reference_deposit(mesh, p)
+    force = assemble_force(2, h, p, eta=0.1)
     results = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(parax.fields, "_usable_cpus", lambda: cpus)
-        results.append([interpolate_to_particles(mesh, F, p)]
-                       + [assemble_force(n, h, p, eta=0.1) for n in range(3)])
         m = deposit_sources(p, mesh)
-        got = np.stack([m.rho.values, m.Jperp.x, m.Jperp.y, m.Jzeta.values])
-        np.testing.assert_array_equal(got, want)
+        moments = np.stack([m.rho.values, m.Jperp.x, m.Jperp.y, m.Jzeta.values])
+        for got, ref in zip(moments, want):
+            # measured at most 1.3e-15 of max |moment| here, 8.3e-15 on
+            # 17^2 x 9 with 400k particles
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+        info = {}
+        q = push_particles(p, force, 0.05, mesh, info_out=info)
+        assert q.absorbed_total > 0
+        results.append([interpolate_to_particles(mesh, F, p)]
+                       + [assemble_force(n, h, p, eta=0.1) for n in range(3)]
+                       + [moments, info["max_cell_displacement"]]
+                       + [getattr(q, name) for name in PHASE_SPACE])
     for other in results[1:]:
         for a, b in zip(results[0], other):
             np.testing.assert_array_equal(a, b)
@@ -503,24 +561,75 @@ def test_push_leaves_its_inputs_unchanged(absorbs):
     dt = 0.05
     info = {}
     q = push_particles(p, force, dt, mesh, info_out=info)
-    for name in ("ids", "x", "y", "zeta", "vx", "vy", "vzeta", "weight"):
+    for name in PHASE_SPACE:
         np.testing.assert_array_equal(getattr(p, name), getattr(before, name))
     np.testing.assert_array_equal(force, force_before)
-    # the formulas the push used before it filtered only on absorption
-    vx = before.vx + force[0] * dt
-    vy = before.vy + force[1] * dt
-    vzeta = before.vzeta - force[2] * dt
-    x, y, zeta = before.x + vx * dt, before.y + vy * dt, before.zeta + vzeta * dt
-    keep = ((x > mesh.x0) & (x < mesh.x0 + mesh.a) & (y > mesh.y0) & (y < mesh.y0 + mesh.b)
-            & (zeta > 0.0) & (zeta < mesh.zlen))
+    want, keep, drift = reference_push(before, force, dt, mesh)
     assert q.absorbed_total == before.absorbed_total + int((~keep).sum())
     assert (q.absorbed_total > 0) == absorbs
-    assert info["max_cell_displacement"] == max(
-        float(np.abs(v).max()) * dt / h
-        for v, h in ((vx, mesh.hx), (vy, mesh.hy), (vzeta, mesh.hzeta)))
-    for name, v in (("ids", before.ids), ("x", x), ("y", y), ("zeta", zeta), ("vx", vx),
-                    ("vy", vy), ("vzeta", vzeta), ("weight", before.weight)):
-        np.testing.assert_array_equal(getattr(q, name), v[keep])
+    assert info["max_cell_displacement"] == drift
+    for name in PHASE_SPACE:
+        np.testing.assert_array_equal(getattr(q, name), want[name])
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_blocked_push_equals_the_elementwise_formulas(monkeypatch, cpus):
+    # particles leave through each of the six walls, some from the first or
+    # last row of a push block; every kept particle, the absorbed count and
+    # the drift match the elementwise formulas bit for bit.  The threads
+    # share the new arrays; a short switch interval interleaves them finely.
+    monkeypatch.setattr(parax.fields, "_usable_cpus", lambda: cpus)
+    rng = np.random.default_rng(14)
+    mesh = build_mesh(1.5, 1.0, 2.0, 11, 9, 7, x0=-0.5)
+    n = 2 * PUSH_BLOCK + 77
+    p = random_ensemble(mesh, n, rng)
+    p.x = np.clip(p.x, mesh.x0 + 0.1, mesh.x0 + mesh.a - 0.1)
+    p.y = np.clip(p.y, mesh.y0 + 0.1, mesh.y0 + mesh.b - 0.1)
+    p.zeta = np.clip(p.zeta, 0.1, mesh.zlen - 0.1)
+    for v in (p.vx, p.vy, p.vzeta):
+        v *= 0.1
+    # the rows on either side of each block bound, as map_blocks cuts them
+    count = -(-n // PUSH_BLOCK)
+    bounds = [n * b // count for b in range(count + 1)]
+    edges = sorted({row for b in bounds for row in (b - 1, b) if 0 <= row < n})
+    leaving = edges + list(rng.choice(np.arange(1, n - 1), 30, replace=False))
+    for i, row in enumerate(leaving):
+        # a drift of 5 crosses any wall of the box
+        getattr(p, ("vx", "vy", "vzeta")[i % 3])[row] = 100.0 if i % 6 < 3 else -100.0
+    force = rng.normal(size=(3, n))
+    dt = 0.05
+    info = {}
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        q = push_particles(p, force, dt, mesh, info_out=info)
+    finally:
+        sys.setswitchinterval(old)
+    want, keep, drift = reference_push(p, force, dt, mesh)
+    assert not keep[edges].any() and q.absorbed_total == int((~keep).sum()) >= len(edges)
+    assert info["max_cell_displacement"] == drift
+    for name in PHASE_SPACE:
+        np.testing.assert_array_equal(getattr(q, name), want[name])
+
+
+def test_push_of_no_particles_starts_no_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(parax.fields, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    mesh = mesh_small()
+    empty = ParticleEnsemble(np.zeros(0, dtype=np.int64), *[np.zeros(0)] * 7)
+    info = {}
+    q = push_particles(empty, np.zeros((3, 0)), 0.05, mesh, info_out=info)
+    assert len(q) == 0 and q.absorbed_total == 0
+    assert info == {"max_cell_displacement": 0.0}
+    # the patch does catch a pool: two push blocks on three CPUs start one
+    many = random_ensemble(mesh, PUSH_BLOCK + 1, np.random.default_rng(0))
+    with pytest.raises(AssertionError, match="thread pool"):
+        push_particles(many, np.zeros((3, len(many))), 0.05, mesh)
 
 
 # -- charge conservation -------------------------------------------------------------
@@ -637,6 +746,25 @@ def test_run_pic_cold_beam_defocuses():
     assert r_out > r_in
     weights = [r.total_weight for r in recs]
     assert all(w2 <= w1 + 1e-12 for w1, w2 in zip(weights, weights[1:]))
+
+
+def test_mirrored_beam_follows_mirrored_trajectories():
+    # the box is symmetric under x -> -x; with no external Bz, a sample
+    # mirrored in x (x and vx negated) must stay the mirror image of the
+    # unmirrored one through deposit, chain, gather and push
+    mesh = build_mesh(2.0, 1.5, 2.0, 11, 9, 7, x0=-1.0, y0=-0.5)
+    p = sample_initial_distribution(mesh, "gaussian", 2000, seed=5, total_weight=3.0,
+                                    center=(0.15, 0.2), sigma=0.25, zeta_width=0.4,
+                                    vth=0.1, vzeta_mean=0.05, vzeta_th=0.05)
+    mirrored = ParticleEnsemble(p.ids, -p.x, p.y, p.zeta, -p.vx, p.vy, p.vzeta, p.weight)
+    a, _, _ = run_pic(mesh, BETA, 0.1, p, n_max=2, dt=0.05, steps=4)
+    b, _, _ = run_pic(mesh, BETA, 0.1, mirrored, n_max=2, dt=0.05, steps=4)
+    assert a.absorbed_total > 0
+    np.testing.assert_array_equal(a.ids, b.ids)
+    for name, sign in (("x", -1), ("y", 1), ("zeta", 1), ("vx", -1), ("vy", 1), ("vzeta", 1)):
+        got, want = getattr(a, name), sign * getattr(b, name)
+        # measured at most 6.2e-16 of max |value|
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
 
 
 def test_pic_losing_every_particle_warns(caplog):
