@@ -37,7 +37,6 @@ from .verify import (
     convergence_study,
     eta_scaling_study,
     maxwell_residual,
-    mms_case,
     residual_terms,
 )
 

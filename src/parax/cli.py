@@ -22,27 +22,19 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, read_config, serialize_config, validate
-from .elliptic import (
-    BoundarySpec,
-    DIRICHLET,
-    solve_anisotropic_poisson_3d,
-    solve_divcurl_2d,
-    solve_poisson_2d,
-)
 from .fields import write_field_csv, write_table
-from .hierarchy import ChainContext, ExternalField, FieldHistory, HierarchySolver
+from .hierarchy import ExternalField
 from .mesh import MIN_NZETA, build_mesh
-from .operators import boundary_tangential_trace, norms
 from .pic import run_pic, sample_initial_distribution
 from .scaling import compute_scaling
 from .verify import (
+    MMS_TARGETS,
     QuasiStaticMode,
     chain_audit,
-    convergence_study,
     eta_scaling_study,
     eta_study_terms,
     maxwell_residual,
-    mms_case,
+    mms_study,
     residual_terms,
     solve_timeline,
 )
@@ -134,11 +126,9 @@ def _mesh(cfg: RunConfig):
 
 def _case(cfg: RunConfig, mesh, beta) -> QuasiStaticMode:
     f = cfg.fields
-    knobs = dict(amplitude=f.amplitude, alpha=f.alpha, alpha2=f.alpha2, jc=f.jc,
-                 bz_external=cfg.external.bz, dt_hist=f.dt)
-    if f.case == "zero":
-        knobs.update(amplitude=0.0, alpha=0.0, alpha2=0.0, jc=0.0)
-    return QuasiStaticMode(mesh=mesh, beta=beta, **knobs)
+    return QuasiStaticMode(mesh=mesh, beta=beta, amplitude=f.amplitude, alpha=f.alpha,
+                           alpha2=f.alpha2, jc=f.jc, bz_external=cfg.external.bz,
+                           dt_hist=f.dt)
 
 
 def _dump_hierarchy(out_dir: str, mesh, hierarchy, step: int) -> list[str]:
@@ -221,73 +211,17 @@ def cmd_pic(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     }
 
 
-def _mms_poisson2d(g, beta):
-    mesh = build_mesh(1.0, 1.0, 1.0, g, g, 3)
-    case = mms_case("poisson-sine", mesh, beta)
-    u = solve_poisson_2d(case["rhs"], BoundarySpec.uniform(DIRICHLET, 0.0))
-    return u.values - case["exact"].values, mesh
-
-
-def _mms_aniso3d(g, beta):
-    mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
-    case = mms_case("ez-mode-111", mesh, beta)
-    u = solve_anisotropic_poisson_3d(
-        case["kappa"], case["rhs"],
-        BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True),
-    )
-    return u.values - case["exact"].values, mesh
-
-
-def _mms_divcurl(g, beta):
-    mesh = build_mesh(1.0, 1.0, 1.0, g, g, 3)
-    case = mms_case("divcurl-mixed", mesh, beta)
-    A = solve_divcurl_2d(
-        case["div"], case["curl"],
-        boundary_tangential_trace(case["exact"]),
-    )
-    return np.hypot(A.x - case["exact"].x, A.y - case["exact"].y), mesh
-
-
-def _mms_chain(g, beta, which):
-    mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
-    case = QuasiStaticMode(mesh=mesh, beta=beta)
-    solver = HierarchySolver(mesh, beta)
-    ctx = ChainContext(sources=case.sources(0.0), history=FieldHistory(), time=0.0)
-    exact = case.exact_order(0, 0.0)
-    Ez = solver.solve_Ez_order(0, ctx)
-    if which == "ez":
-        return Ez.values - exact["Ez"].values, mesh
-    E = solver.solve_Eperp_order(0, exact["Ecal"], solver.gauss(0, exact["Ez"], ctx), ctx)
-    return np.hypot(E.x - exact["Eperp"].x, E.y - exact["Eperp"].y), mesh
-
-
-# each target solves one grid of g nodes per transverse axis and returns the
-# error field and its mesh
-MMS_TARGETS = {
-    "poisson2d": _mms_poisson2d,
-    "aniso3d": _mms_aniso3d,
-    "divcurl": _mms_divcurl,
-    "ez": lambda g, beta: _mms_chain(g, beta, "ez"),
-    "eperp": lambda g, beta: _mms_chain(g, beta, "eperp"),
-}
-
-
 def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     beta, _ = _beta_eta(cfg)
     target = cfg.study.target
     if target not in MMS_TARGETS:
         raise ConfigError(f"[study] target {target!r}: choose from {', '.join(MMS_TARGETS)}")
-    hs, errs = [], []
     # the ez, eperp and aniso3d targets put g nodes on zeta too
     grids = _fit_list(cfg, "grids", cfg.grid_list, lambda g: g >= MIN_NZETA,
                       f"the mms slope fit needs three or more distinct grids of "
                       f"{MIN_NZETA} or more nodes")
-    for g in grids:
-        err, mesh = MMS_TARGETS[target](g, beta)
-        errs.append(norms(err, mesh)["l2"])
-        hs.append(1.0 / (g - 1))
-    rep = convergence_study(hs, errs, target_order=cfg.study.target_order, label=target)
-    _write_study_csv(os.path.join(out_dir, f"mms_{target}.csv"), hs, errs)
+    rep = mms_study(target, grids, beta, target_order=cfg.study.target_order)
+    _write_study_csv(os.path.join(out_dir, f"mms_{target}.csv"), rep.parameters, rep.errors)
     report = dataclasses.asdict(rep)
     _write_json(os.path.join(out_dir, f"mms_{target}.json"), report)
     if not quiet:

@@ -71,7 +71,6 @@ class ExternalBlock:
 
 @dataclass
 class FieldsBlock:
-    case: str = "qs-mode-111"
     amplitude: float = 1.0
     alpha: float = 0.0
     alpha2: float = 0.0
@@ -158,7 +157,6 @@ def _range_checks(cfg: RunConfig):
     yield "pic", "family", p.family in ("uniform", "gaussian", "cold"), \
         "must be uniform, gaussian or cold"
     yield "output", "cadence", o.cadence >= 1, "must be >= 1"
-    yield "fields", "case", f.case in ("qs-mode-111", "zero"), "must be qs-mode-111 or zero"
     yield "fields", "snapshots", f.snapshots >= 1, "must be >= 1"
     yield "fields", "dt", f.dt > 0, "must be positive"
     # derived values, formed by products: a float power would raise on overflow

@@ -34,7 +34,7 @@ from typing import Mapping
 import numpy as np
 
 from .fields import ScalarField, VectorField2, same_mesh
-from .mesh import FACE_ORDER, Mesh, face_tangent
+from .mesh import FACE_ORDER, Mesh
 from .operators import (
     axis_index,
     boundary_tangential_trace,
@@ -420,6 +420,8 @@ def solve_divcurl_2d(
     curl_rem = curl - (cc[0] + cc[1] * xt + cc[2] * yt + cc[3] * xy)
     t0 = boundary_tangential_trace(A0)
 
+    g_p = {f: np.asarray(tangential_data[f], dtype=float) - t0[f] for f in FACE_ORDER}
+    qx = qy = 0.0  # q = 0 when no curl remains
     if curl_rem.any():
         q = solve_poisson_2d(
             ScalarField(mesh, -curl_rem), BoundarySpec.uniform(DIRICHLET, 0.0)
@@ -427,15 +429,7 @@ def solve_divcurl_2d(
         A_q = curl_perp_scalar(q)
         qx, qy = A_q.x, A_q.y
         t_q = boundary_tangential_trace(A_q)
-    else:
-        # q = 0 and its curl is (+0.0, -0.0): the scalars keep the zero signs
-        # those terms gave
-        qx, qy = 0.0, -0.0
-        t_q = {f: face_tangent(f)[0] * qx + face_tangent(f)[1] * qy for f in FACE_ORDER}
-    g_p = {
-        f: np.asarray(tangential_data[f], dtype=float) - t0[f] - t_q[f]
-        for f in FACE_ORDER
-    }
+        g_p = {f: g_p[f] - t_q[f] for f in FACE_ORDER}
 
     p_gamma = _gamma_dirichlet_from_tangential(mesh, g_p)
     bc_p = BoundarySpec({f: FaceBC(DIRICHLET, p_gamma[f]) for f in FACE_ORDER})

@@ -354,7 +354,7 @@ class HierarchySolver:
         rates = ctx.rates(n - 1)
         if rates is None:
             dt_Ez_prev = 0.0
-            curl_src = np.full(_volume(mesh), -0.0)  # -(dBz/dt) of a zero rate
+            curl_src = np.zeros(_volume(mesh))
         else:
             dt_Ez_prev = rates.Ez.values
             curl_src = -rates.Bz.values
@@ -381,8 +381,7 @@ class HierarchySolver:
         rates = ctx.rates(n - 1)
         Jx_prev, Jy_prev, _ = ctx.current(n - 1)
         if rates is None:
-            # curl_perp_scalar of a zero array is (+0.0, -0.0)
-            curl_x, curl_y, dtE_x, dtE_y = 0.0, -0.0, 0.0, 0.0
+            curl_x = curl_y = dtE_x = dtE_y = 0.0
         else:
             curl_dtBz = curl_perp_scalar(rates.Bz)
             curl_x, curl_y = curl_dtBz.x, curl_dtBz.y

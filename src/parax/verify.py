@@ -1,5 +1,6 @@
-"""Verification harness: manufactured cases, the per-order chain audit,
-scaled-Maxwell residuals, convergence and eta-scaling studies.
+"""Verification harness: manufactured cases and the solver studies on them
+(``parax mms``), the per-order chain audit, scaled-Maxwell residuals,
+convergence and eta-scaling studies.
 
 The workhorse manufactured case is a separable trigonometric mode family
 with polynomial-in-time charge density and conservation-compatible currents.
@@ -17,8 +18,16 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .elliptic import (
+    BoundarySpec,
+    DIRICHLET,
+    solve_anisotropic_poisson_3d,
+    solve_divcurl_2d,
+    solve_poisson_2d,
+)
 from .fields import ScalarField, VectorField2
 from .hierarchy import (
+    ChainContext,
     ExternalField,
     FieldHistory,
     HierarchySolver,
@@ -29,6 +38,7 @@ from .hierarchy import (
 from .mesh import FACE_ORDER, Mesh, build_mesh
 from .operators import (
     boundary_normal_trace,
+    boundary_tangential_trace,
     circulation,
     cross_ez,
     curl_perp_scalar,
@@ -71,7 +81,6 @@ class QuasiStaticMode:
     alpha2: float = 0.0      # quadratic growth; feeds genuine order-2 content
     jc: float = 0.0          # divergence-free transverse current strength
     bz_external: float = 0.0
-    m_zeta: int = 1
     dt_hist: float = 0.0     # snapshot spacing; > 0 makes Jzeta satisfy the
                              # backward-difference charge conservation exactly
 
@@ -89,7 +98,7 @@ class QuasiStaticMode:
 
     def _wavenumbers(self):
         m = self.mesh
-        return np.pi / m.a, np.pi / m.b, np.pi * self.m_zeta / m.zlen
+        return np.pi / m.a, np.pi / m.b, np.pi / m.zlen
 
     def _shapes(self):
         xt, yt, z = _axes(self.mesh)
@@ -182,66 +191,90 @@ class QuasiStaticMode:
         }
 
 
-def mms_case(case_id: str, mesh: Mesh, beta: float):
-    """Registry of solver-level manufactured cases: each returns a dict of
-    its source fields (``rhs``, or ``div`` and ``curl``) and its ``exact``
-    solution.  The full chain's case is :class:`QuasiStaticMode`.
-    """
-    xt, yt, z = _axes(mesh)
-    X, Y = mesh.xy()
+# -- manufactured-solution studies ----------------------------------------------
+# each target solves one grid of g nodes per transverse axis from manufactured
+# data built on it, and returns the error field and its mesh
+
+def _mms_poisson2d(g: int, beta: float):
+    """The Poisson sine u = sin(kx x) sin(ky y) on one slice."""
+    mesh = build_mesh(1.0, 1.0, 1.0, g, g, 3)
+    xt, yt, _ = _axes(mesh)
     kx, ky = np.pi / mesh.a, np.pi / mesh.b
-    if case_id == "zero":
-        return {
-            "rhs": ScalarField.zeros(mesh),
-            "exact": ScalarField.zeros(mesh),
-        }
-    if case_id == "ez-mode-111":
-        kz = np.pi / mesh.zlen
-        kappa = 1.0 - beta**2
-        u = np.sin(kx * xt) * np.sin(ky * yt) * np.sin(kz * z)
-        lam = kx**2 + ky**2 + kappa * kz**2
-        return {
-            "exact": ScalarField(mesh, u),
-            "rhs": ScalarField(mesh, -lam * u),
-            "kappa": kappa,
-        }
-    if case_id == "poisson-sine":
-        u2 = np.sin(kx * xt) * np.sin(ky * yt)
-        return {
-            "exact": ScalarField(mesh, u2),
-            "rhs": ScalarField(mesh, -(kx**2 + ky**2) * u2),
-        }
-    if case_id == "divcurl-rot":
-        xc = mesh.x0 + mesh.a / 2.0
-        yc = mesh.y0 + mesh.b / 2.0
-        A = VectorField2(mesh, -(Y - yc), X - xc)
-        return {
-            "exact": A,
-            "div": ScalarField(mesh, np.zeros_like(X)),
-            "curl": ScalarField(mesh, np.full_like(X, 2.0)),
-        }
-    if case_id == "divcurl-grad":
-        xc = mesh.x0 + mesh.a / 2.0
-        yc = mesh.y0 + mesh.b / 2.0
-        A = VectorField2(mesh, X - xc, Y - yc)
-        return {
-            "exact": A,
-            "div": ScalarField(mesh, np.full_like(X, 2.0)),
-            "curl": ScalarField(mesh, np.zeros_like(X)),
-        }
-    if case_id == "divcurl-mixed":
-        # A = grad(sin sin) + curl(cos cos): both channels active, and the
-        # nonzero corner curl exercises the polynomial peel-off
-        sx, cx = np.sin(kx * xt), np.cos(kx * xt)
-        sy, cy = np.sin(ky * yt), np.cos(ky * yt)
-        Ax = kx * cx * sy - ky * cx * sy
-        Ay = ky * sx * cy + kx * sx * cy
-        return {
-            "exact": VectorField2(mesh, Ax, Ay),
-            "div": ScalarField(mesh, -(kx**2 + ky**2) * sx * sy),
-            "curl": ScalarField(mesh, (kx**2 + ky**2) * cx * cy),
-        }
-    raise KeyError(f"unknown manufactured case {case_id!r}")
+    u = np.sin(kx * xt) * np.sin(ky * yt)
+    got = solve_poisson_2d(ScalarField(mesh, -(kx**2 + ky**2) * u),
+                           BoundarySpec.uniform(DIRICHLET, 0.0))
+    return got.values - u, mesh
+
+
+def _mms_aniso3d(g: int, beta: float):
+    """The Ez mode 111, u = sin sin sin, of the kappa-anisotropic 3D operator."""
+    mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
+    xt, yt, z = _axes(mesh)
+    kx, ky, kz = np.pi / mesh.a, np.pi / mesh.b, np.pi / mesh.zlen
+    kappa = 1.0 - beta**2
+    u = np.sin(kx * xt) * np.sin(ky * yt) * np.sin(kz * z)
+    got = solve_anisotropic_poisson_3d(
+        kappa, ScalarField(mesh, -(kx**2 + ky**2 + kappa * kz**2) * u),
+        BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True))
+    return got.values - u, mesh
+
+
+def _mms_divcurl(g: int, beta: float):
+    """A = grad(sin sin) + curl(cos cos) on one slice: both channels are
+    active, and the nonzero corner curl exercises the polynomial peel-off."""
+    mesh = build_mesh(1.0, 1.0, 1.0, g, g, 3)
+    xt, yt, _ = _axes(mesh)
+    kx, ky = np.pi / mesh.a, np.pi / mesh.b
+    sx, cx = np.sin(kx * xt), np.cos(kx * xt)
+    sy, cy = np.sin(ky * yt), np.cos(ky * yt)
+    exact = VectorField2(mesh, kx * cx * sy - ky * cx * sy, ky * sx * cy + kx * sx * cy)
+    got = solve_divcurl_2d(ScalarField(mesh, -(kx**2 + ky**2) * sx * sy),
+                           ScalarField(mesh, (kx**2 + ky**2) * cx * cy),
+                           boundary_tangential_trace(exact))
+    return np.hypot(got.x - exact.x, got.y - exact.y), mesh
+
+
+def _mode_order0(g: int, beta: float):
+    """The chain's solver, context and exact order-0 fields of the static
+    :class:`QuasiStaticMode` on a cold start."""
+    mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
+    case = QuasiStaticMode(mesh=mesh, beta=beta)
+    ctx = ChainContext(sources=case.sources(0.0), history=FieldHistory(), time=0.0)
+    return HierarchySolver(mesh, beta), ctx, case.exact_order(0, 0.0), mesh
+
+
+def _mms_ez(g: int, beta: float):
+    solver, ctx, exact, mesh = _mode_order0(g, beta)
+    return solver.solve_Ez_order(0, ctx).values - exact["Ez"].values, mesh
+
+
+def _mms_eperp(g: int, beta: float):
+    """The Eperp stage, fed the exact Ecal and Ez of order 0."""
+    solver, ctx, exact, mesh = _mode_order0(g, beta)
+    E = solver.solve_Eperp_order(0, exact["Ecal"], solver.gauss(0, exact["Ez"], ctx), ctx)
+    return np.hypot(E.x - exact["Eperp"].x, E.y - exact["Eperp"].y), mesh
+
+
+MMS_TARGETS = {
+    "poisson2d": _mms_poisson2d,
+    "aniso3d": _mms_aniso3d,
+    "divcurl": _mms_divcurl,
+    "ez": _mms_ez,
+    "eperp": _mms_eperp,
+}
+
+
+def mms_study(target: str, grids, beta: float,
+              target_order: float | None = None) -> ConvergenceReport:
+    """Convergence of ``MMS_TARGETS[target]``: the L2 error over the nodes
+    one row in from each face on each grid of g nodes per transverse axis,
+    fitted against h = 1 / (g - 1)."""
+    hs, errs = [], []
+    for g in grids:
+        err, mesh = MMS_TARGETS[target](g, beta)
+        errs.append(norms(err, mesh)["l2"])
+        hs.append(1.0 / (g - 1))
+    return convergence_study(hs, errs, target_order=target_order, label=target)
 
 
 # -- chain audit -----------------------------------------------------------------

@@ -11,10 +11,8 @@ import numpy as np
 
 from parax.cli import run_command
 from parax.config import RunConfig
-from parax.elliptic import BoundarySpec, DIRICHLET, solve_anisotropic_poisson_3d, solve_poisson_2d, solve_divcurl_2d
 from parax.fields import ScalarField, VectorField2
 from parax.hierarchy import (
-    ChainContext,
     ExternalField,
     FieldHistory,
     HierarchySolver,
@@ -22,13 +20,11 @@ from parax.hierarchy import (
 )
 from parax.mesh import build_mesh
 from parax.operators import (
-    boundary_tangential_trace,
     cross_ez,
     curl_perp_scalar,
     curl_perp_vector,
     div_perp,
     laplace_perp,
-    norms,
 )
 from parax.pic import (
     ParticleEnsemble,
@@ -37,12 +33,12 @@ from parax.pic import (
     sample_initial_distribution,
 )
 from parax.verify import (
+    MMS_TARGETS,
     QuasiStaticMode,
     chain_audit,
-    convergence_study,
     eta_scaling_study,
     eta_study_terms,
-    mms_case,
+    mms_study,
 )
 
 BETA = 0.5
@@ -73,59 +69,8 @@ def test_criterion_1_operator_identities():
 
 
 def test_criterion_2_mms_convergence():
-    slopes = {}
-
-    errs, hs = [], []
-    for n in (17, 33, 65):
-        mesh = build_mesh(1.0, 1.0, 1.0, n, n, 3)
-        case = mms_case("poisson-sine", mesh, BETA)
-        u = solve_poisson_2d(case["rhs"], BoundarySpec.uniform(DIRICHLET, 0.0))
-        errs.append(norms(u.values - case["exact"].values, mesh)["l2"])
-        hs.append(1.0 / (n - 1))
-    slopes["poisson2d"] = convergence_study(hs, errs).slope
-
-    errs, hs = [], []
-    for n in (17, 33, 65):
-        mesh = build_mesh(1.0, 1.0, 2.0, n, n, n)
-        case = mms_case("ez-mode-111", mesh, BETA)
-        u = solve_anisotropic_poisson_3d(
-            case["kappa"], case["rhs"],
-            BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True))
-        errs.append(norms(u.values - case["exact"].values, mesh)["l2"])
-        hs.append(1.0 / (n - 1))
-    slopes["aniso3d"] = convergence_study(hs, errs).slope
-
-    errs, hs = [], []
-    for n in (17, 33, 65):
-        mesh = build_mesh(1.0, 1.0, 1.0, n, n, 3)
-        case = mms_case("divcurl-mixed", mesh, BETA)
-        A = solve_divcurl_2d(case["div"], case["curl"],
-                             boundary_tangential_trace(case["exact"]))
-        err = np.hypot(A.x - case["exact"].x, A.y - case["exact"].y)
-        errs.append(norms(err, mesh)["l2"])
-        hs.append(1.0 / (n - 1))
-    slopes["divcurl"] = convergence_study(hs, errs).slope
-
-    for which in ("ez", "eperp"):
-        errs, hs = [], []
-        for n in (17, 33, 65):
-            mesh = build_mesh(1.0, 1.0, 2.0, n, n, n)
-            case = QuasiStaticMode(mesh=mesh, beta=BETA)
-            solver = HierarchySolver(mesh, BETA)
-            ctx = ChainContext(sources=case.sources(0.0), history=FieldHistory(),
-                               time=0.0)
-            exact = case.exact_order(0, 0.0)
-            if which == "ez":
-                got = solver.solve_Ez_order(0, ctx)
-                err = got.values - exact["Ez"].values
-            else:
-                E = solver.solve_Eperp_order(0, exact["Ecal"],
-                                             solver.gauss(0, exact["Ez"], ctx), ctx)
-                err = np.hypot(E.x - exact["Eperp"].x, E.y - exact["Eperp"].y)
-            errs.append(norms(err, mesh)["l2"])
-            hs.append(1.0 / (n - 1))
-        slopes[which] = convergence_study(hs, errs).slope
-
+    # the five parax mms targets, each fitted over three grids
+    slopes = {t: mms_study(t, (17, 33, 65), BETA).slope for t in MMS_TARGETS}
     for name, slope in slopes.items():
         assert slope >= 1.9, f"{name} fitted order {slope:.3f} < 1.9"
     report(2, "MMS convergence",
@@ -262,7 +207,8 @@ def test_criterion_8_determinism(tmp_path):
         a = Path(outs[0], name).read_bytes()
         b = Path(outs[1], name).read_bytes()
         assert a == b, f"{name} differs between reruns"
-    report(8, "determinism", f"{len(names)} CSVs byte-identical (chunked deposition)")
+    report(8, "determinism",
+           f"{len(names)} CSVs and diagnostics.jsonl byte-identical across reruns")
 
 
 def test_criterion_9_force_truncation_bound():

@@ -53,6 +53,7 @@ def test_unknown_key_suggestion():
     ("hierarchy", "tolerance", "1e-10"),
     ("hierarchy", "max_fixed_point", "20"),
     ("scaling", "l", "0.01"),
+    ("fields", "case", "zero"),
 ])
 def test_removed_keys_rejected(section, key, value):
     # keys of earlier formats that no longer select anything
@@ -67,12 +68,8 @@ def test_constraint_violation_named(tmp_path):
         read_validated("[hierarchy]\nn_max = -1\n")
     with pytest.raises(ConfigError, match="family"):
         read_validated("[pic]\nfamily = ring\n")
-    for case in ("qs-mode-999", "qs-mode", ""):  # only qs-mode-111 is implemented
-        with pytest.raises(ConfigError, match=r"\[fields\] case"):
-            read_validated(f"[fields]\ncase = {case}\n")
-    assert read_validated("[fields]\ncase = zero\n").fields.case == "zero"
-    with pytest.raises(ConfigError, match=r"\[fields\] case"):  # a config built in code
-        run_command("residual", small_cfg(fields__case="foo"), out_dir=str(tmp_path), quiet=True)
+    with pytest.raises(ConfigError, match=r"\[pic\] family"):  # a config built in code
+        run_command("residual", small_cfg(pic__family="ring"), out_dir=str(tmp_path), quiet=True)
 
 
 @pytest.mark.parametrize("verb, section, key, value", [
@@ -242,7 +239,7 @@ def test_quiet_silences_numpy_warnings(tmp_path, capsys):
 
 def test_zero_case_all_zero_dumps(tmp_path):
     out = str(tmp_path / "zero")
-    cfg = small_cfg(fields__case="zero")
+    cfg = small_cfg(fields__amplitude=0.0)
     assert run_command("fields", cfg, out_dir=out, quiet=True) == 0
     from parax.fields import read_field_csv
 

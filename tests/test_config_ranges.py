@@ -45,7 +45,6 @@ OUT_OF_RANGE = [
     ("pic.vzeta_th", -0.1),
     ("pic.family", "ring"),
     ("output.cadence", 0),
-    ("fields.case", "qs-mode-999"),
     ("fields.snapshots", 0),
     ("fields.dt", -1.0),
     # derived quantities that overflow or underflow

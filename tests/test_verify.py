@@ -3,8 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from parax.elliptic import BoundarySpec, DIRICHLET, solve_anisotropic_poisson_3d, solve_poisson_2d
-from parax.fields import VectorField2
+from parax.elliptic import (
+    BoundarySpec,
+    DIRICHLET,
+    solve_anisotropic_poisson_3d,
+    solve_divcurl_2d,
+    solve_poisson_2d,
+)
+from parax.fields import ScalarField, VectorField2
 from parax.hierarchy import (
     ExternalField,
     FieldHistory,
@@ -14,6 +20,7 @@ from parax.hierarchy import (
 )
 from parax.mesh import build_mesh
 from parax.operators import (
+    boundary_tangential_trace,
     cross_ez,
     curl_perp_scalar,
     curl_perp_vector,
@@ -23,32 +30,18 @@ from parax.operators import (
     weighted_norms,
 )
 from parax.verify import (
+    MMS_TARGETS,
     DegenerateFitError,
     QuasiStaticMode,
     convergence_study,
     eta_scaling_study,
     eta_study_terms,
     maxwell_residual,
-    mms_case,
     residual_terms,
     richardson_combine,
 )
 
 BETA = 0.5
-
-
-def test_mms_registry_cases():
-    mesh = build_mesh(1.0, 1.0, 2.0, 9, 9, 9)
-    z = mms_case("zero", mesh, BETA)
-    assert np.all(z["rhs"].values == 0.0)
-    ez = mms_case("ez-mode-111", mesh, BETA)
-    kap = 1.0 - BETA**2
-    lam = np.pi**2 * (1.0 + 1.0 + kap / mesh.zlen**2)
-    np.testing.assert_allclose(ez["rhs"].values, -lam * ez["exact"].values, atol=1e-12)
-    rot = mms_case("divcurl-rot", mesh, BETA)
-    np.testing.assert_allclose(rot["curl"].values, 2.0)
-    with pytest.raises(KeyError):
-        mms_case("no-such-case", mesh, BETA)
 
 
 class GridMode(QuasiStaticMode):
@@ -63,36 +56,38 @@ class GridMode(QuasiStaticMode):
                 np.cos(kz * Z), np.sin(kz * Z))
 
 
-def grid_mms_case(case_id, mesh, beta):
-    """The trigonometric and linear mms cases on full grids3d arrays."""
-    X, Y, Z = mesh.grids3d()
-    xt, yt = X - mesh.x0, Y - mesh.y0
+def grid_target_errors(g, beta):
+    """The errors of the three solver targets' solves on g nodes per axis,
+    with the manufactured data evaluated on full grids3d arrays."""
+    errors = {}
+    mesh = build_mesh(1.0, 1.0, 1.0, g, g, 3)
+    X, Y, _ = mesh.grids3d()
+    xt, yt = X[0] - mesh.x0, Y[0] - mesh.y0
     kx, ky = np.pi / mesh.a, np.pi / mesh.b
-    xc, yc = mesh.x0 + mesh.a / 2.0, mesh.y0 + mesh.b / 2.0
-    if case_id == "ez-mode-111":
-        kz = np.pi / mesh.zlen
-        u = np.sin(kx * xt) * np.sin(ky * yt) * np.sin(kz * Z)
-        return {"exact": u, "rhs": -(kx**2 + ky**2 + (1.0 - beta**2) * kz**2) * u}
-    if case_id == "poisson-sine":
-        u2 = np.sin(kx * xt[0]) * np.sin(ky * yt[0])
-        return {"exact": u2, "rhs": -(kx**2 + ky**2) * u2}
-    if case_id == "divcurl-rot":
-        return {"exact": (-(Y[0] - yc), X[0] - xc), "div": np.zeros_like(X[0]),
-                "curl": np.full_like(X[0], 2.0)}
-    if case_id == "divcurl-grad":
-        return {"exact": (X[0] - xc, Y[0] - yc), "div": np.full_like(X[0], 2.0),
-                "curl": np.zeros_like(X[0])}
-    sx, cx = np.sin(kx * xt[0]), np.cos(kx * xt[0])
-    sy, cy = np.sin(ky * yt[0]), np.cos(ky * yt[0])
-    return {"exact": (kx * cx * sy - ky * cx * sy, ky * sx * cy + kx * sx * cy),
-            "div": -(kx**2 + ky**2) * sx * sy, "curl": (kx**2 + ky**2) * cx * cy}
+    u = np.sin(kx * xt) * np.sin(ky * yt)
+    got = solve_poisson_2d(ScalarField(mesh, -(kx**2 + ky**2) * u),
+                           BoundarySpec.uniform(DIRICHLET, 0.0))
+    errors["poisson2d"] = got.values - u
+    sx, cx, sy, cy = np.sin(kx * xt), np.cos(kx * xt), np.sin(ky * yt), np.cos(ky * yt)
+    exact = VectorField2(mesh, kx * cx * sy - ky * cx * sy, ky * sx * cy + kx * sx * cy)
+    A = solve_divcurl_2d(ScalarField(mesh, -(kx**2 + ky**2) * sx * sy),
+                         ScalarField(mesh, (kx**2 + ky**2) * cx * cy),
+                         boundary_tangential_trace(exact))
+    errors["divcurl"] = np.hypot(A.x - exact.x, A.y - exact.y)
+    mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
+    X, Y, Z = mesh.grids3d()
+    kz, kappa = np.pi / mesh.zlen, 1.0 - beta**2
+    u = np.sin(kx * (X - mesh.x0)) * np.sin(ky * (Y - mesh.y0)) * np.sin(kz * Z)
+    got = solve_anisotropic_poisson_3d(
+        kappa, ScalarField(mesh, -(kx**2 + ky**2 + kappa * kz**2) * u),
+        BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True))
+    errors["aniso3d"] = got.values - u
+    return errors
 
 
 def arrays_of(value):
     if isinstance(value, VectorField2):
         return [value.x, value.y]
-    if isinstance(value, tuple):
-        return list(value)
     return [getattr(value, "values", value)]
 
 
@@ -102,13 +97,11 @@ def assert_same_bits(new, old):
     assert np.array_equal(np.signbit(new), np.signbit(old))
 
 
-@pytest.mark.parametrize("m_zeta", [1, 2])
-def test_separable_shapes_match_full_grids(m_zeta):
+def test_separable_shapes_match_full_grids():
     # the shape factors are evaluated per axis and broadcast; every product
     # is the same as on full (nzeta, ny, nx) grids, so results agree bit for bit
     mesh = build_mesh(1.3, 0.9, 2.0, 11, 9, 7, x0=-0.4, y0=0.25)
-    knobs = dict(beta=BETA, alpha=0.7, alpha2=1.3, jc=0.4, bz_external=0.3,
-                 m_zeta=m_zeta, dt_hist=0.05)
+    knobs = dict(beta=BETA, alpha=0.7, alpha2=1.3, jc=0.4, bz_external=0.3, dt_hist=0.05)
     new, old = QuasiStaticMode(mesh=mesh, **knobs), GridMode(mesh=mesh, **knobs)
     for t in (0.0, 0.1):
         a, b = new.sources(t), old.sources(t)
@@ -121,20 +114,13 @@ def test_separable_shapes_match_full_grids(m_zeta):
             for key in a:
                 for x, y in zip(arrays_of(a[key]), arrays_of(b[key])):
                     assert_same_bits(x, y)
-    for case_id in ("ez-mode-111", "poisson-sine", "divcurl-rot", "divcurl-grad", "divcurl-mixed"):
-        case, ref = mms_case(case_id, mesh, BETA), grid_mms_case(case_id, mesh, BETA)
-        for key in ref:
-            for x, y in zip(arrays_of(case[key]), arrays_of(ref[key])):
-                assert_same_bits(x, y)
+    for target, ref in grid_target_errors(9, BETA).items():
+        assert_same_bits(MMS_TARGETS[target](9, BETA)[0], ref)
 
 
 def test_ez_mode_111_solver_recovery():
-    mesh = build_mesh(1.0, 1.0, 2.0, 17, 17, 17)
-    case = mms_case("ez-mode-111", mesh, BETA)
-    u = solve_anisotropic_poisson_3d(
-        case["kappa"], case["rhs"], BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True)
-    )
-    assert np.abs(u.values - case["exact"].values).max() < 5e-3
+    err, _ = MMS_TARGETS["aniso3d"](17, BETA)
+    assert np.abs(err).max() < 5e-3
 
 
 def test_quasistatic_sources_conserve_charge():
@@ -280,14 +266,9 @@ def test_richardson_combine():
 
 
 def test_poisson_mms_slope():
-    errs, hs = [], []
-    for n in (9, 17, 33):
-        mesh = build_mesh(1.0, 1.0, 1.0, n, n, 3)
-        case = mms_case("poisson-sine", mesh, BETA)
-        u = solve_poisson_2d(case["rhs"], BoundarySpec.uniform(DIRICHLET, 0.0))
-        errs.append(np.abs(u.values - case["exact"].values).max())
-        hs.append(1.0 / (n - 1))
-    rep = convergence_study(hs, errs, target_order=1.9)
+    grids = (9, 17, 33)
+    errs = [np.abs(MMS_TARGETS["poisson2d"](n, BETA)[0]).max() for n in grids]
+    rep = convergence_study([1.0 / (n - 1) for n in grids], errs, target_order=1.9)
     assert rep.passed
 
 
