@@ -97,10 +97,13 @@ def assert_same_bits(new, old):
     assert np.array_equal(np.signbit(new), np.signbit(old))
 
 
-def test_separable_shapes_match_full_grids():
+@pytest.mark.parametrize("zlen", [1, 2])
+def test_separable_shapes_match_full_grids(zlen):
     # the shape factors are evaluated per axis and broadcast; every product
-    # is the same as on full (nzeta, ny, nx) grids, so results agree bit for bit
-    mesh = build_mesh(1.3, 0.9, 2.0, 11, 9, 7, x0=-0.4, y0=0.25)
+    # is the same as on full (nzeta, ny, nx) grids, so results agree bit for bit.
+    # The two window lengths give kz = pi and pi/2, the wavenumbers the
+    # mode family had at m_zeta = 2 and 1 on a window of length 2.
+    mesh = build_mesh(1.3, 0.9, float(zlen), 11, 9, 7, x0=-0.4, y0=0.25)
     knobs = dict(beta=BETA, alpha=0.7, alpha2=1.3, jc=0.4, bz_external=0.3, dt_hist=0.05)
     new, old = QuasiStaticMode(mesh=mesh, **knobs), GridMode(mesh=mesh, **knobs)
     for t in (0.0, 0.1):
