@@ -20,6 +20,15 @@ class FieldShapeError(ValueError):
     pass
 
 
+def require_finite(what: str, **arrays) -> None:
+    """Raise FieldShapeError naming ``what`` and the first of ``arrays`` that
+    holds a NaN or an infinity.  The wrappers check shape only; this runs
+    where data enters or leaves a stage."""
+    for name, values in arrays.items():
+        if not np.isfinite(values).all():
+            raise FieldShapeError(f"{what}: {name} is non-finite")
+
+
 def _check_shape(mesh: Mesh, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape == (mesh.ny, mesh.nx) or values.shape == (mesh.nzeta, mesh.ny, mesh.nx):
@@ -37,8 +46,6 @@ class ScalarField:
 
     def __post_init__(self):
         self.values = _check_shape(self.mesh, self.values)
-        if not np.all(np.isfinite(self.values)):
-            raise FieldShapeError("field contains non-finite entries")
 
     @property
     def is3d(self) -> bool:
@@ -60,8 +67,6 @@ class VectorField2:
         self.y = _check_shape(self.mesh, self.y)
         if self.x.shape != self.y.shape:
             raise FieldShapeError("vector components have mismatched shapes")
-        if not (np.all(np.isfinite(self.x)) and np.all(np.isfinite(self.y))):
-            raise FieldShapeError("field contains non-finite entries")
 
     @property
     def is3d(self) -> bool:

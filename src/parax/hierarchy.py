@@ -53,7 +53,7 @@ from .elliptic import (
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
 )
-from .fields import ScalarField, VectorField2, same_mesh
+from .fields import ScalarField, VectorField2, require_finite, same_mesh
 from .mesh import FACE_ORDER, Mesh
 from .operators import (
     boundary_normal_trace,
@@ -100,8 +100,13 @@ class FieldOrder:
     diagnostics: dict = dc_field(default_factory=dict)
 
     def freeze(self):
-        for arr in (self.Ez.values, self.Ecal.x, self.Ecal.y, self.Eperp.x,
-                    self.Eperp.y, self.Bperp.x, self.Bperp.y, self.Bz.values):
+        """Check the outputs in chain order, so that an error names the stage
+        that made the first non-finite value, and make them read-only."""
+        arrays = {"Ez": self.Ez.values, "Ecal.x": self.Ecal.x, "Ecal.y": self.Ecal.y,
+                  "Eperp.x": self.Eperp.x, "Eperp.y": self.Eperp.y,
+                  "Bperp.x": self.Bperp.x, "Bperp.y": self.Bperp.y, "Bz": self.Bz.values}
+        require_finite(f"order {self.n}", **arrays)
+        for arr in arrays.values():
             arr.flags.writeable = False
         return self
 
@@ -495,6 +500,8 @@ class HierarchySolver:
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         same_mesh(sources.rho, sources.Jperp, sources.Jzeta)
+        require_finite("sources", rho=sources.rho.values, Jx=sources.Jperp.x,
+                       Jy=sources.Jperp.y, Jzeta=sources.Jzeta.values)
 
         ctx = ChainContext(sources=sources, history=history or FieldHistory(), time=time)
         for n in range(n_max + 1):

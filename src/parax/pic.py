@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ScalarField, VectorField2, map_blocks
+from .fields import ScalarField, VectorField2, map_blocks, require_finite
 from .hierarchy import (
     ExternalField,
     FieldHierarchy,
@@ -284,6 +284,7 @@ def deposit_sources(
     total = total.reshape(4, mesh.nzeta, mesh.ny, mesh.nx)
     total /= mesh.dual_volume_3d
     rho, jx, jy, jz = total
+    require_finite("deposit", rho=rho, Jx=jx, Jy=jy, Jzeta=jz)
     return SourceTerms(
         rho=ScalarField(mesh, rho),
         Jperp=VectorField2(mesh, jx, jy),
@@ -383,7 +384,8 @@ def push_particles(
     of cores.  The inputs are left as they are; the result shares ``ids``
     and ``weight`` with them when no particle is absorbed.  ``info_out``
     receives ``max_cell_displacement``, the largest drift of any particle
-    along any axis, in cells.
+    along any axis, in cells.  A non-finite velocity after the kick, which
+    would otherwise leave the domain unnoticed, raises FieldShapeError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -424,6 +426,7 @@ def push_particles(
                 r[kept:kept + count] = r[start:stop][kb]
         kept += count
         top = np.maximum(top, block_top)
+    require_finite("push", vx=top[0], vy=top[1], vzeta=top[2])
     if info_out is not None:
         info_out["max_cell_displacement"] = max(
             float(s) * dt / h for s, h in zip(top, (mesh.hx, mesh.hy, mesh.hzeta)))

@@ -4,6 +4,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -150,6 +151,51 @@ def test_numeric_edge_values_run_or_are_refused(tmp_path, name, value):
             assert run_command(verb, cfg, out_dir=str(tmp_path / verb), quiet=True) == 0
         except (ConfigError, SamplingError):
             pass
+
+
+# a value that overflows or underflows on the way: the error names the stage
+# output, the deposit, the push or the chain's sources, and the component,
+# or the JSON file and the key path of the first non-finite value
+NAMED_NON_FINITE = re.compile(r"(order \d+|sources|deposit|push): [\w.]+ is non-finite"
+                              r"|\w+\.jsonl?: [\w.]+ is -?(nan|inf)")
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning",
+                            "ignore:divide by zero encountered:RuntimeWarning")
+@pytest.mark.parametrize("name, value", [
+    (f"{block.name}.{f.name}", value)
+    for block in dataclasses.fields(RunConfig)
+    for f in dataclasses.fields(block.default_factory())
+    if f.type == "float"
+    for value in (1e300, -1e300, 1e-300)
+])
+def test_extreme_values_run_or_fail_with_a_named_error(tmp_path, name, value):
+    for verb in READERS.get(name, READERS[name.split(".")[0]]):
+        cfg = _set(_tiny_cfg(), name, value)
+        try:
+            assert run_command(verb, cfg, out_dir=str(tmp_path / verb), quiet=True) == 0
+        except (ConfigError, SamplingError):
+            pass
+        except ValueError as exc:
+            assert NAMED_NON_FINITE.fullmatch(str(exc)), f"{verb}: {exc}"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("verb, a, named", [
+    ("fields", 1e150, "Ecal.x"),  # _slice_monomials' xt**3 / 6 overflows in the Ecal split
+    ("fields", 1e-150, "Bperp.x"),  # the Dirichlet lift of the Bperp split overflows
+    ("pic", 1e150, "Ecal.x"),
+])
+def test_overflowing_stage_exits_1_and_names_it(tmp_path, capsys, verb, a, named):
+    ini = tmp_path / "edge.ini"
+    ini.write_text(serialize_config(_set(_tiny_cfg(), "mesh.a", a)))
+    out = tmp_path / "out"
+    assert main([verb, "--config", str(ini), "--out", str(out), "--quiet"]) == 1
+    error = f"FieldShapeError: order 0: {named} is non-finite"
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert json.loads((out / "error.json").read_text())["error"] == error
 
 
 def _refuse_constant(token):

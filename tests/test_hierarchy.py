@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from parax.fields import ScalarField, VectorField2
+from parax.fields import FieldShapeError, ScalarField, VectorField2
 from parax.hierarchy import (
     ChainContext,
     ExternalField,
@@ -275,14 +275,35 @@ def test_order_0_reads_no_time_derivative():
 
 
 def test_non_finite_source_is_an_error():
-    # a NaN written into a source after construction reaches the chain, whose
-    # first field built from it refuses the non-finite entries
-    from parax.fields import FieldShapeError
-
+    # the wrappers check shape only: a NaN written into a source reaches
+    # solve_hierarchy, which checks its sources before the first stage
     mesh = small_mesh(9)
     sources = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0).sources(0.0)
     sources.rho.values[4, 4, 4] = np.nan
-    with pytest.raises(FieldShapeError, match="non-finite"):
+    with pytest.raises(FieldShapeError, match="^sources: rho is non-finite$"):
+        HierarchySolver(mesh, BETA).solve_hierarchy(1, sources)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("stage, named", [
+    ("Ez", "Ez"), ("Ecal", "Ecal.x"), ("Eperp", "Eperp.x"), ("Bperp", "Bperp.x"), ("Bz", "Bz"),
+])
+def test_non_finite_stage_output_names_its_order_and_stage(monkeypatch, order, stage, named):
+    # one NaN in one stage's output at one order: the later stages of that
+    # order read it too, and the error names the first, in chain order
+    method = f"solve_{stage}_order"
+    solve = getattr(HierarchySolver, method)
+
+    def poisoned(self, n, *args):
+        out = solve(self, n, *args)
+        if n == order:
+            (out.values if isinstance(out, ScalarField) else out.x)[2, 4, 4] = np.nan
+        return out
+
+    monkeypatch.setattr(HierarchySolver, method, poisoned)
+    mesh = small_mesh(9)
+    sources = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0).sources(0.0)
+    with pytest.raises(FieldShapeError, match=f"^order {order}: {named} is non-finite$"):
         HierarchySolver(mesh, BETA).solve_hierarchy(1, sources)
 
 

@@ -63,6 +63,15 @@ def test_mesh_mismatch_rejected():
         ScalarField(m2, f.values)
 
 
+def test_fields_check_shape_only():
+    # non-finite values are refused where they enter or leave a stage, by
+    # fields.require_finite, not by the wrappers
+    m = unit_square(5)
+    nan = np.full((m.ny, m.nx), np.nan)
+    assert np.isnan(ScalarField(m, nan).values).all()
+    assert np.isnan(VectorField2(m, nan, nan).y).all()
+
+
 def test_linear_exactness():
     m = unit_square()
     X, Y = m.xy()

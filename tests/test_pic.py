@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import parax.pic
-from parax.fields import ScalarField, VectorField2
+from parax.fields import FieldShapeError, ScalarField, VectorField2
 from parax.hierarchy import (
     ExternalField,
     FieldHierarchy,
@@ -630,6 +630,30 @@ def test_push_of_no_particles_starts_no_pool(monkeypatch):
     many = random_ensemble(mesh, PUSH_BLOCK + 1, np.random.default_rng(0))
     with pytest.raises(AssertionError, match="thread pool"):
         push_particles(many, np.zeros((3, len(many))), 0.05, mesh)
+
+
+@pytest.mark.parametrize("bad, named", [("vx", "vx"), ("fy", "vy"), ("fz", "vzeta")])
+def test_push_refuses_a_non_finite_velocity(bad, named):
+    # a NaN velocity, or one kicked by an infinite force, would drift its
+    # particle out of the domain to be absorbed without a word
+    mesh = mesh_small()
+    p = random_ensemble(mesh, 100, np.random.default_rng(15))
+    force = np.zeros((3, len(p)))
+    if bad == "vx":
+        p.vx[37] = np.nan
+    else:
+        force["xyz".index(bad[1]), 37] = np.inf
+    with pytest.raises(FieldShapeError, match=f"^push: {named} is non-finite$"):
+        push_particles(p, force, 0.05, mesh)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+def test_deposit_refuses_a_non_finite_position():
+    mesh = mesh_small()
+    p = random_ensemble(mesh, 100, np.random.default_rng(16))
+    p.zeta[37] = np.nan
+    with pytest.raises(ValueError, match="^deposit: rho is non-finite$"):
+        deposit_sources(p, mesh)
 
 
 # -- charge conservation -------------------------------------------------------------
