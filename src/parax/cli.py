@@ -162,8 +162,7 @@ def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
         if step % cfg.output.cadence == 0 or step == n_steps - 1:
             files += _dump_hierarchy(out_dir, mesh, hist.latest, step)
     sources = case.sources(hist.latest.time)
-    audit = chain_audit(hist, sources)
-    diag = {f"order{o.n}": {**o.diagnostics, **audit[o.n]} for o in hist.latest.orders}
+    diag = {f"order{n}": {"order": n, **a} for n, a in chain_audit(hist, sources).items()}
     rep = maxwell_residual(residual_terms(hist, sources), eta)
     results = {
         "files": files,
@@ -312,28 +311,32 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
 def _keep_freed_memory() -> None:
-    """Let the C allocator keep freed memory for the next CSV block.
+    """Let the C allocator keep freed memory for the next CSV block or step.
 
-    A CSV block frees 10-20 MB of numpy temporaries.  glibc's dynamic
-    thresholds (mmap at the largest freed mmapped chunk, trim at twice it,
-    about 3 MB here) hand the heap top back to the kernel after every block,
-    and the next block faults the same pages in again.  Setting either
-    threshold switches both dynamic ones off, so both are set: mmap at 2 MiB
-    puts a block's text array (at most CSV_NUMBERS * CELL bytes, 1.6 MB) on
-    the heap, and trim at 16 MiB keeps a block's freed temporaries there.
-    Minor faults of the run of one benchmark ``cli_outputs`` unit (``parax
-    fields`` on 33x33x17, then ``parax pic`` with 50k particles and 10
-    steps; 2 vCPUs), by (mmap, trim) in MiB: unset 142k; (2, 16) 10.6k, as
-    (4, 16), (32, 16) and (32, 64); (2, 8) 144k; (4, 12) 42-48k; (1, 64)
-    40k; trim 64 alone 250-330k.  Where the C library has no ``mallopt``
-    (macOS, Windows) this does nothing.
+    A CSV block frees 10-20 MB of numpy temporaries, and a PIC step with
+    400k particles frees 3.2 MB per-particle arrays and (6, 8, 8192) gather
+    values (3.1 MB).  glibc's dynamic thresholds (mmap at the largest freed
+    mmapped chunk, trim at twice it, about 3 MB here) hand the heap top back
+    to the kernel after every block, and the next block faults the same
+    pages in again; an mmap threshold below an array's size maps and unmaps
+    that array on every use.  Setting either threshold switches both
+    dynamic ones off, so both are set: mmap at 32 MiB, glibc's own ceiling
+    for its dynamic threshold, puts every such array on the heap, and trim
+    at 16 MiB keeps a block's freed temporaries there.  Minor faults by
+    (mmap, trim) in MiB (2 vCPUs): one run of one benchmark ``cli_outputs``
+    unit (``parax fields`` on 33x33x17, then ``parax pic`` with 50k
+    particles and 10 steps): unset 166k; (32, 16) 9.7-10.1k, as (2, 16) and
+    (4, 16); (32, 64) 14k; (2, 8) 157k; (32, 8) 108k.  A 10-step ``run_pic``
+    on 17x17x9 with 400k particles: unset 16.8k; (32, 16) 16.5k; (2, 16)
+    448k.  Where the C library has no ``mallopt`` (macOS, Windows) this
+    does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 2 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
     mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 

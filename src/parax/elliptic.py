@@ -256,12 +256,11 @@ def _solve_scalar(
     array including Dirichlet values."""
     nd = len(spacings)
     axes = range(-nd, 0)
-    u, g, kinds, inner, lifted = _boundary_rhs(values, spacings, coeffs, bc)
+    u, g, kinds, inner, _ = _boundary_rhs(values, spacings, coeffs, bc)
     if all(k == (NEUMANN, NEUMANN) for k in kinds):
         raise ValueError("all faces Neumann: the solution is fixed only up to a "
                          "constant; give at least one face Dirichlet")
-    shape = u.shape
-    eigs = [_axis_eig(shape[ax], spacings[ax], coeffs[ax], *kinds[ax]) for ax in axes]
+    eigs = [_axis_eig(u.shape[ax], spacings[ax], coeffs[ax], *kinds[ax]) for ax in axes]
     x = g
     for ax, (_, to_modes, _) in zip(axes, eigs):
         x = _along(to_modes, x, ax)
@@ -271,21 +270,29 @@ def _solve_scalar(
 
     u[inner] = x
     if info_out is not None:
-        # the operator on x alone, zero on the faces: u itself when no
-        # Dirichlet face carries data
-        x_full = u
-        if lifted:
-            x_full = np.zeros(shape)
-            x_full[inner] = x
-        w = functools.reduce(np.multiply.outer, [_end_weights(len(e[0]), *k)
-                                                 for e, k in zip(eigs, kinds)])
-        res = w * (_apply(x_full, spacings, coeffs, kinds)[inner] - g)
-        bn = np.linalg.norm(w * g)
-        info_out.update(
-            method="fdm",
-            relative_residual=float(np.linalg.norm(res) / bn) if bn > 0 else 0.0,
-        )
+        info_out.update(_solve_info(u, values, spacings, coeffs, bc))
     return u
+
+
+def _solve_info(u: np.ndarray, values, spacings, coeffs, bc: BoundarySpec) -> dict:
+    """Method and relative residual of the solution ``u`` of
+    :func:`_solve_scalar` for the same problem: the dual-cell weighted L2
+    norm of the operator on the unknowns minus the right-hand side there,
+    over that of the right-hand side (0.0 for a zero right-hand side)."""
+    _, g, kinds, inner, lifted = _boundary_rhs(values, spacings, coeffs, bc)
+    x = u[inner]
+    # the operator on x alone, zero on the faces: u itself when no Dirichlet
+    # face carries data
+    x_full = u
+    if lifted:
+        x_full = np.zeros(u.shape)
+        x_full[inner] = x
+    w = functools.reduce(np.multiply.outer, [_end_weights(m, *k)
+                                             for m, k in zip(x.shape[-len(kinds):], kinds)])
+    res = w * (_apply(x_full, spacings, coeffs, kinds)[inner] - g)
+    bn = np.linalg.norm(w * g)
+    return {"method": "fdm",
+            "relative_residual": float(np.linalg.norm(res) / bn) if bn > 0 else 0.0}
 
 
 def solve_poisson_2d(rhs: ScalarField, bc: BoundarySpec) -> ScalarField:
@@ -301,7 +308,10 @@ def solve_anisotropic_poisson_3d(
     bc: BoundarySpec,
     info_out: dict | None = None,
 ) -> ScalarField:
-    """Solve (lap_perp + kappa d^2/dzeta^2) u = rhs over Omega x (0, Z)."""
+    """Solve (lap_perp + kappa d^2/dzeta^2) u = rhs over Omega x (0, Z).
+
+    ``info_out``, if given, receives the solve's ``method`` and
+    ``relative_residual`` (:func:`_solve_info`)."""
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa = 1 - beta^2 must lie in (0, 1), got {kappa}")
     if not rhs.is3d:
@@ -344,15 +354,20 @@ def _particular_field(mesh: Mesh, div_coeffs, curl_coeffs) -> VectorField2:
     Solutions with corner-incompatible sources (nonzero div/curl where two
     Dirichlet potential edges meet) develop r^2 log r potentials that degrade
     the split to O(h); subtracting this field first restores O(h^2).
+    ``curl_coeffs`` None stands for a zero curl.
     """
     xt, yt, xy, x2, y2, x2y, xy2, x3, y3 = _slice_monomials(mesh)
     da, db_, dg, dd = div_coeffs
-    ca, cb, cg, cd = curl_coeffs
     # monomials on the slice: each per-slice coefficient then costs one
     # multiply over the volume
     # divergence part: (int d dxt, 0) plus a curl-free fix keeping curl zero
     ux = da * xt + db_ * x2 + dg * xy + dd * x2y
     uy = dg * x2 + dd * x3
+    if curl_coeffs is None:
+        # the zero curl part is -0.0 in x, which adds nothing, and +0.0 in y,
+        # which turns a -0.0 of uy into +0.0
+        return VectorField2(mesh, ux, uy + 0.0)
+    ca, cb, cg, cd = curl_coeffs
     # curl part: (-int c dyt, 0) plus a divergence-free fix keeping div zero
     vx = -(ca * yt + cb * xy + cg * y2 + cd * xy2)
     vy = cb * y2 + cd * y3
@@ -394,35 +409,37 @@ def _gamma_dirichlet_from_tangential(mesh: Mesh, g: dict[str, np.ndarray]):
 
 def solve_divcurl_2d(
     div_src: ScalarField,
-    curl_src: ScalarField,
+    curl_src: ScalarField | None,
     tangential_data: dict[str, np.ndarray],
 ) -> VectorField2:
     """Reconstruct A from div A, curl A and A.tau on Gamma, on one transverse
     slice or on every slice of a volume at once.
 
-    For a volume, ``tangential_data`` holds (nzeta, nface) arrays.  The
-    tangential trace determines the solution, circulation included; the
-    circulation a solved order achieves is reported by
-    ``verify.chain_audit``.
+    For a volume, ``tangential_data`` holds (nzeta, nface) arrays.
+    ``curl_src`` None stands for a zero curl, which costs no curl work; the
+    result has the bits of an explicit +0.0 curl.  The tangential trace
+    determines the solution, circulation included; the circulation a solved
+    order achieves is reported by ``verify.chain_audit``.
     """
-    mesh = same_mesh(div_src, curl_src)
-    div, curl = div_src.values, curl_src.values
-    if div.shape != curl.shape:
+    mesh = div_src.mesh if curl_src is None else same_mesh(div_src, curl_src)
+    div = div_src.values
+    if curl_src is not None and div.shape != curl_src.values.shape:
         raise ValueError("div and curl sources must have the same shape")
 
     # peel off the corner-bilinear source content analytically so the
     # remaining potential problems are corner-compatible (O(h^2) split)
     xt, yt, xy = _slice_monomials(mesh)[:3]
     dc = _corner_bilinear(mesh, div)
-    cc = _corner_bilinear(mesh, curl)
+    cc = None if curl_src is None else _corner_bilinear(mesh, curl_src.values)
     A0 = _particular_field(mesh, dc, cc)
     div_rem = div - (dc[0] + dc[1] * xt + dc[2] * yt + dc[3] * xy)
-    curl_rem = curl - (cc[0] + cc[1] * xt + cc[2] * yt + cc[3] * xy)
     t0 = boundary_tangential_trace(A0)
 
     g_p = {f: np.asarray(tangential_data[f], dtype=float) - t0[f] for f in FACE_ORDER}
     qx = qy = 0.0  # q = 0 when no curl remains
-    if curl_rem.any():
+    curl_rem = None if cc is None else (
+        curl_src.values - (cc[0] + cc[1] * xt + cc[2] * yt + cc[3] * xy))
+    if curl_rem is not None and curl_rem.any():
         q = solve_poisson_2d(
             ScalarField(mesh, -curl_rem), BoundarySpec.uniform(DIRICHLET, 0.0)
         )

@@ -29,9 +29,12 @@ every order.  The chain per order, in dimensionless beam-frame variables:
             (the external Bz at order 0, zero above)
 
 The stages only solve.  ``solve_order`` forms dEz/dz + rho, div Eperp and
-div Bperp once each and passes them to the stages that read them.  The chain
-records only what its 3D solves report; the a-posteriori checks of a solved
-order are formed apart from it, by ``parax.verify.chain_audit``.
+div Bperp once each and passes them to the stages that read them.  The Ez
+and Eperp stages pose their 3D problems through :meth:`HierarchySolver.ez_problem`
+and :meth:`HierarchySolver.eperp_problems`; the a-posteriori checks of a
+solved order, the 3D solves' relative residuals among them, are formed apart
+from the chain by ``parax.verify.chain_audit``, which poses the same
+problems again.
 
 Zeta-end closures alternate with order parity (even orders: Dirichlet for
 Ez, Neumann for Eperp; odd orders swapped), which is the unique assignment
@@ -50,10 +53,12 @@ from .elliptic import (
     NEUMANN,
     BoundarySpec,
     FaceBC,
+    _solve_info,
+    _solve_scalar,
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
 )
-from .fields import ScalarField, VectorField2, require_finite, same_mesh
+from .fields import ScalarField, VectorField2, map_blocks, require_finite, same_mesh
 from .mesh import FACE_ORDER, Mesh
 from .operators import (
     boundary_normal_trace,
@@ -97,7 +102,6 @@ class FieldOrder:
     Eperp: VectorField2
     Bperp: VectorField2
     Bz: ScalarField
-    diagnostics: dict = dc_field(default_factory=dict)
 
     def freeze(self):
         """Check the outputs in chain order, so that an error names the stage
@@ -233,8 +237,8 @@ def _zeta_kind(n: int, for_Ez: bool) -> str:
 @dataclass
 class ChainContext:
     """State threaded through one hierarchy solve: the sources, the snapshot
-    history backing time derivatives, the solve time, the orders completed so
-    far at this time, and the diagnostics of the order being solved.
+    history backing time derivatives, the solve time and the orders completed
+    so far at this time.
 
     The sources belong to order 0.  :meth:`rho` and :meth:`current` state the
     convention once: order n reads ``rho(n)`` and ``current(n - 1)``, which
@@ -244,7 +248,6 @@ class ChainContext:
     history: FieldHistory
     time: float
     orders: list[FieldOrder] = dc_field(default_factory=list, init=False)
-    diagnostics: dict = dc_field(default_factory=dict, init=False)
     _rates: dict[int, FieldRates] = dc_field(default_factory=dict, init=False, repr=False)
 
     def rho(self, n: int):
@@ -290,6 +293,16 @@ def bperp_normal_trace(rates: FieldRates | None, beta: float,
     return {f: cumint_zeta(-dt_nu[f] / beta, mesh) for f in FACE_ORDER}
 
 
+# Volumes of at least this many nodes solve the Eperp stage's x and y problems
+# on two threads; smaller ones solve both on the calling thread, where the
+# pool and the two solves' contention for the caches cost more than the
+# second core saves.  Measured, serial against paired (2 CPUs, one BLAS
+# thread, medians of 15 interleaved rounds): 33^2 x 17 (18,513 nodes) 1.05
+# against 1.69 ms, 49^2 x 25 (60,025) 3.55 against 3.90 ms, 57^2 x 29
+# (94,221) 6.26 against 6.17 ms, 65^2 x 33 (139,425) 10.06 against 8.22 ms.
+EPERP_PAIR_NODES = 100_000
+
+
 class HierarchySolver:
     """Builds a FieldHierarchy order by order for fixed sources and history."""
 
@@ -300,22 +313,20 @@ class HierarchySolver:
         self.beta = beta
         self.kappa = 1.0 - beta**2
         self.external = external or ExternalField()
+        # the terms of lap_perp + kappa dzz over (nzeta, ny, nx)
+        self._operator = (mesh.hzeta, mesh.hy, mesh.hx), (self.kappa, 1.0, 1.0)
 
-    def _solve_3d(self, name: str, rhs: np.ndarray, bc: BoundarySpec,
-                  ctx: ChainContext) -> ScalarField:
-        """(lap_perp + kappa dzz) u = rhs, recording the solve's method and
-        relative residual in the order diagnostics under ``name``."""
-        info: dict = {}
-        u = solve_anisotropic_poisson_3d(
-            self.kappa, ScalarField(self.mesh, rhs), bc, info_out=info
-        )
-        ctx.diagnostics[f"{name}_method"] = info["method"]
-        ctx.diagnostics[f"{name}_relative_residual"] = info["relative_residual"]
-        return u
+    def solve_info(self, u: np.ndarray, problem) -> dict:
+        """Method and relative residual of the 3D solution ``u`` of
+        ``problem``, an (rhs, bc) pair of :meth:`ez_problem` or
+        :meth:`eperp_problems`."""
+        rhs, bc = problem
+        return _solve_info(u, rhs, *self._operator, bc)
 
     # -- the five per-order solves ---------------------------------------------
 
-    def solve_Ez_order(self, n: int, ctx: ChainContext) -> ScalarField:
+    def ez_problem(self, n: int, ctx: ChainContext) -> tuple[np.ndarray, BoundarySpec]:
+        """Right-hand side and boundary spec of the order-n Ez solve."""
         mesh, beta = self.mesh, self.beta
 
         source = beta * ctx.current(n - 1)[2] + self.kappa * ctx.rho(n)  # 0.0 above order 1
@@ -335,7 +346,11 @@ class HierarchySolver:
         bc = BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True) \
             .with_face("zeta_lo", FaceBC(kind, 0.0)) \
             .with_face("zeta_hi", FaceBC(kind, 0.0))
-        return self._solve_3d("Ez", rhs, bc, ctx)
+        return rhs, bc
+
+    def solve_Ez_order(self, n: int, ctx: ChainContext) -> ScalarField:
+        rhs, bc = self.ez_problem(n, ctx)
+        return solve_anisotropic_poisson_3d(self.kappa, ScalarField(self.mesh, rhs), bc)
 
     def gauss(self, n: int, Ez_n: ScalarField, ctx: ChainContext) -> np.ndarray:
         """dEz/dzeta + rho: the target div Eperp, which the Ecal and Eperp
@@ -357,28 +372,28 @@ class HierarchySolver:
         """
         mesh, beta = self.mesh, self.beta
         rates = ctx.rates(n - 1)
-        if rates is None:
-            dt_Ez_prev = 0.0
-            curl_src = np.zeros(_volume(mesh))
+        if rates is None:  # the curl source -dBz'/dt is zero
+            dt_Ez_prev, curl_src = 0.0, None
         else:
             dt_Ez_prev = rates.Ez.values
-            curl_src = -rates.Bz.values
+            curl_src = ScalarField(mesh, -rates.Bz.values)
 
         div_src = self.kappa * gauss + beta * (ctx.current(n - 1)[2] - dt_Ez_prev)
         return solve_divcurl_2d(
             ScalarField(mesh, div_src),
-            ScalarField(mesh, curl_src),
+            curl_src,
             {f: beta * bperp_nu[f] for f in FACE_ORDER},
         )
 
-    def solve_Eperp_order(
+    def eperp_problems(
         self,
         n: int,
         Ecal_n: VectorField2,
         gauss: np.ndarray,
         ctx: ChainContext,
-    ) -> VectorField2:
-        """Componentwise 3D solve; ``gauss`` is :meth:`gauss` of this order's Ez."""
+    ) -> list[tuple[np.ndarray, BoundarySpec]]:
+        """Right-hand sides and boundary specs of the order-n Eperp x and y
+        solves; ``gauss`` is :meth:`gauss` of this order's Ez."""
         mesh, beta = self.mesh, self.beta
         gg = grad_perp(ScalarField(mesh, gauss), high_order=True)
 
@@ -423,9 +438,32 @@ class HierarchySolver:
             "zeta_lo": FaceBC(zk, 0.0),
             "zeta_hi": FaceBC(zk, 0.0),
         })
-        Ex = self._solve_3d("Eperp_x", rhs_x, bc_x, ctx)
-        Ey = self._solve_3d("Eperp_y", rhs_y, bc_y, ctx)
-        return VectorField2(mesh, Ex.values, Ey.values)
+        return [(rhs_x, bc_x), (rhs_y, bc_y)]
+
+    def solve_Eperp_order(
+        self,
+        n: int,
+        Ecal_n: VectorField2,
+        gauss: np.ndarray,
+        ctx: ChainContext,
+    ) -> VectorField2:
+        """Componentwise 3D solve; ``gauss`` is :meth:`gauss` of this order's Ez.
+
+        The x and y problems are independent: on a volume of at least
+        ``EPERP_PAIR_NODES`` nodes they are two blocks of ``map_blocks``, so
+        they run on two threads where two CPUs are usable.  Each solve is
+        the same on any thread.  The blocks call only the private kernel:
+        the benchmark's tracer wraps the public solvers and is not
+        thread-safe.
+        """
+        problems = self.eperp_problems(n, Ecal_n, gauss, ctx)
+
+        def block(start, stop):
+            return [_solve_scalar(rhs, *self._operator, bc) for rhs, bc in problems[start:stop]]
+
+        rows = 1 if np.prod(_volume(self.mesh)) >= EPERP_PAIR_NODES else 2
+        Ex, Ey = (u for us in map_blocks(block, 2, rows) for u in us)
+        return VectorField2(self.mesh, Ex, Ey)
 
     def solve_Bperp_order(
         self,
@@ -465,7 +503,6 @@ class HierarchySolver:
     # -- full chain --------------------------------------------------------------
 
     def solve_order(self, n: int, ctx: ChainContext) -> FieldOrder:
-        ctx.diagnostics = diag = {"order": n}
         Ez = self.solve_Ez_order(n, ctx)
         # the boundary condition fixes Bperp . nu from order n-1 data alone, so
         # the Ecal, Eperp and Bperp stages each run once
@@ -476,8 +513,7 @@ class HierarchySolver:
         del gauss
         Bperp = self.solve_Bperp_order(n, Eperp, div_perp(Eperp).values, ctx, nu)
         Bz = self.solve_Bz_order(n, div_perp(Bperp).values, ctx)
-        order = FieldOrder(n=n, Ez=Ez, Ecal=Ecal, Eperp=Eperp, Bperp=Bperp, Bz=Bz,
-                           diagnostics=diag).freeze()
+        order = FieldOrder(n=n, Ez=Ez, Ecal=Ecal, Eperp=Eperp, Bperp=Bperp, Bz=Bz).freeze()
         ctx.orders.append(order)
         return order
 

@@ -284,20 +284,37 @@ def chain_audit(history: FieldHistory, sources: SourceTerms) -> dict[int, dict]:
     order, each formed from what the chain held when it solved that order.
 
     ``history`` is the one the solve read, with the solved hierarchy pushed
-    onto it, and ``sources`` are the ones it solved with.  The order n-1 rates are the
-    :func:`backward_rate` of the last two snapshots (None at order 0 and on a
-    cold start), and the imposed Bperp . nu is the chain's own
-    :func:`bperp_normal_trace` of them.
+    onto it, and ``sources`` are the ones it solved with.  The order n-1
+    rates are the chain's own :meth:`ChainContext.rates` against the
+    snapshot before (None at order 0 and on a cold start), and the imposed
+    Bperp . nu is the chain's own :func:`bperp_normal_trace` of them.  The
+    Ez and Eperp problems are posed again by the chain's own builders, and
+    each entry starts with the method and relative residual of those three
+    3D solves (``Ez_``, ``Eperp_x_`` and ``Eperp_y_relative_residual``).
     """
     latest = history.latest
     if latest is None:
         raise ValueError("history holds no snapshots")
     pair = history.pair()
     mesh, beta = latest.mesh, latest.beta
+    solver = HierarchySolver(mesh, beta)
+    before = FieldHistory()
+    if pair is not None:
+        before.push(pair[0])
+    ctx = ChainContext(sources=sources, history=before, time=latest.time)
+    ctx.orders = list(latest.orders)
     audit = {}
     for o in latest.orders:
-        rates = None if o.n == 0 or pair is None else backward_rate(
-            latest.order(o.n - 1), pair[0].order(o.n - 1), pair[2])
+        entry = audit[o.n] = {}
+        problems = [solver.ez_problem(o.n, ctx),
+                    *solver.eperp_problems(o.n, o.Ecal, solver.gauss(o.n, o.Ez, ctx), ctx)]
+        for name, u, problem in zip(("Ez", "Eperp_x", "Eperp_y"),
+                                    (o.Ez.values, o.Eperp.x, o.Eperp.y), problems):
+            for key, value in solver.solve_info(u, problem).items():
+                entry[f"{name}_{key}"] = value
+        del problems
+
+        rates = ctx.rates(o.n - 1)
         if rates is None:
             circ = flux = bz_rhs = dt_Bz_max = 0.0
         else:
@@ -316,10 +333,9 @@ def chain_audit(history: FieldHistory, sources: SourceTerms) -> dict[int, dict]:
         gap = max(np.abs(achieved[f] - bperp_nu[f]).max() for f in FACE_ORDER)
         scale = 1.0 + max(np.abs(bperp_nu[f]).max() for f in FACE_ORDER)
         div_E, div_B = div_perp(o.Eperp).values, div_perp(o.Bperp).values
-        rho = sources.rho.values if o.n == 0 else 0.0  # the sources belong to order 0
         consist_x = o.Ecal.x - (o.Eperp.x - beta * o.Bperp.y)
         consist_y = o.Ecal.y - (o.Eperp.y + beta * o.Bperp.x)
-        audit[o.n] = {
+        entry.update({
             "circulation_mismatch_max": circ_worst,
             # the divergence theorem on the Bperp solve, as the circulation of
             # the rotated field W = Bperp x e_z that it solves for
@@ -327,10 +343,10 @@ def chain_audit(history: FieldHistory, sources: SourceTerms) -> dict[int, dict]:
             "bperp_trace_defect": float(gap / scale),
             # d/dzeta int Bz = -(1/beta) int dBz^{n-1}/dt
             "bz_integral_residual": float(np.abs(mesh.integrate_2d(div_B) - bz_rhs).max()),
-            "gauss_residual": norms(div_E - dzeta(o.Ez).values - rho, mesh),
+            "gauss_residual": norms(div_E - dzeta(o.Ez).values - ctx.rho(o.n), mesh),
             "solenoidal_residual": norms(div_B - dzeta(o.Bz).values, mesh),
             "pseudo_field_consistency": norms(np.hypot(consist_x, consist_y), mesh),
-        }
+        })
     return audit
 
 

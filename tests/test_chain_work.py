@@ -1,8 +1,11 @@
-"""The field chain forms each volume once per order and skips the work whose
-result is known to be zero: these tests count the kernel calls of a warm
-solve and pin the skipped curl solve, bit for bit, to the split that still
-runs it."""
+"""The field chain forms each volume once per order, skips the work whose
+result is known to be zero and solves the Eperp pair on two threads on large
+volumes: these tests count the kernel calls of a warm solve, pin the skipped
+curl work and the paired solves, bit for bit, to the code that still runs
+them serially, and pin the audit's solve residuals to what the solves
+report."""
 
+import threading
 from collections import Counter
 
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parax import elliptic, hierarchy
+from parax import elliptic, fields, hierarchy
 from parax.elliptic import (
     DIRICHLET,
     BoundarySpec,
@@ -19,11 +22,18 @@ from parax.elliptic import (
     _gamma_dirichlet_from_tangential,
     _particular_field,
     _slice_monomials,
+    solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
     solve_poisson_2d,
 )
 from parax.fields import ScalarField, VectorField2
-from parax.hierarchy import ExternalField, FieldHistory, HierarchySolver, SourceTerms
+from parax.hierarchy import (
+    ChainContext,
+    ExternalField,
+    FieldHistory,
+    HierarchySolver,
+    SourceTerms,
+)
 from parax.mesh import FACE_ORDER, build_mesh
 from parax.operators import boundary_tangential_trace, circulation, curl_perp_scalar, grad_perp
 from parax.verify import QuasiStaticMode, chain_audit
@@ -82,7 +92,7 @@ def test_warm_order_forms_each_volume_once(monkeypatch):
         ez = h.order(n).Ez.values
         assert sum(1 for k, a in zeta_inputs if k == n and a is ez) == 1
         assert calls["div_perp", n] == 2  # div Eperp and div Bperp, each once
-        assert calls["_apply", n] == 3    # the residuals of the three 3D solves
+        assert calls["_apply", n] == 0    # the solve residuals are the audit's
     # order 0 has no rates, so its Ecal curl is zero and its split solves no
     # q; order 1 solves q and p in both splits
     assert calls["poisson2d", 0] == 3
@@ -91,9 +101,11 @@ def test_warm_order_forms_each_volume_once(monkeypatch):
 
 def _divcurl_with_q(div_src, curl_src, tangential_data):
     """solve_divcurl_2d as it was before a zero remaining curl skipped the q
-    solve."""
+    solve, and before a curl given as None (zero) skipped every curl term:
+    here None is a volume of +0.0."""
     mesh = div_src.mesh
-    div, curl = div_src.values, curl_src.values
+    div = div_src.values
+    curl = np.zeros(div.shape) if curl_src is None else curl_src.values
     xt, yt, xy = _slice_monomials(mesh)[:3]
     dc = _corner_bilinear(mesh, div)
     cc = _corner_bilinear(mesh, curl)
@@ -140,6 +152,16 @@ def test_zero_curl_split_keeps_every_bit(nx, ny, volumetric, zero_share, seed):
     ref = _divcurl_with_q(div, ScalarField(mesh, curl), tangential)
     assert same_bits(got.x, ref.x) and same_bits(got.y, ref.y)
     assert same_bits(np.abs(circulation(got) - circ), np.abs(circulation(ref) - circ))
+    # a curl given as None skips the curl terms and keeps the bits of +0.0,
+    # in the particular field too
+    zero = np.zeros(curl.shape)
+    got = solve_divcurl_2d(div, None, tangential)
+    ref = _divcurl_with_q(div, ScalarField(mesh, zero), tangential)
+    assert same_bits(got.x, ref.x) and same_bits(got.y, ref.y)
+    dc = [drawn(rng, lead + (1, 1), zero_share) for _ in range(4)]
+    got = _particular_field(mesh, dc, None)
+    ref = _particular_field(mesh, dc, _corner_bilinear(mesh, zero))
+    assert same_bits(got.x, ref.x) and same_bits(got.y, ref.y)
 
 
 def _signed_zero_sources(mesh, seed):
@@ -153,9 +175,10 @@ def _signed_zero_sources(mesh, seed):
 @pytest.mark.parametrize("sources", ["mode", "signed zeros", "negative zeros"])
 @pytest.mark.parametrize("warm", [False, True])
 def test_skipped_curl_solve_keeps_every_bit(monkeypatch, sources, warm):
-    # order 0 (and every order on a cold start) has a zero Ecal curl; the
-    # fields, diagnostics and audit of every order match the split that
-    # still solves for q, zero signs included
+    # order 0 (and every order on a cold start) has a zero Ecal curl, which
+    # the chain passes as None; the fields and audit of every order match
+    # the split that still forms a zero curl volume and solves for q, zero
+    # signs included
     mesh = build_mesh(1.0, 1.3, 2.0, 9, 7, 6)
     case = mode_case(mesh)
     src = {"mode": case.sources(0.1),
@@ -184,4 +207,84 @@ def test_skipped_curl_solve_keeps_every_bit(monkeypatch, sources, warm):
         for name in ("Ecal", "Eperp", "Bperp"):
             va, vb = getattr(a, name), getattr(b, name)
             assert same_bits(va.x, vb.x) and same_bits(va.y, vb.y), name
-        assert a.diagnostics == b.diagnostics
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_paired_eperp_solves_equal_two_serial_solves(monkeypatch, cpus):
+    # just above EPERP_PAIR_NODES the x and y problems are two blocks of
+    # map_blocks; each must equal its own serial public solve, zero signs
+    # included, on one thread or on two
+    mesh = build_mesh(1.0, 1.3, 2.0, 57, 57, 31)
+    assert 0 < mesh.nx * mesh.ny * mesh.nzeta - hierarchy.EPERP_PAIR_NODES < 1000
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    threads = set()
+
+    def solve_scalar(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return elliptic._solve_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "_solve_scalar", solve_scalar)
+    rng = np.random.default_rng(5)
+    shape = (mesh.nzeta, mesh.ny, mesh.nx)
+    solver = HierarchySolver(mesh, BETA)
+    ctx = ChainContext(sources=_signed_zero_sources(mesh, 4), history=FieldHistory(), time=0.0)
+    ecal = VectorField2(mesh, drawn(rng, shape, 0.5), drawn(rng, shape, 0.5))
+    gauss = drawn(rng, shape, 0.5)
+    for n in (0, 1):  # both zeta closures; order 1 reads the current
+        threads.clear()
+        got = solver.solve_Eperp_order(n, ecal, gauss, ctx)
+        assert len(threads) == cpus
+        ref = [solve_anisotropic_poisson_3d(solver.kappa, ScalarField(mesh, rhs), bc).values
+               for rhs, bc in solver.eperp_problems(n, ecal, gauss, ctx)]
+        assert same_bits(got.x, ref[0]) and same_bits(got.y, ref[1])
+
+
+def test_small_volumes_solve_the_eperp_pair_on_the_calling_thread(monkeypatch):
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
+    threads = set()
+
+    def solve_scalar(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return elliptic._solve_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "_solve_scalar", solve_scalar)
+    mesh = build_mesh(1.0, 1.0, 2.0, 33, 33, 17)
+    HierarchySolver(mesh, BETA).solve_hierarchy(0, mode_case(mesh).sources(0.0))
+    assert threads == {threading.get_ident()}
+
+
+def test_audit_residuals_equal_what_the_solves_report(monkeypatch):
+    # the audit poses each 3D problem again; its method and relative residual
+    # must be exactly what info_out reports for the problem the chain solved
+    mesh = build_mesh(1.0, 1.3, 2.0, 9, 7, 6)
+    case = mode_case(mesh)
+    solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=case.bz_external))
+    hist = FieldHistory()
+    hist.push(solver.solve_hierarchy(1, case.sources(0.0), hist, time=0.0))
+    posed = []
+
+    def record(builder):
+        def wrapper(*args, **kwargs):
+            out = builder(*args, **kwargs)
+            posed.extend([out] if isinstance(out, tuple) else out)
+            return out
+        return wrapper
+
+    monkeypatch.setattr(solver, "ez_problem", record(solver.ez_problem))
+    monkeypatch.setattr(solver, "eperp_problems", record(solver.eperp_problems))
+    sources = case.sources(0.1)
+    hist.push(solver.solve_hierarchy(1, sources, hist, time=0.1))
+    monkeypatch.undo()
+    audit = chain_audit(hist, sources)
+    assert len(posed) == 6
+    for o in hist.latest.orders:
+        for name, u, (rhs, bc) in zip(("Ez", "Eperp_x", "Eperp_y"),
+                                      (o.Ez.values, o.Eperp.x, o.Eperp.y),
+                                      posed[3 * o.n:3 * o.n + 3]):
+            info = {}
+            again = solve_anisotropic_poisson_3d(solver.kappa, ScalarField(mesh, rhs), bc,
+                                                 info_out=info)
+            assert same_bits(again.values, u)
+            assert audit[o.n][f"{name}_method"] == info["method"] == "fdm"
+            assert audit[o.n][f"{name}_relative_residual"] == info["relative_residual"]
+            assert 0.0 < info["relative_residual"] < 1e-12

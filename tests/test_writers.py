@@ -196,3 +196,34 @@ def test_kept_memory_stops_csv_blocks_refaulting(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) < 0.4
+
+
+# lets the allocator keep freed memory, then makes and frees ten 3.2 MB
+# arrays (one per-particle array of 400k particles) one after the other, and
+# prints their minor page faults in units of one array's pages
+ARRAY_REFAULT_SCRIPT = """
+import resource
+import numpy as np
+from parax import cli
+
+cli._keep_freed_memory()
+start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    np.ones(400_000)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start)
+      / (400_000 * 8 / resource.getpagesize()))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_kept_memory_keeps_particle_arrays_on_the_heap():
+    # the first array grows the heap and the others reuse it: measured 0.98
+    # arrays' pages (2 vCPUs); an mmap threshold below 3.2 MB maps each
+    # array anew, and the ten fault about ten arrays' pages
+    src = os.path.dirname(os.path.dirname(os.path.abspath(parax.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", ARRAY_REFAULT_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 2
