@@ -26,7 +26,7 @@ from .fields import write_field_csv, write_table
 from .hierarchy import ExternalField
 from .mesh import MIN_NZETA, build_mesh
 from .pic import run_pic, sample_initial_distribution
-from .scaling import compute_scaling
+from .scaling import check_eta, compute_scaling
 from .verify import (
     MMS_TARGETS,
     QuasiStaticMode,
@@ -114,9 +114,8 @@ def _write_manifest(out_dir: str, verb: str, cfg: RunConfig, results: dict) -> N
 
 def _beta_eta(cfg: RunConfig):
     s = cfg.scaling
-    if s.mode == "physical":
-        return s.beta, compute_scaling(s.vbar)
-    return s.beta, s.eta
+    eta = compute_scaling(s.vbar) if s.mode == "physical" else check_eta(s.eta)
+    return s.beta, eta
 
 
 def _mesh(cfg: RunConfig):
@@ -211,7 +210,7 @@ def cmd_pic(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
 
 
 def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
-    beta, _ = _beta_eta(cfg)
+    beta = cfg.scaling.beta  # no mms target reads eta
     target = cfg.study.target
     if target not in MMS_TARGETS:
         raise ConfigError(f"[study] target {target!r}: choose from {', '.join(MMS_TARGETS)}")
@@ -285,7 +284,7 @@ def _richardson_pair(cfg: RunConfig) -> tuple[int, int]:
 
 
 def cmd_convergence(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
-    beta, _ = _beta_eta(cfg)
+    beta = cfg.scaling.beta  # the study's etas are [study] etas
     etas = _fit_list(cfg, "etas", cfg.eta_list, lambda e: 0 < e < np.inf,
                      "the eta slope fit needs three or more distinct positive etas")
     coarse, fine = (eta_study_terms(beta, (g, g, (g + 1) // 2)) for g in _richardson_pair(cfg))

@@ -3,7 +3,7 @@
 :func:`read_config` checks every section, key and value type against the
 schema below and rejects unknown ones with a close-match suggestion;
 :func:`validate` checks value ranges, and each refusal names its
-``[section] key``.  read_config(serialize_config(config)) is a fixed point.
+``[section] key``.  Parsing serialize_config(config) gives config back.
 """
 
 from __future__ import annotations
@@ -189,13 +189,19 @@ def validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def read_config(text_or_path: str) -> RunConfig:
-    """Parse a config from a path or literal text: every section, key and
-    value type is checked, no value range (see :func:`validate`)."""
-    text = text_or_path
-    if "\n" not in text_or_path and not text_or_path.lstrip().startswith("["):
-        with open(text_or_path) as fh:
+def read_config(path: str) -> RunConfig:
+    """Parse the config file at ``path``: every section, key and value type
+    is checked, no value range (see :func:`validate`)."""
+    try:
+        with open(path) as fh:
             text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    return _parse_config(text)
+
+
+def _parse_config(text: str) -> RunConfig:
+    """Parse config text as :func:`read_config` parses a file's."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)

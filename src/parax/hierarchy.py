@@ -58,7 +58,7 @@ from .elliptic import (
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
 )
-from .fields import ScalarField, VectorField2, map_blocks, require_finite, same_mesh
+from .fields import ScalarField, VectorField2, require_finite, same_mesh
 from .mesh import FACE_ORDER, Mesh
 from .operators import (
     boundary_normal_trace,
@@ -293,16 +293,6 @@ def bperp_normal_trace(rates: FieldRates | None, beta: float,
     return {f: cumint_zeta(-dt_nu[f] / beta, mesh) for f in FACE_ORDER}
 
 
-# Volumes of at least this many nodes solve the Eperp stage's x and y problems
-# on two threads; smaller ones solve both on the calling thread, where the
-# pool and the two solves' contention for the caches cost more than the
-# second core saves.  Measured, serial against paired (2 CPUs, one BLAS
-# thread, medians of 15 interleaved rounds): 33^2 x 17 (18,513 nodes) 1.05
-# against 1.69 ms, 49^2 x 25 (60,025) 3.55 against 3.90 ms, 57^2 x 29
-# (94,221) 6.26 against 6.17 ms, 65^2 x 33 (139,425) 10.06 against 8.22 ms.
-EPERP_PAIR_NODES = 100_000
-
-
 class HierarchySolver:
     """Builds a FieldHierarchy order by order for fixed sources and history."""
 
@@ -449,20 +439,11 @@ class HierarchySolver:
     ) -> VectorField2:
         """Componentwise 3D solve; ``gauss`` is :meth:`gauss` of this order's Ez.
 
-        The x and y problems are independent: on a volume of at least
-        ``EPERP_PAIR_NODES`` nodes they are two blocks of ``map_blocks``, so
-        they run on two threads where two CPUs are usable.  Each solve is
-        the same on any thread.  The blocks call only the private kernel:
-        the benchmark's tracer wraps the public solvers and is not
-        thread-safe.
+        Solves the x problem of :meth:`eperp_problems`, then the y problem.
         """
-        problems = self.eperp_problems(n, Ecal_n, gauss, ctx)
-
-        def block(start, stop):
-            return [_solve_scalar(rhs, *self._operator, bc) for rhs, bc in problems[start:stop]]
-
-        rows = 1 if np.prod(_volume(self.mesh)) >= EPERP_PAIR_NODES else 2
-        Ex, Ey = (u for us in map_blocks(block, 2, rows) for u in us)
+        (rhs_x, bc_x), (rhs_y, bc_y) = self.eperp_problems(n, Ecal_n, gauss, ctx)
+        Ex = _solve_scalar(rhs_x, *self._operator, bc_x)
+        Ey = _solve_scalar(rhs_y, *self._operator, bc_y)
         return VectorField2(self.mesh, Ex, Ey)
 
     def solve_Bperp_order(

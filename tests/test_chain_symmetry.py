@@ -1,7 +1,7 @@
 """Metamorphic properties of the whole field chain: with no external field
 it is linear in its sources over a timeline, and the box is mirror-symmetric
-in x and in y.  These need no oracle, so they vouch for changes that move
-the bits of every field.
+in x and in y, also under an external Bz, which a mirror negates.  These
+need no oracle, so they vouch for changes that move the bits of every field.
 
 Negation, linearity and mirrors all commute with flipping the sign of one
 component, so none of them sees a sign slip between the x and y components
@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from parax.fields import ScalarField, VectorField2
-from parax.hierarchy import FieldHistory, HierarchySolver, SourceTerms
+from parax.hierarchy import ExternalField, FieldHistory, HierarchySolver, SourceTerms
 from parax.mesh import build_mesh
 
 BETA = 0.5
 N_MAX = 2
 DT = 0.05
 SNAPSHOTS = 3
+BZ = 0.7
 MESH = build_mesh(1.0, 1.3, 2.0, 11, 9, 7)
 
 # the eight arrays of an order, and their signs under the mirrors x -> -x and
@@ -37,10 +38,11 @@ def _arrays(order) -> dict[str, np.ndarray]:
             "Bperp_x": order.Bperp.x, "Bperp_y": order.Bperp.y, "Bz": order.Bz.values}
 
 
-def chain(timeline, mesh=MESH) -> dict[tuple, np.ndarray]:
+def chain(timeline, mesh=MESH, bz=0.0) -> dict[tuple, np.ndarray]:
     """Every field of every order of every snapshot of a timeline of
-    (rho, Jx, Jy, Jzeta) moments, keyed (snapshot, order, component)."""
-    solver = HierarchySolver(mesh, BETA)
+    (rho, Jx, Jy, Jzeta) moments under the external field ``bz``, keyed
+    (snapshot, order, component)."""
+    solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=bz))
     hist = FieldHistory()
     out = {}
     for k, (rho, jx, jy, jz) in enumerate(timeline):
@@ -110,18 +112,37 @@ def test_chain_is_linear_in_its_sources(base):
     assert worst_gap(mixed, want) < 1e-12
 
 
-def test_x_mirror_gives_the_mirrored_fields(base):
-    # and the y-mirror: reflect the arrays along x (or y), negate Jx (or Jy)
-    timeline, fields = base
+def mirror_gaps(timeline, fields, bz=0.0) -> dict[str, float]:
+    """worst_gap of the x- and y-mirrored runs against the mirrored
+    ``fields``: reflect the arrays along x (or y), negate Jx (or Jy) and the
+    external Bz."""
     mirrors = (("x", lambda a: a[..., ::-1], -1, 1), ("y", lambda a: a[..., ::-1, :], 1, -1))
+    out = {}
     for column, (name, flip, sx, sy) in enumerate(mirrors, start=1):
         mirrored = chain([(flip(rho), sx * flip(jx), sy * flip(jy), flip(jz))
-                          for rho, jx, jy, jz in timeline])
+                          for rho, jx, jy, jz in timeline], bz=-bz)
         sign = {c[0]: c[column] for c in COMPONENTS}
         want = {key: sign[key[2]] * flip(a) for key, a in fields.items()}
-        # measured 2.2e-13 (x) and 3.5e-13 (y) for these moments, at most
-        # 7.7e-13 and 5.7e-13 over six seeds
-        assert worst_gap(mirrored, want) < 5e-12, name
+        out[name] = worst_gap(mirrored, want)
+    return out
+
+
+def test_x_mirror_gives_the_mirrored_fields(base):
+    # and the y-mirror
+    timeline, fields = base
+    # measured 2.2e-13 (x) and 3.5e-13 (y) for these moments, at most
+    # 7.7e-13 and 5.7e-13 over six seeds
+    for name, gap in mirror_gaps(timeline, fields).items():
+        assert gap < 5e-12, name
+
+
+def test_mirrors_negate_the_external_field(base):
+    timeline, _ = base
+    fields = chain(timeline, bz=BZ)
+    # measured 2.1e-13 (x) and 3.6e-13 (y) for these moments, at most 5.2e-13
+    # and 5.5e-13 over six seeds; mirrored runs that keep +Bz give about 0.09
+    for name, gap in mirror_gaps(timeline, fields, BZ).items():
+        assert gap < 5e-12, name
 
 
 def test_transpose_of_a_square_box_holds_to_discretization():

@@ -1,9 +1,9 @@
-"""The field chain forms each volume once per order, skips the work whose
-result is known to be zero and solves the Eperp pair on two threads on large
-volumes: these tests count the kernel calls of a warm solve, pin the skipped
-curl work and the paired solves, bit for bit, to the code that still runs
-them serially, and pin the audit's solve residuals to what the solves
-report."""
+"""The field chain forms each volume once per order and skips the work whose
+result is known to be zero: these tests count the kernel calls of a warm
+solve, pin the skipped curl work, bit for bit, to the code that still forms
+it, pin the Eperp pair to two public serial solves on the calling thread,
+on large and small volumes, and pin the audit's solve residuals to what the
+solves report."""
 
 import threading
 from collections import Counter
@@ -211,16 +211,16 @@ def test_skipped_curl_solve_keeps_every_bit(monkeypatch, sources, warm):
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_paired_eperp_solves_equal_two_serial_solves(monkeypatch, cpus):
-    # just above EPERP_PAIR_NODES the x and y problems are two blocks of
-    # map_blocks; each must equal its own serial public solve, zero signs
-    # included, on one thread or on two
+    # on a volume of over 100,000 nodes the x and y problems are solved one
+    # after the other on the calling thread, on one usable CPU or on two;
+    # each must equal its own public solve, zero signs included
     mesh = build_mesh(1.0, 1.3, 2.0, 57, 57, 31)
-    assert 0 < mesh.nx * mesh.ny * mesh.nzeta - hierarchy.EPERP_PAIR_NODES < 1000
+    assert mesh.nx * mesh.ny * mesh.nzeta > 100_000
     monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
-    threads = set()
+    threads = []
 
     def solve_scalar(*args, **kwargs):
-        threads.add(threading.get_ident())
+        threads.append(threading.get_ident())
         return elliptic._solve_scalar(*args, **kwargs)
 
     monkeypatch.setattr(hierarchy, "_solve_scalar", solve_scalar)
@@ -233,7 +233,7 @@ def test_paired_eperp_solves_equal_two_serial_solves(monkeypatch, cpus):
     for n in (0, 1):  # both zeta closures; order 1 reads the current
         threads.clear()
         got = solver.solve_Eperp_order(n, ecal, gauss, ctx)
-        assert len(threads) == cpus
+        assert threads == [threading.get_ident()] * 2
         ref = [solve_anisotropic_poisson_3d(solver.kappa, ScalarField(mesh, rhs), bc).values
                for rhs, bc in solver.eperp_problems(n, ecal, gauss, ctx)]
         assert same_bits(got.x, ref[0]) and same_bits(got.y, ref[1])

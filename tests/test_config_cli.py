@@ -8,7 +8,14 @@ import pytest
 
 import parax
 from parax.cli import main, run_command
-from parax.config import ConfigError, RunConfig, read_config, serialize_config, validate
+from parax.config import (
+    ConfigError,
+    RunConfig,
+    _parse_config,
+    read_config,
+    serialize_config,
+    validate,
+)
 
 MINIMAL = """
 [mesh]
@@ -21,9 +28,9 @@ beta = 0.4
 """
 
 
-def read_validated(text_or_path):
-    """A config as ``parax`` takes it: read, then range-checked."""
-    return validate(read_config(text_or_path))
+def read_validated(text):
+    """A config text as ``parax`` takes its file: parsed, then range-checked."""
+    return validate(_parse_config(text))
 
 
 def test_parse_minimal_applies_defaults():
@@ -36,8 +43,17 @@ def test_parse_minimal_applies_defaults():
 def test_parse_from_file(tmp_path):
     p = tmp_path / "run.ini"
     p.write_text(MINIMAL)
-    cfg = read_validated(str(p))
+    cfg = validate(read_config(str(p)))
     assert cfg.mesh.nx == 9
+
+
+def test_config_path_is_never_read_as_text(tmp_path, monkeypatch):
+    # a file name that starts with "[" is still a path
+    monkeypatch.chdir(tmp_path)
+    Path("[run].ini").write_text("[mesh]\nnx = 5\nny = 5\nnzeta = 4\n\n[fields]\nsnapshots = 1\n")
+    assert validate(read_config("[run].ini")).mesh.nzeta == 4
+    assert main(["fields", "--config", "[run].ini", "--out", "out", "--quiet"]) == 0
+    assert "nzeta = 4\n" in json.loads(Path("out", "manifest.json").read_text())["config"]
 
 
 def test_unknown_key_suggestion():
@@ -489,6 +505,10 @@ def test_cli_error_paths(tmp_path, capsys):
     bad.write_text("[scaling]\nbeta = 2.0\n")
     assert main(["fields", "--config", str(bad), "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert "beta" in capsys.readouterr().err
+    missing = str(tmp_path / "missing.ini")
+    assert main(["fields", "--config", missing, "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert f"error: cannot read config {missing!r}: No such file or directory" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("verb, text, key", [

@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from parax.cli import main
 from parax.scaling import ETA_WARN_THRESHOLD, SPEED_OF_LIGHT, compute_scaling
 
 
@@ -29,6 +30,23 @@ def test_eta_warning_flag(caplog):
     assert eta > ETA_WARN_THRESHOLD
     assert [r.name for r in caplog.records] == ["parax.scaling"]
     assert "asymptotic regime questionable" in caplog.text
+
+
+@pytest.mark.parametrize("mode, setting, eta", [("dimensionless", "eta = 0.9", "0.9"),
+                                                 ("physical", "vbar = 1.2e8", "0.4")],
+                         ids=["dimensionless", "physical"])
+def test_large_eta_warns_in_either_scaling_mode(tmp_path, capsys, mode, setting, eta):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[mesh]\nnx = 5\nny = 5\nnzeta = 4\n\n[fields]\nsnapshots = 1\n\n"
+                   f"[scaling]\nmode = {mode}\n{setting}\n")
+    capsys.readouterr()
+    assert main(["fields", "--config", str(ini), "--out", str(tmp_path / "loud")]) == 0
+    warning = f"WARNING parax.scaling: eta = {eta} > {ETA_WARN_THRESHOLD:g}: " \
+              "asymptotic regime questionable"
+    assert warning in capsys.readouterr().err
+    assert main(["fields", "--config", str(ini), "--out", str(tmp_path / "quiet"),
+                 "--quiet"]) == 0
+    assert "WARNING" not in capsys.readouterr().err
 
 
 def test_chain_rule_mapping():
