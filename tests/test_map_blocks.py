@@ -103,11 +103,15 @@ def test_yielded_blocks_are_not_kept(monkeypatch, cpus):
 
 @pytest.mark.parametrize("cpus", [2, 4])
 def test_csv_peak_memory_does_not_grow_with_rows(monkeypatch, cpus):
-    # the writer holds the blocks in flight, not the whole file: before,
-    # 800k rows of 7 floats and an id took 39-64 MiB more than 200k; now
-    # -2.5 to +6.1 MiB over 16 pairs, as more blocks give more chances for
-    # the threads' temporaries to peak together
+    # the writer holds the blocks in flight, not the whole file.  Blocks of
+    # 512 rows of 7 floats and an id cut 12.5k and 50k rows into 25 and 98
+    # blocks; the larger file took -0.16 to +0.59 MiB more over 80 pairs,
+    # as more blocks give more chances for the threads' temporaries to peak
+    # together, and 9.6-10.5 MiB more from a writer that joins every block
+    # before it writes.  The bound is 20 MiB for 16 times the rows and the
+    # block length.
     monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fields, "CSV_NUMBERS", 4096)
     names = ["id"] + [f"c{k}" for k in range(7)]
 
     def peak(n):
@@ -121,5 +125,5 @@ def test_csv_peak_memory_does_not_grow_with_rows(monkeypatch, cpus):
         finally:
             tracemalloc.stop()
 
-    small, large = peak(200_000), peak(800_000)
-    assert large - small < 20 * 2**20, (small, large)
+    small, large = peak(12_500), peak(50_000)
+    assert large - small < 1.25 * 2**20, (small, large)

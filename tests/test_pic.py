@@ -406,7 +406,7 @@ def test_coupling_does_not_depend_on_the_cpu_count(monkeypatch, coupling_case):
             # 17^2 x 9 with 400k particles
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
         info = {}
-        q = push_particles(p, force, 0.05, mesh, info_out=info)
+        q = push_particles(p.copy(), force, 0.05, mesh, info_out=info)
         assert q.absorbed_total > 0
         results.append([interpolate_to_particles(mesh, F, p)]
                        + [assemble_force(n, h, p, eta=0.1) for n in range(3)]
@@ -544,7 +544,9 @@ def test_absorption_at_walls():
 
 
 @pytest.mark.parametrize("absorbs", [False, True])
-def test_push_leaves_its_inputs_unchanged(absorbs):
+def test_push_updates_its_ensemble_in_place(absorbs):
+    # the push returns the ensemble it was given, its arrays the leading rows
+    # of the input's, and leaves the force as it was
     rng = np.random.default_rng(13)
     mesh = mesh_small()
     p = random_ensemble(mesh, 500, rng)
@@ -560,9 +562,13 @@ def test_push_leaves_its_inputs_unchanged(absorbs):
     force_before = force.copy()
     dt = 0.05
     info = {}
+    inputs = {name: getattr(p, name) for name in PHASE_SPACE}
     q = push_particles(p, force, dt, mesh, info_out=info)
+    assert q is p
     for name in PHASE_SPACE:
-        np.testing.assert_array_equal(getattr(p, name), getattr(before, name))
+        got = getattr(q, name)
+        assert np.shares_memory(got, inputs[name]), name
+        assert got.ctypes.data == inputs[name].ctypes.data, name
     np.testing.assert_array_equal(force, force_before)
     want, keep, drift = reference_push(before, force, dt, mesh)
     assert q.absorbed_total == before.absorbed_total + int((~keep).sum())
@@ -577,7 +583,8 @@ def test_blocked_push_equals_the_elementwise_formulas(monkeypatch, cpus):
     # particles leave through each of the six walls, some from the first or
     # last row of a push block; every kept particle, the absorbed count and
     # the drift match the elementwise formulas bit for bit.  The threads
-    # share the new arrays; a short switch interval interleaves them finely.
+    # share the ensemble's arrays; a short switch interval interleaves them
+    # finely.
     monkeypatch.setattr(parax.fields, "_usable_cpus", lambda: cpus)
     rng = np.random.default_rng(14)
     mesh = build_mesh(1.5, 1.0, 2.0, 11, 9, 7, x0=-0.5)
@@ -599,13 +606,14 @@ def test_blocked_push_equals_the_elementwise_formulas(monkeypatch, cpus):
     force = rng.normal(size=(3, n))
     dt = 0.05
     info = {}
+    before = p.copy()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         q = push_particles(p, force, dt, mesh, info_out=info)
     finally:
         sys.setswitchinterval(old)
-    want, keep, drift = reference_push(p, force, dt, mesh)
+    want, keep, drift = reference_push(before, force, dt, mesh)
     assert not keep[edges].any() and q.absorbed_total == int((~keep).sum()) >= len(edges)
     assert info["max_cell_displacement"] == drift
     for name in PHASE_SPACE:
@@ -789,6 +797,45 @@ def test_mirrored_beam_follows_mirrored_trajectories():
         got, want = getattr(a, name), sign * getattr(b, name)
         # measured at most 6.2e-16 of max |value|
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
+def test_run_pic_leaves_the_callers_ensemble_unchanged():
+    # the loop pushes its own copy in place: the caller's eight arrays keep
+    # every bit through runs that absorb particles, here for a sample and
+    # its mirror image, which shares six of its arrays with the sample
+    mesh = build_mesh(2.0, 1.5, 2.0, 11, 9, 7, x0=-1.0, y0=-0.5)
+    p = sample_initial_distribution(mesh, "gaussian", 2000, seed=5, total_weight=3.0,
+                                    center=(0.15, 0.2), sigma=0.25, zeta_width=0.4,
+                                    vth=0.1, vzeta_mean=0.05, vzeta_th=0.05)
+    mirrored = ParticleEnsemble(p.ids, -p.x, p.y, p.zeta, -p.vx, p.vy, p.vzeta, p.weight)
+    ensembles = (p, mirrored)
+    before = [[getattr(e, name).copy() for name in PHASE_SPACE] for e in ensembles]
+    for e in ensembles:
+        final, _, _ = run_pic(mesh, BETA, 0.1, e, n_max=1, dt=0.05, steps=3)
+        assert final.absorbed_total > 0 and final is not e
+    for e, arrays in zip(ensembles, before):
+        assert e.absorbed_total == 0
+        for name, want in zip(PHASE_SPACE, arrays):
+            got = getattr(e, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+def test_run_pic_peak_memory_stays_under_two_ensembles(monkeypatch):
+    # the loop holds one working copy of the ensemble, pushed in place, and
+    # the (3, N) force; with pushes that fill new phase-space arrays it
+    # peaked at 2.42 ensembles above its input, in place at 1.74
+    monkeypatch.setattr(parax.fields, "_usable_cpus", lambda: 1)
+    mesh = build_mesh(2.0, 2.0, 2.0, 9, 9, 5)
+    p = sample_initial_distribution(mesh, "gaussian", 200_000, seed=1, total_weight=5.0,
+                                    sigma=0.3, zeta_width=0.5, vth=0.05)
+    ensemble = sum(getattr(p, name).nbytes for name in PHASE_SPACE)
+    tracemalloc.start()
+    try:
+        run_pic(mesh, BETA, 0.1, p, n_max=1, dt=0.05, steps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0 * ensemble, peak / ensemble
 
 
 def test_pic_losing_every_particle_warns(caplog):
