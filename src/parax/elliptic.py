@@ -34,21 +34,14 @@ from typing import Mapping
 import numpy as np
 
 from .fields import ScalarField, VectorField2, same_mesh
-from .mesh import FACE_ORDER, Mesh
-from .operators import (
-    axis_index,
-    boundary_tangential_trace,
-    curl_perp_scalar,
-    gamma_ccw_faces,
-    grad_perp,
-)
+from .mesh import FACE_AXIS, FACE_ORDER, Mesh, face_tangent
+from .operators import axis_index, boundary_tangential_trace, curl_perp_scalar, grad_perp
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 
-# face name -> array axis, counted from the end: (..., nzeta, ny, nx)
-_FACE_AXIS = {"x_lo": -1, "x_hi": -1, "y_lo": -2, "y_hi": -2, "zeta_lo": -3, "zeta_hi": -3}
-_AXIS_FACES = {-1: ("x_lo", "x_hi"), -2: ("y_lo", "y_hi"), -3: ("zeta_lo", "zeta_hi")}
+# array axis, counted from the end -> its (low, high) faces
+_AXIS_FACES = {ax: tuple(f for f, (a, _) in FACE_AXIS.items() if a == ax) for ax in (-1, -2, -3)}
 
 
 @dataclass(frozen=True)
@@ -67,7 +60,7 @@ class BoundarySpec:
 
     @classmethod
     def uniform(cls, kind: str, value=0.0, volumetric: bool = False) -> "BoundarySpec":
-        names = _FACE_AXIS if volumetric else FACE_ORDER
+        names = FACE_AXIS if volumetric else FACE_ORDER
         return cls({f: FaceBC(kind, value) for f in names})
 
     def with_face(self, name: str, bc: FaceBC) -> "BoundarySpec":
@@ -206,8 +199,7 @@ def _boundary_rhs(values, spacings, coeffs, bc: BoundarySpec):
     copied = False
     data: dict[int, list[int]] = {}  # axis -> ends of its Dirichlet faces with data
     for name, fbc in bc.faces.items():
-        ax = _FACE_AXIS[name]
-        end = 0 if name.endswith("_lo") else -1
+        ax, end = FACE_AXIS[name]
         zero = _is_zero(fbc.value)
         if fbc.kind == DIRICHLET:
             # once u holds data, a zero face still overwrites the edge nodes
@@ -249,7 +241,6 @@ def _solve_scalar(
     spacings: tuple[float, ...],
     coeffs: tuple[float, ...],
     bc: BoundarySpec,
-    info_out: dict | None = None,
 ) -> np.ndarray:
     """Solve sum_d c_d d^2u/dx_d^2 = values over the trailing len(spacings)
     axes; leading axes are independent problems.  Returns the full nodal
@@ -269,8 +260,6 @@ def _solve_scalar(
         x = _along(from_modes, x, ax)
 
     u[inner] = x
-    if info_out is not None:
-        info_out.update(_solve_info(u, values, spacings, coeffs, bc))
     return u
 
 
@@ -317,7 +306,10 @@ def solve_anisotropic_poisson_3d(
     if not rhs.is3d:
         raise ValueError("solve_anisotropic_poisson_3d expects a volumetric field")
     m = rhs.mesh
-    vals = _solve_scalar(rhs.values, (m.hzeta, m.hy, m.hx), (kappa, 1.0, 1.0), bc, info_out)
+    operator = (m.hzeta, m.hy, m.hx), (kappa, 1.0, 1.0)
+    vals = _solve_scalar(rhs.values, *operator, bc)
+    if info_out is not None:
+        info_out.update(_solve_info(vals, rhs.values, *operator, bc))
     return ScalarField(m, vals)
 
 
@@ -382,14 +374,16 @@ def _gamma_dirichlet_from_tangential(mesh: Mesh, g: dict[str, np.ndarray]):
     arclength so the data stays single-valued even under O(h^2)-inconsistent
     input.
     """
-    h_of = {"y_lo": mesh.hx, "x_hi": mesh.hy, "y_hi": mesh.hx, "x_lo": mesh.hy}
-    path = gamma_ccw_faces(mesh)
+    # the counterclockwise walk runs against the node order on the faces
+    # whose tangent points toward lower x or y
+    back = {f: sum(face_tangent(f)) < 0 for f in FACE_ORDER}
     incs, steps = [], []
-    for f, j, _, rev in path:
+    for f in FACE_ORDER:
         arr = np.asarray(g[f], dtype=float)
-        arr = arr[..., ::-1] if rev else arr
-        incs.append(0.5 * h_of[f] * (arr[..., :-1] + arr[..., 1:]))
-        steps.append(np.full(len(j) - 1, h_of[f]))
+        arr = arr[..., ::-1] if back[f] else arr
+        h = mesh.face_step(f)
+        incs.append(0.5 * h * (arr[..., :-1] + arr[..., 1:]))
+        steps.append(np.full(mesh.face_size(f) - 1, h))
     incs = np.concatenate(incs, axis=-1)
     zero = np.zeros(incs.shape[:-1] + (1,))
     values = np.concatenate([zero, np.cumsum(incs, axis=-1)], axis=-1)
@@ -400,10 +394,11 @@ def _gamma_dirichlet_from_tangential(mesh: Mesh, g: dict[str, np.ndarray]):
     out = {}
     cursor = 0
     npath = values.shape[-1] - 1
-    for f, j, _, rev in path:
-        vals = values[..., (cursor + np.arange(len(j))) % npath]
-        out[f] = vals[..., ::-1] if rev else vals
-        cursor += len(j) - 1
+    for f in FACE_ORDER:
+        size = mesh.face_size(f)
+        vals = values[..., (cursor + np.arange(size)) % npath]
+        out[f] = vals[..., ::-1] if back[f] else vals
+        cursor += size - 1
     return out
 
 

@@ -59,7 +59,7 @@ from .elliptic import (
     solve_divcurl_2d,
 )
 from .fields import ScalarField, VectorField2, require_finite, same_mesh
-from .mesh import FACE_ORDER, Mesh
+from .mesh import FACE_NORMALS, FACE_ORDER, Mesh
 from .operators import (
     boundary_normal_trace,
     cumint_zeta,
@@ -68,6 +68,7 @@ from .operators import (
     div_perp,
     dzeta,
     dzeta2,
+    face_values,
     grad_perp,
 )
 
@@ -151,7 +152,6 @@ class FieldHierarchy:
     mesh: Mesh
     beta: float
     orders: list[FieldOrder]
-    external: ExternalField
     time: float = 0.0
 
     def order(self, n: int) -> FieldOrder:
@@ -287,8 +287,7 @@ def bperp_normal_trace(rates: FieldRates | None, beta: float,
     from zero at the zeta=0 plane; ``rates`` are those of order n-1 (None: zero
     rates)."""
     if rates is None:
-        return {f: np.zeros((mesh.nzeta, mesh.ny if f.startswith("x") else mesh.nx))
-                for f in FACE_ORDER}
+        return {f: np.zeros((mesh.nzeta, mesh.face_size(f))) for f in FACE_ORDER}
     dt_nu = boundary_normal_trace(rates.Bperp)
     return {f: cumint_zeta(-dt_nu[f] / beta, mesh) for f in FACE_ORDER}
 
@@ -410,25 +409,18 @@ class HierarchySolver:
         rhs_y = gg.y + d2_Ecal.y + curl_y + beta * dz_y
 
         zk = _zeta_kind(n, for_Ez=False)
-        # tangential components vanish on Gamma; the normal component takes
-        # the Gauss constraint as a Neumann condition (dEx/dx = gauss there)
-        bc_x = BoundarySpec({
-            "x_lo": FaceBC(NEUMANN, -gauss[:, :, 0]),
-            "x_hi": FaceBC(NEUMANN, gauss[:, :, -1]),
-            "y_lo": FaceBC(DIRICHLET, 0.0),
-            "y_hi": FaceBC(DIRICHLET, 0.0),
-            "zeta_lo": FaceBC(zk, 0.0),
-            "zeta_hi": FaceBC(zk, 0.0),
-        })
-        bc_y = BoundarySpec({
-            "x_lo": FaceBC(DIRICHLET, 0.0),
-            "x_hi": FaceBC(DIRICHLET, 0.0),
-            "y_lo": FaceBC(NEUMANN, -gauss[:, 0, :]),
-            "y_hi": FaceBC(NEUMANN, gauss[:, -1, :]),
-            "zeta_lo": FaceBC(zk, 0.0),
-            "zeta_hi": FaceBC(zk, 0.0),
-        })
-        return [(rhs_x, bc_x), (rhs_y, bc_y)]
+        ends = {"zeta_lo": FaceBC(zk, 0.0), "zeta_hi": FaceBC(zk, 0.0)}
+
+        def bc(c: int) -> BoundarySpec:
+            # component c vanishes on the faces it is tangential to; on the two
+            # it is normal to it takes the Gauss constraint as a Neumann
+            # condition, its outward derivative nu_c * gauss
+            return BoundarySpec({
+                f: FaceBC(NEUMANN, FACE_NORMALS[f][c] * face_values(gauss, f))
+                if FACE_NORMALS[f][c] else FaceBC(DIRICHLET, 0.0) for f in FACE_ORDER
+            } | ends)
+
+        return [(rhs_x, bc(0)), (rhs_y, bc(1))]
 
     def solve_Eperp_order(
         self,
@@ -523,7 +515,4 @@ class HierarchySolver:
         ctx = ChainContext(sources=sources, history=history or FieldHistory(), time=time)
         for n in range(n_max + 1):
             self.solve_order(n, ctx)
-        return FieldHierarchy(
-            mesh=self.mesh, beta=self.beta, orders=ctx.orders,
-            external=self.external, time=time,
-        )
+        return FieldHierarchy(mesh=self.mesh, beta=self.beta, orders=ctx.orders, time=time)

@@ -23,6 +23,14 @@ FACE_NORMALS = {
     "y_lo": (0.0, -1.0),
     "y_hi": (0.0, 1.0),
 }
+# Every face of the box, the zeta faces included: the array axis it lies
+# across, counted from the end of (nzeta, ny, nx), and its end index on that
+# axis.  Each axis lists its low face before its high one.
+FACE_AXIS = {
+    "x_lo": (-1, 0), "x_hi": (-1, -1),
+    "y_lo": (-2, 0), "y_hi": (-2, -1),
+    "zeta_lo": (-3, 0), "zeta_hi": (-3, -1),
+}
 
 # The fewest zeta nodes the field chain runs on: the one-sided end stencil of
 # the second zeta derivative (operators.dzeta2) reads four nodes.  A mesh of
@@ -88,6 +96,14 @@ class Mesh:
         return X, Y, Z
 
     # -- boundary metadata ---------------------------------------------------
+
+    def face_size(self, face: str) -> int:
+        """Node count along a transverse face: ny on an x face, nx on a y face."""
+        return self.ny if FACE_AXIS[face][0] == -1 else self.nx
+
+    def face_step(self, face: str) -> float:
+        """Node spacing along a transverse face: hy on an x face, hx on a y face."""
+        return self.hy if FACE_AXIS[face][0] == -1 else self.hx
 
     def face_nodes(self, face: str):
         """(j, i) index arrays of the nodes on a transverse face.

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .fields import ScalarField, VectorField2
-from .mesh import FACE_NORMALS, FACE_ORDER, MIN_NZETA, Mesh, face_tangent
+from .mesh import FACE_AXIS, FACE_NORMALS, FACE_ORDER, MIN_NZETA, Mesh, face_tangent
 
 _AX_X, _AX_Y, _AX_ZETA = -1, -2, 0
 
@@ -205,21 +205,14 @@ def cumint_zeta(values: np.ndarray, mesh: Mesh, initial: np.ndarray | float = 0.
 
 # -- boundary traces and contour integrals -------------------------------------
 
-_FACE_INDEX = {
-    "x_lo": (Ellipsis, slice(None), 0),
-    "x_hi": (Ellipsis, slice(None), -1),
-    "y_lo": (Ellipsis, 0, slice(None)),
-    "y_hi": (Ellipsis, -1, slice(None)),
-}
-
-
 def face_values(arr: np.ndarray, face: str) -> np.ndarray:
-    """Values of a nodal array on one transverse face, natural order: the
-    nodes of ``mesh.face_nodes(face)``, read as a view.
+    """Values of a nodal array on one face of ``FACE_AXIS``, read as a view;
+    on a transverse face, the nodes of ``mesh.face_nodes(face)`` in order.
 
     For volumetric input the result has shape (nzeta, nface).
     """
-    return arr[_FACE_INDEX[face]]
+    axis, end = FACE_AXIS[face]
+    return arr[axis_index(arr.ndim, axis)(end)]
 
 
 def boundary_tangential_trace(A: VectorField2) -> dict[str, np.ndarray]:
@@ -240,16 +233,12 @@ def boundary_normal_trace(A: VectorField2) -> dict[str, np.ndarray]:
     return out
 
 
-def _face_h(mesh: Mesh, face: str) -> float:
-    return mesh.hx if face in ("y_lo", "y_hi") else mesh.hy
-
-
 def _contour_integral(mesh: Mesh, traces: dict[str, np.ndarray]) -> np.ndarray:
     total = 0.0
     for f in FACE_ORDER:
         # in zeta-major memory order each slice's sum runs node by node along
         # the face, which fixes the rounding of the reported integrals
-        total = total + np.trapezoid(np.asfortranarray(traces[f]), dx=_face_h(mesh, f), axis=-1)
+        total = total + np.trapezoid(np.asfortranarray(traces[f]), dx=mesh.face_step(f), axis=-1)
     return total
 
 
@@ -261,22 +250,6 @@ def circulation(A: VectorField2) -> np.ndarray:
 def flux(A: VectorField2) -> np.ndarray:
     """Contour integral of A . nu along Gamma (per slice for volumetric A)."""
     return _contour_integral(A.mesh, boundary_normal_trace(A))
-
-
-def gamma_ccw_faces(mesh: Mesh):
-    """Counterclockwise traversal of Gamma as (face, j, i, reversed) tuples.
-
-    Each face's index arrays are oriented along the traversal; y_hi and x_lo
-    run against their natural order.
-    """
-    path = []
-    for f in FACE_ORDER:
-        j, i = mesh.face_nodes(f)
-        rev = f in ("y_hi", "x_lo")
-        if rev:
-            j, i = j[::-1], i[::-1]
-        path.append((f, j, i, rev))
-    return path
 
 
 def norms(values: np.ndarray, mesh: Mesh) -> dict[str, float]:

@@ -102,7 +102,9 @@ def sample_initial_distribution(
 
     Families: "uniform" (ellipse, uniform zeta slab), "gaussian" (separable,
     rejection-truncated to the domain), "cold" (uniform ellipse, zero
-    transverse velocity spread).
+    transverse velocity spread).  A uniform or cold beam that reaches outside
+    the box, or a gaussian one with too little mass inside it, raises
+    :class:`SamplingError` before any draw.
     """
     if n <= 0:
         raise ValueError("need at least one particle")
@@ -114,6 +116,14 @@ def sample_initial_distribution(
 
     if family in ("uniform", "cold"):
         rx, ry = (radius, radius) if np.isscalar(radius) else radius
+        # the deposit extrapolates the weights of a particle outside the box
+        reach = [(cx, abs(rx), mesh.x0, mesh.x0 + mesh.a),
+                 (cy, abs(ry), mesh.y0, mesh.y0 + mesh.b), (zc, abs(zw) / 2.0, 0.0, mesh.zlen)]
+        if any(c - half < lo or c + half > hi for c, half, lo, hi in reach):
+            raise SamplingError(
+                f"{family} beam at ({cx:g}, {cy:g}, {zc:g}) with radii ({rx:g}, {ry:g}) "
+                f"and zeta width {zw:g} reaches outside the domain; fit it inside the box"
+            )
         r = np.sqrt(rng.uniform(size=n))
         th = rng.uniform(0.0, 2.0 * np.pi, size=n)
         x = cx + rx * r * np.cos(th)

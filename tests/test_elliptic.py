@@ -344,21 +344,26 @@ def test_divcurl_volume_matches_per_slice():
 
 def _gamma_dirichlet_loop(mesh, g):
     """Node-by-node contour integration of one slice's tangential trace."""
-    from parax.operators import gamma_ccw_faces
+    from parax.mesh import FACE_ORDER, face_tangent
 
+    path = []  # (face, nodes, walked backwards) counterclockwise around Gamma
+    for f in FACE_ORDER:
+        j, i = mesh.face_nodes(f)
+        ends = np.array([mesh.x[i[-1]] - mesh.x[i[0]], mesh.y[j[-1]] - mesh.y[j[0]]])
+        path.append((f, len(j), bool(np.dot(face_tangent(f), ends) < 0)))
     h_of = {"y_lo": mesh.hx, "x_hi": mesh.hy, "y_hi": mesh.hx, "x_lo": mesh.hy}
     values, arcs = [0.0], [0.0]
-    for f, _, _, rev in gamma_ccw_faces(mesh):
+    for f, _, rev in path:
         arr = g[f][::-1] if rev else g[f]
         for k in range(len(arr) - 1):
             values.append(values[-1] + 0.5 * h_of[f] * (arr[k] + arr[k + 1]))
             arcs.append(arcs[-1] + h_of[f])
     values = np.asarray(values) - values[-1] * np.asarray(arcs) / arcs[-1]
     out, cursor, npath = {}, 0, len(values) - 1
-    for f, j, _, rev in gamma_ccw_faces(mesh):
-        vals = values[[(cursor + k) % npath for k in range(len(j))]]
+    for f, size, rev in path:
+        vals = values[[(cursor + k) % npath for k in range(size)]]
         out[f] = vals[::-1] if rev else vals
-        cursor += len(j) - 1
+        cursor += size - 1
     return out
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parax.elliptic import DIRICHLET, NEUMANN, BoundarySpec, FaceBC, _apply
-from parax.elliptic import _AXIS_FACES, _FACE_AXIS, _boundary_rhs, _unknown_range
+from parax.elliptic import _boundary_rhs, _unknown_range
 from parax.elliptic import solve_anisotropic_poisson_3d
 from parax.fields import ScalarField, VectorField2
 from parax.mesh import FACE_NORMALS, FACE_ORDER, build_mesh, face_tangent
@@ -22,6 +22,12 @@ from parax.operators import (
     face_values,
     flux,
 )
+
+
+# the faces of each array axis, counted from the end of (nzeta, ny, nx),
+# written out apart from the mesh's face table
+_AXIS_FACES = {-1: ("x_lo", "x_hi"), -2: ("y_lo", "y_hi"), -3: ("zeta_lo", "zeta_hi")}
+_FACE_AXIS = {f: ax for ax, pair in _AXIS_FACES.items() for f in pair}
 
 
 def same_bits(a, b) -> bool:

@@ -127,3 +127,33 @@ def test_csv_peak_memory_does_not_grow_with_rows(monkeypatch, cpus):
 
     small, large = peak(12_500), peak(50_000)
     assert large - small < 1.25 * 2**20, (small, large)
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 4])
+def test_work_in_flight_is_bounded(monkeypatch, cpus):
+    # the in-place push and the CSV memory bound rely on this: at most
+    # `threads` blocks run at once, and no block starts 2 * threads or more
+    # blocks past the next one due to the caller (the pool submits up to
+    # block due + 2 * threads - 1), however slowly the caller takes them
+    monkeypatch.setattr(fields, "_usable_cpus", lambda: cpus)
+    lock = threading.Lock()
+    running, peak, received, ahead = 0, 0, 0, []
+
+    def block(start, stop):
+        nonlocal running, peak
+        with lock:
+            running += 1
+            peak = max(peak, running)
+            ahead.append(start - received)
+        time.sleep(1e-3)
+        with lock:
+            running -= 1
+        return start
+
+    for start in map_blocks(block, 48, 1):
+        with lock:
+            received += 1
+        time.sleep(2e-3)  # a slow caller: the pool runs as far ahead as it may
+    assert peak <= cpus
+    assert max(ahead) < 2 * cpus, ahead
+    assert len(ahead) == 48

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import cumulative_trapezoid
 
 from parax.fields import FieldShapeError, ScalarField, VectorField2, read_field_csv, write_field_csv
-from parax.mesh import FACE_NORMALS, build_mesh, face_tangent
+from parax.mesh import FACE_AXIS, FACE_NORMALS, FACE_ORDER, build_mesh, face_tangent
 from parax.operators import (
     _d1,
     boundary_normal_trace,
@@ -17,6 +17,7 @@ from parax.operators import (
     curl_perp_vector,
     div_perp,
     dzeta,
+    face_values,
     flux,
     grad_perp,
     laplace_perp,
@@ -54,6 +55,27 @@ def test_boundary_table_normals():
         tx, ty = face_tangent(f)
         nx_, ny_ = FACE_NORMALS[f]
         assert tx * nx_ + ty * ny_ == 0.0
+
+
+def test_face_table_matches_face_nodes():
+    # the face table, face_size and face_step against the node index arrays
+    # and coordinates; a face whose tangent runs toward lower x or y is the
+    # one the counterclockwise contour walks against its node order
+    m = build_mesh(1.0, 0.7, 2.0, 7, 5, 4, x0=-0.2, y0=0.3)
+    ids = np.arange(m.nzeta * m.ny * m.nx).reshape(m.nzeta, m.ny, m.nx)
+    for f in FACE_ORDER:
+        j, i = m.face_nodes(f)
+        np.testing.assert_array_equal(face_values(ids, f), ids[:, j, i])
+        np.testing.assert_array_equal(face_values(ids[0], f), ids[0, j, i])
+        assert m.face_size(f) == len(j)
+        walk = np.stack([m.x[i], m.y[j]])
+        steps = np.hypot(*np.diff(walk, axis=1))
+        np.testing.assert_allclose(steps, m.face_step(f), rtol=1e-14)
+        backwards = np.dot(face_tangent(f), walk[:, -1] - walk[:, 0]) < 0
+        assert backwards == (sum(face_tangent(f)) < 0) == (f in ("y_hi", "x_lo"))
+    np.testing.assert_array_equal(face_values(ids, "zeta_lo"), ids[0])
+    np.testing.assert_array_equal(face_values(ids, "zeta_hi"), ids[-1])
+    assert set(FACE_AXIS) == set(FACE_ORDER) | {"zeta_lo", "zeta_hi"}
 
 
 def test_mesh_mismatch_rejected():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import parax.pic
 from parax.fields import FieldShapeError, ScalarField, VectorField2
 from parax.hierarchy import (
-    ExternalField,
     FieldHierarchy,
     FieldHistory,
     FieldOrder,
@@ -23,6 +22,7 @@ from parax.pic import (
     BLOCK,
     PUSH_BLOCK,
     ParticleEnsemble,
+    SamplingError,
     assemble_force,
     check_charge_conservation,
     deposit_sources,
@@ -63,7 +63,7 @@ def uniform_field_hierarchy(mesh, beta=BETA, **comps):
             Bperp=VectorField2(mesh, full(c.get("Bx", 0.0)), full(c.get("By", 0.0))),
             Bz=ScalarField(mesh, full(c.get("Bz", 0.0))),
         ))
-    return FieldHierarchy(mesh=mesh, beta=beta, orders=orders, external=ExternalField())
+    return FieldHierarchy(mesh=mesh, beta=beta, orders=orders)
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -97,6 +97,33 @@ def test_sampling_determinism_and_bounds():
         sample_initial_distribution(mesh, "ring", 10, seed=0)
     with pytest.raises(ValueError):
         sample_initial_distribution(mesh, "cold", 0, seed=0)
+
+
+@pytest.mark.parametrize("family, kwargs, named", [
+    ("cold", dict(radius=2.0), r"\(0\.5, 0\.5, 1\) with radii \(2, 2\)"),
+    ("uniform", dict(zeta_center=3.0), r"\(0\.5, 0\.5, 3\)"),
+    ("uniform", dict(zeta_width=5.0), r"zeta width 5 "),
+])
+def test_uniform_and_cold_beams_must_fit_in_the_box(family, kwargs, named):
+    # outside the box the deposit extrapolates the cloud-in-cell weights:
+    # these beams left 61-100% of their particles outside on 9^2 x 5 and
+    # deposited negative charge
+    mesh = build_mesh(1.0, 1.0, 2.0, 9, 9, 5)
+    with pytest.raises(SamplingError, match=rf"^{family} beam at .*{named}.*outside the domain"):
+        sample_initial_distribution(mesh, family, 2000, seed=1, **kwargs)
+
+
+def test_default_cold_beam_keeps_its_draws():
+    # a beam that fits draws the same stream as before the fit check
+    mesh = build_mesh(1.0, 1.0, 2.0, 9, 9, 5)
+    p = sample_initial_distribution(mesh, "cold", 2000, seed=4)
+    rng = np.random.default_rng(4)
+    r = np.sqrt(rng.uniform(size=2000))
+    th = rng.uniform(0.0, 2.0 * np.pi, size=2000)
+    zeta = 1.0 + 0.5 * (rng.uniform(size=2000) - 0.5)
+    for got, want in ((p.x, 0.5 + 0.25 * r * np.cos(th)), (p.y, 0.5 + 0.25 * r * np.sin(th)),
+                      (p.zeta, zeta), (p.vx, np.zeros(2000)), (p.vzeta, np.zeros(2000))):
+        assert got.tobytes() == want.tobytes()
 
 
 # -- deposition --------------------------------------------------------------------
@@ -287,7 +314,7 @@ def random_hierarchy(mesh, n_max, rng):
         Bperp=VectorField2(mesh, rng.normal(size=shape), rng.normal(size=shape)),
         Bz=ScalarField(mesh, rng.normal(size=shape)),
     ) for n in range(n_max + 1)]
-    return FieldHierarchy(mesh=mesh, beta=BETA, orders=orders, external=ExternalField())
+    return FieldHierarchy(mesh=mesh, beta=BETA, orders=orders)
 
 
 def test_assemble_force_matches_per_corner_reference():
