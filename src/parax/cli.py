@@ -39,8 +39,6 @@ from .verify import (
     solve_timeline,
 )
 
-VERBS = ("fields", "pic", "mms", "residual", "convergence")
-
 # named, not __name__: under ``python -m parax.cli`` that is "__main__",
 # which the ``parax`` handler and ``--quiet`` would not reach
 log = logging.getLogger("parax.cli")
@@ -215,9 +213,10 @@ def cmd_mms(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     if target not in MMS_TARGETS:
         raise ConfigError(f"[study] target {target!r}: choose from {', '.join(MMS_TARGETS)}")
     # the ez, eperp and aniso3d targets put g nodes on zeta too
-    grids = _fit_list(cfg, "grids", cfg.grid_list, lambda g: g >= MIN_NZETA,
-                      f"the mms slope fit needs three or more distinct grids of "
-                      f"{MIN_NZETA} or more nodes")
+    grids = _fit_list(cfg, "grids", cfg.grid_list,
+                      lambda gs: min(gs) >= MIN_NZETA and sorted(gs) in (gs, gs[::-1]),
+                      f"the mms slope fit needs three or more grids of {MIN_NZETA} or "
+                      f"more nodes, no two equal, in increasing or decreasing order")
     rep = mms_study(target, grids, beta, target_order=cfg.study.target_order)
     _write_study_csv(os.path.join(out_dir, f"mms_{target}.csv"), rep.parameters, rep.errors)
     report = dataclasses.asdict(rep)
@@ -251,13 +250,13 @@ def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
 
 def _fit_list(cfg: RunConfig, key: str, values_of, ok, need: str) -> list:
     """The [study] list ``key`` that a slope fit reads, in its given order,
-    or ConfigError naming it: a fit needs three or more distinct values,
-    each ``ok``."""
+    or ConfigError naming it: a fit needs three or more values, no two
+    equal, that ``ok`` accepts as a list."""
     try:
         values = values_of()
     except ValueError:
         values = []
-    if len(set(values)) < 3 or not all(ok(v) for v in values):
+    if len(values) < 3 or len(set(values)) < len(values) or not ok(values):
         raise ConfigError(f"[study] {key} {getattr(cfg.study, key)!r}: {need}")
     return values
 
@@ -285,8 +284,8 @@ def _richardson_pair(cfg: RunConfig) -> tuple[int, int]:
 
 def cmd_convergence(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     beta = cfg.scaling.beta  # the study's etas are [study] etas
-    etas = _fit_list(cfg, "etas", cfg.eta_list, lambda e: 0 < e < np.inf,
-                     "the eta slope fit needs three or more distinct positive etas")
+    etas = _fit_list(cfg, "etas", cfg.eta_list, lambda es: all(0 < e < np.inf for e in es),
+                     "the eta slope fit needs three or more positive etas, no two equal")
     coarse, fine = (eta_study_terms(beta, (g, g, (g + 1) // 2)) for g in _richardson_pair(cfg))
     results = {}
     for n_max in (0, 1):
@@ -346,6 +345,7 @@ COMMANDS = {
     "residual": cmd_residual,
     "convergence": cmd_convergence,
 }
+VERBS = tuple(COMMANDS)
 
 
 def run_command(

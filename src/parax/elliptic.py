@@ -303,7 +303,7 @@ def solve_anisotropic_poisson_3d(
     ``relative_residual`` (:func:`_solve_info`)."""
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kappa = 1 - beta^2 must lie in (0, 1), got {kappa}")
-    if not rhs.is3d:
+    if rhs.values.ndim != 3:
         raise ValueError("solve_anisotropic_poisson_3d expects a volumetric field")
     m = rhs.mesh
     operator = (m.hzeta, m.hy, m.hx), (kappa, 1.0, 1.0)

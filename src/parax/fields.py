@@ -47,10 +47,6 @@ class ScalarField:
     def __post_init__(self):
         self.values = _check_shape(self.mesh, self.values)
 
-    @property
-    def is3d(self) -> bool:
-        return self.values.ndim == 3
-
     @classmethod
     def zeros(cls, mesh: Mesh) -> "ScalarField":
         return cls(mesh, np.zeros((mesh.nzeta, mesh.ny, mesh.nx)))
@@ -67,10 +63,6 @@ class VectorField2:
         self.y = _check_shape(self.mesh, self.y)
         if self.x.shape != self.y.shape:
             raise FieldShapeError("vector components have mismatched shapes")
-
-    @property
-    def is3d(self) -> bool:
-        return self.x.ndim == 3
 
     @classmethod
     def zeros(cls, mesh: Mesh) -> "VectorField2":

@@ -104,12 +104,16 @@ class FieldOrder:
     Bperp: VectorField2
     Bz: ScalarField
 
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The order's eight arrays by name, in chain order."""
+        return {"Ez": self.Ez.values, "Ecal.x": self.Ecal.x, "Ecal.y": self.Ecal.y,
+                "Eperp.x": self.Eperp.x, "Eperp.y": self.Eperp.y,
+                "Bperp.x": self.Bperp.x, "Bperp.y": self.Bperp.y, "Bz": self.Bz.values}
+
     def freeze(self):
         """Check the outputs in chain order, so that an error names the stage
         that made the first non-finite value, and make them read-only."""
-        arrays = {"Ez": self.Ez.values, "Ecal.x": self.Ecal.x, "Ecal.y": self.Ecal.y,
-                  "Eperp.x": self.Eperp.x, "Eperp.y": self.Eperp.y,
-                  "Bperp.x": self.Bperp.x, "Bperp.y": self.Bperp.y, "Bz": self.Bz.values}
+        arrays = self.arrays()
         require_finite(f"order {self.n}", **arrays)
         for arr in arrays.values():
             arr.flags.writeable = False
@@ -169,30 +173,15 @@ class FieldHierarchy:
     def reconstruct(self, eta: float, n_max: int) -> FieldOrder:
         """Total fields as eta-weighted sums over orders 0..n_max."""
         mesh = self.mesh
-        Ez = np.zeros((mesh.nzeta, mesh.ny, mesh.nx))
-        Bz = np.zeros_like(Ez)
-        Ex, Ey = np.zeros_like(Ez), np.zeros_like(Ez)
-        Bx, By = np.zeros_like(Ez), np.zeros_like(Ez)
-        Cx, Cy = np.zeros_like(Ez), np.zeros_like(Ez)
+        total = np.zeros((8, mesh.nzeta, mesh.ny, mesh.nx))
         for n in range(n_max + 1):
-            o = self.order(n)
             w = eta**n
-            Ez += w * o.Ez.values
-            Bz += w * o.Bz.values
-            Ex += w * o.Eperp.x
-            Ey += w * o.Eperp.y
-            Bx += w * o.Bperp.x
-            By += w * o.Bperp.y
-            Cx += w * o.Ecal.x
-            Cy += w * o.Ecal.y
-        return FieldOrder(
-            n=n_max,
-            Ez=ScalarField(mesh, Ez),
-            Ecal=VectorField2(mesh, Cx, Cy),
-            Eperp=VectorField2(mesh, Ex, Ey),
-            Bperp=VectorField2(mesh, Bx, By),
-            Bz=ScalarField(mesh, Bz),
-        )
+            for t, a in zip(total, self.order(n).arrays().values()):
+                t += w * a
+        Ez, Cx, Cy, Ex, Ey, Bx, By, Bz = total
+        return FieldOrder(n_max, ScalarField(mesh, Ez), VectorField2(mesh, Cx, Cy),
+                          VectorField2(mesh, Ex, Ey), VectorField2(mesh, Bx, By),
+                          ScalarField(mesh, Bz))
 
 
 class FieldHistory:
@@ -222,10 +211,6 @@ class FieldHistory:
             return None
         prev, last = self.snapshots
         return prev, last, last.time - prev.time
-
-
-def _volume(mesh: Mesh) -> tuple[int, int, int]:
-    return mesh.nzeta, mesh.ny, mesh.nx
 
 
 def _zeta_kind(n: int, for_Ez: bool) -> str:
@@ -319,9 +304,8 @@ class HierarchySolver:
         mesh, beta = self.mesh, self.beta
 
         source = beta * ctx.current(n - 1)[2] + self.kappa * ctx.rho(n)  # 0.0 above order 1
-        d_source = dzeta(
-            ScalarField(mesh, np.broadcast_to(source, _volume(mesh))), high_order=True
-        ).values
+        volume = np.broadcast_to(source, (mesh.nzeta, mesh.ny, mesh.nx))
+        d_source = dzeta(ScalarField(mesh, volume), high_order=True).values
         # d/dt (beta dEz^{n-1}/dzeta + curl Bperp^{n-1}), applied to the rates;
         # without rates 0.0 - d_source keeps the zero signs a zero term gave
         rates = ctx.rates(n - 1)

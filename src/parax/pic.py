@@ -90,8 +90,8 @@ def sample_initial_distribution(
     seed: int,
     total_weight: float = 1.0,
     center: tuple[float, float] | None = None,
-    radius: tuple[float, float] | float = 0.25,
-    sigma: tuple[float, float] | float = 0.1,
+    radius: float = 0.25,
+    sigma: float = 0.1,
     zeta_center: float | None = None,
     zeta_width: float | None = None,
     vth: float = 0.0,
@@ -115,25 +115,24 @@ def sample_initial_distribution(
     zw = mesh.zlen / 4.0 if zeta_width is None else zeta_width
 
     if family in ("uniform", "cold"):
-        rx, ry = (radius, radius) if np.isscalar(radius) else radius
         # the deposit extrapolates the weights of a particle outside the box
-        reach = [(cx, abs(rx), mesh.x0, mesh.x0 + mesh.a),
-                 (cy, abs(ry), mesh.y0, mesh.y0 + mesh.b), (zc, abs(zw) / 2.0, 0.0, mesh.zlen)]
+        reach = [(cx, abs(radius), mesh.x0, mesh.x0 + mesh.a),
+                 (cy, abs(radius), mesh.y0, mesh.y0 + mesh.b),
+                 (zc, abs(zw) / 2.0, 0.0, mesh.zlen)]
         if any(c - half < lo or c + half > hi for c, half, lo, hi in reach):
             raise SamplingError(
-                f"{family} beam at ({cx:g}, {cy:g}, {zc:g}) with radii ({rx:g}, {ry:g}) "
+                f"{family} beam at ({cx:g}, {cy:g}, {zc:g}) with radius {radius:g} "
                 f"and zeta width {zw:g} reaches outside the domain; fit it inside the box"
             )
         r = np.sqrt(rng.uniform(size=n))
         th = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        x = cx + rx * r * np.cos(th)
-        y = cy + ry * r * np.sin(th)
+        x = cx + radius * r * np.cos(th)
+        y = cy + radius * r * np.sin(th)
         zeta = zc + zw * (rng.uniform(size=n) - 0.5)
     elif family == "gaussian":
-        sx, sy = (sigma, sigma) if np.isscalar(sigma) else sigma
         accept = (
-            _in_range_probability(cx, sx, mesh.x0, mesh.x0 + mesh.a)
-            * _in_range_probability(cy, sy, mesh.y0, mesh.y0 + mesh.b)
+            _in_range_probability(cx, sigma, mesh.x0, mesh.x0 + mesh.a)
+            * _in_range_probability(cy, sigma, mesh.y0, mesh.y0 + mesh.b)
             * _in_range_probability(zc, zw, 0.0, mesh.zlen)
         )
         if accept < MIN_ACCEPTANCE:
@@ -155,8 +154,8 @@ def sample_initial_distribution(
                 )
             rounds += 1
             m = n - filled
-            xs = rng.normal(cx, sx, size=m)
-            ys = rng.normal(cy, sy, size=m)
+            xs = rng.normal(cx, sigma, size=m)
+            ys = rng.normal(cy, sigma, size=m)
             zs = rng.normal(zc, zw, size=m)
             ok = (
                 (xs > mesh.x0) & (xs < mesh.x0 + mesh.a)
@@ -382,24 +381,23 @@ def push_particles(
     force: tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray,
     dt: float,
     mesh: Mesh,
-    info_out: dict | None = None,
-) -> ParticleEnsemble:
-    """Kick-drift update with wall absorption, in place.
+) -> float:
+    """Kick-drift update with wall absorption, in place; returns the largest
+    drift of any particle along any axis, in cells.
 
     v_perp += F_perp dt, v_zeta -= F_z dt (the beam-frame advection sign),
     then positions drift; particles leaving Omega x (0, Z) are absorbed.
     ``force`` is (fx, fy, fz), as :func:`assemble_force` returns it, and is
-    not written.  The ensemble is updated in place and returned: blocks of
-    PUSH_BLOCK particles run on every usable core and write their own rows of
-    its six phase-space arrays, absorbed particles are squeezed out of all
-    eight arrays in place, and its arrays become the survivors' leading rows.
-    No N-length array is allocated.  The update is elementwise, so the bits
-    do not depend on the number of cores.  Arrays the ensemble shares with
+    not written.  The ensemble is updated in place: blocks of PUSH_BLOCK
+    particles run on every usable core and write their own rows of its six
+    phase-space arrays, absorbed particles are squeezed out of all eight
+    arrays in place, and its arrays become the survivors' leading rows.  No
+    N-length array is allocated.  The update is elementwise, so the bits do
+    not depend on the number of cores.  Arrays the ensemble shares with
     another ensemble are written too; push a ``copy()`` to keep the input.
-    ``info_out`` receives ``max_cell_displacement``, the largest drift of any
-    particle along any axis, in cells.  A non-finite velocity after the kick,
-    which would otherwise leave the domain unnoticed, raises FieldShapeError;
-    the ensemble is then partly pushed.
+    A non-finite velocity after the kick, which would otherwise leave the
+    domain unnoticed, raises FieldShapeError; the ensemble is then partly
+    pushed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -438,15 +436,11 @@ def push_particles(
         kept += count
         top = np.maximum(top, block_top)
     require_finite("push", vx=top[0], vy=top[1], vzeta=top[2])
-    if info_out is not None:
-        info_out["max_cell_displacement"] = max(
-            float(s) * dt / h for s, h in zip(top, (mesh.hx, mesh.hy, mesh.hzeta)))
-
     if kept < len(p):
         p.absorbed_total += len(p) - kept
         for name, r in zip(ARRAYS, arrays):
             setattr(p, name, r[:kept])
-    return p
+    return max(float(s) * dt / h for s, h in zip(top, (mesh.hx, mesh.hy, mesh.hzeta)))
 
 
 def check_charge_conservation(
@@ -507,14 +501,13 @@ def run_pic(
     history = FieldHistory()
     records: list[PicStepRecord] = []
     prev_moments = None
-    push_info = {"max_cell_displacement": 0.0}
+    shift = 0.0  # the largest drift of the last push, in cells
     absorbed_before = particles.absorbed_total
 
     for step in range(steps + 1):
         t = step * dt
         absorbed = particles.absorbed_total - absorbed_before
         absorbed_before = particles.absorbed_total
-        shift = push_info["max_cell_displacement"]
         if shift > 1.0:
             log.warning("step %d: particles moved up to %.3g cells in one step; "
                         "dt = %g is too long for the mesh", step, shift, dt)
@@ -563,8 +556,7 @@ def run_pic(
                 np.multiply(0.5, f, out=half)
                 kick(v, np.multiply(half, dt, out=half), out=v)
             del half, v, f  # f would hold the force through the next step
-        push_info = {}
-        push_particles(particles, force, dt, mesh, info_out=push_info)
+        shift = push_particles(particles, force, dt, mesh)
         del force  # not held through the next deposit and solve
 
     return particles, history, records

@@ -25,17 +25,11 @@ BZ = 0.7
 MESH = build_mesh(1.0, 1.3, 2.0, 11, 9, 7)
 
 # the eight arrays of an order, and their signs under the mirrors x -> -x and
-# y -> -y: E is a vector, B a pseudovector (under the x-mirror Bperp_x keeps
-# its sign, Bperp_y and Bz flip; under the y-mirror Bperp_x and Bz flip)
-COMPONENTS = (("Ez", +1, +1), ("Ecal_x", -1, +1), ("Ecal_y", +1, -1),
-              ("Eperp_x", -1, +1), ("Eperp_y", +1, -1), ("Bperp_x", +1, -1),
-              ("Bperp_y", -1, +1), ("Bz", -1, -1))
-
-
-def _arrays(order) -> dict[str, np.ndarray]:
-    return {"Ez": order.Ez.values, "Ecal_x": order.Ecal.x, "Ecal_y": order.Ecal.y,
-            "Eperp_x": order.Eperp.x, "Eperp_y": order.Eperp.y,
-            "Bperp_x": order.Bperp.x, "Bperp_y": order.Bperp.y, "Bz": order.Bz.values}
+# y -> -y: E is a vector, B a pseudovector (under the x-mirror Bperp.x keeps
+# its sign, Bperp.y and Bz flip; under the y-mirror Bperp.x and Bz flip)
+COMPONENTS = (("Ez", +1, +1), ("Ecal.x", -1, +1), ("Ecal.y", +1, -1),
+              ("Eperp.x", -1, +1), ("Eperp.y", +1, -1), ("Bperp.x", +1, -1),
+              ("Bperp.y", -1, +1), ("Bz", -1, -1))
 
 
 def chain(timeline, mesh=MESH, bz=0.0) -> dict[tuple, np.ndarray]:
@@ -51,7 +45,7 @@ def chain(timeline, mesh=MESH, bz=0.0) -> dict[tuple, np.ndarray]:
         h = solver.solve_hierarchy(N_MAX, src, hist, time=k * DT)
         hist.push(h)
         for o in h.orders:
-            out.update({(k, o.n, c): a for c, a in _arrays(o).items()})
+            out.update({(k, o.n, c): a for c, a in o.arrays().items()})
     return out
 
 
@@ -152,9 +146,9 @@ def test_transpose_of_a_square_box_holds_to_discretization():
     T = lambda a: np.swapaxes(a, -1, -2)
     swapped = chain([(T(rho), T(jy), T(jx), T(jz)) for rho, jx, jy, jz in timeline], mesh)
     # x and y trade places; B is a pseudovector, so Bperp and Bz change sign
-    image = {"Ez": ("Ez", 1), "Ecal_x": ("Ecal_y", 1), "Ecal_y": ("Ecal_x", 1),
-             "Eperp_x": ("Eperp_y", 1), "Eperp_y": ("Eperp_x", 1),
-             "Bperp_x": ("Bperp_y", -1), "Bperp_y": ("Bperp_x", -1), "Bz": ("Bz", -1)}
+    image = {"Ez": ("Ez", 1), "Ecal.x": ("Ecal.y", 1), "Ecal.y": ("Ecal.x", 1),
+             "Eperp.x": ("Eperp.y", 1), "Eperp.y": ("Eperp.x", 1),
+             "Bperp.x": ("Bperp.y", -1), "Bperp.y": ("Bperp.x", -1), "Bz": ("Bz", -1)}
     want = {(k, n, c): image[c][1] * T(fields[k, n, image[c][0]]) for k, n, c in fields}
     # measured 1.4e-3, 4.8e-2 and 0.20 per order (at most 2.0e-3, 7.6e-2 and
     # 0.20 over three seeds, all in Bperp, falling about 3x at 17^2 x 9); a

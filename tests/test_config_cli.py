@@ -104,9 +104,12 @@ def test_constraint_violation_named(tmp_path):
     ("convergence", "study", "etas", "0.1"),
     ("convergence", "study", "etas", "0.1,0.1,0.2"),
     ("convergence", "study", "etas", "0.05,0.1,inf"),
+    ("convergence", "study", "etas", "0.05,0.05,0.1,0.2"),
     ("mms", "study", "grids", "9,17"),
     ("mms", "study", "grids", ","),
     ("mms", "study", "grids", "3,5,9"),
+    ("mms", "study", "grids", "17,9,33"),
+    ("mms", "study", "grids", "9,9,17,33"),
 ])
 def test_unrunnable_config_names_its_key(tmp_path, verb, section, key, value):
     # refused before any solve: study lists by the verb that fits a slope
@@ -117,6 +120,17 @@ def test_unrunnable_config_names_its_key(tmp_path, verb, section, key, value):
     if section != "study":
         with pytest.raises(ConfigError):
             read_validated(text)
+
+
+@pytest.mark.parametrize("verb, key, value", [
+    ("mms", "grids", "33,17,9"),
+    ("convergence", "etas", "0.1,0.05,0.2"),
+])
+def test_study_lists_in_either_order_run(tmp_path, verb, key, value):
+    # the mms fit takes its grids decreasing too; the eta study sorts its etas
+    cfg = small_cfg(study__grids="5,7,13") if verb == "convergence" else RunConfig()
+    setattr(cfg.study, key, value)
+    assert run_command(verb, cfg, out_dir=str(tmp_path), quiet=True) == 0
 
 
 @pytest.mark.parametrize("verb", ["fields", "pic", "residual"])

@@ -7,7 +7,9 @@ from parax.fields import FieldShapeError, ScalarField, VectorField2
 from parax.hierarchy import (
     ChainContext,
     ExternalField,
+    FieldHierarchy,
     FieldHistory,
+    FieldOrder,
     HierarchySolver,
     SourceTerms,
     backward_rate,
@@ -66,9 +68,7 @@ def test_cold_start_collapse():
     case = QuasiStaticMode(mesh=mesh, beta=BETA)  # alpha = jc = 0
     h = HierarchySolver(mesh, BETA).solve_hierarchy(2, case.sources(0.0))
     for n in (1, 2):
-        o = h.order(n)
-        for arr in (o.Ez.values, o.Ecal.x, o.Ecal.y, o.Eperp.x, o.Eperp.y,
-                    o.Bperp.x, o.Bperp.y, o.Bz.values):
+        for arr in h.order(n).arrays().values():
             assert np.abs(arr).max() < 1e-10
 
 
@@ -128,6 +128,72 @@ def test_order_immutability_and_reproducibility():
     np.testing.assert_array_equal(h1.order(1).Eperp.x, h2.order(1).Eperp.x)
     with pytest.raises(ValueError):
         h1.order(0).Ez.values[0, 0, 0] = 1.0
+
+
+# an order's eight arrays in chain order, by the names freeze's errors print
+NAMES = ("Ez", "Ecal.x", "Ecal.y", "Eperp.x", "Eperp.y", "Bperp.x", "Bperp.y", "Bz")
+
+
+def _field(order: FieldOrder, name: str) -> np.ndarray:
+    """The array ``name`` of ``order``, reached by attribute: "Ecal.x" is
+    order.Ecal.x, "Ez" order.Ez.values."""
+    obj = order
+    for part in name.split("."):
+        obj = getattr(obj, part)
+    return obj if isinstance(obj, np.ndarray) else obj.values
+
+
+def _random_order(mesh, n: int, rng, zeros) -> FieldOrder:
+    """Normal draws with +0.0 at random nodes and -0.0 at the nodes ``zeros``."""
+    def draw():
+        a = rng.normal(size=zeros.shape)
+        a[rng.random(zeros.shape) < 0.2] = 0.0
+        a[zeros] = -0.0
+        return a
+    return FieldOrder(n, ScalarField(mesh, draw()), VectorField2(mesh, draw(), draw()),
+                      VectorField2(mesh, draw(), draw()), VectorField2(mesh, draw(), draw()),
+                      ScalarField(mesh, draw()))
+
+
+def test_arrays_lists_the_order_by_its_own_arrays():
+    mesh = small_mesh(5)
+    rng = np.random.default_rng(32)
+    order = _random_order(mesh, 0, rng, np.zeros((5, 5, 5), dtype=bool))
+    arrays = order.arrays()
+    assert tuple(arrays) == NAMES
+    for name, a in arrays.items():
+        assert a is _field(order, name), name
+    values = list(arrays.values())
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(values) for b in values[i + 1:])
+    # freeze checks the same list in the same order and names what it finds
+    for name in NAMES:
+        poisoned = _random_order(mesh, 3, rng, np.zeros((5, 5, 5), dtype=bool))
+        _field(poisoned, name)[1, 2, 3] = np.nan
+        with pytest.raises(FieldShapeError, match=f"^order 3: {name} is non-finite$"):
+            poisoned.freeze()
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2])
+def test_reconstruct_is_the_order_by_order_sum_bit_for_bit(n_max):
+    # each array is sum_n eta^n a^n added from +0.0 zeros in order: a node
+    # that is -0.0 at every order comes out +0.0
+    mesh = small_mesh(5, 4)
+    rng = np.random.default_rng(33)
+    zeros = rng.random((4, 5, 5)) < 0.1
+    assert zeros.any()
+    h = FieldHierarchy(mesh=mesh, beta=BETA,
+                       orders=[_random_order(mesh, n, rng, zeros) for n in range(3)])
+    eta = 0.3
+    total = h.reconstruct(eta, n_max)
+    assert total.n == n_max
+    for name in NAMES:
+        want = np.zeros((4, 5, 5))
+        for n in range(n_max + 1):
+            want += eta**n * _field(h.order(n), name)
+        got = _field(total, name)
+        assert np.array_equal(got, want), name
+        assert np.array_equal(np.signbit(got), np.signbit(want)), name
+        assert not np.signbit(got[zeros]).any()
 
 
 def test_ez_order_slab_is_zero():
@@ -265,10 +331,7 @@ def test_order_0_reads_no_time_derivative():
     cold_hist = FieldHistory()
     cold_hist.push(solver.solve_hierarchy(0, sources, cold_hist, 0.2))
     warm, cold = warm_h.order(0), cold_hist.latest.order(0)
-    for a, b in ((warm.Ez.values, cold.Ez.values), (warm.Bz.values, cold.Bz.values),
-                 (warm.Ecal.x, cold.Ecal.x), (warm.Ecal.y, cold.Ecal.y),
-                 (warm.Eperp.x, cold.Eperp.x), (warm.Eperp.y, cold.Eperp.y),
-                 (warm.Bperp.x, cold.Bperp.x), (warm.Bperp.y, cold.Bperp.y)):
+    for a, b in zip(warm.arrays().values(), cold.arrays().values()):
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
     hist.push(warm_h)
     assert chain_audit(hist, sources) == chain_audit(cold_hist, sources)

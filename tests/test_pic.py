@@ -100,7 +100,7 @@ def test_sampling_determinism_and_bounds():
 
 
 @pytest.mark.parametrize("family, kwargs, named", [
-    ("cold", dict(radius=2.0), r"\(0\.5, 0\.5, 1\) with radii \(2, 2\)"),
+    ("cold", dict(radius=2.0), r"\(0\.5, 0\.5, 1\) with radius 2 "),
     ("uniform", dict(zeta_center=3.0), r"\(0\.5, 0\.5, 3\)"),
     ("uniform", dict(zeta_width=5.0), r"zeta width 5 "),
 ])
@@ -432,12 +432,12 @@ def test_coupling_does_not_depend_on_the_cpu_count(monkeypatch, coupling_case):
             # measured at most 1.3e-15 of max |moment| here, 8.3e-15 on
             # 17^2 x 9 with 400k particles
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
-        info = {}
-        q = push_particles(p.copy(), force, 0.05, mesh, info_out=info)
+        q = p.copy()
+        shift = push_particles(q, force, 0.05, mesh)
         assert q.absorbed_total > 0
         results.append([interpolate_to_particles(mesh, F, p)]
                        + [assemble_force(n, h, p, eta=0.1) for n in range(3)]
-                       + [moments, info["max_cell_displacement"]]
+                       + [moments, shift]
                        + [getattr(q, name) for name in PHASE_SPACE])
     for other in results[1:]:
         for a, b in zip(results[0], other):
@@ -529,11 +529,11 @@ def test_ballistic_drift():
     mesh = mesh_small()
     p = single_particle(mesh, 0.3, 0.4, 0.5, vx=0.1, vy=-0.05, vzeta=0.2)
     zero = (np.zeros(1), np.zeros(1), np.zeros(1))
-    q = push_particles(p, zero, 0.25, mesh)
-    assert q.x[0] == pytest.approx(0.3 + 0.1 * 0.25)
-    assert q.y[0] == pytest.approx(0.4 - 0.05 * 0.25)
-    assert q.zeta[0] == pytest.approx(0.5 + 0.2 * 0.25)
-    assert q.vx[0] == 0.1  # velocities untouched without force
+    push_particles(p, zero, 0.25, mesh)
+    assert p.x[0] == pytest.approx(0.3 + 0.1 * 0.25)
+    assert p.y[0] == pytest.approx(0.4 - 0.05 * 0.25)
+    assert p.zeta[0] == pytest.approx(0.5 + 0.2 * 0.25)
+    assert p.vx[0] == 0.1  # velocities untouched without force
 
 
 def test_fz_sign_convention():
@@ -542,7 +542,7 @@ def test_fz_sign_convention():
     p = single_particle(mesh, 0.5, 0.5, 1.0)
     dt = 0.01
     for _ in range(5):
-        p = push_particles(p, (np.zeros(1), np.zeros(1), np.ones(1)), dt, mesh)
+        push_particles(p, (np.zeros(1), np.zeros(1), np.ones(1)), dt, mesh)
     assert p.vzeta[0] == pytest.approx(-5 * dt)
 
 
@@ -557,7 +557,7 @@ def test_constant_force_kinematics():
         p = ParticleEnsemble(p.ids, p.x, p.y, p.zeta, p.vx - 0.5 * F * dt, p.vy,
                              p.vzeta, p.weight)
         for _ in range(steps):
-            p = push_particles(p, (np.full(1, F), np.zeros(1), np.zeros(1)), dt, mesh)
+            push_particles(p, (np.full(1, F), np.zeros(1), np.zeros(1)), dt, mesh)
         t = steps * dt
         exact = 0.5 * F * t**2
         assert p.x[0] == pytest.approx(exact, abs=2 * F * dt**2)
@@ -566,14 +566,14 @@ def test_constant_force_kinematics():
 def test_absorption_at_walls():
     mesh = mesh_small()
     p = single_particle(mesh, 0.95, 0.5, 1.0, vx=1.0)
-    q = push_particles(p, (np.zeros(1), np.zeros(1), np.zeros(1)), 0.2, mesh)
-    assert len(q) == 0 and q.absorbed_total == 1
+    push_particles(p, (np.zeros(1), np.zeros(1), np.zeros(1)), 0.2, mesh)
+    assert len(p) == 0 and p.absorbed_total == 1
 
 
 @pytest.mark.parametrize("absorbs", [False, True])
 def test_push_updates_its_ensemble_in_place(absorbs):
-    # the push returns the ensemble it was given, its arrays the leading rows
-    # of the input's, and leaves the force as it was
+    # the push returns its drift, leaves the ensemble's arrays the leading
+    # rows of the input's, and leaves the force as it was
     rng = np.random.default_rng(13)
     mesh = mesh_small()
     p = random_ensemble(mesh, 500, rng)
@@ -588,21 +588,20 @@ def test_push_updates_its_ensemble_in_place(absorbs):
     before = p.copy()
     force_before = force.copy()
     dt = 0.05
-    info = {}
     inputs = {name: getattr(p, name) for name in PHASE_SPACE}
-    q = push_particles(p, force, dt, mesh, info_out=info)
-    assert q is p
+    shift = push_particles(p, force, dt, mesh)
+    assert type(shift) is float
     for name in PHASE_SPACE:
-        got = getattr(q, name)
+        got = getattr(p, name)
         assert np.shares_memory(got, inputs[name]), name
         assert got.ctypes.data == inputs[name].ctypes.data, name
     np.testing.assert_array_equal(force, force_before)
     want, keep, drift = reference_push(before, force, dt, mesh)
-    assert q.absorbed_total == before.absorbed_total + int((~keep).sum())
-    assert (q.absorbed_total > 0) == absorbs
-    assert info["max_cell_displacement"] == drift
+    assert p.absorbed_total == before.absorbed_total + int((~keep).sum())
+    assert (p.absorbed_total > 0) == absorbs
+    assert shift == drift
     for name in PHASE_SPACE:
-        np.testing.assert_array_equal(getattr(q, name), want[name])
+        np.testing.assert_array_equal(getattr(p, name), want[name])
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
@@ -632,19 +631,18 @@ def test_blocked_push_equals_the_elementwise_formulas(monkeypatch, cpus):
         getattr(p, ("vx", "vy", "vzeta")[i % 3])[row] = 100.0 if i % 6 < 3 else -100.0
     force = rng.normal(size=(3, n))
     dt = 0.05
-    info = {}
     before = p.copy()
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        q = push_particles(p, force, dt, mesh, info_out=info)
+        shift = push_particles(p, force, dt, mesh)
     finally:
         sys.setswitchinterval(old)
     want, keep, drift = reference_push(before, force, dt, mesh)
-    assert not keep[edges].any() and q.absorbed_total == int((~keep).sum()) >= len(edges)
-    assert info["max_cell_displacement"] == drift
+    assert not keep[edges].any() and p.absorbed_total == int((~keep).sum()) >= len(edges)
+    assert shift == drift
     for name in PHASE_SPACE:
-        np.testing.assert_array_equal(getattr(q, name), want[name])
+        np.testing.assert_array_equal(getattr(p, name), want[name])
 
 
 def test_push_of_no_particles_starts_no_pool(monkeypatch):
@@ -657,10 +655,9 @@ def test_push_of_no_particles_starts_no_pool(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     mesh = mesh_small()
     empty = ParticleEnsemble(np.zeros(0, dtype=np.int64), *[np.zeros(0)] * 7)
-    info = {}
-    q = push_particles(empty, np.zeros((3, 0)), 0.05, mesh, info_out=info)
-    assert len(q) == 0 and q.absorbed_total == 0
-    assert info == {"max_cell_displacement": 0.0}
+    shift = push_particles(empty, np.zeros((3, 0)), 0.05, mesh)
+    assert len(empty) == 0 and empty.absorbed_total == 0
+    assert shift == 0.0
     # the patch does catch a pool: two push blocks on three CPUs start one
     many = random_ensemble(mesh, PUSH_BLOCK + 1, np.random.default_rng(0))
     with pytest.raises(AssertionError, match="thread pool"):
