@@ -24,21 +24,24 @@ from parax.mesh import build_mesh  # noqa: E402
 from parax.verify import ETA_STUDY_DT, ETA_STUDY_KNOBS, QuasiStaticMode, solve_timeline  # noqa: E402
 
 GRIDS = ((33, 33, 17), (65, 65, 33))
-ORDERS = (0, 1, 1)  # the orders solve_timeline(..., residual_only=True) solves
+SNAPSHOTS = 3
 
 
-def time_solves(grid, beta: float) -> list[float]:
-    """Seconds of each snapshot solve of the eta-study timeline on ``grid``."""
+def time_solves(grid, beta: float) -> list[tuple[int, float]]:
+    """(order, seconds) of each snapshot solve of the eta-study timeline on
+    ``grid``; the order is the one the solved snapshot holds."""
     nx, ny, nz = grid
     mesh = build_mesh(1.0, 1.0, 2.0, nx, ny, nz)
     case = QuasiStaticMode(mesh=mesh, beta=beta, dt_hist=ETA_STUDY_DT, **ETA_STUDY_KNOBS)
-    timeline = solve_timeline(case, 1, len(ORDERS), residual_only=True)
-    seconds = []
+    timeline = solve_timeline(case, 1, SNAPSHOTS, residual_only=True)
+    solves = []
     while True:
         start = time.perf_counter()
-        if next(timeline, None) is None:
-            return seconds
-        seconds.append(time.perf_counter() - start)
+        hist = next(timeline, None)
+        seconds = time.perf_counter() - start
+        if hist is None:
+            return solves
+        solves.append((hist.latest.n_max, seconds))
 
 
 def main() -> int:
@@ -51,8 +54,8 @@ def main() -> int:
     runs = {grid: [time_solves(grid, beta) for _ in range(args.repeat)] for grid in GRIDS}
     print(f"median of {args.repeat} runs, raw perf_counter ms")
     for grid, samples in runs.items():
-        for k, order in enumerate(ORDERS):
-            ms = statistics.median(run[k] for run in samples) * 1e3
+        for k, (order, _) in enumerate(samples[0]):
+            ms = statistics.median(run[k][1] for run in samples) * 1e3
             print(f"{grid[0]}^2x{grid[2]} snapshot {k} (order {order}): {ms:8.2f}")
     return 0
 

@@ -352,25 +352,17 @@ def run_command(
     verb: str,
     cfg: RunConfig,
     out_dir: str | None = None,
-    order: int | None = None,
-    seed: int | None = None,
     quiet: bool = False,
     n_chunks: int = 1,
 ) -> int:
-    """Dispatch a verb; returns the process exit status.
+    """Run ``verb`` on ``cfg`` as given, writing to ``out_dir`` (default
+    ``[output] directory``); returns the process exit status.
 
     ``n_chunks`` is accepted for existing callers and changes nothing.
     """
     if verb not in COMMANDS:
         raise RunError(f"unknown verb {verb!r}")
-    if order is not None:
-        if order < 0:
-            raise RunError("--order must be >= 0")
-        cfg.hierarchy.n_max = order
-    if seed is not None:
-        cfg.pic.seed = seed
-    out = out_dir or os.environ.get("PARAX_OUT") or cfg.output.directory
-    out = _ensure_outdir(out)
+    out = _ensure_outdir(out_dir or cfg.output.directory)
     _keep_freed_memory()
     try:
         validate(cfg)  # a refused config leaves error.json like a failed run
@@ -392,9 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("verb", choices=VERBS)
     ap.add_argument("--config", help="path to the run configuration", default=None)
-    ap.add_argument("--out", help="output directory (overrides config/PARAX_OUT)")
-    ap.add_argument("--order", type=int, help="override hierarchy n_max")
-    ap.add_argument("--seed", type=int, help="override the particle seed")
+    ap.add_argument("--out", help="output directory (default: [output] directory)")
+    ap.add_argument("--order", type=int, help="set [hierarchy] n_max")
+    ap.add_argument("--seed", type=int, help="set [pic] seed")
     ap.add_argument("--quiet", action="store_true")
     return ap
 
@@ -433,10 +425,12 @@ def main(argv=None) -> int:
             warnings.simplefilter("ignore", RuntimeWarning)
         try:
             cfg = read_config(args.config) if args.config else RunConfig()
-            return run_command(
-                args.verb, cfg, out_dir=args.out, order=args.order,
-                seed=args.seed, quiet=args.quiet,
-            )
+            # the flags are config keys, checked by validate like the others
+            if args.order is not None:
+                cfg.hierarchy.n_max = args.order
+            if args.seed is not None:
+                cfg.pic.seed = args.seed
+            return run_command(args.verb, cfg, out_dir=args.out, quiet=args.quiet)
         except (ConfigError, RunError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

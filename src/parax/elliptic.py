@@ -63,11 +63,6 @@ class BoundarySpec:
         names = FACE_AXIS if volumetric else FACE_ORDER
         return cls({f: FaceBC(kind, value) for f in names})
 
-    def with_face(self, name: str, bc: FaceBC) -> "BoundarySpec":
-        faces = dict(self.faces)
-        faces[name] = bc
-        return BoundarySpec(faces)
-
     def kind(self, name: str) -> str:
         return self.faces[name].kind
 
@@ -166,16 +161,18 @@ def _boundary_rhs(values, spacings, coeffs, bc: BoundarySpec):
     """Boundary data of a solve over the trailing len(spacings) axes.
 
     Returns ``(u, g, kinds, inner, lifted)``: ``u`` is zero but for the
-    Dirichlet values on its faces, ``g`` the right-hand side on the unknowns
-    ``u[inner]``, and ``lifted`` whether a Dirichlet face carries data.
+    Dirichlet values on its faces, written in face order (a later face
+    overwrites the edge nodes it shares with an earlier one), ``g`` the
+    right-hand side on the unknowns ``u[inner]``, and ``lifted`` whether a
+    Dirichlet face carries data.
     Neumann fluxes enter ``g`` on the end layer of their axis (the ghost
     elimination adds 2*c*v/h on the operator side).  Dirichlet values enter
     through the stencils of the unknowns next to their face: the first or
     last unknown layer of the axis, or its only layer, which takes both
     faces.  A node next to several faces sums their terms in axis order
     before its one subtraction, so every bit equals
-    ``values[inner] - _apply(u)[inner]``.  Faces of scalar value 0.0 are not
-    touched, and ``values`` is copied only when some face changes it.
+    ``values[inner] - _apply(u)[inner]``.  Faces of scalar value 0.0 add
+    nothing to ``g``, and ``values`` is copied only when some face changes it.
     """
     nd = len(spacings)
     axes = range(-nd, 0)
@@ -202,11 +199,7 @@ def _boundary_rhs(values, spacings, coeffs, bc: BoundarySpec):
         ax, end = FACE_AXIS[name]
         zero = _is_zero(fbc.value)
         if fbc.kind == DIRICHLET:
-            # once u holds data, a zero face still overwrites the edge nodes
-            # it shares with an earlier face
-            if data or not zero:
-                u[at(ax, end)] = np.broadcast_to(np.asarray(fbc.value, dtype=float),
-                                                 u[at(ax, end)].shape)
+            u[at(ax, end)] = fbc.value
             if not zero:
                 data.setdefault(ax, []).append(end)
         elif not zero:

@@ -373,15 +373,14 @@ def write_table(path, names: list[str], columns, ids=None) -> None:
 
 
 def write_field_csv(path, mesh: Mesh, components: dict[str, np.ndarray]) -> None:
+    """Rows x,y,zeta,<names> of the (nzeta, ny, nx) volumes ``components``, x fastest."""
     names = list(components)
     arrays = [np.asarray(components[name], dtype=float) for name in names]
-    arrays = [v[None, :, :] if v.ndim == 2 else v for v in arrays]
-    nz = arrays[0].shape[0]
     for name, v in zip(names, arrays):
-        if v.shape != (nz, mesh.ny, mesh.nx) or nz > mesh.nzeta:
+        if v.shape != (mesh.nzeta, mesh.ny, mesh.nx):
             raise FieldShapeError(f"component {name!r} has shape {v.shape}")
     # each distinct coordinate is formatted once and gathered into the rows
-    coords = [format_g17(c) for c in (mesh.x, mesh.y, mesh.zeta[:nz])]
+    coords = [format_g17(c) for c in (mesh.x, mesh.y, mesh.zeta)]
     values = [v.ravel() for v in arrays]
 
     def block(start, stop):

@@ -213,26 +213,28 @@ class FieldHistory:
         return prev, last, last.time - prev.time
 
 
-def _zeta_kind(n: int, for_Ez: bool) -> str:
-    """Boundary kind of both zeta ends at order n; see module docstring for
-    the parity rule."""
-    return DIRICHLET if for_Ez == (n % 2 == 0) else NEUMANN
+def _volume_spec(n: int, for_Ez: bool, transverse: dict[str, FaceBC]) -> BoundarySpec:
+    """Boundary spec of the order-n Ez (``for_Ez``) or Eperp solve: the
+    ``transverse`` faces as given, then both zeta ends by the parity rule of
+    the module docstring."""
+    end = FaceBC(DIRICHLET if for_Ez == (n % 2 == 0) else NEUMANN, 0.0)
+    return BoundarySpec({**transverse, "zeta_lo": end, "zeta_hi": end})
 
 
 @dataclass
 class ChainContext:
-    """State threaded through one hierarchy solve: the sources, the snapshot
-    history backing time derivatives, the solve time and the orders completed
-    so far at this time.
+    """State threaded through one hierarchy solve: the sources, the previous
+    snapshot that the time derivatives read (None on a cold start), the
+    solve time and the orders completed so far at this time.
 
     The sources belong to order 0.  :meth:`rho` and :meth:`current` state the
     convention once: order n reads ``rho(n)`` and ``current(n - 1)``, which
     are the sources' own arrays at order 0 and scalar zeros elsewhere."""
 
     sources: SourceTerms
-    history: FieldHistory
+    previous: FieldHierarchy | None
     time: float
-    orders: list[FieldOrder] = dc_field(default_factory=list, init=False)
+    orders: list[FieldOrder] = dc_field(default_factory=list)
     _rates: dict[int, FieldRates] = dc_field(default_factory=dict, init=False, repr=False)
 
     def rho(self, n: int):
@@ -248,19 +250,19 @@ class ChainContext:
 
     def rates(self, n: int) -> FieldRates | None:
         """d/dt of the completed order n, anchored at the solve time against
-        the latest snapshot: order n at this time is already on the chain
+        the previous snapshot: order n at this time is already on the chain
         when order n+1 is assembled, so one prior snapshot suffices, and the
         per-order equations hold with the quotient the residual harness uses.
         Formed once per order and shared by every stage.  None below order 0
         and on a cold start, where every time derivative is zero: the stages
         then form no d/dt terms."""
-        latest = self.history.latest
-        if n < 0 or latest is None:
+        before = self.previous
+        if n < 0 or before is None:
             return None
         if n not in self._rates:
             self._rates.clear()  # only the order below the current one is read
             self._rates[n] = backward_rate(
-                self.orders[n], latest.order(n), self.time - latest.time
+                self.orders[n], before.order(n), self.time - before.time
             )
         return self._rates[n]
 
@@ -315,11 +317,8 @@ class HierarchySolver:
         )
         rhs = dt_term - d_source
 
-        kind = _zeta_kind(n, for_Ez=True)
-        bc = BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True) \
-            .with_face("zeta_lo", FaceBC(kind, 0.0)) \
-            .with_face("zeta_hi", FaceBC(kind, 0.0))
-        return rhs, bc
+        return rhs, _volume_spec(n, for_Ez=True,
+                                 transverse=dict.fromkeys(FACE_ORDER, FaceBC(DIRICHLET, 0.0)))
 
     def solve_Ez_order(self, n: int, ctx: ChainContext) -> ScalarField:
         rhs, bc = self.ez_problem(n, ctx)
@@ -392,17 +391,14 @@ class HierarchySolver:
         rhs_x = gg.x + d2_Ecal.x + curl_x + beta * dz_x
         rhs_y = gg.y + d2_Ecal.y + curl_y + beta * dz_y
 
-        zk = _zeta_kind(n, for_Ez=False)
-        ends = {"zeta_lo": FaceBC(zk, 0.0), "zeta_hi": FaceBC(zk, 0.0)}
-
         def bc(c: int) -> BoundarySpec:
             # component c vanishes on the faces it is tangential to; on the two
             # it is normal to it takes the Gauss constraint as a Neumann
             # condition, its outward derivative nu_c * gauss
-            return BoundarySpec({
+            return _volume_spec(n, for_Ez=False, transverse={
                 f: FaceBC(NEUMANN, FACE_NORMALS[f][c] * face_values(gauss, f))
                 if FACE_NORMALS[f][c] else FaceBC(DIRICHLET, 0.0) for f in FACE_ORDER
-            } | ends)
+            })
 
         return [(rhs_x, bc(0)), (rhs_y, bc(1))]
 
@@ -496,7 +492,7 @@ class HierarchySolver:
         require_finite("sources", rho=sources.rho.values, Jx=sources.Jperp.x,
                        Jy=sources.Jperp.y, Jzeta=sources.Jzeta.values)
 
-        ctx = ChainContext(sources=sources, history=history or FieldHistory(), time=time)
+        ctx = ChainContext(sources, None if history is None else history.latest, time)
         for n in range(n_max + 1):
             self.solve_order(n, ctx)
         return FieldHierarchy(mesh=self.mesh, beta=self.beta, orders=ctx.orders, time=time)

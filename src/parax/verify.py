@@ -239,7 +239,7 @@ def _mode_order0(g: int, beta: float):
     :class:`QuasiStaticMode` on a cold start."""
     mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
     case = QuasiStaticMode(mesh=mesh, beta=beta)
-    ctx = ChainContext(sources=case.sources(0.0), history=FieldHistory(), time=0.0)
+    ctx = ChainContext(sources=case.sources(0.0), previous=None, time=0.0)
     return HierarchySolver(mesh, beta), ctx, case.exact_order(0, 0.0), mesh
 
 
@@ -298,11 +298,8 @@ def chain_audit(history: FieldHistory, sources: SourceTerms) -> dict[int, dict]:
     pair = history.pair()
     mesh, beta = latest.mesh, latest.beta
     solver = HierarchySolver(mesh, beta)
-    before = FieldHistory()
-    if pair is not None:
-        before.push(pair[0])
-    ctx = ChainContext(sources=sources, history=before, time=latest.time)
-    ctx.orders = list(latest.orders)
+    ctx = ChainContext(sources=sources, previous=None if pair is None else pair[0],
+                       time=latest.time, orders=list(latest.orders))
     audit = {}
     for o in latest.orders:
         entry = audit[o.n] = {}

@@ -227,7 +227,7 @@ def test_paired_eperp_solves_equal_two_serial_solves(monkeypatch, cpus):
     rng = np.random.default_rng(5)
     shape = (mesh.nzeta, mesh.ny, mesh.nx)
     solver = HierarchySolver(mesh, BETA)
-    ctx = ChainContext(sources=_signed_zero_sources(mesh, 4), history=FieldHistory(), time=0.0)
+    ctx = ChainContext(sources=_signed_zero_sources(mesh, 4), previous=None, time=0.0)
     ecal = VectorField2(mesh, drawn(rng, shape, 0.5), drawn(rng, shape, 0.5))
     gauss = drawn(rng, shape, 0.5)
     for n in (0, 1):  # both zeta closures; order 1 reads the current

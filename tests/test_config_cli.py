@@ -344,10 +344,20 @@ def test_pic_warnings_reach_stderr_unless_quiet(tmp_path, capsys):
     assert len(logging.getLogger("parax").handlers) == 1  # added once
 
 
+def small_ini(tmp_path) -> str:
+    """small_cfg() written as a config file, for runs through main."""
+    path = tmp_path / "small.ini"
+    path.write_text(serialize_config(small_cfg()))
+    return str(path)
+
+
 def test_seed_override_changes_particles(tmp_path):
+    ini = small_ini(tmp_path)
     out1, out2 = str(tmp_path / "s1"), str(tmp_path / "s2")
-    run_command("pic", small_cfg(), out_dir=out1, seed=1, quiet=True)
-    run_command("pic", small_cfg(), out_dir=out2, seed=2, quiet=True)
+    assert main(["pic", "--config", ini, "--out", out1, "--seed", "1", "--quiet"]) == 0
+    assert main(["pic", "--config", ini, "--out", out2, "--seed", "2", "--quiet"]) == 0
+    # --seed sets [pic] seed of the config the run records
+    assert "seed = 2\n" in json.loads(Path(out2, "manifest.json").read_text())["config"]
     a = Path(out1, "particles_0_0.csv").read_text()
     b = Path(out2, "particles_0_0.csv").read_text()
     assert a != b
@@ -506,12 +516,24 @@ def test_run_command_keeps_freed_memory_before_the_verb(tmp_path, monkeypatch):
     assert calls == [0, "verb"]
 
 
-def test_cli_main_and_env_out(tmp_path, monkeypatch):
+def test_cli_main_and_config_out(tmp_path, monkeypatch):
+    # without --out a run writes to [output] directory; no environment
+    # variable chooses the directory
     cfgfile = tmp_path / "c.ini"
-    cfgfile.write_text(MINIMAL + "\n[study]\ngrids = 9,17,33\n")
+    cfgfile.write_text(MINIMAL + f"\n[study]\ngrids = 9,17,33\n\n[output]\n"
+                                 f"directory = {tmp_path / 'cfgout'}\n")
     monkeypatch.setenv("PARAX_OUT", str(tmp_path / "envout"))
     assert main(["mms", "--config", str(cfgfile), "--quiet"]) == 0
-    assert os.path.exists(tmp_path / "envout" / "manifest.json")
+    assert os.path.exists(tmp_path / "cfgout" / "manifest.json")
+    assert not os.path.exists(tmp_path / "envout")
+
+
+@pytest.mark.parametrize("verb", ["fields", "pic", "residual"])
+def test_run_command_leaves_its_config_unchanged(tmp_path, verb):
+    cfg = small_cfg()
+    before = serialize_config(cfg)
+    assert run_command(verb, cfg, out_dir=str(tmp_path), quiet=True) == 0
+    assert serialize_config(cfg) == before
 
 
 def test_cli_error_paths(tmp_path, capsys):
@@ -553,8 +575,10 @@ def test_unwritable_output_dir(tmp_path):
 
 def test_order_override(tmp_path):
     out = str(tmp_path / "ord")
-    cfg = small_cfg()
-    run_command("fields", cfg, out_dir=out, order=0, quiet=True)
+    assert main(["fields", "--config", small_ini(tmp_path), "--out", out, "--order", "0",
+                 "--quiet"]) == 0
+    # --order sets [hierarchy] n_max of the config the run records
+    assert "n_max = 0\n" in json.loads(Path(out, "manifest.json").read_text())["config"]
     assert os.path.exists(os.path.join(out, "Ez_0_0.csv"))
     assert not os.path.exists(os.path.join(out, "Ez_1_0.csv"))
 

@@ -98,6 +98,7 @@ def test_every_check_has_an_out_of_range_case():
     ("fields", [], "[mesh]\na = 1e300\n", "[mesh] a"),  # h^2 overflows
     ("fields", [], "[fields]\ndt = 1e300\n", "[fields] dt"),  # t^2 overflows
     ("fields", [], "[scaling]\neta = 1e300\n", "[scaling] eta"),  # eta^(n_max + 1) overflows
+    ("fields", ["--order", "-1"], "", "[hierarchy] n_max"),
 ])
 def test_refused_edge_value_exits_2_and_names_the_key(tmp_path, capsys, verb, args, text, key):
     ini = tmp_path / "edge.ini"

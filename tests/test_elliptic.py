@@ -15,7 +15,7 @@ from parax.elliptic import (
     solve_poisson_2d,
 )
 from parax.fields import ScalarField, VectorField2
-from parax.mesh import build_mesh
+from parax.mesh import FACE_AXIS, build_mesh
 from parax.operators import boundary_tangential_trace, circulation, curl_perp_vector, div_perp, flux
 
 
@@ -96,9 +96,8 @@ def test_aniso3d_slab_reduces_to_2d():
     m = build_mesh(1.0, 1.0, 1.0, 17, 17, 7)
     X, Y = m.xy()
     rhs2d = np.sin(np.pi * X) * np.sin(np.pi * Y)
-    bc3 = BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True) \
-        .with_face("zeta_lo", FaceBC(NEUMANN, 0.0)) \
-        .with_face("zeta_hi", FaceBC(NEUMANN, 0.0))
+    bc3 = BoundarySpec({f: FaceBC(NEUMANN if f.startswith("zeta") else DIRICHLET, 0.0)
+                        for f in FACE_AXIS})
     u3 = solve_anisotropic_poisson_3d(0.5, ScalarField(m, np.broadcast_to(rhs2d, (m.nzeta, 17, 17)).copy()), bc3)
     u2 = solve_poisson_2d(ScalarField(m, rhs2d), dirichlet0())
     for k in range(m.nzeta):

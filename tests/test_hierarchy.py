@@ -3,6 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from parax.elliptic import DIRICHLET, NEUMANN
 from parax.fields import FieldShapeError, ScalarField, VectorField2
 from parax.hierarchy import (
     ChainContext,
@@ -14,7 +15,7 @@ from parax.hierarchy import (
     SourceTerms,
     backward_rate,
 )
-from parax.mesh import build_mesh
+from parax.mesh import FACE_AXIS, build_mesh
 from parax.operators import div_perp, norms
 from parax.verify import QuasiStaticMode, chain_audit
 
@@ -226,8 +227,8 @@ def test_time_derivative_conventions():
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0)
     solver = HierarchySolver(mesh, BETA)
     hist = FieldHistory()
-    # cold start: an empty history gives no rate, so the stages form no d/dt term
-    assert ChainContext(sources=case.sources(0.0), history=hist, time=0.0).rates(0) is None
+    # cold start: no previous snapshot gives no rate, so the stages form no d/dt term
+    assert ChainContext(sources=case.sources(0.0), previous=hist.latest, time=0.0).rates(0) is None
     h0 = solver.solve_hierarchy(0, case.sources(0.0), hist, time=0.0)
     hist.push(h0)
     h1 = solver.solve_hierarchy(0, case.sources(0.5), hist, time=0.5)
@@ -285,8 +286,7 @@ def test_bz_antiderivative_oracle():
         g = np.cos(np.pi * X)  # Bperp = (sin(pi x)/pi * sin, 0) has div = g sin
         Bperp = VectorField2(mesh, np.sin(np.pi * X) / np.pi * np.sin(kz * Z),
                              np.zeros_like(X))
-        ctx = ChainContext(sources=SourceTerms.zeros(mesh), history=FieldHistory(),
-                           time=0.0)
+        ctx = ChainContext(sources=SourceTerms.zeros(mesh), previous=None, time=0.0)
         Bz = solver.solve_Bz_order(0, div_perp(Bperp).values, ctx)
         exact = (1.0 - np.cos(kz * Z)) / kz * g
         errs.append(np.abs(Bz.values - exact).max())
@@ -308,13 +308,43 @@ def test_sources_are_one_order_0_source_terms():
 
     mesh = small_mesh(9)
     src = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0, jc=0.5).sources(0.0)
-    ctx = ChainContext(sources=src, history=FieldHistory(), time=0.0)
+    ctx = ChainContext(sources=src, previous=None, time=0.0)
     assert ctx.rho(0) is src.rho.values and ctx.rho(1) == 0.0
     for got, want in zip(ctx.current(0), (src.Jperp.x, src.Jperp.y, src.Jzeta.values)):
         assert got is want
     assert ctx.current(-1) == ctx.current(1) == (0.0, 0.0, 0.0)
     with pytest.raises(TypeError, match="one SourceTerms"):
         HierarchySolver(mesh, BETA).solve_hierarchy(1, [src])
+
+
+def test_3d_problems_pose_their_faces_by_one_rule():
+    # both zeta ends by order parity (even orders: Dirichlet for Ez, Neumann
+    # for Eperp; odd orders swapped), with value 0; across the transverse
+    # faces Ez is 0, and Eperp component c is 0 on the faces it is tangential
+    # to and has the outward derivative nu_c * gauss on the two it is normal to
+    mesh = build_mesh(1.0, 1.3, 2.0, 7, 6, 5)
+    solver = HierarchySolver(mesh, BETA)
+    gauss = np.random.default_rng(3).normal(size=(mesh.nzeta, mesh.ny, mesh.nx))
+    ctx = ChainContext(sources=SourceTerms.zeros(mesh), previous=None, time=0.0)
+    ecal = VectorField2.zeros(mesh)
+    neumann = {"x_lo": (0, -gauss[:, :, 0]), "x_hi": (0, gauss[:, :, -1]),
+               "y_lo": (1, -gauss[:, 0, :]), "y_hi": (1, gauss[:, -1, :])}
+    for n in range(4):
+        even = n % 2 == 0
+        ez_end = DIRICHLET if even else NEUMANN
+        eperp_end = NEUMANN if even else DIRICHLET
+        _, ez_bc = solver.ez_problem(n, ctx)
+        eperp_bcs = [bc for _, bc in solver.eperp_problems(n, ecal, gauss, ctx)]
+        want = [{f: (ez_end if f.startswith("zeta") else DIRICHLET, 0.0) for f in FACE_AXIS}]
+        for c in (0, 1):
+            want.append({f: (eperp_end, 0.0) if f.startswith("zeta")
+                         else (NEUMANN, neumann[f][1]) if neumann[f][0] == c
+                         else (DIRICHLET, 0.0) for f in FACE_AXIS})
+        for bc, faces in zip([ez_bc, *eperp_bcs], want, strict=True):
+            assert set(bc.faces) == set(faces)
+            for f, (kind, value) in faces.items():
+                assert bc.faces[f].kind == kind, (n, f)
+                assert np.array_equal(bc.faces[f].value, value), (n, f)
 
 
 def test_order_0_reads_no_time_derivative():

@@ -220,8 +220,8 @@ def test_3d_solve_reads_no_zero_sign_of_its_rhs(nzeta, neumann_ends, seed):
     rhs[:, 2] = 0.0  # whole lines of zeros as well
     flipped = np.where(rhs == 0.0, np.where(np.signbit(rhs), 0.0, -0.0), rhs)
     kind = NEUMANN if neumann_ends else DIRICHLET
-    bc = BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True) \
-        .with_face("zeta_lo", FaceBC(kind, 0.0)).with_face("zeta_hi", FaceBC(kind, 0.0))
+    bc = BoundarySpec({f: FaceBC(kind if f.startswith("zeta") else DIRICHLET, 0.0)
+                       for f in _FACE_AXIS})
     info_a, info_b = {}, {}
     a = solve_anisotropic_poisson_3d(0.75, ScalarField(mesh, rhs), bc, info_out=info_a)
     b = solve_anisotropic_poisson_3d(0.75, ScalarField(mesh, flipped), bc, info_out=info_b)
