@@ -37,11 +37,11 @@ def time_solves(grid, beta: float) -> list[tuple[int, float]]:
     solves = []
     while True:
         start = time.perf_counter()
-        hist = next(timeline, None)
+        pair = next(timeline, None)
         seconds = time.perf_counter() - start
-        if hist is None:
+        if pair is None:
             return solves
-        solves.append((hist.latest.n_max, seconds))
+        solves.append((pair[1].n_max, seconds))
 
 
 def main() -> int:

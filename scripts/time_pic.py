@@ -26,7 +26,7 @@ import tracemalloc
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from parax.hierarchy import ExternalField, FieldHistory, HierarchySolver  # noqa: E402
+from parax.hierarchy import ExternalField, HierarchySolver  # noqa: E402
 from parax.mesh import build_mesh  # noqa: E402
 from parax.pic import (  # noqa: E402
     ARRAYS,
@@ -72,7 +72,7 @@ def main() -> int:
     p = sample_initial_distribution(mesh, "gaussian", args.particles, SEED, total_weight=5.0,
                                     sigma=0.3, zeta_width=0.5, vth=0.05)
     solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=BZ))
-    h = solver.solve_hierarchy(args.n_max, deposit_sources(p, mesh), FieldHistory(), time=0.0)
+    h = solver.solve_hierarchy(args.n_max, deposit_sources(p, mesh), time=0.0)
     force = assemble_force(args.n_max, h, p, ETA)
     layers = {
         "deposit_sources": (lambda: deposit_sources(p, mesh), tuple),

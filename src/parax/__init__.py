@@ -14,7 +14,6 @@ from .fields import ScalarField, VectorField2, read_field_csv, write_field_csv
 from .hierarchy import (
     ExternalField,
     FieldHierarchy,
-    FieldHistory,
     FieldOrder,
     HierarchySolver,
     SourceTerms,

@@ -155,12 +155,14 @@ def cmd_fields(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     case = _case(cfg, mesh, beta)
     n_steps = cfg.fields.snapshots
     files = []
-    for step, hist in enumerate(solve_timeline(case, cfg.hierarchy.n_max, n_steps)):
+    timeline = solve_timeline(case, cfg.hierarchy.n_max, n_steps)
+    for step, (previous, latest) in enumerate(timeline):
         if step % cfg.output.cadence == 0 or step == n_steps - 1:
-            files += _dump_hierarchy(out_dir, mesh, hist.latest, step)
-    sources = case.sources(hist.latest.time)
-    diag = {f"order{n}": {"order": n, **a} for n, a in chain_audit(hist, sources).items()}
-    rep = maxwell_residual(residual_terms(hist, sources), eta)
+            files += _dump_hierarchy(out_dir, mesh, latest, step)
+    sources = case.sources(latest.time)
+    audit = chain_audit(previous, latest, sources)
+    diag = {f"order{n}": {"order": n, **a} for n, a in audit.items()}
+    rep = maxwell_residual(residual_terms(previous, latest, sources), eta)
     results = {
         "files": files,
         "diagnostics": diag,
@@ -193,10 +195,10 @@ def cmd_pic(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
                 _write_particles(os.path.join(out_dir, name), parts)
                 files.append(name)
 
-        final, hist, records = run_pic(
+        records = run_pic(
             mesh, beta, eta, particles, n_max=cfg.hierarchy.n_max, dt=p.dt,
             steps=p.steps, external=ExternalField(bz=cfg.external.bz), on_step=on_step,
-        )
+        )[2]
     if not quiet:
         last = records[-1]
         print(f"[pic] {p.steps} steps, {last.n_particles} particles remain, "
@@ -238,8 +240,9 @@ def cmd_residual(cfg: RunConfig, out_dir: str, quiet: bool) -> dict:
     mesh = _mesh(cfg)
     beta, eta = _beta_eta(cfg)
     case = _case(cfg, mesh, beta)
-    *_, hist = solve_timeline(case, n_max, snapshots, residual_only=True)
-    rep = maxwell_residual(residual_terms(hist, case.sources(hist.latest.time)), eta)
+    for previous, latest in solve_timeline(case, n_max, snapshots, residual_only=True):
+        pass
+    rep = maxwell_residual(residual_terms(previous, latest, case.sources(latest.time)), eta)
     report = dataclasses.asdict(rep)
     _write_json(os.path.join(out_dir, "residual.json"), report)
     if not quiet:

@@ -200,9 +200,17 @@ def read_config(path: str) -> RunConfig:
     return _parse_config(text)
 
 
+def _parser() -> configparser.ConfigParser:
+    """The parser that reads and writes config text.  Values are taken as
+    written, with no ``%`` interpolation, and ``[DEFAULT]`` is an ordinary
+    section name, so it is refused as unknown: the default section is named
+    "", which no section header can spell."""
+    return configparser.ConfigParser(interpolation=None, default_section="")
+
+
 def _parse_config(text: str) -> RunConfig:
     """Parse config text as :func:`read_config` parses a file's."""
-    cp = configparser.ConfigParser()
+    cp = _parser()
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -228,7 +236,7 @@ def _parse_config(text: str) -> RunConfig:
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(cfg)) reproduces cfg exactly."""
-    cp = configparser.ConfigParser()
+    cp = _parser()
     for name in _BLOCKS:
         block = getattr(cfg, name)
         cp[name] = {f.name: str(getattr(block, f.name)) for f in dc_fields(block)}

@@ -1,10 +1,10 @@
 """Per-order quasi-static field chain Ez -> Ecal -> Eperp -> Bperp -> Bz.
 
 ``HierarchySolver.solve_hierarchy`` is the entry point: it runs the chain
-for orders 0..n_max from one ``SourceTerms``, a snapshot history and the
-solve time.  Each order n is closed given the sources, the completed lower
-orders, and backward-difference time derivatives anchored at the current
-solve time against the latest snapshot.
+for orders 0..n_max from one ``SourceTerms``, the snapshot before (None on
+a cold start) and the solve time.  Each order n is closed given the
+sources, the completed lower orders, and backward-difference time
+derivatives anchored at the current solve time against the snapshot before.
 
 The sources belong to order 0: rho enters the order-0 chain and the current
 J the order-1 chain (the primed Jz', Jperp' below); no higher order sees a
@@ -133,12 +133,12 @@ class FieldRates:
 def backward_rate(now: FieldOrder, before: FieldOrder, dt: float) -> FieldRates:
     """(now - before) / dt for Ez, Bz, Eperp and Bperp.
 
-    The chain applies it to the completed order n-1 against the latest
-    snapshot, the residual harness to each order of the last two snapshots.
+    The chain applies it to the completed order n-1 against the snapshot
+    before, the residual harness to each order of a snapshot pair.
     """
     mesh = now.Ez.mesh
     if dt <= 0:
-        raise ValueError("solve time must exceed the latest snapshot time")
+        raise ValueError("solve time must exceed the previous snapshot time")
 
     def vec(a: VectorField2, b: VectorField2) -> VectorField2:
         return VectorField2(mesh, (a.x - b.x) / dt, (a.y - b.y) / dt)
@@ -182,35 +182,6 @@ class FieldHierarchy:
         return FieldOrder(n_max, ScalarField(mesh, Ez), VectorField2(mesh, Cx, Cy),
                           VectorField2(mesh, Ex, Ey), VectorField2(mesh, Bx, By),
                           ScalarField(mesh, Bz))
-
-
-class FieldHistory:
-    """The last two hierarchy snapshots, backing the d/dt source terms.
-
-    The chain differences its own current fields against the latest
-    snapshot, so one stored snapshot already activates the d/dt sources;
-    the residual harness differences the latest two.  An empty history is a
-    cold start (all time derivatives zero).
-    """
-
-    def __init__(self):
-        self.snapshots: list[FieldHierarchy] = []
-
-    def push(self, h: FieldHierarchy):
-        if self.snapshots and h.time <= self.snapshots[-1].time:
-            raise ValueError("snapshot times must be strictly increasing")
-        self.snapshots = self.snapshots[-1:] + [h]
-
-    @property
-    def latest(self) -> FieldHierarchy | None:
-        return self.snapshots[-1] if self.snapshots else None
-
-    def pair(self):
-        """(previous, latest, dt) or None when fewer than two snapshots exist."""
-        if len(self.snapshots) < 2:
-            return None
-        prev, last = self.snapshots
-        return prev, last, last.time - prev.time
 
 
 def _volume_spec(n: int, for_Ez: bool, transverse: dict[str, FaceBC]) -> BoundarySpec:
@@ -280,7 +251,8 @@ def bperp_normal_trace(rates: FieldRates | None, beta: float,
 
 
 class HierarchySolver:
-    """Builds a FieldHierarchy order by order for fixed sources and history."""
+    """Builds a FieldHierarchy order by order for fixed sources and the
+    snapshot before."""
 
     def __init__(self, mesh: Mesh, beta: float, external: ExternalField | None = None):
         if not 0.0 < beta < 1.0:
@@ -448,7 +420,7 @@ class HierarchySolver:
         )
         return VectorField2(mesh, -W.y, W.x)  # B = -(W x e_z)
 
-    def solve_Bz_order(self, n: int, div_B: np.ndarray, ctx: ChainContext) -> ScalarField:
+    def solve_Bz_order(self, n: int, div_B: np.ndarray) -> ScalarField:
         """Bz from ``div_B``, div_perp of this order's Bperp."""
         init = self.external.bz if n == 0 else 0.0
         return ScalarField(self.mesh, cumint_zeta(div_B, self.mesh, initial=init))
@@ -465,7 +437,7 @@ class HierarchySolver:
         Eperp = self.solve_Eperp_order(n, Ecal, gauss, ctx)
         del gauss
         Bperp = self.solve_Bperp_order(n, Eperp, div_perp(Eperp).values, ctx, nu)
-        Bz = self.solve_Bz_order(n, div_perp(Bperp).values, ctx)
+        Bz = self.solve_Bz_order(n, div_perp(Bperp).values)
         order = FieldOrder(n=n, Ez=Ez, Ecal=Ecal, Eperp=Eperp, Bperp=Bperp, Bz=Bz).freeze()
         ctx.orders.append(order)
         return order
@@ -474,13 +446,14 @@ class HierarchySolver:
         self,
         n_max: int,
         sources: SourceTerms,
-        history: FieldHistory | None = None,
+        previous: FieldHierarchy | None = None,
         time: float = 0.0,
     ) -> FieldHierarchy:
         """Run the chain for orders 0..n_max and return the completed hierarchy.
 
         ``sources`` are the charge and current moments, which belong to order
-        0 (see :class:`ChainContext`).
+        0 (see :class:`ChainContext`).  ``previous`` is the snapshot the time
+        derivatives read, solved before ``time``; None is a cold start.
         """
         if not isinstance(sources, SourceTerms):
             raise TypeError(
@@ -488,11 +461,13 @@ class HierarchySolver:
             )
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
+        if previous is not None and time <= previous.time:
+            raise ValueError("snapshot times must be strictly increasing")
         same_mesh(sources.rho, sources.Jperp, sources.Jzeta)
         require_finite("sources", rho=sources.rho.values, Jx=sources.Jperp.x,
                        Jy=sources.Jperp.y, Jzeta=sources.Jzeta.values)
 
-        ctx = ChainContext(sources, None if history is None else history.latest, time)
+        ctx = ChainContext(sources, previous, time)
         for n in range(n_max + 1):
             self.solve_order(n, ctx)
         return FieldHierarchy(mesh=self.mesh, beta=self.beta, orders=ctx.orders, time=time)

@@ -19,7 +19,6 @@ from .fields import ScalarField, VectorField2, map_blocks, require_finite
 from .hierarchy import (
     ExternalField,
     FieldHierarchy,
-    FieldHistory,
     HierarchySolver,
     SourceTerms,
 )
@@ -486,7 +485,7 @@ def run_pic(
 ):
     """Deposit -> solve -> push loop.
 
-    Returns (final particles, history, records).  The loop copies
+    Returns (final particles, last hierarchy, records).  The loop copies
     ``particles`` once at entry and pushes that copy in place, so the
     caller's arrays are never written; the final particles are the loop's
     copy.  ``on_step`` receives (step, particles, hierarchy, record) after
@@ -498,7 +497,7 @@ def run_pic(
     """
     particles = particles.copy()
     solver = HierarchySolver(mesh, beta, external=external)
-    history = FieldHistory()
+    hierarchy = None  # the snapshot before: None is a cold start
     records: list[PicStepRecord] = []
     prev_moments = None
     shift = 0.0  # the largest drift of the last push, in cells
@@ -515,8 +514,7 @@ def run_pic(
             log.warning("step %d: every particle has left the domain", step)
 
         moments = deposit_sources(particles, mesh)
-        hierarchy = solver.solve_hierarchy(n_max, moments, history, time=t)
-        history.push(hierarchy)
+        hierarchy = solver.solve_hierarchy(n_max, moments, hierarchy, time=t)
 
         conservation = None
         if prev_moments is not None:
@@ -559,4 +557,4 @@ def run_pic(
         shift = push_particles(particles, force, dt, mesh)
         del force  # not held through the next deposit and solve
 
-    return particles, history, records
+    return particles, hierarchy, records

@@ -29,7 +29,7 @@ from .fields import ScalarField, VectorField2
 from .hierarchy import (
     ChainContext,
     ExternalField,
-    FieldHistory,
+    FieldHierarchy,
     HierarchySolver,
     SourceTerms,
     backward_rate,
@@ -279,27 +279,24 @@ def mms_study(target: str, grids, beta: float,
 
 # -- chain audit -----------------------------------------------------------------
 
-def chain_audit(history: FieldHistory, sources: SourceTerms) -> dict[int, dict]:
-    """The a-posteriori checks of every order of ``history.latest``, keyed by
-    order, each formed from what the chain held when it solved that order.
+def chain_audit(previous: FieldHierarchy | None, latest: FieldHierarchy,
+                sources: SourceTerms) -> dict[int, dict]:
+    """The a-posteriori checks of every order of ``latest``, keyed by order,
+    each formed from what the chain held when it solved that order.
 
-    ``history`` is the one the solve read, with the solved hierarchy pushed
-    onto it, and ``sources`` are the ones it solved with.  The order n-1
-    rates are the chain's own :meth:`ChainContext.rates` against the
-    snapshot before (None at order 0 and on a cold start), and the imposed
+    ``previous`` is the snapshot the solve of ``latest`` read (None on a
+    cold start), and ``sources`` are the ones it solved with.  The order n-1
+    rates are the chain's own :meth:`ChainContext.rates` against
+    ``previous`` (None at order 0 and on a cold start), and the imposed
     Bperp . nu is the chain's own :func:`bperp_normal_trace` of them.  The
     Ez and Eperp problems are posed again by the chain's own builders, and
     each entry starts with the method and relative residual of those three
     3D solves (``Ez_``, ``Eperp_x_`` and ``Eperp_y_relative_residual``).
     """
-    latest = history.latest
-    if latest is None:
-        raise ValueError("history holds no snapshots")
-    pair = history.pair()
     mesh, beta = latest.mesh, latest.beta
     solver = HierarchySolver(mesh, beta)
-    ctx = ChainContext(sources=sources, previous=None if pair is None else pair[0],
-                       time=latest.time, orders=list(latest.orders))
+    ctx = ChainContext(sources=sources, previous=previous, time=latest.time,
+                       orders=list(latest.orders))
     audit = {}
     for o in latest.orders:
         entry = audit[o.n] = {}
@@ -441,24 +438,23 @@ def _rate_terms(now, before, dt: float) -> dict[str, np.ndarray]:
     }
 
 
-def residual_terms(history: FieldHistory, sources: SourceTerms) -> ResidualTerms:
-    """Per-order residual pieces of the last two snapshots in ``history``.
+def residual_terms(previous: FieldHierarchy | None, latest: FieldHierarchy,
+                   sources: SourceTerms) -> ResidualTerms:
+    """Per-order residual pieces of the snapshot pair (``previous``,
+    ``latest``).
 
     For each order that both snapshots hold, the spatial part of each
     equation and that order's :func:`backward_rate` (the quotient the
-    hierarchy sources use) are formed once; on a cold start (a single
-    snapshot) every order of it is kept and the rates are zero.
+    hierarchy sources use) are formed once; on a cold start (``previous``
+    None) every order of ``latest`` is kept and the rates are zero.
     ``sources`` are those at the latest snapshot's time.
     """
-    latest = history.latest
-    if latest is None:
-        raise ValueError("history holds no snapshots")
-    pair = history.pair()
-    held = latest.n_max if pair is None else min(latest.n_max, pair[0].n_max)
+    held = latest.n_max if previous is None else min(latest.n_max, previous.n_max)
     orders = []
     for n in range(held + 1):
         now = latest.order(n)
-        rate = {} if pair is None else _rate_terms(now, pair[0].order(n), pair[2])
+        rate = {} if previous is None else _rate_terms(
+            now, previous.order(n), latest.time - previous.time)
         orders.append(OrderTerms(spatial=_spatial_terms(now, latest.beta), rate=rate))
     # the sources belong to order 0: rho to Gauss, eta J to Ampere
     spatial0, rate0 = orders[0].spatial, orders[0].rate
@@ -467,7 +463,7 @@ def residual_terms(history: FieldHistory, sources: SourceTerms) -> ResidualTerms
                     ("ampere_zeta", -sources.Jzeta.values)):
         rate0[name] = rate0.get(name, 0.0) + _interior(j)
     return ResidualTerms(mesh=latest.mesh, beta=latest.beta, n_max=latest.n_max,
-                         orders=orders, cold_start=pair is None)
+                         orders=orders, cold_start=previous is None)
 
 
 def maxwell_residual(
@@ -583,20 +579,21 @@ ETA_STUDY_DT = 0.05
 def solve_timeline(case: QuasiStaticMode, n_max: int, n_steps: int,
                    residual_only: bool = False):
     """Solve snapshot k = 0 .. n_steps - 1 of ``case`` at t = k ``dt_hist``
-    to order ``n_max``, yielding the history after each snapshot (its
-    ``latest`` is snapshot k; it keeps only the last two).
+    to order ``n_max``, yielding (previous, latest) after each snapshot:
+    snapshot k and the one before it (None at k = 0), which its solve read.
 
     With ``residual_only``, snapshot k is solved only to the order the
     residual of the last two reads: order n at one snapshot reads only order
     n-1 of the one before, so each step back from the last pair drops one.
     """
     solver = HierarchySolver(case.mesh, case.beta, external=ExternalField(bz=case.bz_external))
-    hist = FieldHistory()
+    previous = None
     for k in range(n_steps):
         t = k * case.dt_hist
         order = max(0, n_max - max(0, n_steps - 2 - k)) if residual_only else n_max
-        hist.push(solver.solve_hierarchy(order, case.sources(t), hist, time=t))
-        yield hist
+        latest = solver.solve_hierarchy(order, case.sources(t), previous, time=t)
+        yield previous, latest
+        previous = latest
 
 
 def eta_study_terms(beta: float, grid) -> ResidualTerms:
@@ -607,5 +604,6 @@ def eta_study_terms(beta: float, grid) -> ResidualTerms:
     nx, ny, nz = grid
     mesh = build_mesh(1.0, 1.0, 2.0, nx, ny, nz)
     case = QuasiStaticMode(mesh=mesh, beta=beta, dt_hist=ETA_STUDY_DT, **ETA_STUDY_KNOBS)
-    *_, hist = solve_timeline(case, 1, 3, residual_only=True)
-    return residual_terms(hist, case.sources(hist.latest.time))
+    for previous, latest in solve_timeline(case, 1, 3, residual_only=True):
+        pass
+    return residual_terms(previous, latest, case.sources(latest.time))

@@ -13,8 +13,6 @@ from parax.cli import run_command
 from parax.config import RunConfig
 from parax.fields import ScalarField, VectorField2
 from parax.hierarchy import (
-    ExternalField,
-    FieldHistory,
     HierarchySolver,
     SourceTerms,
 )
@@ -39,6 +37,7 @@ from parax.verify import (
     eta_scaling_study,
     eta_study_terms,
     mms_study,
+    solve_timeline,
 )
 
 BETA = 0.5
@@ -143,13 +142,9 @@ def test_criterion_6_constraint_residuals():
         mesh = build_mesh(1.0, 1.0, 2.0, n, n, (n + 1) // 2)
         case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=0.5, alpha2=2.0,
                                jc=0.5, bz_external=0.4, dt_hist=dt)
-        solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=0.4))
-        hist = FieldHistory()
-        h = None
-        for k in range(3):
-            h = solver.solve_hierarchy(1, case.sources(k * dt), hist, time=k * dt)
-            hist.push(h)
-        audit = chain_audit(hist, case.sources(h.time))
+        for previous, h in solve_timeline(case, 1, 3):
+            pass
+        audit = chain_audit(previous, h, case.sources(h.time))
         res[n] = {
             o.n: (audit[o.n]["gauss_residual"]["l2"],
                   audit[o.n]["solenoidal_residual"]["l2"])
@@ -216,12 +211,8 @@ def test_criterion_9_force_truncation_bound():
     dt = 0.05
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=0.8, alpha2=0.5,
                            bz_external=0.6, dt_hist=dt)
-    solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=0.6))
-    hist = FieldHistory()
-    h = None
-    for k in range(3):
-        h = solver.solve_hierarchy(1, case.sources(k * dt), hist, time=k * dt)
-        hist.push(h)
+    for _, h in solve_timeline(case, 1, 3):
+        pass
 
     rng = np.random.default_rng(5)
     n = 200

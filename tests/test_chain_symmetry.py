@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from parax.fields import ScalarField, VectorField2
-from parax.hierarchy import ExternalField, FieldHistory, HierarchySolver, SourceTerms
+from parax.hierarchy import ExternalField, HierarchySolver, SourceTerms
 from parax.mesh import build_mesh
 
 BETA = 0.5
@@ -37,13 +37,12 @@ def chain(timeline, mesh=MESH, bz=0.0) -> dict[tuple, np.ndarray]:
     (rho, Jx, Jy, Jzeta) moments under the external field ``bz``, keyed
     (snapshot, order, component)."""
     solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=bz))
-    hist = FieldHistory()
+    h = None
     out = {}
     for k, (rho, jx, jy, jz) in enumerate(timeline):
         src = SourceTerms(ScalarField(mesh, rho), VectorField2(mesh, jx, jy),
                           ScalarField(mesh, jz))
-        h = solver.solve_hierarchy(N_MAX, src, hist, time=k * DT)
-        hist.push(h)
+        h = solver.solve_hierarchy(N_MAX, src, h, time=k * DT)
         for o in h.orders:
             out.update({(k, o.n, c): a for c, a in o.arrays().items()})
     return out

@@ -157,6 +157,10 @@ def test_convergence_grids_halving_the_spacing_pass(grids, pair):
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"\[mesch\]"):
         read_validated("[mesch]\nnx = 9\n")
+    # [DEFAULT] is no section of the schema: its keys reach no other section
+    for text in ("[DEFAULT]\nn_max = 0\n[hierarchy]\n", "[DEFAULT]\n[mesh]\nnx = 9\n"):
+        with pytest.raises(ConfigError, match=r"^unknown section \[DEFAULT\]$"):
+            read_validated(text)
 
 
 def test_round_trip_fixed_point():
@@ -165,6 +169,21 @@ def test_round_trip_fixed_point():
     cfg2 = read_validated(text)
     assert serialize_config(cfg2) == text
     assert cfg2 == cfg
+    # a value is read and written as it stands, % included
+    for directory in ("out%1", "out%%q", "%(x)s"):
+        cfg = read_validated(f"[output]\ndirectory = {directory}\n")
+        assert cfg.output.directory == directory
+        assert f"\ndirectory = {directory}\n" in serialize_config(cfg)
+        assert _parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_example_config_validates(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    ini = tmp_path / "example.ini"
+    ini.write_text(example)
+    cfg = validate(read_config(str(ini)))
+    assert cfg.scaling.mode == "dimensionless" and cfg.pic.family == "gaussian"
 
 
 def small_cfg(**over):
@@ -224,9 +243,9 @@ def test_chain_audit_runs_only_where_it_is_written(tmp_path, monkeypatch):
 
     times = []
 
-    def counted(history, sources, _audit=verify.chain_audit):
-        times.append(history.latest.time)
-        return _audit(history, sources)
+    def counted(previous, latest, sources, _audit=verify.chain_audit):
+        times.append(latest.time)
+        return _audit(previous, latest, sources)
 
     monkeypatch.setattr(verify, "chain_audit", counted)
     monkeypatch.setattr(cli, "chain_audit", counted)
@@ -528,6 +547,19 @@ def test_cli_main_and_config_out(tmp_path, monkeypatch):
     assert not os.path.exists(tmp_path / "envout")
 
 
+def test_output_directory_is_read_as_written(tmp_path, monkeypatch):
+    # a % in [output] directory names the directory, and the manifest
+    # records the config as read
+    monkeypatch.chdir(tmp_path)
+    ini = tmp_path / "pct.ini"
+    for directory in ("out%1", "out%%q"):
+        ini.write_text(serialize_config(tiny_cfg()).replace("directory = out\n",
+                                                            f"directory = {directory}\n"))
+        assert main(["fields", "--config", str(ini), "--quiet"]) == 0
+        manifest = json.loads((tmp_path / directory / "manifest.json").read_text())
+        assert f"\ndirectory = {directory}\n" in manifest["config"]
+
+
 @pytest.mark.parametrize("verb", ["fields", "pic", "residual"])
 def test_run_command_leaves_its_config_unchanged(tmp_path, verb):
     cfg = small_cfg()
@@ -545,6 +577,9 @@ def test_cli_error_paths(tmp_path, capsys):
     assert main(["fields", "--config", missing, "--out", str(tmp_path / "out"), "--quiet"]) == 2
     assert f"error: cannot read config {missing!r}: No such file or directory" \
         in capsys.readouterr().err
+    bad.write_text("[DEFAULT]\nn_max = 0\n[hierarchy]\n")
+    assert main(["fields", "--config", str(bad), "--out", str(tmp_path / "out"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: unknown section [DEFAULT]\n"
 
 
 @pytest.mark.parametrize("verb, text, key", [

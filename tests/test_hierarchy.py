@@ -9,7 +9,6 @@ from parax.hierarchy import (
     ChainContext,
     ExternalField,
     FieldHierarchy,
-    FieldHistory,
     FieldOrder,
     HierarchySolver,
     SourceTerms,
@@ -35,13 +34,12 @@ def field_l2(mesh, got, exact):
 
 
 def run_case(mesh, case, n_max, times):
+    """(previous, latest): the last two snapshots solved at ``times``."""
     solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=case.bz_external))
-    hist = FieldHistory()
-    h = None
+    previous = h = None
     for t in times:
-        h = solver.solve_hierarchy(n_max, case.sources(t), hist, time=t)
-        hist.push(h)
-    return solver, hist, h
+        previous, h = h, solver.solve_hierarchy(n_max, case.sources(t), h, time=t)
+    return previous, h
 
 
 def test_zero_sources_zero_hierarchy():
@@ -78,7 +76,7 @@ def test_order0_matches_closed_form_and_converges():
     for n in (13, 25):
         mesh = small_mesh(n)
         case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.7)
-        _, _, h = run_case(mesh, case, 0, [0.0])
+        _, h = run_case(mesh, case, 0, [0.0])
         ex = case.exact_order(0, 0.0)
         o = h.order(0)
         errs.append(max(field_l2(mesh, getattr(o, f), ex[f])
@@ -91,7 +89,7 @@ def test_order1_matches_closed_form():
     dt = 0.05
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=0.8, alpha2=0.6,
                            bz_external=0.4, dt_hist=dt)
-    _, _, h = run_case(mesh, case, 1, [0.0, dt, 2 * dt])
+    _, h = run_case(mesh, case, 1, [0.0, dt, 2 * dt])
     ex = case.exact_order(1, 2 * dt)
     o = h.order(1)
     for f in ("Ez", "Ecal", "Eperp", "Bperp", "Bz"):
@@ -103,8 +101,8 @@ def test_gauss_and_solenoidal_residuals_shrink():
     for n in (13, 25):
         mesh = small_mesh(n)
         case = QuasiStaticMode(mesh=mesh, beta=BETA)
-        _, hist, _ = run_case(mesh, case, 0, [0.0])
-        d = chain_audit(hist, case.sources(0.0))[0]
+        previous, h = run_case(mesh, case, 0, [0.0])
+        d = chain_audit(previous, h, case.sources(0.0))[0]
         res[n] = (d["gauss_residual"]["l2"], d["solenoidal_residual"]["l2"])
     assert res[13][0] / res[25][0] > 3.0
     # solenoidal is near-exact for the curl-free family; just require small
@@ -114,15 +112,15 @@ def test_gauss_and_solenoidal_residuals_shrink():
 def test_pseudo_field_consistency():
     mesh = small_mesh(13)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.2)
-    _, hist, _ = run_case(mesh, case, 0, [0.0])
-    assert chain_audit(hist, case.sources(0.0))[0]["pseudo_field_consistency"]["l2"] < 5e-3
+    previous, h = run_case(mesh, case, 0, [0.0])
+    assert chain_audit(previous, h, case.sources(0.0))[0]["pseudo_field_consistency"]["l2"] < 5e-3
 
 
 def test_order_immutability_and_reproducibility():
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA)
-    _, _, h1 = run_case(mesh, case, 1, [0.0])
-    _, _, h2 = run_case(mesh, case, 2, [0.0])
+    _, h1 = run_case(mesh, case, 1, [0.0])
+    _, h2 = run_case(mesh, case, 2, [0.0])
     for f in ("Ez", "Bz"):
         np.testing.assert_array_equal(getattr(h1.order(0), f).values,
                                       getattr(h2.order(0), f).values)
@@ -226,13 +224,10 @@ def test_time_derivative_conventions():
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0)
     solver = HierarchySolver(mesh, BETA)
-    hist = FieldHistory()
     # cold start: no previous snapshot gives no rate, so the stages form no d/dt term
-    assert ChainContext(sources=case.sources(0.0), previous=hist.latest, time=0.0).rates(0) is None
-    h0 = solver.solve_hierarchy(0, case.sources(0.0), hist, time=0.0)
-    hist.push(h0)
-    h1 = solver.solve_hierarchy(0, case.sources(0.5), hist, time=0.5)
-    hist.push(h1)
+    assert ChainContext(sources=case.sources(0.0), previous=None, time=0.0).rates(0) is None
+    h0 = solver.solve_hierarchy(0, case.sources(0.0), time=0.0)
+    h1 = solver.solve_hierarchy(0, case.sources(0.5), h0, time=0.5)
     # rho = (1 + t) R: the order-0 chain is linear, so its fields are
     # (1 + t) F and the quotient recovers d/dt = F = the fields at t = 0
     rate = backward_rate(h1.order(0), h0.order(0), 0.5)
@@ -243,29 +238,31 @@ def test_time_derivative_conventions():
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * (1 + np.abs(want).max()))
     with pytest.raises(ValueError):
         backward_rate(h1.order(0), h0.order(0), 0.0)
-    with pytest.raises(ValueError):
-        hist.push(h0)  # non-monotone time
+    # a time not after the snapshot before is refused, also at n_max 0,
+    # which forms no rate
+    for n_max in (0, 1):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            solver.solve_hierarchy(n_max, case.sources(0.0), h1, time=h0.time)
 
 
 def test_snapshot_missing_an_order_is_an_error():
-    # a history solved to a lower order cannot drive a higher-order solve:
+    # a snapshot solved to a lower order cannot drive a higher-order solve:
     # order 2 needs d/dt of order 1, which the snapshot does not hold
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0, bz_external=0.3)
     solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=case.bz_external))
-    hist = FieldHistory()
-    hist.push(solver.solve_hierarchy(0, case.sources(0.0), hist, time=0.0))
+    h0 = solver.solve_hierarchy(0, case.sources(0.0), time=0.0)
     with pytest.raises(ValueError, match="order 1 is missing"):
-        solver.solve_hierarchy(2, case.sources(0.1), hist, time=0.1)
+        solver.solve_hierarchy(2, case.sources(0.1), h0, time=0.1)
     # one order above the snapshot only needs the snapshot's own orders
-    hist.push(solver.solve_hierarchy(1, case.sources(0.1), hist, time=0.1))
+    solver.solve_hierarchy(1, case.sources(0.1), h0, time=0.1)
 
 
 def test_order_diagnostics_present():
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.3)
-    _, hist, _ = run_case(mesh, case, 0, [0.0])
-    d = chain_audit(hist, case.sources(0.0))[0]
+    previous, h = run_case(mesh, case, 0, [0.0])
+    d = chain_audit(previous, h, case.sources(0.0))[0]
     assert d["bperp_trace_defect"] < 1e-5
     assert "circulation_mismatch_max" in d
     assert "flux_mismatch_max" in d
@@ -275,8 +272,6 @@ def test_order_diagnostics_present():
 def test_bz_antiderivative_oracle():
     # solenoidal source with known zeta-antiderivative:
     # div Bperp = sin(pi zeta/Z) g(x,y)  =>  Bz = (Z/pi)(1 - cos(pi zeta/Z)) g
-    from parax.hierarchy import ChainContext
-
     errs = []
     for n in (17, 33):
         mesh = build_mesh(1.0, 1.0, 2.0, n, n, 2 * n - 1)
@@ -286,8 +281,7 @@ def test_bz_antiderivative_oracle():
         g = np.cos(np.pi * X)  # Bperp = (sin(pi x)/pi * sin, 0) has div = g sin
         Bperp = VectorField2(mesh, np.sin(np.pi * X) / np.pi * np.sin(kz * Z),
                              np.zeros_like(X))
-        ctx = ChainContext(sources=SourceTerms.zeros(mesh), previous=None, time=0.0)
-        Bz = solver.solve_Bz_order(0, div_perp(Bperp).values, ctx)
+        Bz = solver.solve_Bz_order(0, div_perp(Bperp).values)
         exact = (1.0 - np.cos(kz * Z)) / kz * g
         errs.append(np.abs(Bz.values - exact).max())
     assert errs[0] / errs[1] > 3.5  # O(h^2) from div stencil + trapezoid
@@ -348,23 +342,20 @@ def test_3d_problems_pose_their_faces_by_one_rule():
 
 
 def test_order_0_reads_no_time_derivative():
-    # order 0 reads the rates of order -1, which do not exist: a history
-    # changes none of its bits, zero signs and audit (with its solve
-    # residuals) included
+    # order 0 reads the rates of order -1, which do not exist: a previous
+    # snapshot changes none of its bits, zero signs and audit (with its
+    # solve residuals) included
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0, jc=0.5, bz_external=0.3)
     solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=case.bz_external))
-    hist = FieldHistory()
-    hist.push(solver.solve_hierarchy(1, case.sources(0.0), hist, time=0.0))
+    h0 = solver.solve_hierarchy(1, case.sources(0.0), time=0.0)
     sources = case.sources(0.2)
-    warm_h = solver.solve_hierarchy(0, sources, hist, 0.2)
-    cold_hist = FieldHistory()
-    cold_hist.push(solver.solve_hierarchy(0, sources, cold_hist, 0.2))
-    warm, cold = warm_h.order(0), cold_hist.latest.order(0)
+    warm_h = solver.solve_hierarchy(0, sources, h0, 0.2)
+    cold_h = solver.solve_hierarchy(0, sources, None, 0.2)
+    warm, cold = warm_h.order(0), cold_h.order(0)
     for a, b in zip(warm.arrays().values(), cold.arrays().values()):
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-    hist.push(warm_h)
-    assert chain_audit(hist, sources) == chain_audit(cold_hist, sources)
+    assert chain_audit(h0, warm_h, sources) == chain_audit(None, cold_h, sources)
 
 
 def test_non_finite_source_is_an_error():
@@ -403,8 +394,8 @@ def test_non_finite_stage_output_names_its_order_and_stage(monkeypatch, order, s
 def test_solve_diagnostics_recorded():
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.3)
-    _, hist, h = run_case(mesh, case, 1, [0.0, 0.1])
-    audit = chain_audit(hist, case.sources(0.1))
+    previous, h = run_case(mesh, case, 1, [0.0, 0.1])
+    audit = chain_audit(previous, h, case.sources(0.1))
     for o in h.orders:
         d = audit[o.n]
         assert np.isfinite(d["bperp_trace_defect"])
@@ -427,10 +418,10 @@ def test_one_pass_per_order(monkeypatch):
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.3)
     solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=case.bz_external))
-    hist = FieldHistory()
+    h = None
     for n_max, t in ((0, 0.0), (1, 0.1), (2, 0.2)):
         calls.clear()
-        hist.push(solver.solve_hierarchy(n_max, case.sources(t), hist, time=t))
+        h = solver.solve_hierarchy(n_max, case.sources(t), h, time=t)
         assert calls == {stage: n_max + 1 for stage in stages}
 
 
@@ -441,6 +432,6 @@ def test_bperp_trace_defect_is_a_discretization_error():
     for n in (9, 17):
         mesh = small_mesh(n)
         case = QuasiStaticMode(mesh=mesh, beta=BETA, bz_external=0.3)
-        _, hist, _ = run_case(mesh, case, 0, [0.0])
-        defects.append(chain_audit(hist, case.sources(0.0))[0]["bperp_trace_defect"])
+        previous, h = run_case(mesh, case, 0, [0.0])
+        defects.append(chain_audit(previous, h, case.sources(0.0))[0]["bperp_trace_defect"])
     assert defects[0] / defects[1] >= 3.5

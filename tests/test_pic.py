@@ -11,7 +11,6 @@ import parax.pic
 from parax.fields import FieldShapeError, ScalarField, VectorField2
 from parax.hierarchy import (
     FieldHierarchy,
-    FieldHistory,
     FieldOrder,
     HierarchySolver,
     SourceTerms,
@@ -509,8 +508,7 @@ def test_cic_self_force_vanishes_by_symmetry(n, nz):
 
     def self_force(x, y, zeta):
         p = single_particle(mesh, x, y, zeta, vx=0.3, vzeta=0.2)
-        h = HierarchySolver(mesh, BETA).solve_hierarchy(
-            1, deposit_sources(p, mesh), FieldHistory(), time=0.0)
+        h = HierarchySolver(mesh, BETA).solve_hierarchy(1, deposit_sources(p, mesh), time=0.0)
         o = h.order(0)
         scale = max(np.abs(o.Ecal.x).max(), np.abs(o.Ecal.y).max())
         return np.array(assemble_force(1, h, p, eta=0.1))[:, 0], scale
@@ -758,7 +756,8 @@ def test_run_pic_zero_charge_ballistic():
     # a cold beam with zero velocities under zero fields stays put, so verify
     # positions are unchanged after several steps
     x0 = p.x.copy()
-    final, hist, recs = run_pic(mesh, BETA, 0.1, p, n_max=0, dt=0.05, steps=3)
+    final, last, recs = run_pic(mesh, BETA, 0.1, p, n_max=0, dt=0.05, steps=3)
+    assert last.time == 3 * 0.05 and last.n_max == 0  # the last step's snapshot
     # self-fields from the tiny bunch push particles outward slightly, so
     # compare against a truly source-free run with vanishing weights instead
     assert recs[0].n_particles == 20
@@ -773,7 +772,8 @@ def test_run_pic_zero_charge_ballistic():
 def test_run_pic_steps_zero_snapshot_only():
     mesh = mesh_small()
     p = sample_initial_distribution(mesh, "cold", 10, seed=1)
-    final, hist, recs = run_pic(mesh, BETA, 0.1, p, n_max=0, dt=0.1, steps=0)
+    final, last, recs = run_pic(mesh, BETA, 0.1, p, n_max=0, dt=0.1, steps=0)
+    assert last.time == 0.0 and last.n_max == 0
     assert len(recs) == 1 and recs[0].step == 0
     assert len(final) == 10
 

@@ -12,8 +12,6 @@ from parax.elliptic import (
 )
 from parax.fields import ScalarField, VectorField2
 from parax.hierarchy import (
-    ExternalField,
-    FieldHistory,
     HierarchySolver,
     SourceTerms,
     backward_rate,
@@ -39,6 +37,7 @@ from parax.verify import (
     maxwell_residual,
     residual_terms,
     richardson_combine,
+    solve_timeline,
 )
 
 BETA = 0.5
@@ -145,9 +144,8 @@ def test_quasistatic_sources_conserve_charge():
 
 def test_zero_hierarchy_zero_residual():
     mesh = build_mesh(1.0, 1.0, 2.0, 9, 9, 9)
-    hist = FieldHistory()
-    hist.push(HierarchySolver(mesh, BETA).solve_hierarchy(0, SourceTerms.zeros(mesh)))
-    rep = maxwell_residual(residual_terms(hist, SourceTerms.zeros(mesh)), 0.1)
+    h = HierarchySolver(mesh, BETA).solve_hierarchy(0, SourceTerms.zeros(mesh))
+    rep = maxwell_residual(residual_terms(None, h, SourceTerms.zeros(mesh)), 0.1)
     for eq, n in rep.norms.items():
         assert n["l2"] == 0.0 and n["max"] == 0.0
 
@@ -156,11 +154,9 @@ def test_residual_report_shape_and_eta_dependence():
     mesh = build_mesh(1.0, 1.0, 2.0, 13, 13, 13)
     dt = 0.05
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=0.5, alpha2=2.0, dt_hist=dt)
-    solver = HierarchySolver(mesh, BETA)
-    hist = FieldHistory()
-    for k in range(3):
-        hist.push(solver.solve_hierarchy(1, case.sources(k * dt), hist, time=k * dt))
-    terms = residual_terms(hist, case.sources(2 * dt))
+    for previous, latest in solve_timeline(case, 1, 3):
+        pass
+    terms = residual_terms(previous, latest, case.sources(2 * dt))
     r0 = maxwell_residual(terms, 0.1, n_max=0)
     r1 = maxwell_residual(terms, 0.1, n_max=1)
     assert r0.grid == (13, 13, 13)
@@ -178,30 +174,27 @@ def test_residual_snapshot_missing_an_order_is_an_error():
     mesh = build_mesh(1.0, 1.0, 2.0, 9, 9, 9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=0.5)
     solver = HierarchySolver(mesh, BETA)
-    hist = FieldHistory()
-    for n_max, t in ((0, 0.0), (1, 0.1)):
-        hist.push(solver.solve_hierarchy(n_max, case.sources(t), hist, time=t))
-    terms = residual_terms(hist, case.sources(0.1))
+    h0 = solver.solve_hierarchy(0, case.sources(0.0), time=0.0)
+    h1 = solver.solve_hierarchy(1, case.sources(0.1), h0, time=0.1)
+    terms = residual_terms(h0, h1, case.sources(0.1))
     for n_max in (None, 1):  # the default is the latest snapshot's order
         with pytest.raises(ValueError, match="order 1 is missing"):
             maxwell_residual(terms, 0.1, n_max=n_max)
     maxwell_residual(terms, 0.1, n_max=0)
 
 
-def _reconstructed_residual(history, eta, sources, n_max):
+def _reconstructed_residual(previous, latest, eta, sources, n_max):
     """The residual by reconstruct-then-differentiate: the eta-weighted total
     fields of both snapshots, one backward difference of the totals, then
     the six equations on the full grid."""
-    latest = history.latest
     mesh, beta = latest.mesh, latest.beta
     kappa = 1.0 - beta**2
     now = latest.reconstruct(eta, n_max)
-    pair = history.pair()
-    if pair is None:
+    if previous is None:
         rate = backward_rate(now, now, 1.0)  # a cold start: every rate zero
     else:
-        prev, _, dt = pair
-        rate = backward_rate(now, prev.reconstruct(eta, n_max), dt)
+        rate = backward_rate(now, previous.reconstruct(eta, n_max),
+                             latest.time - previous.time)
     Ecal, Ep, Bp, Ez, Bz = now.Ecal, now.Eperp, now.Bperp, now.Ez, now.Bz
     mix = VectorField2(mesh, Ecal.x - kappa * Ep.x, Ecal.y - kappa * Ep.y)
     curl_Bz, dz_mix = curl_perp_scalar(Bz), dzeta(mix)
@@ -228,12 +221,10 @@ def test_per_order_residual_matches_reconstruction(snapshots):
     dt = 0.05
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=0.5, alpha2=3.0, jc=0.7,
                            bz_external=0.4, dt_hist=dt)
-    solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=0.4))
-    hist = FieldHistory()
-    for k in range(snapshots):
-        hist.push(solver.solve_hierarchy(1, case.sources(k * dt), hist, time=k * dt))
+    for previous, latest in solve_timeline(case, 1, snapshots):
+        pass
     sources = case.sources((snapshots - 1) * dt)
-    terms = residual_terms(hist, sources)
+    terms = residual_terms(previous, latest, sources)
     assert terms.cold_start == (snapshots == 1)
     scale = max(np.abs(a).max() for part in terms.orders
                 for arrays in (part.spatial, part.rate) for a in arrays.values())
@@ -242,7 +233,7 @@ def test_per_order_residual_matches_reconstruction(snapshots):
         for eta in (0.05, 0.1, 0.3, 1.0):
             rep = maxwell_residual(terms, eta, n_max=n_max)
             assert rep.metadata == {"cold_start": snapshots == 1}
-            expected = _reconstructed_residual(hist, eta, sources, n_max)
+            expected = _reconstructed_residual(previous, latest, eta, sources, n_max)
             for eq, values in expected.items():
                 ref = weighted_norms(values[interior], mesh.dual_volume_3d[interior])
                 for kind in ("l2", "max"):
