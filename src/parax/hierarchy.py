@@ -2,13 +2,14 @@
 
 ``HierarchySolver.solve_hierarchy`` is the entry point: it runs the chain
 for orders 0..n_max from one ``SourceTerms``, the snapshot before (None on
-a cold start) and the solve time.  Each order n is closed given the
-sources, the completed lower orders, and backward-difference time
-derivatives anchored at the current solve time against the snapshot before.
+a cold start) and the solve time.  Order n takes two inputs as arguments:
+the source terms it reads (:func:`order_sources`) and the backward-difference
+time derivatives of the completed order n-1, anchored at the solve time
+against the snapshot before (:func:`lower_rates`).
 
 The sources belong to order 0: rho enters the order-0 chain and the current
 J the order-1 chain (the primed Jz', Jperp' below); no higher order sees a
-source term (:class:`ChainContext` states this once).  The external field is
+source term.  The external field is
 a uniform Bz at the zeta = 0 plane, so Bperp . nu starts from zero there at
 every order.  The chain per order, in dimensionless beam-frame variables:
 
@@ -44,7 +45,7 @@ module tests for the single-mode verification family that pins this down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -58,7 +59,7 @@ from .elliptic import (
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
 )
-from .fields import ScalarField, VectorField2, require_finite, same_mesh
+from .fields import FieldShapeError, ScalarField, VectorField2, require_finite, same_mesh
 from .mesh import FACE_NORMALS, FACE_ORDER, Mesh
 from .operators import (
     boundary_normal_trace,
@@ -192,50 +193,48 @@ def _volume_spec(n: int, for_Ez: bool, transverse: dict[str, FaceBC]) -> Boundar
     return BoundarySpec({**transverse, "zeta_lo": end, "zeta_hi": end})
 
 
-@dataclass
-class ChainContext:
-    """State threaded through one hierarchy solve: the sources, the previous
-    snapshot that the time derivatives read (None on a cold start), the
-    solve time and the orders completed so far at this time.
+def check_inputs(mesh: Mesh, beta: float, sources: SourceTerms,
+                 previous: FieldHierarchy | None, time: float) -> None:
+    """Refuse sources, or a snapshot before, that do not belong to a solve on
+    ``mesh`` at ``beta`` and ``time``; the error names what differs."""
+    if not isinstance(sources, SourceTerms):
+        raise TypeError(f"sources must be one SourceTerms, got {type(sources).__name__}")
 
-    The sources belong to order 0.  :meth:`rho` and :meth:`current` state the
-    convention once: order n reads ``rho(n)`` and ``current(n - 1)``, which
-    are the sources' own arrays at order 0 and scalar zeros elsewhere."""
+    def require_mesh(what: str, other: Mesh) -> None:
+        differ = [f"{f.name} {getattr(other, f.name):g}, not {getattr(mesh, f.name):g}"
+                  for f in dc_fields(Mesh) if getattr(other, f.name) != getattr(mesh, f.name)]
+        if differ:
+            raise FieldShapeError(f"mesh of the {what} differs: {'; '.join(differ)}")
 
-    sources: SourceTerms
-    previous: FieldHierarchy | None
-    time: float
-    orders: list[FieldOrder] = dc_field(default_factory=list)
-    _rates: dict[int, FieldRates] = dc_field(default_factory=dict, init=False, repr=False)
+    require_mesh("sources", same_mesh(sources.rho, sources.Jperp, sources.Jzeta))
+    if previous is None:
+        return
+    require_mesh("snapshot before", previous.mesh)
+    if previous.beta != beta:
+        raise ValueError(f"beta of the snapshot before differs: {previous.beta:g}, not {beta:g}")
+    if time <= previous.time:
+        raise ValueError("snapshot times must be strictly increasing")
 
-    def rho(self, n: int):
-        """Charge density of order n: the sources' rho at n == 0, 0.0 otherwise."""
-        return self.sources.rho.values if n == 0 else 0.0
 
-    def current(self, n: int):
-        """(Jx, Jy, Jzeta) of order n: the sources' current at n == 0, 0.0
-        otherwise."""
-        if n != 0:
-            return 0.0, 0.0, 0.0
-        return self.sources.Jperp.x, self.sources.Jperp.y, self.sources.Jzeta.values
+def order_sources(sources: SourceTerms, n: int):
+    """(rho, (Jx, Jy, Jzeta)) that order n reads: the sources' rho at n == 0
+    and their current, as the primed J' of order 0, at n == 1; scalar zeros
+    everywhere else."""
+    J = (sources.Jperp.x, sources.Jperp.y, sources.Jzeta.values) if n == 1 else (0.0,) * 3
+    return (sources.rho.values if n == 0 else 0.0), J
 
-    def rates(self, n: int) -> FieldRates | None:
-        """d/dt of the completed order n, anchored at the solve time against
-        the previous snapshot: order n at this time is already on the chain
-        when order n+1 is assembled, so one prior snapshot suffices, and the
-        per-order equations hold with the quotient the residual harness uses.
-        Formed once per order and shared by every stage.  None below order 0
-        and on a cold start, where every time derivative is zero: the stages
-        then form no d/dt terms."""
-        before = self.previous
-        if n < 0 or before is None:
-            return None
-        if n not in self._rates:
-            self._rates.clear()  # only the order below the current one is read
-            self._rates[n] = backward_rate(
-                self.orders[n], before.order(n), self.time - before.time
-            )
-        return self._rates[n]
+
+def lower_rates(n: int, orders: list[FieldOrder], previous: FieldHierarchy | None,
+                time: float) -> FieldRates | None:
+    """d/dt of the completed order n-1, ``orders[n - 1]``, anchored at
+    ``time`` against ``previous``: order n-1 at this time is already on the
+    chain when order n is assembled, so one prior snapshot suffices, and the
+    per-order equations hold with the quotient the residual harness uses.
+    None at order 0 and on a cold start, where every time derivative is zero:
+    the stages then form no d/dt terms."""
+    if n == 0 or previous is None:
+        return None
+    return backward_rate(orders[n - 1], previous.order(n - 1), time - previous.time)
 
 
 def bperp_normal_trace(rates: FieldRates | None, beta: float,
@@ -273,16 +272,19 @@ class HierarchySolver:
 
     # -- the five per-order solves ---------------------------------------------
 
-    def ez_problem(self, n: int, ctx: ChainContext) -> tuple[np.ndarray, BoundarySpec]:
+    # each stage takes what it reads of the order's inputs: ``rho`` and ``J``
+    # of :func:`order_sources` and ``rates`` of :func:`lower_rates`
+
+    def ez_problem(self, n: int, rho, J, rates: FieldRates | None
+                   ) -> tuple[np.ndarray, BoundarySpec]:
         """Right-hand side and boundary spec of the order-n Ez solve."""
         mesh, beta = self.mesh, self.beta
 
-        source = beta * ctx.current(n - 1)[2] + self.kappa * ctx.rho(n)  # 0.0 above order 1
+        source = beta * J[2] + self.kappa * rho  # 0.0 above order 1
         volume = np.broadcast_to(source, (mesh.nzeta, mesh.ny, mesh.nx))
         d_source = dzeta(ScalarField(mesh, volume), high_order=True).values
         # d/dt (beta dEz^{n-1}/dzeta + curl Bperp^{n-1}), applied to the rates;
         # without rates 0.0 - d_source keeps the zero signs a zero term gave
-        rates = ctx.rates(n - 1)
         dt_term = 0.0 if rates is None else (
             beta * dzeta(rates.Ez, high_order=True).values
             + curl_perp_vector(rates.Bperp).values
@@ -292,22 +294,17 @@ class HierarchySolver:
         return rhs, _volume_spec(n, for_Ez=True,
                                  transverse=dict.fromkeys(FACE_ORDER, FaceBC(DIRICHLET, 0.0)))
 
-    def solve_Ez_order(self, n: int, ctx: ChainContext) -> ScalarField:
-        rhs, bc = self.ez_problem(n, ctx)
+    def solve_Ez_order(self, n: int, rho, J, rates: FieldRates | None) -> ScalarField:
+        rhs, bc = self.ez_problem(n, rho, J, rates)
         return solve_anisotropic_poisson_3d(self.kappa, ScalarField(self.mesh, rhs), bc)
 
-    def gauss(self, n: int, Ez_n: ScalarField, ctx: ChainContext) -> np.ndarray:
+    def gauss(self, Ez_n: ScalarField, rho) -> np.ndarray:
         """dEz/dzeta + rho: the target div Eperp, which the Ecal and Eperp
         stages read."""
-        return dzeta(Ez_n, high_order=True).values + ctx.rho(n)
+        return dzeta(Ez_n, high_order=True).values + rho
 
-    def solve_Ecal_order(
-        self,
-        n: int,
-        gauss: np.ndarray,
-        ctx: ChainContext,
-        bperp_nu: dict[str, np.ndarray],
-    ) -> VectorField2:
+    def solve_Ecal_order(self, gauss: np.ndarray, J, rates: FieldRates | None,
+                         bperp_nu: dict[str, np.ndarray]) -> VectorField2:
         """Per-slice div-curl solve for the pseudo-field.
 
         ``gauss`` is :meth:`gauss` of this order's Ez.  ``bperp_nu`` holds the
@@ -315,35 +312,28 @@ class HierarchySolver:
         the tangential data is beta times it.
         """
         mesh, beta = self.mesh, self.beta
-        rates = ctx.rates(n - 1)
         if rates is None:  # the curl source -dBz'/dt is zero
             dt_Ez_prev, curl_src = 0.0, None
         else:
             dt_Ez_prev = rates.Ez.values
             curl_src = ScalarField(mesh, -rates.Bz.values)
 
-        div_src = self.kappa * gauss + beta * (ctx.current(n - 1)[2] - dt_Ez_prev)
+        div_src = self.kappa * gauss + beta * (J[2] - dt_Ez_prev)
         return solve_divcurl_2d(
             ScalarField(mesh, div_src),
             curl_src,
             {f: beta * bperp_nu[f] for f in FACE_ORDER},
         )
 
-    def eperp_problems(
-        self,
-        n: int,
-        Ecal_n: VectorField2,
-        gauss: np.ndarray,
-        ctx: ChainContext,
-    ) -> list[tuple[np.ndarray, BoundarySpec]]:
+    def eperp_problems(self, n: int, Ecal_n: VectorField2, gauss: np.ndarray, J,
+                       rates: FieldRates | None) -> list[tuple[np.ndarray, BoundarySpec]]:
         """Right-hand sides and boundary specs of the order-n Eperp x and y
         solves; ``gauss`` is :meth:`gauss` of this order's Ez."""
         mesh, beta = self.mesh, self.beta
         gg = grad_perp(ScalarField(mesh, gauss), high_order=True)
 
         d2_Ecal = dzeta2(Ecal_n)
-        rates = ctx.rates(n - 1)
-        Jx_prev, Jy_prev, _ = ctx.current(n - 1)
+        Jx_prev, Jy_prev, _ = J
         if rates is None:
             curl_x = curl_y = dtE_x = dtE_y = 0.0
         else:
@@ -374,41 +364,30 @@ class HierarchySolver:
 
         return [(rhs_x, bc(0)), (rhs_y, bc(1))]
 
-    def solve_Eperp_order(
-        self,
-        n: int,
-        Ecal_n: VectorField2,
-        gauss: np.ndarray,
-        ctx: ChainContext,
-    ) -> VectorField2:
+    def solve_Eperp_order(self, n: int, Ecal_n: VectorField2, gauss: np.ndarray, J,
+                          rates: FieldRates | None) -> VectorField2:
         """Componentwise 3D solve; ``gauss`` is :meth:`gauss` of this order's Ez.
 
         Solves the x problem of :meth:`eperp_problems`, then the y problem.
         """
-        (rhs_x, bc_x), (rhs_y, bc_y) = self.eperp_problems(n, Ecal_n, gauss, ctx)
+        (rhs_x, bc_x), (rhs_y, bc_y) = self.eperp_problems(n, Ecal_n, gauss, J, rates)
         Ex = _solve_scalar(rhs_x, *self._operator, bc_x)
         Ey = _solve_scalar(rhs_y, *self._operator, bc_y)
         return VectorField2(self.mesh, Ex, Ey)
 
-    def solve_Bperp_order(
-        self,
-        n: int,
-        Eperp_n: VectorField2,
-        div_E: np.ndarray,
-        ctx: ChainContext,
-        bperp_nu: dict[str, np.ndarray],
-    ) -> VectorField2:
+    def solve_Bperp_order(self, Eperp_n: VectorField2, div_E: np.ndarray, J,
+                          rates: FieldRates | None,
+                          bperp_nu: dict[str, np.ndarray]) -> VectorField2:
         """Per-slice div-curl solve for Bperp with the imposed normal trace
         ``bperp_nu`` (see :func:`bperp_normal_trace`); ``div_E`` is
         div_perp of ``Eperp_n``."""
         mesh, beta = self.mesh, self.beta
-        rates = ctx.rates(n - 1)
         if rates is None:
             dt_Ez_prev = dt_Bz_prev = 0.0
         else:
             dt_Ez_prev, dt_Bz_prev = rates.Ez.values, rates.Bz.values
 
-        curl_src = dt_Ez_prev + beta * div_E - ctx.current(n - 1)[2]
+        curl_src = dt_Ez_prev + beta * div_E - J[2]
         div_src = -(curl_perp_vector(Eperp_n).values + dt_Bz_prev) / beta
 
         # rotate onto the tangential-data solver: W = Bperp x e_z has
@@ -427,20 +406,21 @@ class HierarchySolver:
 
     # -- full chain --------------------------------------------------------------
 
-    def solve_order(self, n: int, ctx: ChainContext) -> FieldOrder:
-        Ez = self.solve_Ez_order(n, ctx)
+    def solve_order(self, n: int, sources: SourceTerms,
+                    rates: FieldRates | None) -> FieldOrder:
+        """Order n from the sources and ``rates``, those of :func:`lower_rates`."""
+        rho, J = order_sources(sources, n)
+        Ez = self.solve_Ez_order(n, rho, J, rates)
         # the boundary condition fixes Bperp . nu from order n-1 data alone, so
         # the Ecal, Eperp and Bperp stages each run once
-        nu = bperp_normal_trace(ctx.rates(n - 1), self.beta, self.mesh)
-        gauss = self.gauss(n, Ez, ctx)
-        Ecal = self.solve_Ecal_order(n, gauss, ctx, nu)
-        Eperp = self.solve_Eperp_order(n, Ecal, gauss, ctx)
+        nu = bperp_normal_trace(rates, self.beta, self.mesh)
+        gauss = self.gauss(Ez, rho)
+        Ecal = self.solve_Ecal_order(gauss, J, rates, nu)
+        Eperp = self.solve_Eperp_order(n, Ecal, gauss, J, rates)
         del gauss
-        Bperp = self.solve_Bperp_order(n, Eperp, div_perp(Eperp).values, ctx, nu)
+        Bperp = self.solve_Bperp_order(Eperp, div_perp(Eperp).values, J, rates, nu)
         Bz = self.solve_Bz_order(n, div_perp(Bperp).values)
-        order = FieldOrder(n=n, Ez=Ez, Ecal=Ecal, Eperp=Eperp, Bperp=Bperp, Bz=Bz).freeze()
-        ctx.orders.append(order)
-        return order
+        return FieldOrder(n=n, Ez=Ez, Ecal=Ecal, Eperp=Eperp, Bperp=Bperp, Bz=Bz).freeze()
 
     def solve_hierarchy(
         self,
@@ -452,22 +432,19 @@ class HierarchySolver:
         """Run the chain for orders 0..n_max and return the completed hierarchy.
 
         ``sources`` are the charge and current moments, which belong to order
-        0 (see :class:`ChainContext`).  ``previous`` is the snapshot the time
-        derivatives read, solved before ``time``; None is a cold start.
+        0 (see :func:`order_sources`).  ``previous`` is the snapshot the time
+        derivatives read, solved on this mesh at this beta before ``time``;
+        None is a cold start.
         """
-        if not isinstance(sources, SourceTerms):
-            raise TypeError(
-                f"sources must be one SourceTerms, got {type(sources).__name__}"
-            )
+        check_inputs(self.mesh, self.beta, sources, previous, time)
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
-        if previous is not None and time <= previous.time:
-            raise ValueError("snapshot times must be strictly increasing")
-        same_mesh(sources.rho, sources.Jperp, sources.Jzeta)
         require_finite("sources", rho=sources.rho.values, Jx=sources.Jperp.x,
                        Jy=sources.Jperp.y, Jzeta=sources.Jzeta.values)
 
-        ctx = ChainContext(sources, previous, time)
+        orders = []
         for n in range(n_max + 1):
-            self.solve_order(n, ctx)
-        return FieldHierarchy(mesh=self.mesh, beta=self.beta, orders=ctx.orders, time=time)
+            # the rates are an argument, so they are freed when the order is
+            # done, before the next order's rates are formed
+            orders.append(self.solve_order(n, sources, lower_rates(n, orders, previous, time)))
+        return FieldHierarchy(mesh=self.mesh, beta=self.beta, orders=orders, time=time)

@@ -451,6 +451,8 @@ def check_charge_conservation(
     """Interior norms of d rho/dt + div Jperp + d Jzeta/dzeta (backward in t)."""
     if moments_now.rho.mesh != mesh or moments_prev.rho.mesh != mesh:
         raise ValueError("moments live on a different mesh")
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt:g}")
     drho = (moments_now.rho.values - moments_prev.rho.values) / dt
     bal = drho + div_perp(moments_now.Jperp).values + dzeta(moments_now.Jzeta).values
     return norms(bal, mesh)

@@ -27,13 +27,15 @@ from .elliptic import (
 )
 from .fields import ScalarField, VectorField2
 from .hierarchy import (
-    ChainContext,
     ExternalField,
     FieldHierarchy,
     HierarchySolver,
     SourceTerms,
     backward_rate,
     bperp_normal_trace,
+    check_inputs,
+    lower_rates,
+    order_sources,
 )
 from .mesh import FACE_ORDER, Mesh, build_mesh
 from .operators import (
@@ -235,23 +237,23 @@ def _mms_divcurl(g: int, beta: float):
 
 
 def _mode_order0(g: int, beta: float):
-    """The chain's solver, context and exact order-0 fields of the static
-    :class:`QuasiStaticMode` on a cold start."""
+    """The chain's solver, the order-0 rho and J and the exact order-0 fields
+    of the static :class:`QuasiStaticMode`; on a cold start there are no rates."""
     mesh = build_mesh(1.0, 1.0, 2.0, g, g, g)
     case = QuasiStaticMode(mesh=mesh, beta=beta)
-    ctx = ChainContext(sources=case.sources(0.0), previous=None, time=0.0)
-    return HierarchySolver(mesh, beta), ctx, case.exact_order(0, 0.0), mesh
+    rho, J = order_sources(case.sources(0.0), 0)
+    return HierarchySolver(mesh, beta), rho, J, case.exact_order(0, 0.0), mesh
 
 
 def _mms_ez(g: int, beta: float):
-    solver, ctx, exact, mesh = _mode_order0(g, beta)
-    return solver.solve_Ez_order(0, ctx).values - exact["Ez"].values, mesh
+    solver, rho, J, exact, mesh = _mode_order0(g, beta)
+    return solver.solve_Ez_order(0, rho, J, None).values - exact["Ez"].values, mesh
 
 
 def _mms_eperp(g: int, beta: float):
     """The Eperp stage, fed the exact Ecal and Ez of order 0."""
-    solver, ctx, exact, mesh = _mode_order0(g, beta)
-    E = solver.solve_Eperp_order(0, exact["Ecal"], solver.gauss(0, exact["Ez"], ctx), ctx)
+    solver, rho, J, exact, mesh = _mode_order0(g, beta)
+    E = solver.solve_Eperp_order(0, exact["Ecal"], solver.gauss(exact["Ez"], rho), J, None)
     return np.hypot(E.x - exact["Eperp"].x, E.y - exact["Eperp"].y), mesh
 
 
@@ -285,30 +287,31 @@ def chain_audit(previous: FieldHierarchy | None, latest: FieldHierarchy,
     each formed from what the chain held when it solved that order.
 
     ``previous`` is the snapshot the solve of ``latest`` read (None on a
-    cold start), and ``sources`` are the ones it solved with.  The order n-1
-    rates are the chain's own :meth:`ChainContext.rates` against
-    ``previous`` (None at order 0 and on a cold start), and the imposed
-    Bperp . nu is the chain's own :func:`bperp_normal_trace` of them.  The
-    Ez and Eperp problems are posed again by the chain's own builders, and
-    each entry starts with the method and relative residual of those three
-    3D solves (``Ez_``, ``Eperp_x_`` and ``Eperp_y_relative_residual``).
+    cold start), and ``sources`` are the ones it solved with; both must
+    belong to that solve.  Each order reads the inputs the chain passed it,
+    :func:`order_sources` and :func:`lower_rates` (None at order 0 and on a
+    cold start), and the imposed Bperp . nu is the chain's own
+    :func:`bperp_normal_trace` of those rates.  The Ez and Eperp problems are
+    posed again by the chain's own builders, and each entry starts with the
+    method and relative residual of those three 3D solves (``Ez_``,
+    ``Eperp_x_`` and ``Eperp_y_relative_residual``).
     """
     mesh, beta = latest.mesh, latest.beta
+    check_inputs(mesh, beta, sources, previous, latest.time)
     solver = HierarchySolver(mesh, beta)
-    ctx = ChainContext(sources=sources, previous=previous, time=latest.time,
-                       orders=list(latest.orders))
     audit = {}
     for o in latest.orders:
         entry = audit[o.n] = {}
-        problems = [solver.ez_problem(o.n, ctx),
-                    *solver.eperp_problems(o.n, o.Ecal, solver.gauss(o.n, o.Ez, ctx), ctx)]
+        rho, J = order_sources(sources, o.n)
+        rates = lower_rates(o.n, latest.orders, previous, latest.time)
+        problems = [solver.ez_problem(o.n, rho, J, rates),
+                    *solver.eperp_problems(o.n, o.Ecal, solver.gauss(o.Ez, rho), J, rates)]
         for name, u, problem in zip(("Ez", "Eperp_x", "Eperp_y"),
                                     (o.Ez.values, o.Eperp.x, o.Eperp.y), problems):
             for key, value in solver.solve_info(u, problem).items():
                 entry[f"{name}_{key}"] = value
         del problems
 
-        rates = ctx.rates(o.n - 1)
         if rates is None:
             circ = flux = bz_rhs = dt_Bz_max = 0.0
         else:
@@ -337,7 +340,7 @@ def chain_audit(previous: FieldHierarchy | None, latest: FieldHierarchy,
             "bperp_trace_defect": float(gap / scale),
             # d/dzeta int Bz = -(1/beta) int dBz^{n-1}/dt
             "bz_integral_residual": float(np.abs(mesh.integrate_2d(div_B) - bz_rhs).max()),
-            "gauss_residual": norms(div_E - dzeta(o.Ez).values - ctx.rho(o.n), mesh),
+            "gauss_residual": norms(div_E - dzeta(o.Ez).values - rho, mesh),
             "solenoidal_residual": norms(div_B - dzeta(o.Bz).values, mesh),
             "pseudo_field_consistency": norms(np.hypot(consist_x, consist_y), mesh),
         })
@@ -447,8 +450,10 @@ def residual_terms(previous: FieldHierarchy | None, latest: FieldHierarchy,
     equation and that order's :func:`backward_rate` (the quotient the
     hierarchy sources use) are formed once; on a cold start (``previous``
     None) every order of ``latest`` is kept and the rates are zero.
-    ``sources`` are those at the latest snapshot's time.
+    ``sources`` are those at the latest snapshot's time; they and
+    ``previous`` must belong to the solve of ``latest``.
     """
+    check_inputs(latest.mesh, latest.beta, sources, previous, latest.time)
     held = latest.n_max if previous is None else min(latest.n_max, previous.n_max)
     orders = []
     for n in range(held + 1):

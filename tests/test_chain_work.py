@@ -1,9 +1,9 @@
 """The field chain forms each volume once per order and skips the work whose
 result is known to be zero: these tests count the kernel calls of a warm
 solve, pin the skipped curl work, bit for bit, to the code that still forms
-it, pin the Eperp pair to two public serial solves on the calling thread,
-on large and small volumes, and pin the audit's solve residuals to what the
-solves report."""
+it, pin the Eperp stage's x and y solves to two public solves on the calling
+thread, on large and small volumes, and pin the audit's solve residuals to
+what the solves report."""
 
 import threading
 from collections import Counter
@@ -27,12 +27,7 @@ from parax.elliptic import (
     solve_poisson_2d,
 )
 from parax.fields import ScalarField, VectorField2
-from parax.hierarchy import (
-    ChainContext,
-    ExternalField,
-    HierarchySolver,
-    SourceTerms,
-)
+from parax.hierarchy import ExternalField, HierarchySolver, SourceTerms, order_sources
 from parax.mesh import FACE_ORDER, build_mesh
 from parax.operators import boundary_tangential_trace, circulation, curl_perp_scalar, grad_perp
 from parax.verify import QuasiStaticMode, chain_audit
@@ -72,9 +67,9 @@ def test_warm_order_forms_each_volume_once(monkeypatch):
             zeta_inputs.append((order[0], f.values))
         return hierarchy_dzeta(f, high_order=high_order)
 
-    def solve_order(n, ctx):
+    def solve_order(n, *args):
         order[0] = n
-        return solver_solve_order(n, ctx)
+        return solver_solve_order(n, *args)
 
     hierarchy_dzeta = hierarchy.dzeta
     solver_solve_order = solver.solve_order
@@ -205,7 +200,7 @@ def test_skipped_curl_solve_keeps_every_bit(monkeypatch, sources, warm):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_paired_eperp_solves_equal_two_serial_solves(monkeypatch, cpus):
+def test_large_eperp_stage_equals_two_public_solves_on_the_calling_thread(monkeypatch, cpus):
     # on a volume of over 100,000 nodes the x and y problems are solved one
     # after the other on the calling thread, on one usable CPU or on two;
     # each must equal its own public solve, zero signs included
@@ -222,19 +217,20 @@ def test_paired_eperp_solves_equal_two_serial_solves(monkeypatch, cpus):
     rng = np.random.default_rng(5)
     shape = (mesh.nzeta, mesh.ny, mesh.nx)
     solver = HierarchySolver(mesh, BETA)
-    ctx = ChainContext(sources=_signed_zero_sources(mesh, 4), previous=None, time=0.0)
+    sources = _signed_zero_sources(mesh, 4)
     ecal = VectorField2(mesh, drawn(rng, shape, 0.5), drawn(rng, shape, 0.5))
     gauss = drawn(rng, shape, 0.5)
     for n in (0, 1):  # both zeta closures; order 1 reads the current
         threads.clear()
-        got = solver.solve_Eperp_order(n, ecal, gauss, ctx)
+        _, J = order_sources(sources, n)
+        got = solver.solve_Eperp_order(n, ecal, gauss, J, None)
         assert threads == [threading.get_ident()] * 2
         ref = [solve_anisotropic_poisson_3d(solver.kappa, ScalarField(mesh, rhs), bc).values
-               for rhs, bc in solver.eperp_problems(n, ecal, gauss, ctx)]
+               for rhs, bc in solver.eperp_problems(n, ecal, gauss, J, None)]
         assert same_bits(got.x, ref[0]) and same_bits(got.y, ref[1])
 
 
-def test_small_volumes_solve_the_eperp_pair_on_the_calling_thread(monkeypatch):
+def test_small_volumes_solve_eperp_on_the_calling_thread(monkeypatch):
     monkeypatch.setattr(fields, "_usable_cpus", lambda: 2)
     threads = set()
 

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -6,17 +7,18 @@ import pytest
 from parax.elliptic import DIRICHLET, NEUMANN
 from parax.fields import FieldShapeError, ScalarField, VectorField2
 from parax.hierarchy import (
-    ChainContext,
     ExternalField,
     FieldHierarchy,
     FieldOrder,
     HierarchySolver,
     SourceTerms,
     backward_rate,
+    lower_rates,
+    order_sources,
 )
 from parax.mesh import FACE_AXIS, build_mesh
 from parax.operators import div_perp, norms
-from parax.verify import QuasiStaticMode, chain_audit
+from parax.verify import QuasiStaticMode, chain_audit, residual_terms
 
 BETA = 0.5
 
@@ -224,9 +226,11 @@ def test_time_derivative_conventions():
     mesh = small_mesh(9)
     case = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0)
     solver = HierarchySolver(mesh, BETA)
-    # cold start: no previous snapshot gives no rate, so the stages form no d/dt term
-    assert ChainContext(sources=case.sources(0.0), previous=None, time=0.0).rates(0) is None
     h0 = solver.solve_hierarchy(0, case.sources(0.0), time=0.0)
+    # order 0 reads no rate, and on a cold start (no previous snapshot) order
+    # 1 reads none either, so the stages form no d/dt term
+    assert lower_rates(0, [], h0, 0.5) is None
+    assert lower_rates(1, h0.orders, None, 0.0) is None
     h1 = solver.solve_hierarchy(0, case.sources(0.5), h0, time=0.5)
     # rho = (1 + t) R: the order-0 chain is linear, so its fields are
     # (1 + t) F and the quotient recovers d/dt = F = the fields at t = 0
@@ -298,17 +302,57 @@ def test_invalid_inputs():
 def test_sources_are_one_order_0_source_terms():
     # rho enters order 0 and J order 1, nothing above; a per-order list is
     # not a form the chain takes
-    from parax.hierarchy import ChainContext
-
     mesh = small_mesh(9)
     src = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0, jc=0.5).sources(0.0)
-    ctx = ChainContext(sources=src, previous=None, time=0.0)
-    assert ctx.rho(0) is src.rho.values and ctx.rho(1) == 0.0
-    for got, want in zip(ctx.current(0), (src.Jperp.x, src.Jperp.y, src.Jzeta.values)):
+    (rho0, J0), (rho1, J1) = order_sources(src, 0), order_sources(src, 1)
+    assert rho0 is src.rho.values and rho1 == 0.0
+    for got, want in zip(J1, (src.Jperp.x, src.Jperp.y, src.Jzeta.values)):
         assert got is want
-    assert ctx.current(-1) == ctx.current(1) == (0.0, 0.0, 0.0)
+    assert J0 == (0.0, 0.0, 0.0) and order_sources(src, 2) == (0.0, (0.0, 0.0, 0.0))
     with pytest.raises(TypeError, match="one SourceTerms"):
         HierarchySolver(mesh, BETA).solve_hierarchy(1, [src])
+
+
+OTHER_MESH = {"extent": build_mesh(2.0, 1.0, 2.0, 7, 7, 7),
+              "shape": build_mesh(1.0, 1.0, 2.0, 9, 9, 9)}
+
+
+@pytest.mark.parametrize("reader", ["solve_hierarchy", "residual_terms", "chain_audit"])
+@pytest.mark.parametrize("what, differs, error", [
+    ("sources", "extent", "mesh of the sources differs: a 2, not 1"),
+    ("sources", "shape", "mesh of the sources differs: nx 9, not 7; ny 9, not 7; nzeta 9, not 7"),
+    ("previous", "extent", "mesh of the snapshot before differs: a 2, not 1"),
+    ("previous", "shape",
+     "mesh of the snapshot before differs: nx 9, not 7; ny 9, not 7; nzeta 9, not 7"),
+    ("previous", "beta", "beta of the snapshot before differs: 0.3, not 0.5"),
+], ids=["sources-extent", "sources-shape", "previous-extent", "previous-shape", "previous-beta"])
+def test_inputs_of_another_solve_are_refused_by_name(reader, what, differs, error):
+    # sources, or a snapshot before, of another mesh or beta would be solved
+    # with this mesh's spacings or differenced against fields of another
+    # problem; the chain and the two harnesses that read its inputs refuse
+    # them and name what differs
+    mesh = small_mesh(7)
+
+    def snapshot(mesh, beta, t, previous=None):
+        case = QuasiStaticMode(mesh=mesh, beta=beta, alpha=1.0, jc=0.5)
+        return HierarchySolver(mesh, beta).solve_hierarchy(1, case.sources(t), previous, t)
+
+    previous = snapshot(mesh, BETA, 0.0)
+    latest = snapshot(mesh, BETA, 0.1, previous)
+    sources = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0, jc=0.5).sources(0.1)
+    if what == "sources":
+        sources = QuasiStaticMode(mesh=OTHER_MESH[differs], beta=BETA, alpha=1.0).sources(0.1)
+    elif differs == "beta":
+        previous = snapshot(mesh, 0.3, 0.0)
+    else:
+        previous = snapshot(OTHER_MESH[differs], BETA, 0.0)
+    run = {"solve_hierarchy": lambda: HierarchySolver(mesh, BETA).solve_hierarchy(
+               1, sources, previous, 0.1),
+           "residual_terms": lambda: residual_terms(previous, latest, sources),
+           "chain_audit": lambda: chain_audit(previous, latest, sources)}[reader]
+    with pytest.raises(ValueError if differs == "beta" else FieldShapeError,
+                       match=f"^{re.escape(error)}$"):
+        run()
 
 
 def test_3d_problems_pose_their_faces_by_one_rule():
@@ -319,7 +363,6 @@ def test_3d_problems_pose_their_faces_by_one_rule():
     mesh = build_mesh(1.0, 1.3, 2.0, 7, 6, 5)
     solver = HierarchySolver(mesh, BETA)
     gauss = np.random.default_rng(3).normal(size=(mesh.nzeta, mesh.ny, mesh.nx))
-    ctx = ChainContext(sources=SourceTerms.zeros(mesh), previous=None, time=0.0)
     ecal = VectorField2.zeros(mesh)
     neumann = {"x_lo": (0, -gauss[:, :, 0]), "x_hi": (0, gauss[:, :, -1]),
                "y_lo": (1, -gauss[:, 0, :]), "y_hi": (1, gauss[:, -1, :])}
@@ -327,8 +370,9 @@ def test_3d_problems_pose_their_faces_by_one_rule():
         even = n % 2 == 0
         ez_end = DIRICHLET if even else NEUMANN
         eperp_end = NEUMANN if even else DIRICHLET
-        _, ez_bc = solver.ez_problem(n, ctx)
-        eperp_bcs = [bc for _, bc in solver.eperp_problems(n, ecal, gauss, ctx)]
+        rho, J = order_sources(SourceTerms.zeros(mesh), n)
+        _, ez_bc = solver.ez_problem(n, rho, J, None)
+        eperp_bcs = [bc for _, bc in solver.eperp_problems(n, ecal, gauss, J, None)]
         want = [{f: (ez_end if f.startswith("zeta") else DIRICHLET, 0.0) for f in FACE_AXIS}]
         for c in (0, 1):
             want.append({f: (eperp_end, 0.0) if f.startswith("zeta")
@@ -374,16 +418,23 @@ def test_non_finite_source_is_an_error():
 ])
 def test_non_finite_stage_output_names_its_order_and_stage(monkeypatch, order, stage, named):
     # one NaN in one stage's output at one order: the later stages of that
-    # order read it too, and the error names the first, in chain order
+    # order read it too, and the error names the first, in chain order; the
+    # order is the one solve_order was called for
     method = f"solve_{stage}_order"
-    solve = getattr(HierarchySolver, method)
+    solve, solve_order = getattr(HierarchySolver, method), HierarchySolver.solve_order
+    at = [None]
 
-    def poisoned(self, n, *args):
-        out = solve(self, n, *args)
-        if n == order:
+    def tracked(self, n, *args):
+        at[0] = n
+        return solve_order(self, n, *args)
+
+    def poisoned(self, *args):
+        out = solve(self, *args)
+        if at[0] == order:
             (out.values if isinstance(out, ScalarField) else out.x)[2, 4, 4] = np.nan
         return out
 
+    monkeypatch.setattr(HierarchySolver, "solve_order", tracked)
     monkeypatch.setattr(HierarchySolver, method, poisoned)
     mesh = small_mesh(9)
     sources = QuasiStaticMode(mesh=mesh, beta=BETA, alpha=1.0).sources(0.0)

@@ -707,6 +707,17 @@ def test_empty_ensemble_residual_zero():
     assert check_charge_conservation(m2, m1, 0.1, mesh)["l2"] == 0.0
 
 
+@pytest.mark.parametrize("dt", [0.0, -0.1])
+def test_charge_check_refuses_a_non_positive_dt(dt):
+    # the backward quotient needs the earlier moments first: a negative dt
+    # flips the sign of d rho/dt, and dt = 0 divides by zero
+    mesh = mesh_small()
+    p = sample_initial_distribution(mesh, "cold", 40, seed=2)
+    m1, m2 = deposit_sources(p, mesh), deposit_sources(p, mesh)
+    with pytest.raises(ValueError, match="^dt must be positive"):
+        check_charge_conservation(m2, m1, dt, mesh)
+
+
 def smooth_moving_bunch(mesh, t, v=(0.2, 0.0, 0.3), sig=0.3):
     """Analytic drifting Gaussian moments sampled on the nodes."""
     X, Y, Z = mesh.grids3d()
