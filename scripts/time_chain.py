@@ -5,7 +5,9 @@
 33^2x17 and 65^2x33 grids, three snapshots each, to orders 0, 1 and 1: six
 `HierarchySolver.solve_hierarchy` calls.  This script runs those six solves
 --repeat times and prints each one's median `time.perf_counter` duration,
-with no benchmark clock scaling in between.  Pin the BLAS threads
+with no benchmark clock scaling in between.  Like `parax convergence`, it
+first sets glibc's allocator thresholds (`cli._keep_freed_memory`), so the
+solves reuse freed memory as that command's do.  Pin the BLAS threads
 (OPENBLAS_NUM_THREADS=1) to compare runs with the benchmark's.
 
 Usage: python scripts/time_chain.py [--repeat 9]
@@ -19,6 +21,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from parax.cli import _keep_freed_memory  # noqa: E402
 from parax.config import RunConfig  # noqa: E402
 from parax.mesh import build_mesh  # noqa: E402
 from parax.verify import ETA_STUDY_DT, ETA_STUDY_KNOBS, QuasiStaticMode, solve_timeline  # noqa: E402
@@ -50,6 +53,7 @@ def main() -> int:
     args = ap.parse_args()
     if args.repeat < 1:
         ap.error("--repeat must be >= 1")
+    _keep_freed_memory()
     beta = RunConfig().scaling.beta
     runs = {grid: [time_solves(grid, beta) for _ in range(args.repeat)] for grid in GRIDS}
     print(f"median of {args.repeat} runs, raw perf_counter ms")

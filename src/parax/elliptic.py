@@ -9,19 +9,22 @@ one per axis, and any mix of face kinds keeps that structure.  Each 1D
 operator turns symmetric when scaled by the square root of its dual-cell
 weights (1/2 at end nodes); its eigendecomposition is cached.  A solve is
 then one contraction per axis into the joint eigenbasis, a division by the
-summed eigenvalues, and one contraction per axis back: the fast
-diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964), direct
-and exact to rounding.  The 2D solver runs the same kernel on the trailing
-two axes, so a (nzeta, ny, nx) volume solves every transverse slice in one
-call.
+summed eigenvalues, and one contraction per axis back, each one GEMM
+(``operators._along``): the fast diagonalization method (Lynch, Rice &
+Thomas, Numer. Math. 6, 1964), direct and exact to rounding.  The 2D solver
+runs the same kernel on the trailing two axes, so a (nzeta, ny, nx) volume
+solves every transverse slice in one call.
 
 The div-curl solver prescribes div A, curl A and the tangential trace A.tau
-on Gamma.  It splits A = grad p + curl q:  q absorbs the curl source through
-a homogeneous Dirichlet solve (its trace carries the full circulation by
-Green's theorem; with no curl left after the corner-bilinear part, q is zero
-and not solved for), and p gets Dirichlet data integrated from the remaining
-tangential trace along Gamma.  No circulation is imposed or checked: the
-tangential trace fixes it.
+on Gamma.  It first peels off the corner-bilinear part of both sources as a
+closed-form polynomial field: each corner fit, and each half of that field,
+is one product of the slices' corner coefficients with a matrix cached per
+mesh.  It splits the rest A = grad p + curl q:  q absorbs the curl source
+through a homogeneous Dirichlet solve (its trace carries the full
+circulation by Green's theorem; with no curl left after the corner-bilinear
+part, q is zero and not solved for), and p gets Dirichlet data integrated
+from the remaining tangential trace along Gamma.  No circulation is imposed
+or checked: the tangential trace fixes it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import numpy as np
 
 from .fields import ScalarField, VectorField2, same_mesh
 from .mesh import FACE_AXIS, FACE_ORDER, Mesh, face_tangent
-from .operators import axis_index, boundary_tangential_trace, curl_perp_scalar, grad_perp
+from .operators import (_along, axis_index, boundary_tangential_trace, curl_perp_scalar,
+                        grad_perp)
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -122,17 +126,6 @@ def _axis_eig(n: int, h: float, coeff: float, kind_lo: str, kind_hi: str):
     for a in (lam, to_modes, from_modes):
         a.flags.writeable = False
     return lam, to_modes, from_modes
-
-
-def _along(M: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
-    """Apply the square matrix M along one (negative) axis of g, as one GEMM
-    or one batch of GEMMs over the leading axes."""
-    g = np.ascontiguousarray(g)
-    n = g.shape[axis]
-    if axis == -1:
-        return (g.reshape(-1, n) @ M.T).reshape(g.shape)
-    lead = int(np.prod(g.shape[:axis]))
-    return np.matmul(M, g.reshape(lead, n, -1)).reshape(g.shape)
 
 
 def _apply(u: np.ndarray, spacings, coeffs, kinds) -> np.ndarray:
@@ -308,29 +301,44 @@ def solve_anisotropic_poisson_3d(
 
 # -- div-curl reconstruction ------------------------------------------------------
 
-def _corner_bilinear(mesh: Mesh, values: np.ndarray):
-    """Coefficients (alpha, beta, gamma, delta) of the bilinear interpolant
-    alpha + beta*xt + gamma*yt + delta*xt*yt of the four corner values,
-    in local coordinates xt = x - x0, yt = y - y0.  Each is shaped
-    (..., 1, 1) so that it broadcasts over the slices of a volume."""
-    c00, c10 = values[..., :1, :1], values[..., :1, -1:]
-    c01, c11 = values[..., -1:, :1], values[..., -1:, -1:]
-    a, b = mesh.a, mesh.b
-    return c00, (c10 - c00) / a, (c01 - c00) / b, (c11 - c10 - c01 + c00) / (a * b)
-
-
 @functools.lru_cache(maxsize=32)
-def _slice_monomials(mesh: Mesh) -> tuple[np.ndarray, ...]:
-    """Monomials of the local coordinates xt = x - x0, yt = y - y0 on the
-    (ny, nx) slice, built once per mesh and read-only: xt, yt, xt yt,
-    xt^2/2, yt^2/2, xt^2 yt/2, xt yt^2/2, xt^3/6 and yt^3/6."""
+def _slice_monomials(mesh: Mesh) -> np.ndarray:
+    """Read-only (20, ny*nx) row matrix, built once per mesh, of monomials of
+    the local coordinates xt = x - x0, yt = y - y0 on the flattened slice.
+    Rows 0-3 are the corner-bilinear rows 1, xt, yt, xt yt.  Rows 4-11, then
+    12-19, are the x and then the y component of :func:`_particular_field`
+    for each corner coefficient of a bilinear divergence, then curl."""
     X, Y = mesh.xy()
-    xt, yt = X - mesh.x0, Y - mesh.y0
-    x2, y2 = xt**2 / 2, yt**2 / 2
-    mono = (xt, yt, xt * yt, x2, y2, x2 * yt, xt * y2, xt**3 / 6, yt**3 / 6)
-    for arr in mono:
-        arr.flags.writeable = False
-    return mono
+    xt, yt = (X - mesh.x0).ravel(), (Y - mesh.y0).ravel()
+    x2, y2, xy, zero = xt**2 / 2, yt**2 / 2, xt * yt, np.zeros_like(xt)
+    rows = np.stack([
+        np.ones_like(xt), xt, yt, xy,
+        # divergence part: (int d dxt, 0) plus a curl-free fix keeping curl zero
+        xt, x2, xy, x2 * yt, zero, zero, x2, xt**3 / 6,
+        # curl part: (-int c dyt, 0) plus a divergence-free fix keeping div zero
+        -yt, -xy, -y2, -xt * y2, zero, y2, zero, yt**3 / 6])
+    rows.flags.writeable = False
+    return rows
+
+
+def _on_slices(mesh: Mesh, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[..., k] * rows[..., k, :] on every slice, as one product
+    (or one batch over the leading axes of ``rows``), shaped
+    (*rows.shape[:-2], *coeffs.shape[:-1], ny, nx)."""
+    out = coeffs @ rows
+    return out.reshape(out.shape[:-1] + (mesh.ny, mesh.nx))
+
+
+def _corner_bilinear(mesh: Mesh, values: np.ndarray):
+    """``(coeffs, rest)`` of the bilinear interpolant alpha + beta*xt +
+    gamma*yt + delta*xt*yt of the four corner values of each slice: the
+    coefficients shaped (..., 4), and ``values`` minus the interpolant."""
+    c00, c10 = values[..., 0, 0], values[..., 0, -1]
+    c01, c11 = values[..., -1, 0], values[..., -1, -1]
+    a, b = mesh.a, mesh.b
+    coeffs = np.stack([c00, (c10 - c00) / a, (c01 - c00) / b,
+                       (c11 - c10 - c01 + c00) / (a * b)], axis=-1)
+    return coeffs, values - _on_slices(mesh, coeffs, _slice_monomials(mesh)[:4])
 
 
 def _particular_field(mesh: Mesh, div_coeffs, curl_coeffs) -> VectorField2:
@@ -339,24 +347,16 @@ def _particular_field(mesh: Mesh, div_coeffs, curl_coeffs) -> VectorField2:
     Solutions with corner-incompatible sources (nonzero div/curl where two
     Dirichlet potential edges meet) develop r^2 log r potentials that degrade
     the split to O(h); subtracting this field first restores O(h^2).
-    ``curl_coeffs`` None stands for a zero curl.
+    The div half and the curl half are one product each with rows of
+    :func:`_slice_monomials`.  ``curl_coeffs`` None stands for a zero curl
+    and forms nothing: a product never yields -0.0, so adding the +0.0 of a
+    zero curl's product would change no bit.
     """
-    xt, yt, xy, x2, y2, x2y, xy2, x3, y3 = _slice_monomials(mesh)
-    da, db_, dg, dd = div_coeffs
-    # monomials on the slice: each per-slice coefficient then costs one
-    # multiply over the volume
-    # divergence part: (int d dxt, 0) plus a curl-free fix keeping curl zero
-    ux = da * xt + db_ * x2 + dg * xy + dd * x2y
-    uy = dg * x2 + dd * x3
-    if curl_coeffs is None:
-        # the zero curl part is -0.0 in x, which adds nothing, and +0.0 in y,
-        # which turns a -0.0 of uy into +0.0
-        return VectorField2(mesh, ux, uy + 0.0)
-    ca, cb, cg, cd = curl_coeffs
-    # curl part: (-int c dyt, 0) plus a divergence-free fix keeping div zero
-    vx = -(ca * yt + cb * xy + cg * y2 + cd * xy2)
-    vy = cb * y2 + cd * y3
-    return VectorField2(mesh, ux + vx, uy + vy)
+    rows = _slice_monomials(mesh)
+    A = _on_slices(mesh, div_coeffs, rows[4:12].reshape(2, 4, -1))
+    if curl_coeffs is not None:
+        A += _on_slices(mesh, curl_coeffs, rows[12:].reshape(2, 4, -1))
+    return VectorField2(mesh, A[0], A[1])
 
 
 def _gamma_dirichlet_from_tangential(mesh: Mesh, g: dict[str, np.ndarray]):
@@ -416,17 +416,13 @@ def solve_divcurl_2d(
 
     # peel off the corner-bilinear source content analytically so the
     # remaining potential problems are corner-compatible (O(h^2) split)
-    xt, yt, xy = _slice_monomials(mesh)[:3]
-    dc = _corner_bilinear(mesh, div)
-    cc = None if curl_src is None else _corner_bilinear(mesh, curl_src.values)
+    dc, div_rem = _corner_bilinear(mesh, div)
+    cc, curl_rem = (None, None) if curl_src is None else _corner_bilinear(mesh, curl_src.values)
     A0 = _particular_field(mesh, dc, cc)
-    div_rem = div - (dc[0] + dc[1] * xt + dc[2] * yt + dc[3] * xy)
     t0 = boundary_tangential_trace(A0)
 
     g_p = {f: np.asarray(tangential_data[f], dtype=float) - t0[f] for f in FACE_ORDER}
     qx = qy = 0.0  # q = 0 when no curl remains
-    curl_rem = None if cc is None else (
-        curl_src.values - (cc[0] + cc[1] * xt + cc[2] * yt + cc[3] * xy))
     if curl_rem is not None and curl_rem.any():
         q = solve_poisson_2d(
             ScalarField(mesh, -curl_rem), BoundarySpec.uniform(DIRICHLET, 0.0)

@@ -280,16 +280,14 @@ class HierarchySolver:
         """Right-hand side and boundary spec of the order-n Ez solve."""
         mesh, beta = self.mesh, self.beta
 
-        source = beta * J[2] + self.kappa * rho  # 0.0 above order 1
-        volume = np.broadcast_to(source, (mesh.nzeta, mesh.ny, mesh.nx))
-        d_source = dzeta(ScalarField(mesh, volume), high_order=True).values
-        # d/dt (beta dEz^{n-1}/dzeta + curl Bperp^{n-1}), applied to the rates;
-        # without rates 0.0 - d_source keeps the zero signs a zero term gave
-        dt_term = 0.0 if rates is None else (
+        # d/dt (beta dEz^{n-1}/dzeta + curl Bperp^{n-1}), applied to the rates
+        rhs = np.zeros((mesh.nzeta, mesh.ny, mesh.nx)) if rates is None else (
             beta * dzeta(rates.Ez, high_order=True).values
             + curl_perp_vector(rates.Bperp).values
         )
-        rhs = dt_term - d_source
+        source = beta * J[2] + self.kappa * rho
+        if np.ndim(source):  # the scalar 0.0 above order 1 adds no term
+            rhs = rhs - dzeta(ScalarField(mesh, source), high_order=True).values
 
         return rhs, _volume_spec(n, for_Ez=True,
                                  transverse=dict.fromkeys(FACE_ORDER, FaceBC(DIRICHLET, 0.0)))

@@ -9,12 +9,17 @@ degree <= 2 and the discrete operator identities
 hold to rounding on such fields.  All operators accept (ny, nx) slices or
 (nzeta, ny, nx) volumes and act on the trailing two axes; zeta derivatives
 act on axis 0 of volumetric fields.
+
+The 4th-order source-assembly derivatives (``high_order``, :func:`dzeta2`)
+are cached (n, n) matrices applied along their axis by one GEMM
+(:func:`_along`), as the elliptic solvers apply their eigenbases.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -93,75 +98,69 @@ def cross_ez(A: VectorField2) -> VectorField2:
 @functools.cache
 def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
     """Finite-difference weights for the given derivative order on integer
-    node offsets (unit spacing), from the Vandermonde moment conditions.
-    Solved once per stencil; the cached array is read-only."""
-    V = np.vander(np.asarray(offsets, dtype=float), increasing=True).T
-    rhs = np.zeros(len(offsets))
-    rhs[order] = float(math.factorial(order))
-    w = np.linalg.solve(V, rhs)
+    node offsets (unit spacing): order! times the x^order coefficient of each
+    node's Lagrange basis polynomial, formed in exact rational arithmetic and
+    rounded once.  Formed once per stencil; the cached array is read-only."""
+    w = []
+    for j, oj in enumerate(offsets):
+        poly = [Fraction(1)]  # the basis polynomial's coefficients, x^0 first
+        for om in offsets[:j] + offsets[j + 1:]:
+            # times (x - om) / (oj - om)
+            poly = [(lo - om * hi) / (oj - om) for lo, hi in zip([0, *poly], [*poly, 0])]
+        w.append(float(math.factorial(order) * poly[order]))
+    w = np.array(w)
     w.flags.writeable = False
     return w
 
 
-def _d_high(arr: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
-    """Fourth-order derivative for source-term assembly.
+@functools.lru_cache(maxsize=32)
+def _d_matrix(n: int, h: float, order: int) -> np.ndarray:
+    """Read-only (n, n) matrix of the 4th-order source-assembly derivative of
+    ``order`` (1 or 2) on n nodes of spacing h, built once per key.
 
-    Interior rows use the centered 5-point formulas; the two rows at each
-    end use one-sided 4th-order stencils.  Keeping source construction an
-    order more accurate than the operator removes correlated truncation
-    noise from manufactured-solution studies without changing the scheme.
+    Row i holds ``_fd_weights(offsets, order) / h**order`` on the offsets of
+    its stencil.  With n > order + 4 the interior rows take the centered
+    5-point formula and the two rows at each end one-sided (order + 4)-point
+    ones, 4th order throughout.  On fewer nodes the interior takes the
+    centered 3-point formula and the one row at each end a one-sided
+    min(n, order + 3)-point one.
+    """
+    half, width = (2, order + 4) if n > order + 4 else (1, min(n, order + 3))
+    D = np.zeros((n, n))
+    center = _fd_weights(tuple(range(-half, half + 1)), order) / h**order
+    for i in range(half, n - half):
+        D[i, i - half:i + half + 1] = center
+    for row in range(half):
+        offsets = range(-row, width - row)
+        D[row, :width] = _fd_weights(tuple(offsets), order) / h**order
+        D[n - 1 - row, n - width:] = _fd_weights(tuple(-k for k in reversed(offsets)),
+                                                 order) / h**order
+    D.flags.writeable = False
+    return D
+
+
+def _along(M: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """Apply the square matrix M along one axis of g, as one GEMM or one
+    batch of GEMMs over the leading axes."""
+    g = np.ascontiguousarray(g)
+    axis %= g.ndim
+    n = g.shape[axis]
+    if axis == g.ndim - 1:
+        return (g.reshape(-1, n) @ M.T).reshape(g.shape)
+    lead = math.prod(g.shape[:axis])
+    return np.matmul(M, g.reshape(lead, n, -1)).reshape(g.shape)
+
+
+def _d_high(arr: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
+    """Fourth-order derivative for source-term assembly: the cached
+    :func:`_d_matrix` applied along ``axis``.
+
+    Keeping source construction an order more accurate than the operator
+    removes correlated truncation noise from manufactured-solution studies
+    without changing the scheme.
     """
     a = np.asarray(arr, dtype=float)
-    n = a.shape[axis]
-    width = 5 if order == 1 else 6
-    if n < width + 1:
-        fallback = _d1_cubic_ends if order == 1 else _d2_cubic_ends
-        return fallback(arr, h, axis)
-    ix = axis_index(a.ndim, axis)
-    s = np.s_
-    out = np.empty_like(a)
-    if order == 1:
-        out[ix(s[2:-2])] = (a[ix(s[:-4])] - 8.0 * a[ix(s[1:-3])]
-                            + 8.0 * a[ix(s[3:-1])] - a[ix(s[4:])]) / (12.0 * h)
-    else:
-        out[ix(s[2:-2])] = (-a[ix(s[:-4])] + 16.0 * a[ix(s[1:-3])] - 30.0 * a[ix(s[2:-2])]
-                            + 16.0 * a[ix(s[3:-1])] - a[ix(s[4:])]) / (12.0 * h**2)
-    scale = h**order
-    for row in (0, 1):
-        offs = tuple(range(-row, width - row))
-        w = _fd_weights(offs, order)
-        lo = sum(wk * a[ix(row + off)] for wk, off in zip(w, offs))
-        hi = sum(wk * a[ix(n - 1 - row - off)] for wk, off in zip(w, offs))
-        out[ix(row)] = lo / scale
-        out[ix(n - 1 - row)] = (hi if order == 2 else -hi) / scale
-    return out
-
-
-def _d1_cubic_ends(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    # third-order one-sided end rows; keeps source-term construction from
-    # polluting the otherwise smooth O(h^2) error profile at the zeta ends
-    out = _d1(arr, h, axis)
-    if arr.shape[axis] < 4:
-        return out
-    ix = axis_index(arr.ndim, axis)
-    a0, a1, a2, a3 = (arr[ix(k)] for k in range(4))
-    out[ix(0)] = (-11.0 * a0 + 18.0 * a1 - 9.0 * a2 + 2.0 * a3) / (6.0 * h)
-    b0, b1, b2, b3 = (arr[ix(-1 - k)] for k in range(4))
-    out[ix(-1)] = (11.0 * b0 - 18.0 * b1 + 9.0 * b2 - 2.0 * b3) / (6.0 * h)
-    return out
-
-
-def _d2_cubic_ends(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    out = _d2(arr, h, axis)
-    if arr.shape[axis] < 5:
-        return out
-    ix = axis_index(arr.ndim, axis)
-    c = np.array([35.0 / 12.0, -26.0 / 3.0, 19.0 / 2.0, -14.0 / 3.0, 11.0 / 12.0]) / h**2
-    a0, a1, a2, a3, a4 = (arr[ix(k)] for k in range(5))
-    out[ix(0)] = c[0] * a0 + c[1] * a1 + c[2] * a2 + c[3] * a3 + c[4] * a4
-    b0, b1, b2, b3, b4 = (arr[ix(-1 - k)] for k in range(5))
-    out[ix(-1)] = c[0] * b0 + c[1] * b1 + c[2] * b2 + c[3] * b3 + c[4] * b4
-    return out
+    return _along(_d_matrix(a.shape[axis], h, order), a, axis)
 
 
 def dzeta(f, high_order: bool = False):
@@ -178,9 +177,10 @@ def dzeta(f, high_order: bool = False):
 
 def dzeta2(f):
     """Second zeta-derivative of a volumetric field by the 4th-order
-    source-assembly stencils of :func:`_d_high`: the centered 5-point formula
-    inside and one-sided 6-point formulas on the two rows at each end.  With
-    fewer than 7 zeta nodes it falls back to :func:`_d2_cubic_ends`."""
+    source-assembly matrix of :func:`_d_matrix`: the centered 5-point formula
+    inside and one-sided 6-point formulas on the two rows at each end, or
+    with fewer than 7 zeta nodes, 3-point inside and one-sided
+    min(nzeta, 5)-point at the ends."""
     m = f.mesh
     if m.nzeta < MIN_NZETA:
         raise ValueError(f"the second zeta derivative needs nzeta >= {MIN_NZETA}, got {m.nzeta}")

@@ -1,7 +1,8 @@
 """The field chain forms each volume once per order and skips the work whose
 result is known to be zero: these tests count the kernel calls of a warm
 solve, pin the skipped curl work, bit for bit, to the code that still forms
-it, pin the Eperp stage's x and y solves to two public solves on the calling
+it, pin the skipped zeta derivative of the Ez stage's zero source the same
+way, pin the Eperp stage's x and y solves to two public solves on the calling
 thread, on large and small volumes, and pin the audit's solve residuals to
 what the solves report."""
 
@@ -21,13 +22,13 @@ from parax.elliptic import (
     _corner_bilinear,
     _gamma_dirichlet_from_tangential,
     _particular_field,
-    _slice_monomials,
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
     solve_poisson_2d,
 )
 from parax.fields import ScalarField, VectorField2
-from parax.hierarchy import ExternalField, HierarchySolver, SourceTerms, order_sources
+from parax.hierarchy import (ExternalField, HierarchySolver, SourceTerms, lower_rates,
+                             order_sources)
 from parax.mesh import FACE_ORDER, build_mesh
 from parax.operators import boundary_tangential_trace, circulation, curl_perp_scalar, grad_perp
 from parax.verify import QuasiStaticMode, chain_audit
@@ -95,16 +96,14 @@ def test_warm_order_forms_each_volume_once(monkeypatch):
 def _divcurl_with_q(div_src, curl_src, tangential_data):
     """solve_divcurl_2d as it was before a zero remaining curl skipped the q
     solve, and before a curl given as None (zero) skipped every curl term:
-    here None is a volume of +0.0."""
+    here None is a volume of +0.0.  The polynomial parts come from the
+    kernel's own helpers, so this restates the split before the skips."""
     mesh = div_src.mesh
     div = div_src.values
     curl = np.zeros(div.shape) if curl_src is None else curl_src.values
-    xt, yt, xy = _slice_monomials(mesh)[:3]
-    dc = _corner_bilinear(mesh, div)
-    cc = _corner_bilinear(mesh, curl)
+    dc, div_rem = _corner_bilinear(mesh, div)
+    cc, curl_rem = _corner_bilinear(mesh, curl)
     A0 = _particular_field(mesh, dc, cc)
-    div_rem = div - (dc[0] + dc[1] * xt + dc[2] * yt + dc[3] * xy)
-    curl_rem = curl - (cc[0] + cc[1] * xt + cc[2] * yt + cc[3] * xy)
     t0 = boundary_tangential_trace(A0)
     q = solve_poisson_2d(ScalarField(mesh, -curl_rem), BoundarySpec.uniform(DIRICHLET, 0.0))
     A_q = curl_perp_scalar(q)
@@ -151,9 +150,9 @@ def test_zero_curl_split_keeps_every_bit(nx, ny, volumetric, zero_share, seed):
     got = solve_divcurl_2d(div, None, tangential)
     ref = _divcurl_with_q(div, ScalarField(mesh, zero), tangential)
     assert same_bits(got.x, ref.x) and same_bits(got.y, ref.y)
-    dc = [drawn(rng, lead + (1, 1), zero_share) for _ in range(4)]
+    dc = drawn(rng, lead + (4,), zero_share)
     got = _particular_field(mesh, dc, None)
-    ref = _particular_field(mesh, dc, _corner_bilinear(mesh, zero))
+    ref = _particular_field(mesh, dc, _corner_bilinear(mesh, zero)[0])
     assert same_bits(got.x, ref.x) and same_bits(got.y, ref.y)
 
 
@@ -197,6 +196,57 @@ def test_skipped_curl_solve_keeps_every_bit(monkeypatch, sources, warm):
         for name in ("Ecal", "Eperp", "Bperp"):
             va, vb = getattr(a, name), getattr(b, name)
             assert same_bits(va.x, vb.x) and same_bits(va.y, vb.y), name
+
+
+def _ez_problem_forming_zeros(solver):
+    """solver.ez_problem as it was before a scalar source (0.0 above order 1)
+    skipped its zeta derivative: the source is broadcast to a volume and
+    differentiated whatever it holds."""
+    def ez_problem(n, rho, J, rates):
+        mesh, beta = solver.mesh, solver.beta
+        source = beta * J[2] + solver.kappa * rho
+        volume = np.broadcast_to(source, (mesh.nzeta, mesh.ny, mesh.nx))
+        d_source = hierarchy.dzeta(ScalarField(mesh, volume), high_order=True).values
+        dt_term = 0.0 if rates is None else (
+            beta * hierarchy.dzeta(rates.Ez, high_order=True).values
+            + hierarchy.curl_perp_vector(rates.Bperp).values)
+        faces = dict.fromkeys(FACE_ORDER, FaceBC(DIRICHLET, 0.0))
+        return dt_term - d_source, hierarchy._volume_spec(n, True, faces)
+    return ez_problem
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_skipped_ez_source_derivative_keeps_every_bit(monkeypatch, warm):
+    # above order 1 the Ez source is the scalar 0.0, whose zeta derivative
+    # the stage no longer forms; every field and the audit of orders 0-3
+    # match the stage that still forms it, zero signs included
+    mesh = build_mesh(1.0, 1.3, 2.0, 9, 7, 6)
+    case = mode_case(mesh)
+    solver = HierarchySolver(mesh, BETA, external=ExternalField(bz=case.bz_external))
+    src = case.sources(0.1)
+    previous = solver.solve_hierarchy(3, case.sources(0.0), time=0.0) if warm else None
+    got = solver.solve_hierarchy(3, src, previous, time=0.1)
+
+    # at order 2 the stage differentiates the rates' Ez alone, and nothing
+    # on a cold start
+    calls = []
+    hierarchy_dzeta = hierarchy.dzeta
+
+    def dzeta(f, high_order=False):
+        calls.append(high_order)
+        return hierarchy_dzeta(f, high_order=high_order)
+
+    monkeypatch.setattr(hierarchy, "dzeta", dzeta)
+    solver.ez_problem(2, *order_sources(src, 2), lower_rates(2, got.orders, previous, 0.1))
+    assert calls == [True] * warm
+    monkeypatch.undo()
+
+    monkeypatch.setattr(solver, "ez_problem", _ez_problem_forming_zeros(solver))
+    ref = solver.solve_hierarchy(3, src, previous, time=0.1)
+    assert chain_audit(previous, got, src) == chain_audit(previous, ref, src)
+    for a, b in zip(got.orders, ref.orders, strict=True):
+        for name, arr in a.arrays().items():
+            assert same_bits(arr, b.arrays()[name]), (a.n, name)
 
 
 @pytest.mark.parametrize("cpus", [1, 2])

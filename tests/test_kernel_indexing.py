@@ -2,9 +2,15 @@
 scalar solver lifts Dirichlet data through the unknown layers next to each
 face; these tests pin them bit for bit, zero signs included, to the
 ``np.moveaxis``, fancy-index and whole-volume forms they replaced, which are
-kept here as references."""
+kept here as references.  The source-assembly derivative is a cached matrix
+applied by one GEMM: its rows are pinned to the finite-difference weights
+exactly, its polynomial exactness to rounding, and its applied result to
+the moveaxis stencil it replaced within a rounding bound."""
+
+import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +21,7 @@ from parax.fields import ScalarField, VectorField2
 from parax.mesh import FACE_NORMALS, FACE_ORDER, build_mesh, face_tangent
 from parax.operators import (
     _d_high,
+    _d_matrix,
     _fd_weights,
     boundary_normal_trace,
     boundary_tangential_trace,
@@ -164,16 +171,72 @@ def _contour_integral_ref(mesh, traces):
 
 # -- the re-indexed kernels against them -------------------------------------------
 
+def _d_matrix_offsets(n, order):
+    """The stencil offsets of each row of the source-assembly matrix, written
+    out apart from it: with more than order + 4 nodes, centered 5-point rows
+    inside and one-sided (order + 4)-point rows on the two rows at each end;
+    on fewer, centered 3-point rows inside and one-sided
+    min(n, order + 3)-point rows on the one row at each end."""
+    if n > order + 4:
+        half, width = 2, order + 4
+    else:
+        half, width = 1, min(n, order + 3)
+    rows = [tuple(range(-i, width - i)) for i in range(half)]
+    rows += [tuple(range(-half, half + 1))] * (n - 2 * half)
+    return rows + [tuple(-o for o in offs) for offs in rows[half - 1::-1]]
+
+
+D_MATRIX_CASES = [(n, order, h) for n in range(3, 12) for order in (1, 2)
+                  for h in (0.01, 0.37, 1.0, 2.9)]
+
+
+@pytest.mark.parametrize("n, order, h", D_MATRIX_CASES)
+def test_d_matrix_rows_are_fd_weights(n, order, h):
+    D = _d_matrix(n, h, order)
+    for i, offs in enumerate(_d_matrix_offsets(n, order)):
+        want = np.zeros(n)
+        want[[i + o for o in offs]] = _fd_weights(offs, order) / h**order
+        assert same_bits(D[i], want), (i, offs)
+
+
+@pytest.mark.parametrize("n, order, h", D_MATRIX_CASES)
+def test_d_matrix_is_exact_on_the_polynomials_its_rows_promise(n, order, h):
+    # each row differentiates exactly the polynomials of degree below its
+    # stencil width (4 on 5-point rows, 3 on the 4-point fallback end rows,
+    # 2 on 3-point rows); checked to rounding on nodes offset from the origin
+    D = _d_matrix(n, h, order)
+    x = 0.3 + h * np.arange(n)
+    scale = x[-1]
+    for i, offs in enumerate(_d_matrix_offsets(n, order)):
+        for degree in range(len(offs)):
+            p = (x / scale) ** degree
+            exact = 0.0 if degree < order else (
+                math.factorial(degree) / math.factorial(degree - order)
+                * x[i] ** (degree - order) / scale**degree)
+            assert abs(D[i] @ p - exact) <= 1e-13 * np.abs(p).max() / h**order, (i, degree)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(4, 9), st.integers(3, 6), st.sampled_from([0, -2, -1]),
        st.sampled_from([1, 2]), st.floats(0.01, 3.0), st.integers(0, 2**32 - 1))
 def test_d_high_matches_moveaxis_form(n_axis, n_other, axis, order, h, seed):
-    # axis lengths 4-9 reach the cubic-end fallbacks (below 6 or 7 nodes)
-    # and the one-sided 4th-order rows
+    # axis lengths 4-9 reach the fallback rows (below 6 or 7 nodes) and the
+    # one-sided 4th-order rows; the matrix sums in another order than the
+    # stencil, so the two agree to rounding: at most 9.9e-15 of
+    # max|a| / h^order over 4000 draws
     shape = [n_other, n_other + 1, n_other + 2]
     shape[axis] = n_axis
     a = drawn(seed, tuple(shape))
-    assert same_bits(_d_high(a, h, axis, order), _d_high_ref(a, h, axis, order))
+    err = np.abs(_d_high(a, h, axis, order) - _d_high_ref(a, h, axis, order))
+    assert err.max() <= 1e-13 * np.abs(a).max() / h**order
+
+
+def test_d_matrix_is_cached_read_only():
+    D = _d_matrix(9, 0.25, 1)
+    assert _d_matrix(9, 0.25, 1) is D and D.shape == (9, 9)
+    assert _d_matrix(9, 0.25, 2) is not D and _d_matrix(9, 0.5, 1) is not D
+    with pytest.raises(ValueError, match="read-only"):
+        D[0, 0] = 1.0
 
 
 @settings(max_examples=80, deadline=None)
