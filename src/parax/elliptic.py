@@ -7,7 +7,8 @@ nodes drop out of the unknowns and Neumann faces are eliminated through
 ghost nodes, so the operator is a Kronecker sum of 1D second differences,
 one per axis, and any mix of face kinds keeps that structure.  Each 1D
 operator turns symmetric when scaled by the square root of its dual-cell
-weights (1/2 at end nodes); its eigendecomposition is cached.  A solve is
+weights (1/2 at end nodes); the operator and its eigendecomposition are
+cached, and the audit's residual applies the same matrices.  A solve is
 then one contraction per axis into the joint eigenbasis, a division by the
 summed eigenvalues, and one contraction per axis back, each one GEMM
 (``operators._along``): the fast diagonalization method (Lynch, Rice &
@@ -38,8 +39,7 @@ import numpy as np
 
 from .fields import ScalarField, VectorField2, same_mesh
 from .mesh import FACE_AXIS, FACE_ORDER, Mesh, face_tangent
-from .operators import (_along, axis_index, boundary_tangential_trace, curl_perp_scalar,
-                        grad_perp)
+from .operators import _along, boundary_tangential_trace, curl_perp_scalar, grad_perp
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -98,25 +98,36 @@ def _end_weights(m: int, kind_lo: str, kind_hi: str) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _axis_eig(n: int, h: float, coeff: float, kind_lo: str, kind_hi: str):
-    """(eigenvalues, to-eigenbasis, from-eigenbasis) of coeff * d^2/dx^2 on
-    the unknowns of one axis with n nodes.
-
-    The operator D has W D symmetric for the end weights W, so
-    S = W^1/2 D W^-1/2 = Q diag(lam) Q^T gives D = (W^-1/2 Q) diag(lam) (Q^T W^1/2).
-    With Neumann at both ends the constant is the zero mode; it comes last.
-    """
+def _axis_operator(n: int, h: float, coeff: float, kind_lo: str, kind_hi: str) -> np.ndarray:
+    """Read-only matrix D of coeff * d^2/dx^2 on the unknowns of one axis
+    with n nodes, built once per key: the centered 3-point second difference,
+    zero beyond a Dirichlet face, and at a Neumann end the ghost node
+    mirrors the inner neighbor (weight 2)."""
     rng = _unknown_range(n, kind_lo, kind_hi)
     m = rng.stop - rng.start
     if m < 1:
         raise ValueError("no unknowns: all faces Dirichlet on a degenerate grid?")
     D = np.diag(np.full(m, -2.0)) + np.diag(np.ones(m - 1), 1) + np.diag(np.ones(m - 1), -1)
     if kind_lo == NEUMANN:
-        D[0, 1] = 2.0  # ghost node mirrors the inner neighbor
+        D[0, 1] = 2.0
     if kind_hi == NEUMANN:
         D[-1, -2] = 2.0
     D *= coeff / h**2
-    s = np.sqrt(_end_weights(m, kind_lo, kind_hi))
+    D.flags.writeable = False
+    return D
+
+
+@functools.lru_cache(maxsize=32)
+def _axis_eig(n: int, h: float, coeff: float, kind_lo: str, kind_hi: str):
+    """(eigenvalues, to-eigenbasis, from-eigenbasis) of the operator D of
+    :func:`_axis_operator`.
+
+    D has W D symmetric for the end weights W, so
+    S = W^1/2 D W^-1/2 = Q diag(lam) Q^T gives D = (W^-1/2 Q) diag(lam) (Q^T W^1/2).
+    With Neumann at both ends the constant is the zero mode; it comes last.
+    """
+    D = _axis_operator(n, h, coeff, kind_lo, kind_hi)
+    s = np.sqrt(_end_weights(len(D), kind_lo, kind_hi))
     S = s[:, None] * D / s[None, :]
     lam, Q = np.linalg.eigh(0.5 * (S + S.T))
     if kind_lo == kind_hi == NEUMANN:
@@ -128,23 +139,6 @@ def _axis_eig(n: int, h: float, coeff: float, kind_lo: str, kind_hi: str):
     return lam, to_modes, from_modes
 
 
-def _apply(u: np.ndarray, spacings, coeffs, kinds) -> np.ndarray:
-    """sum_d c_d d^2u/dx_d^2 over the trailing axes, matrix-free, with Neumann
-    ends ghost-eliminated; rows at Dirichlet ends are left zero."""
-    out = np.zeros_like(u)
-    nd = len(spacings)
-    for d, (h, c, (lo, hi)) in enumerate(zip(spacings, coeffs, kinds)):
-        ix = axis_index(u.ndim, d - nd)
-        s = c / h**2
-        out[ix(np.s_[1:-1])] += s * (u[ix(np.s_[:-2])] - 2.0 * u[ix(np.s_[1:-1])]
-                                     + u[ix(np.s_[2:])])
-        if lo == NEUMANN:
-            out[ix(0)] += 2.0 * s * (u[ix(1)] - u[ix(0)])
-        if hi == NEUMANN:
-            out[ix(-1)] += 2.0 * s * (u[ix(-2)] - u[ix(-1)])
-    return out
-
-
 def _is_zero(value) -> bool:
     """True for a face value of scalar +0.0, which changes nothing."""
     return isinstance(value, (int, float)) and value == 0 and math.copysign(1.0, value) > 0
@@ -153,19 +147,16 @@ def _is_zero(value) -> bool:
 def _boundary_rhs(values, spacings, coeffs, bc: BoundarySpec):
     """Boundary data of a solve over the trailing len(spacings) axes.
 
-    Returns ``(u, g, kinds, inner, lifted)``: ``u`` is zero but for the
-    Dirichlet values on its faces, written in face order (a later face
-    overwrites the edge nodes it shares with an earlier one), ``g`` the
-    right-hand side on the unknowns ``u[inner]``, and ``lifted`` whether a
-    Dirichlet face carries data.
-    Neumann fluxes enter ``g`` on the end layer of their axis (the ghost
-    elimination adds 2*c*v/h on the operator side).  Dirichlet values enter
-    through the stencils of the unknowns next to their face: the first or
-    last unknown layer of the axis, or its only layer, which takes both
-    faces.  A node next to several faces sums their terms in axis order
-    before its one subtraction, so every bit equals
-    ``values[inner] - _apply(u)[inner]``.  Faces of scalar value 0.0 add
-    nothing to ``g``, and ``values`` is copied only when some face changes it.
+    Returns ``(u, g, kinds, inner)``: ``u`` is zero but for the Dirichlet
+    values on its faces, written in face order (a later face overwrites the
+    edge nodes it shares with an earlier one), and ``g`` the right-hand side
+    on the unknowns ``u[inner]``.  Each face with data subtracts its term
+    from the unknown layer next to it, the first or last of its axis (on an
+    axis with one unknown layer, both faces subtract from it): c/h^2 times
+    its values for a Dirichlet face, the term its neighbors' 3-point
+    stencils read, and 2*c*v/h for a Neumann flux v, the term the ghost
+    elimination adds on the operator side.  Faces of scalar value 0.0 add
+    nothing, and ``values`` is copied only when some face changes it.
     """
     nd = len(spacings)
     axes = range(-nd, 0)
@@ -187,39 +178,22 @@ def _boundary_rhs(values, spacings, coeffs, bc: BoundarySpec):
     u = np.zeros(shape)
     g = values[inner]
     copied = False
-    data: dict[int, list[int]] = {}  # axis -> ends of its Dirichlet faces with data
     for name, fbc in bc.faces.items():
         ax, end = FACE_AXIS[name]
-        zero = _is_zero(fbc.value)
         if fbc.kind == DIRICHLET:
             u[at(ax, end)] = fbc.value
-            if not zero:
-                data.setdefault(ax, []).append(end)
-        elif not zero:
-            if not copied:
-                g, copied = np.array(g), True
+        if _is_zero(fbc.value):
+            continue
+        if not copied:
+            g, copied = np.array(g), True
+        if fbc.kind == DIRICHLET:
+            term = coeffs[ax] / spacings[ax]**2 * u[at(ax, end, ranges)]
+        else:
             vals = np.broadcast_to(np.asarray(fbc.value, dtype=float), u[at(ax, end)].shape)
             others = [r for a, r in zip(axes, ranges) if a != ax]
-            g[at(ax, end)] -= 2.0 * coeffs[ax] * vals[(Ellipsis, *others)] / spacings[ax]
-
-    if data:
-        if not copied:
-            g = np.array(g)
-        terms = u[inner]  # zero on the unknowns: it collects the Dirichlet terms
-        for ax in sorted(data):
-            s = coeffs[ax] / spacings[ax]**2
-            if terms.shape[ax] == 1:  # one unknown layer takes both faces
-                terms[at(ax, 0)] += s * (u[at(ax, 0, ranges)] + u[at(ax, -1, ranges)])
-            else:
-                for end in data[ax]:
-                    terms[at(ax, end)] += s * u[at(ax, end, ranges)]
-        # one subtraction per node: a layer shared with an earlier axis reads
-        # zero by then, and u is left zero on the unknowns
-        for ax in sorted(data):
-            for end in data[ax]:
-                g[at(ax, end)] -= terms[at(ax, end)]
-                terms[at(ax, end)] = 0.0
-    return u, g, kinds, inner, bool(data)
+            term = 2.0 * coeffs[ax] * vals[(Ellipsis, *others)] / spacings[ax]
+        g[at(ax, end)] -= term
+    return u, g, kinds, inner
 
 
 def _solve_scalar(
@@ -233,7 +207,7 @@ def _solve_scalar(
     array including Dirichlet values."""
     nd = len(spacings)
     axes = range(-nd, 0)
-    u, g, kinds, inner, _ = _boundary_rhs(values, spacings, coeffs, bc)
+    u, g, kinds, inner = _boundary_rhs(values, spacings, coeffs, bc)
     if all(k == (NEUMANN, NEUMANN) for k in kinds):
         raise ValueError("all faces Neumann: the solution is fixed only up to a "
                          "constant; give at least one face Dirichlet")
@@ -251,20 +225,19 @@ def _solve_scalar(
 
 def _solve_info(u: np.ndarray, values, spacings, coeffs, bc: BoundarySpec) -> dict:
     """Method and relative residual of the solution ``u`` of
-    :func:`_solve_scalar` for the same problem: the dual-cell weighted L2
-    norm of the operator on the unknowns minus the right-hand side there,
-    over that of the right-hand side (0.0 for a zero right-hand side)."""
-    _, g, kinds, inner, lifted = _boundary_rhs(values, spacings, coeffs, bc)
+    :func:`_solve_scalar` for the same problem: the operator on the unknowns
+    x = ``u[inner]`` is the sum over axes of the :func:`_axis_operator` that
+    the solve diagonalizes, applied along its axis, and the residual is the
+    dual-cell weighted L2 norm of that minus the right-hand side, over that
+    of the right-hand side (0.0 for a zero right-hand side)."""
+    _, g, kinds, inner = _boundary_rhs(values, spacings, coeffs, bc)
     x = u[inner]
-    # the operator on x alone, zero on the faces: u itself when no Dirichlet
-    # face carries data
-    x_full = u
-    if lifted:
-        x_full = np.zeros(u.shape)
-        x_full[inner] = x
-    w = functools.reduce(np.multiply.outer, [_end_weights(m, *k)
-                                             for m, k in zip(x.shape[-len(kinds):], kinds)])
-    res = w * (_apply(x_full, spacings, coeffs, kinds)[inner] - g)
+    axes = range(-len(kinds), 0)
+    Ax = sum(_along(_axis_operator(u.shape[ax], spacings[ax], coeffs[ax], *kinds[ax]), x, ax)
+             for ax in axes)
+    w = functools.reduce(np.multiply.outer, [_end_weights(x.shape[ax], *kinds[ax])
+                                             for ax in axes])
+    res = w * (Ax - g)
     bn = np.linalg.norm(w * g)
     return {"method": "fdm",
             "relative_residual": float(np.linalg.norm(res) / bn) if bn > 0 else 0.0}

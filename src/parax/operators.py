@@ -1,18 +1,19 @@
-"""Second-order discrete transverse operators and boundary functionals.
+"""Discrete transverse operators and boundary functionals.
 
-Stencils are centered in the interior and one-sided second order at the
-boundary, so every first-derivative operator is exact on polynomials of
-degree <= 2 and the discrete operator identities
+Every derivative along an axis is one cached, read-only (n, n) matrix
+(:func:`_d_matrix`) applied along that axis by one GEMM (:func:`_along`),
+as the elliptic solvers apply their eigenbases and their 1D operators.  The
+matrix rows are finite-difference weights.  The second-order family is
+centered inside and one-sided second order at the ends, so every
+first-derivative operator is exact on polynomials of degree <= 2 and the
+discrete operator identities
 
     div (A x e_z) = curl A,   curl (A x e_z) = -div A,   curl curl phi = -lap phi
 
-hold to rounding on such fields.  All operators accept (ny, nx) slices or
-(nzeta, ny, nx) volumes and act on the trailing two axes; zeta derivatives
-act on axis 0 of volumetric fields.
-
-The 4th-order source-assembly derivatives (``high_order``, :func:`dzeta2`)
-are cached (n, n) matrices applied along their axis by one GEMM
-(:func:`_along`), as the elliptic solvers apply their eigenbases.
+hold to rounding on such fields.  The 4th-order family (``high_order``,
+:func:`dzeta2`) assembles the chain's source terms.  All operators accept
+(ny, nx) slices or (nzeta, ny, nx) volumes and act on the trailing two
+axes; zeta derivatives act on axis 0 of volumetric fields.
 """
 
 from __future__ import annotations
@@ -29,65 +30,34 @@ from .mesh import FACE_AXIS, FACE_NORMALS, FACE_ORDER, MIN_NZETA, Mesh, face_tan
 _AX_X, _AX_Y, _AX_ZETA = -1, -2, 0
 
 
-def axis_index(ndim: int, axis: int):
-    """Index builder for one axis of an ``ndim``-dimensional array: ``ix(k)``
-    selects ``k`` (an int or a slice) along ``axis`` and everything along the
-    others, the view ``np.moveaxis(arr, axis, 0)[k]`` names without the
-    transposes."""
-    lead = (slice(None),) * (axis % ndim)
-    return lambda k: lead + (k,)
-
-
-def _d1(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Centered interior, one-sided second order at the ends: the arithmetic
-    of ``np.gradient(arr, h, axis=axis, edge_order=2)`` without its general
-    (non-uniform spacing) set-up."""
-    ix = axis_index(arr.ndim, axis)
-    out = np.empty_like(arr, dtype=float)
-    mid = out[ix(np.s_[1:-1])]
-    np.subtract(arr[ix(np.s_[2:])], arr[ix(np.s_[:-2])], out=mid)
-    mid /= 2.0 * h
-    out[ix(0)] = (-1.5 / h) * arr[ix(0)] + (2.0 / h) * arr[ix(1)] + (-0.5 / h) * arr[ix(2)]
-    out[ix(-1)] = (0.5 / h) * arr[ix(-3)] + (-2.0 / h) * arr[ix(-2)] + (1.5 / h) * arr[ix(-1)]
-    return out
-
-
-def _d2(arr: np.ndarray, h: float, axis: int) -> np.ndarray:
-    ix = axis_index(arr.ndim, axis)
-    out = np.empty_like(arr)
-    out[ix(np.s_[1:-1])] = arr[ix(np.s_[2:])] - 2.0 * arr[ix(np.s_[1:-1])] + arr[ix(np.s_[:-2])]
-    # one-sided 4-point second derivative, exact for cubics
-    out[ix(0)] = 2.0 * arr[ix(0)] - 5.0 * arr[ix(1)] + 4.0 * arr[ix(2)] - arr[ix(3)]
-    out[ix(-1)] = 2.0 * arr[ix(-1)] - 5.0 * arr[ix(-2)] + 4.0 * arr[ix(-3)] - arr[ix(-4)]
-    return out / h**2
-
-
 def grad_perp(phi: ScalarField, high_order: bool = False) -> VectorField2:
     m = phi.mesh
-    d1 = (lambda a, h, ax: _d_high(a, h, ax, 1)) if high_order else _d1
-    return VectorField2(m, d1(phi.values, m.hx, _AX_X), d1(phi.values, m.hy, _AX_Y))
+    return VectorField2(m, _derivative(phi.values, m.hx, _AX_X, 1, high_order),
+                        _derivative(phi.values, m.hy, _AX_Y, 1, high_order))
 
 
 def div_perp(A: VectorField2) -> ScalarField:
     m = A.mesh
-    return ScalarField(m, _d1(A.x, m.hx, _AX_X) + _d1(A.y, m.hy, _AX_Y))
+    return ScalarField(m, _derivative(A.x, m.hx, _AX_X, 1) + _derivative(A.y, m.hy, _AX_Y, 1))
 
 
 def curl_perp_scalar(phi: ScalarField) -> VectorField2:
     """curl of a scalar: (d phi/dy, -d phi/dx)."""
     m = phi.mesh
-    return VectorField2(m, _d1(phi.values, m.hy, _AX_Y), -_d1(phi.values, m.hx, _AX_X))
+    return VectorField2(m, _derivative(phi.values, m.hy, _AX_Y, 1),
+                        -_derivative(phi.values, m.hx, _AX_X, 1))
 
 
 def curl_perp_vector(A: VectorField2) -> ScalarField:
     """Scalar curl of a transverse vector: dAy/dx - dAx/dy."""
     m = A.mesh
-    return ScalarField(m, _d1(A.y, m.hx, _AX_X) - _d1(A.x, m.hy, _AX_Y))
+    return ScalarField(m, _derivative(A.y, m.hx, _AX_X, 1) - _derivative(A.x, m.hy, _AX_Y, 1))
 
 
 def laplace_perp(phi: ScalarField) -> ScalarField:
     m = phi.mesh
-    return ScalarField(m, _d2(phi.values, m.hx, _AX_X) + _d2(phi.values, m.hy, _AX_Y))
+    return ScalarField(m, _derivative(phi.values, m.hx, _AX_X, 2)
+                       + _derivative(phi.values, m.hy, _AX_Y, 2))
 
 
 def cross_ez(A: VectorField2) -> VectorField2:
@@ -114,18 +84,24 @@ def _fd_weights(offsets: tuple[int, ...], order: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _d_matrix(n: int, h: float, order: int) -> np.ndarray:
-    """Read-only (n, n) matrix of the 4th-order source-assembly derivative of
-    ``order`` (1 or 2) on n nodes of spacing h, built once per key.
+def _d_matrix(n: int, h: float, order: int, high_order: bool = False) -> np.ndarray:
+    """Read-only (n, n) matrix of the derivative of ``order`` (1 or 2) on n
+    nodes of spacing h, built once per key.
 
     Row i holds ``_fd_weights(offsets, order) / h**order`` on the offsets of
-    its stencil.  With n > order + 4 the interior rows take the centered
-    5-point formula and the two rows at each end one-sided (order + 4)-point
-    ones, 4th order throughout.  On fewer nodes the interior takes the
-    centered 3-point formula and the one row at each end a one-sided
-    min(n, order + 3)-point one.
+    its stencil.  The second-order family takes the centered 3-point formula
+    inside and a one-sided (order + 2)-point one on the row at each end: the
+    ends of ``np.gradient(edge_order=2)`` for the first derivative, exact on
+    cubics for the second.  ``high_order`` selects the 4th-order
+    source-assembly rows: with n > order + 4 the centered 5-point formula
+    inside and one-sided (order + 4)-point ones on the two rows at each end;
+    on fewer nodes the centered 3-point formula inside and a one-sided
+    min(n, order + 3)-point one on the row at each end.
     """
-    half, width = (2, order + 4) if n > order + 4 else (1, min(n, order + 3))
+    if high_order and n > order + 4:
+        half, width = 2, order + 4
+    else:
+        half, width = 1, min(n, order + (3 if high_order else 2))
     D = np.zeros((n, n))
     center = _fd_weights(tuple(range(-half, half + 1)), order) / h**order
     for i in range(half, n - half):
@@ -151,33 +127,35 @@ def _along(M: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
     return np.matmul(M, g.reshape(lead, n, -1)).reshape(g.shape)
 
 
-def _d_high(arr: np.ndarray, h: float, axis: int, order: int) -> np.ndarray:
-    """Fourth-order derivative for source-term assembly: the cached
-    :func:`_d_matrix` applied along ``axis``.
+def _derivative(arr: np.ndarray, h: float, axis: int, order: int,
+                high_order: bool = False) -> np.ndarray:
+    """Derivative of ``order`` along ``axis``: the cached :func:`_d_matrix`
+    applied by one GEMM.
 
-    Keeping source construction an order more accurate than the operator
+    ``high_order`` selects the 4th-order rows for source-term assembly:
+    keeping source construction an order more accurate than the operator
     removes correlated truncation noise from manufactured-solution studies
     without changing the scheme.
     """
     a = np.asarray(arr, dtype=float)
-    return _along(_d_matrix(a.shape[axis], h, order), a, axis)
+    return _along(_d_matrix(a.shape[axis], h, order, high_order), a, axis)
 
 
 def dzeta(f, high_order: bool = False):
     """First zeta-derivative of a volumetric field (scalar or vector).
 
-    ``high_order`` selects the 4th-order source-assembly stencils.
+    ``high_order`` selects the 4th-order source-assembly rows.
     """
     m = f.mesh
-    d1 = (lambda a, h, ax: _d_high(a, h, ax, 1)) if high_order else _d1
     if isinstance(f, VectorField2):
-        return VectorField2(m, d1(f.x, m.hzeta, _AX_ZETA), d1(f.y, m.hzeta, _AX_ZETA))
-    return ScalarField(m, d1(f.values, m.hzeta, _AX_ZETA))
+        return VectorField2(m, _derivative(f.x, m.hzeta, _AX_ZETA, 1, high_order),
+                            _derivative(f.y, m.hzeta, _AX_ZETA, 1, high_order))
+    return ScalarField(m, _derivative(f.values, m.hzeta, _AX_ZETA, 1, high_order))
 
 
 def dzeta2(f):
     """Second zeta-derivative of a volumetric field by the 4th-order
-    source-assembly matrix of :func:`_d_matrix`: the centered 5-point formula
+    source-assembly rows of :func:`_d_matrix`: the centered 5-point formula
     inside and one-sided 6-point formulas on the two rows at each end, or
     with fewer than 7 zeta nodes, 3-point inside and one-sided
     min(nzeta, 5)-point at the ends."""
@@ -185,9 +163,9 @@ def dzeta2(f):
     if m.nzeta < MIN_NZETA:
         raise ValueError(f"the second zeta derivative needs nzeta >= {MIN_NZETA}, got {m.nzeta}")
     if isinstance(f, VectorField2):
-        return VectorField2(m, _d_high(f.x, m.hzeta, _AX_ZETA, 2),
-                            _d_high(f.y, m.hzeta, _AX_ZETA, 2))
-    return ScalarField(m, _d_high(f.values, m.hzeta, _AX_ZETA, 2))
+        return VectorField2(m, _derivative(f.x, m.hzeta, _AX_ZETA, 2, high_order=True),
+                            _derivative(f.y, m.hzeta, _AX_ZETA, 2, high_order=True))
+    return ScalarField(m, _derivative(f.values, m.hzeta, _AX_ZETA, 2, high_order=True))
 
 
 def cumint_zeta(values: np.ndarray, mesh: Mesh, initial: np.ndarray | float = 0.0) -> np.ndarray:
@@ -212,7 +190,7 @@ def face_values(arr: np.ndarray, face: str) -> np.ndarray:
     For volumetric input the result has shape (nzeta, nface).
     """
     axis, end = FACE_AXIS[face]
-    return arr[axis_index(arr.ndim, axis)(end)]
+    return arr[(slice(None),) * (axis % arr.ndim) + (end,)]
 
 
 def boundary_tangential_trace(A: VectorField2) -> dict[str, np.ndarray]:

@@ -77,7 +77,8 @@ def test_warm_order_forms_each_volume_once(monkeypatch):
     monkeypatch.setattr(hierarchy, "dzeta", dzeta)
     monkeypatch.setattr(solver, "solve_order", solve_order)
     monkeypatch.setattr(hierarchy, "div_perp", counted("div_perp", hierarchy.div_perp))
-    monkeypatch.setattr(elliptic, "_apply", counted("_apply", elliptic._apply))
+    for module in (elliptic, hierarchy):
+        monkeypatch.setattr(module, "_solve_info", counted("_solve_info", module._solve_info))
     monkeypatch.setattr(elliptic, "solve_poisson_2d",
                         counted("poisson2d", elliptic.solve_poisson_2d))
     h = solver.solve_hierarchy(1, case.sources(0.1), h0, time=0.1)
@@ -86,7 +87,7 @@ def test_warm_order_forms_each_volume_once(monkeypatch):
         ez = h.order(n).Ez.values
         assert sum(1 for k, a in zeta_inputs if k == n and a is ez) == 1
         assert calls["div_perp", n] == 2  # div Eperp and div Bperp, each once
-        assert calls["_apply", n] == 0    # the solve residuals are the audit's
+        assert calls["_solve_info", n] == 0  # the solve residuals are the audit's
     # order 0 has no rates, so its Ecal curl is zero and its split solves no
     # q; order 1 solves q and p in both splits
     assert calls["poisson2d", 0] == 3

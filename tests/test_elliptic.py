@@ -10,6 +10,8 @@ from parax.elliptic import (
     BoundarySpec,
     FaceBC,
     SolverSettings,
+    _axis_eig,
+    _axis_operator,
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
     solve_poisson_2d,
@@ -303,6 +305,22 @@ def test_separable_kernel_solves_reference_operator(problem):
     assert np.linalg.norm(res) <= 1e-12 * max(np.linalg.norm(rhs), 1e-300)
 
 
+@pytest.mark.parametrize("kinds", [(DIRICHLET, DIRICHLET), (DIRICHLET, NEUMANN),
+                                   (NEUMANN, DIRICHLET), (NEUMANN, NEUMANN)],
+                         ids=["DD", "DN", "ND", "NN"])
+@pytest.mark.parametrize("n", range(3, 10))
+def test_axis_eig_diagonalizes_the_audited_operator(n, kinds):
+    # the solve inverts from_modes @ diag(lam) @ to_modes and the audit's
+    # residual applies _axis_operator: they are one operator, to rounding
+    # (at most 1.4e-15 of max|D| over these cases)
+    for h, coeff in ((0.3, 1.0), (0.07, 0.75)):
+        D = _axis_operator(n, h, coeff, *kinds)
+        lam, to_modes, from_modes = _axis_eig(n, h, coeff, *kinds)
+        assert D.shape == (n - kinds.count(DIRICHLET),) * 2 and not D.flags.writeable
+        err = np.abs(from_modes @ np.diag(lam) @ to_modes - D).max()
+        assert err <= 1e-14 * np.abs(D).max(), (h, coeff)
+
+
 def test_poisson_volume_solves_each_slice():
     m = build_mesh(1.3, 0.7, 1.0, 11, 8, 5)
     rng = np.random.default_rng(3)
@@ -405,7 +423,7 @@ def test_particular_field_has_the_corner_bilinear_div_and_curl(nx, ny, volumetri
     # the bilinear interpolant of the corner values it was fitted to (at
     # most 3.8e-14 of its largest value over 300 draws)
     from parax.elliptic import _corner_bilinear, _particular_field
-    from parax.operators import _d_high
+    from parax.operators import _derivative
 
     rng = np.random.default_rng(seed)
     m = build_mesh(1.3, 0.8, 1.0, nx, ny, 4, x0=-0.4, y0=0.6)
@@ -416,7 +434,7 @@ def test_particular_field_has_the_corner_bilinear_div_and_curl(nx, ny, volumetri
     A = _particular_field(m, dc, cc)
 
     def d(a, h, axis):
-        return _d_high(a, h, axis, 1)
+        return _derivative(a, h, axis, 1, high_order=True)
 
     div = d(A.x, m.hx, -1) + d(A.y, m.hy, -2)
     curl = d(A.y, m.hx, -1) - d(A.x, m.hy, -2)

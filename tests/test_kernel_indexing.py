@@ -1,11 +1,11 @@
-"""The stencils and face traces index one axis by slice tuples, and the
-scalar solver lifts Dirichlet data through the unknown layers next to each
-face; these tests pin them bit for bit, zero signs included, to the
-``np.moveaxis``, fancy-index and whole-volume forms they replaced, which are
-kept here as references.  The source-assembly derivative is a cached matrix
-applied by one GEMM: its rows are pinned to the finite-difference weights
-exactly, its polynomial exactness to rounding, and its applied result to
-the moveaxis stencil it replaced within a rounding bound."""
+"""The face traces index one axis by slice tuples; these tests pin them bit
+for bit, zero signs included, to the fancy-index forms they replaced.  Every
+derivative and every 1D solver operator is a cached matrix applied by one
+GEMM: the derivative rows are pinned to the finite-difference weights
+exactly, their polynomial exactness to rounding, and the applied results,
+with the solver's boundary lift, to the ``np.moveaxis`` stencils and
+whole-volume forms they replaced within rounding bounds.  Those forms are
+kept here as references."""
 
 import math
 
@@ -14,14 +14,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parax.elliptic import DIRICHLET, NEUMANN, BoundarySpec, FaceBC, _apply
-from parax.elliptic import _boundary_rhs, _unknown_range
+from parax.elliptic import DIRICHLET, NEUMANN, BoundarySpec, FaceBC, _axis_operator
+from parax.elliptic import _boundary_rhs, _end_weights, _solve_info, _unknown_range
 from parax.elliptic import solve_anisotropic_poisson_3d
 from parax.fields import ScalarField, VectorField2
 from parax.mesh import FACE_NORMALS, FACE_ORDER, build_mesh, face_tangent
 from parax.operators import (
-    _d_high,
+    _along,
     _d_matrix,
+    _derivative,
     _fd_weights,
     boundary_normal_trace,
     boundary_tangential_trace,
@@ -128,7 +129,7 @@ def _apply_ref(u, spacings, coeffs, kinds):
 
 def _boundary_rhs_ref(values, spacings, coeffs, bc):
     """(u, rhs on the unknowns) as the solver formed them with one operator
-    pass over the whole volume: f[inner] - _apply(u)[inner]."""
+    pass over the whole volume: f[inner] - _apply_ref(u)[inner]."""
     nd = len(spacings)
     axes = range(-nd, 0)
     kinds = [tuple(bc.kind(f) for f in _AXIS_FACES[ax]) for ax in axes]
@@ -147,7 +148,7 @@ def _boundary_rhs_ref(values, spacings, coeffs, bc):
     inner = (Ellipsis, *(_unknown_range(values.shape[ax], *kinds[ax]) for ax in axes))
     g = f[inner]
     if u.any():
-        g = g - _apply(u, spacings, coeffs, kinds)[inner]
+        g = g - _apply_ref(u, spacings, coeffs, kinds)[inner]
     return u, g
 
 
@@ -171,13 +172,17 @@ def _contour_integral_ref(mesh, traces):
 
 # -- the re-indexed kernels against them -------------------------------------------
 
-def _d_matrix_offsets(n, order):
-    """The stencil offsets of each row of the source-assembly matrix, written
-    out apart from it: with more than order + 4 nodes, centered 5-point rows
-    inside and one-sided (order + 4)-point rows on the two rows at each end;
-    on fewer, centered 3-point rows inside and one-sided
-    min(n, order + 3)-point rows on the one row at each end."""
-    if n > order + 4:
+def _d_matrix_offsets(n, order, high_order):
+    """The stencil offsets of each row of the derivative matrix, written out
+    apart from it.  The second-order family: centered 3-point rows inside
+    and one-sided min(n, order + 2)-point rows at the ends.  The 4th-order
+    family, with more than order + 4 nodes: centered 5-point rows inside and
+    one-sided (order + 4)-point rows on the two rows at each end; on fewer,
+    centered 3-point rows inside and one-sided min(n, order + 3)-point rows
+    on the one row at each end."""
+    if not high_order:
+        half, width = 1, min(n, order + 2)
+    elif n > order + 4:
         half, width = 2, order + 4
     else:
         half, width = 1, min(n, order + 3)
@@ -192,28 +197,31 @@ D_MATRIX_CASES = [(n, order, h) for n in range(3, 12) for order in (1, 2)
 
 @pytest.mark.parametrize("n, order, h", D_MATRIX_CASES)
 def test_d_matrix_rows_are_fd_weights(n, order, h):
-    D = _d_matrix(n, h, order)
-    for i, offs in enumerate(_d_matrix_offsets(n, order)):
-        want = np.zeros(n)
-        want[[i + o for o in offs]] = _fd_weights(offs, order) / h**order
-        assert same_bits(D[i], want), (i, offs)
+    for high_order in (False, True):
+        D = _d_matrix(n, h, order, high_order)
+        for i, offs in enumerate(_d_matrix_offsets(n, order, high_order)):
+            want = np.zeros(n)
+            want[[i + o for o in offs]] = _fd_weights(offs, order) / h**order
+            assert same_bits(D[i], want), (high_order, i, offs)
 
 
 @pytest.mark.parametrize("n, order, h", D_MATRIX_CASES)
 def test_d_matrix_is_exact_on_the_polynomials_its_rows_promise(n, order, h):
     # each row differentiates exactly the polynomials of degree below its
-    # stencil width (4 on 5-point rows, 3 on the 4-point fallback end rows,
-    # 2 on 3-point rows); checked to rounding on nodes offset from the origin
-    D = _d_matrix(n, h, order)
+    # stencil width (4 on 5-point rows, 3 on 4-point end rows, 2 on 3-point
+    # rows); checked to rounding on nodes offset from the origin
     x = 0.3 + h * np.arange(n)
     scale = x[-1]
-    for i, offs in enumerate(_d_matrix_offsets(n, order)):
-        for degree in range(len(offs)):
-            p = (x / scale) ** degree
-            exact = 0.0 if degree < order else (
-                math.factorial(degree) / math.factorial(degree - order)
-                * x[i] ** (degree - order) / scale**degree)
-            assert abs(D[i] @ p - exact) <= 1e-13 * np.abs(p).max() / h**order, (i, degree)
+    for high_order in (False, True):
+        D = _d_matrix(n, h, order, high_order)
+        for i, offs in enumerate(_d_matrix_offsets(n, order, high_order)):
+            for degree in range(len(offs)):
+                p = (x / scale) ** degree
+                exact = 0.0 if degree < order else (
+                    math.factorial(degree) / math.factorial(degree - order)
+                    * x[i] ** (degree - order) / scale**degree)
+                assert abs(D[i] @ p - exact) <= 1e-13 * np.abs(p).max() / h**order, \
+                    (high_order, i, degree)
 
 
 @settings(max_examples=80, deadline=None)
@@ -227,7 +235,8 @@ def test_d_high_matches_moveaxis_form(n_axis, n_other, axis, order, h, seed):
     shape = [n_other, n_other + 1, n_other + 2]
     shape[axis] = n_axis
     a = drawn(seed, tuple(shape))
-    err = np.abs(_d_high(a, h, axis, order) - _d_high_ref(a, h, axis, order))
+    err = np.abs(_derivative(a, h, axis, order, high_order=True)
+                 - _d_high_ref(a, h, axis, order))
     assert err.max() <= 1e-13 * np.abs(a).max() / h**order
 
 
@@ -235,6 +244,7 @@ def test_d_matrix_is_cached_read_only():
     D = _d_matrix(9, 0.25, 1)
     assert _d_matrix(9, 0.25, 1) is D and D.shape == (9, 9)
     assert _d_matrix(9, 0.25, 2) is not D and _d_matrix(9, 0.5, 1) is not D
+    assert _d_matrix(9, 0.25, 1, True) is not D
     with pytest.raises(ValueError, match="read-only"):
         D[0, 0] = 1.0
 
@@ -243,14 +253,39 @@ def test_d_matrix_is_cached_read_only():
 @given(st.sampled_from([2, 3]), st.integers(3, 7),
        st.lists(st.sampled_from([DIRICHLET, NEUMANN]), min_size=6, max_size=6),
        st.integers(0, 2**32 - 1))
-def test_apply_matches_moveaxis_form(nd, n, ends, seed):
-    # every Dirichlet/Neumann mix at the two ends of each axis
+def test_axis_operators_match_moveaxis_form(nd, n, ends, seed):
+    # every Dirichlet/Neumann mix at the two ends of each axis: the solve
+    # residual's operator, the sum over axes of each axis's matrix applied
+    # along it, against the moveaxis stencil on the unknowns (zero on the
+    # Dirichlet faces), to rounding: at most 9.9e-16 of
+    # max|u| * sum_d c_d / h_d^2 over 4000 draws
     shape = tuple(n + k for k in range(nd))
-    u = drawn(seed, shape)
     spacings = tuple(0.1 * (k + 1) for k in range(nd))
     coeffs = tuple(0.75 if k == 0 and nd == 3 else 1.0 for k in range(nd))
     kinds = [(ends[2 * k], ends[2 * k + 1]) for k in range(nd)]
-    assert same_bits(_apply(u, spacings, coeffs, kinds), _apply_ref(u, spacings, coeffs, kinds))
+    axes = range(-nd, 0)
+    inner = (Ellipsis, *(_unknown_range(shape[ax], *kinds[ax]) for ax in axes))
+    u = np.zeros(shape)
+    u[inner] = drawn(seed, u[inner].shape)
+    got = sum(_along(_axis_operator(shape[ax], spacings[ax], coeffs[ax], *kinds[ax]),
+                     u[inner], ax) for ax in axes)
+    want = _apply_ref(u, spacings, coeffs, kinds)[inner]
+    scale = np.abs(u).max() * sum(c / h**2 for c, h in zip(coeffs, spacings))
+    assert np.abs(got - want).max() <= 4e-15 * scale
+
+    # the relative residual the audit reports for these unknowns, on drawn
+    # face data and right-hand side, against the one the references give
+    faces = {f: FaceBC(k, drawn(seed + 1, shape[:nd + ax] + shape[nd + ax + 1:]))
+             for ax, pair in zip(axes, kinds) for f, k in zip(_AXIS_FACES[ax], pair)}
+    bc = BoundarySpec(faces)
+    values = drawn(seed + 2, shape)
+    u_full, g = _boundary_rhs_ref(values, spacings, coeffs, bc)
+    u_full[inner] = u[inner]
+    w = math.prod(np.ix_(*(_end_weights(m, *k) for m, k in zip(want.shape[-nd:], kinds))))
+    bn = np.linalg.norm(w * g)
+    ref = np.linalg.norm(w * (want - g)) / bn if bn > 0 else 0.0
+    got = _solve_info(u_full, values, spacings, coeffs, bc)["relative_residual"]
+    assert abs(got - ref) <= 1e-13 * max(ref, 1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,18 +335,18 @@ FACE_FORMS = ["zero", "negative zero", "scalar", "array"]
        st.lists(st.sampled_from([DIRICHLET, NEUMANN]), min_size=6, max_size=6),
        st.lists(st.sampled_from(FACE_FORMS), min_size=6, max_size=6),
        st.integers(0, 2**32 - 1))
-# data on every face: the corner nodes of a volume sum three terms, whose
-# rounding depends on the order of the adds
+# data on every face: the corner nodes of a volume take three terms
 @example(3, [5, 6, 7], [DIRICHLET] * 6, ["array"] * 6, 0)
 @example(3, [4, 3, 5], [DIRICHLET] * 6, ["scalar"] * 6, 1)
 def test_face_layer_lift_matches_volume_form(nd, sizes, ends, forms, seed):
     # a 2D solve runs on a stack of slices, a 3D one on a volume; axes of 3
     # nodes with two Dirichlet ends have one unknown layer, which takes both
-    # faces, and nodes next to two or three Dirichlet faces sum their terms
+    # faces, and nodes next to two or three faces with data take each term
+    # by its own subtraction, in face order
     shape = tuple(sizes) if nd == 3 else (2, *sizes[:2])
     rng = np.random.default_rng(seed)
     names = [f for ax in range(-nd, 0) for f in _AXIS_FACES[ax]]
-    faces = {}
+    faces, magnitudes = {}, {}
     for k in rng.permutation(len(names)):  # faces in any order: edges overlap
         name = names[k]
         ax = _FACE_AXIS[name]
@@ -319,17 +354,35 @@ def test_face_layer_lift_matches_volume_form(nd, sizes, ends, forms, seed):
         value = {"zero": 0.0, "negative zero": -0.0, "scalar": float(rng.normal()),
                  "array": drawn(seed + k + 1, face_shape)}[forms[k]]
         faces[name] = FaceBC(ends[k], value)
+        magnitudes[name] = FaceBC(ends[k], np.abs(value))
     bc = BoundarySpec(faces)
     values = drawn(seed, shape)
     spacings = tuple(float(h) for h in rng.uniform(0.05, 1.0, nd))
     coeffs = tuple(float(c) for c in rng.uniform(0.2, 1.0, nd))
-    u, g, kinds, inner, lifted = _boundary_rhs(values, spacings, coeffs, bc)
+    u, g, kinds, inner = _boundary_rhs(values, spacings, coeffs, bc)
     u_ref, g_ref = _boundary_rhs_ref(values, spacings, coeffs, bc)
     assert same_bits(u, u_ref)
-    assert same_bits(g, g_ref)
     assert kinds == [tuple(bc.kind(f) for f in _AXIS_FACES[ax]) for ax in range(-nd, 0)]
     assert same_bits(u[inner], np.zeros_like(g))
-    assert lifted == any(faces[name].kind == DIRICHLET and forms[k] != "zero"
-                         for k, name in enumerate(names))
     # the caller's array is never written
     assert same_bits(values, drawn(seed, shape))
+
+    # how many faces with data each unknown is next to
+    shared = np.zeros(g.shape, dtype=int)
+    for k, name in enumerate(names):
+        if forms[k] != "zero":
+            ax, end = _FACE_AXIS[name], 0 if name.endswith("_lo") else -1
+            layer = [slice(None)] * nd
+            layer[ax] = end
+            shared[(Ellipsis, *layer)] += 1
+    # next to at most one, the lift subtracts what the volume form does: the
+    # same value; only the sign of a zero may differ (a Dirichlet face's -0.0
+    # gives a -0.0 term in the lift and +0.0 in the volume form), and the
+    # solve reads none
+    one = shared <= 1
+    assert np.array_equal(g[one], g_ref[one])
+    # next to several, the terms are subtracted one by one, not summed
+    # first: equal to rounding of |f| plus the sum of the terms' magnitudes
+    # (at most 2.3e-16 of it over 4000 draws)
+    _, scale = _boundary_rhs_ref(-np.abs(values), spacings, coeffs, BoundarySpec(magnitudes))
+    assert np.all(np.abs(g - g_ref) <= 1e-15 * np.abs(scale))

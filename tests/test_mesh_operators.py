@@ -7,7 +7,7 @@ from scipy.integrate import cumulative_trapezoid
 from parax.fields import FieldShapeError, ScalarField, VectorField2, read_field_csv, write_field_csv
 from parax.mesh import FACE_AXIS, FACE_NORMALS, FACE_ORDER, build_mesh, face_tangent
 from parax.operators import (
-    _d1,
+    _derivative,
     boundary_normal_trace,
     boundary_tangential_trace,
     circulation,
@@ -224,13 +224,15 @@ def test_cumint_zeta_matches_scipy_trapezoid(nzeta, volume, per_plane, zlen, see
 @given(st.lists(st.integers(3, 12), min_size=2, max_size=3), st.floats(0.01, 3.0),
        st.integers(0, 2**32 - 1))
 def test_d1_matches_numpy_gradient(shape, h, seed):
-    # bit for bit np.gradient with second-order ends, along every axis
+    # np.gradient with second-order ends, along every axis, to rounding: the
+    # matrix sums its row in another order (at most 1.0e-15 of max|a| / h
+    # over 4000 draws)
     a = np.random.default_rng(seed).standard_normal(shape) * 10.0
     for axis in range(-len(shape), len(shape)):
         ref = np.gradient(a, h, axis=axis, edge_order=2)
-        out = _d1(a, h, axis)
+        out = _derivative(a, h, axis, 1)
         assert out.flags.c_contiguous
-        assert np.array_equal(out, ref), axis
+        assert np.abs(out - ref).max() <= 4e-15 * np.abs(a).max() / h, axis
 
 
 def _mask_norms(values, mesh):
