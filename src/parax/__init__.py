@@ -3,7 +3,6 @@ non-relativistic charged beams in the co-moving frame."""
 
 from .config import RunConfig, serialize_config
 from .elliptic import (
-    BoundarySpec,
     FaceBC,
     SolverSettings,
     solve_anisotropic_poisson_3d,

@@ -39,7 +39,7 @@ import numpy as np
 
 from .fields import ScalarField, VectorField2, same_mesh
 from .mesh import FACE_AXIS, FACE_ORDER, Mesh, face_tangent
-from .operators import _along, boundary_tangential_trace, curl_perp_scalar, grad_perp
+from .operators import _along, boundary_tangential_trace, curl_perp_scalar, face_values, grad_perp
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -56,19 +56,6 @@ class FaceBC:
     def __post_init__(self):
         if self.kind not in (DIRICHLET, NEUMANN):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class BoundarySpec:
-    faces: Mapping[str, FaceBC]
-
-    @classmethod
-    def uniform(cls, kind: str, value=0.0, volumetric: bool = False) -> "BoundarySpec":
-        names = FACE_AXIS if volumetric else FACE_ORDER
-        return cls({f: FaceBC(kind, value) for f in names})
-
-    def kind(self, name: str) -> str:
-        return self.faces[name].kind
 
 
 class SolverSettings:
@@ -144,55 +131,50 @@ def _is_zero(value) -> bool:
     return isinstance(value, (int, float)) and value == 0 and math.copysign(1.0, value) > 0
 
 
-def _boundary_rhs(values, spacings, coeffs, bc: BoundarySpec):
+def _boundary_rhs(values, spacings, coeffs, bc: Mapping[str, FaceBC]):
     """Boundary data of a solve over the trailing len(spacings) axes.
 
     Returns ``(u, g, kinds, inner)``: ``u`` is zero but for the Dirichlet
-    values on its faces, written in face order (a later face overwrites the
-    edge nodes it shares with an earlier one), and ``g`` the right-hand side
-    on the unknowns ``u[inner]``.  Each face with data subtracts its term
-    from the unknown layer next to it, the first or last of its axis (on an
-    axis with one unknown layer, both faces subtract from it): c/h^2 times
-    its values for a Dirichlet face, the term its neighbors' 3-point
-    stencils read, and 2*c*v/h for a Neumann flux v, the term the ghost
-    elimination adds on the operator side.  Faces of scalar value 0.0 add
-    nothing, and ``values`` is copied only when some face changes it.
+    values on its faces, written in the order of ``bc`` (a later face
+    overwrites the edge nodes it shares with an earlier one), and ``g`` the
+    right-hand side on the unknowns ``u[inner]``, a copy of ``values[inner]``.
+    Each face with data subtracts its term from the unknown layer next to
+    it, the first or last of its axis (on an axis with one unknown layer,
+    both faces subtract from it): c/h^2 times its values for a Dirichlet
+    face, the term its neighbors' 3-point stencils read, and 2*c*v/h for a
+    Neumann flux v, the term the ghost elimination adds on the operator
+    side.  Faces of scalar value 0.0 add nothing.  ``bc`` must name every
+    face of the solved axes and no other.
     """
     nd = len(spacings)
     axes = range(-nd, 0)
-    invalid = set(bc.faces) - {f for ax in axes for f in _AXIS_FACES[ax]}
-    if invalid:
-        raise ValueError(f"faces {sorted(invalid)} not valid for a {nd}D solve")
-    kinds = [tuple(bc.kind(f) for f in _AXIS_FACES[ax]) for ax in axes]
+    wanted = {f for ax in axes for f in _AXIS_FACES[ax]}
+    missing, invalid = sorted(wanted - set(bc)), sorted(set(bc) - wanted)
+    if missing or invalid:
+        raise ValueError(f"a {nd}D solve takes the faces {sorted(wanted)}: "
+                         f"missing {missing}, not valid {invalid}")
+    kinds = [tuple(bc[f].kind for f in _AXIS_FACES[ax]) for ax in axes]
     values = np.asarray(values, dtype=float)
-    shape = values.shape
-    ranges = [_unknown_range(shape[ax], *kinds[ax]) for ax in axes]
+    ranges = [_unknown_range(values.shape[ax], *kinds[ax]) for ax in axes]
     inner = (Ellipsis, *ranges)
 
-    def at(ax, k, rest=(slice(None),) * nd):
-        """Position k on axis ax, ``rest`` on the other axes."""
-        idx = list(rest)
-        idx[ax] = k
-        return (Ellipsis, *idx)
-
-    u = np.zeros(shape)
-    g = values[inner]
-    copied = False
-    for name, fbc in bc.faces.items():
-        ax, end = FACE_AXIS[name]
+    u = np.zeros(values.shape)
+    g = np.array(values[inner])
+    for name, fbc in bc.items():
+        ax, _ = FACE_AXIS[name]
+        face = face_values(u, name)
         if fbc.kind == DIRICHLET:
-            u[at(ax, end)] = fbc.value
+            face[...] = fbc.value
         if _is_zero(fbc.value):
             continue
-        if not copied:
-            g, copied = np.array(g), True
+        # the face's values on the nodes next to unknowns of the other axes
+        others = (Ellipsis, *(r for a, r in zip(axes, ranges) if a != ax))
+        vals = np.broadcast_to(np.asarray(fbc.value, dtype=float), face.shape)[others]
         if fbc.kind == DIRICHLET:
-            term = coeffs[ax] / spacings[ax]**2 * u[at(ax, end, ranges)]
+            term = coeffs[ax] / spacings[ax]**2 * vals
         else:
-            vals = np.broadcast_to(np.asarray(fbc.value, dtype=float), u[at(ax, end)].shape)
-            others = [r for a, r in zip(axes, ranges) if a != ax]
-            term = 2.0 * coeffs[ax] * vals[(Ellipsis, *others)] / spacings[ax]
-        g[at(ax, end)] -= term
+            term = 2.0 * coeffs[ax] * vals / spacings[ax]
+        face_values(g, name)[...] -= term
     return u, g, kinds, inner
 
 
@@ -200,19 +182,19 @@ def _solve_scalar(
     values: np.ndarray,
     spacings: tuple[float, ...],
     coeffs: tuple[float, ...],
-    bc: BoundarySpec,
+    bc: Mapping[str, FaceBC],
 ) -> np.ndarray:
     """Solve sum_d c_d d^2u/dx_d^2 = values over the trailing len(spacings)
     axes; leading axes are independent problems.  Returns the full nodal
     array including Dirichlet values."""
     nd = len(spacings)
     axes = range(-nd, 0)
-    u, g, kinds, inner = _boundary_rhs(values, spacings, coeffs, bc)
+    # the right-hand side copy is bound only to x, so the first contraction frees it
+    u, x, kinds, inner = _boundary_rhs(values, spacings, coeffs, bc)
     if all(k == (NEUMANN, NEUMANN) for k in kinds):
         raise ValueError("all faces Neumann: the solution is fixed only up to a "
                          "constant; give at least one face Dirichlet")
     eigs = [_axis_eig(u.shape[ax], spacings[ax], coeffs[ax], *kinds[ax]) for ax in axes]
-    x = g
     for ax, (_, to_modes, _) in zip(axes, eigs):
         x = _along(to_modes, x, ax)
     x = x / functools.reduce(np.add.outer, [e[0] for e in eigs])
@@ -223,7 +205,7 @@ def _solve_scalar(
     return u
 
 
-def _solve_info(u: np.ndarray, values, spacings, coeffs, bc: BoundarySpec) -> dict:
+def _solve_info(u: np.ndarray, values, spacings, coeffs, bc: Mapping[str, FaceBC]) -> dict:
     """Method and relative residual of the solution ``u`` of
     :func:`_solve_scalar` for the same problem: the operator on the unknowns
     x = ``u[inner]`` is the sum over axes of the :func:`_axis_operator` that
@@ -243,7 +225,7 @@ def _solve_info(u: np.ndarray, values, spacings, coeffs, bc: BoundarySpec) -> di
             "relative_residual": float(np.linalg.norm(res) / bn) if bn > 0 else 0.0}
 
 
-def solve_poisson_2d(rhs: ScalarField, bc: BoundarySpec) -> ScalarField:
+def solve_poisson_2d(rhs: ScalarField, bc: Mapping[str, FaceBC]) -> ScalarField:
     """Solve lap_perp u = rhs on one transverse slice, or on every slice of a
     volume at once (face data then per slice, shaped (nzeta, nface))."""
     m = rhs.mesh
@@ -253,7 +235,7 @@ def solve_poisson_2d(rhs: ScalarField, bc: BoundarySpec) -> ScalarField:
 def solve_anisotropic_poisson_3d(
     kappa: float,
     rhs: ScalarField,
-    bc: BoundarySpec,
+    bc: Mapping[str, FaceBC],
     info_out: dict | None = None,
 ) -> ScalarField:
     """Solve (lap_perp + kappa d^2/dzeta^2) u = rhs over Omega x (0, Z).
@@ -371,7 +353,7 @@ def _gamma_dirichlet_from_tangential(mesh: Mesh, g: dict[str, np.ndarray]):
 def solve_divcurl_2d(
     div_src: ScalarField,
     curl_src: ScalarField | None,
-    tangential_data: dict[str, np.ndarray],
+    tangential_data: Mapping[str, np.ndarray],
 ) -> VectorField2:
     """Reconstruct A from div A, curl A and A.tau on Gamma, on one transverse
     slice or on every slice of a volume at once.
@@ -383,6 +365,9 @@ def solve_divcurl_2d(
     order achieves is reported by ``verify.chain_audit``.
     """
     mesh = div_src.mesh if curl_src is None else same_mesh(div_src, curl_src)
+    missing = sorted(set(FACE_ORDER) - set(tangential_data))
+    if missing:
+        raise ValueError(f"tangential data missing for the faces {missing}")
     div = div_src.values
     if curl_src is not None and div.shape != curl_src.values.shape:
         raise ValueError("div and curl sources must have the same shape")
@@ -397,16 +382,15 @@ def solve_divcurl_2d(
     g_p = {f: np.asarray(tangential_data[f], dtype=float) - t0[f] for f in FACE_ORDER}
     qx = qy = 0.0  # q = 0 when no curl remains
     if curl_rem is not None and curl_rem.any():
-        q = solve_poisson_2d(
-            ScalarField(mesh, -curl_rem), BoundarySpec.uniform(DIRICHLET, 0.0)
-        )
+        q = solve_poisson_2d(ScalarField(mesh, -curl_rem),
+                             dict.fromkeys(FACE_ORDER, FaceBC(DIRICHLET)))
         A_q = curl_perp_scalar(q)
         qx, qy = A_q.x, A_q.y
         t_q = boundary_tangential_trace(A_q)
         g_p = {f: g_p[f] - t_q[f] for f in FACE_ORDER}
 
     p_gamma = _gamma_dirichlet_from_tangential(mesh, g_p)
-    bc_p = BoundarySpec({f: FaceBC(DIRICHLET, p_gamma[f]) for f in FACE_ORDER})
+    bc_p = {f: FaceBC(DIRICHLET, p_gamma[f]) for f in FACE_ORDER}
     p = solve_poisson_2d(ScalarField(mesh, div_rem), bc_p)
     A_p = grad_perp(p)
     return VectorField2(mesh, A0.x + A_p.x + qx, A0.y + A_p.y + qy)

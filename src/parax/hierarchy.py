@@ -52,7 +52,6 @@ import numpy as np
 from .elliptic import (
     DIRICHLET,
     NEUMANN,
-    BoundarySpec,
     FaceBC,
     _solve_info,
     _solve_scalar,
@@ -185,12 +184,12 @@ class FieldHierarchy:
                           ScalarField(mesh, Bz))
 
 
-def _volume_spec(n: int, for_Ez: bool, transverse: dict[str, FaceBC]) -> BoundarySpec:
-    """Boundary spec of the order-n Ez (``for_Ez``) or Eperp solve: the
+def _volume_spec(n: int, for_Ez: bool, transverse: dict[str, FaceBC]) -> dict[str, FaceBC]:
+    """Face conditions of the order-n Ez (``for_Ez``) or Eperp solve: the
     ``transverse`` faces as given, then both zeta ends by the parity rule of
     the module docstring."""
     end = FaceBC(DIRICHLET if for_Ez == (n % 2 == 0) else NEUMANN, 0.0)
-    return BoundarySpec({**transverse, "zeta_lo": end, "zeta_hi": end})
+    return {**transverse, "zeta_lo": end, "zeta_hi": end}
 
 
 def check_inputs(mesh: Mesh, beta: float, sources: SourceTerms,
@@ -276,8 +275,8 @@ class HierarchySolver:
     # of :func:`order_sources` and ``rates`` of :func:`lower_rates`
 
     def ez_problem(self, n: int, rho, J, rates: FieldRates | None
-                   ) -> tuple[np.ndarray, BoundarySpec]:
-        """Right-hand side and boundary spec of the order-n Ez solve."""
+                   ) -> tuple[np.ndarray, dict[str, FaceBC]]:
+        """Right-hand side and face conditions of the order-n Ez solve."""
         mesh, beta = self.mesh, self.beta
 
         # d/dt (beta dEz^{n-1}/dzeta + curl Bperp^{n-1}), applied to the rates
@@ -324,8 +323,8 @@ class HierarchySolver:
         )
 
     def eperp_problems(self, n: int, Ecal_n: VectorField2, gauss: np.ndarray, J,
-                       rates: FieldRates | None) -> list[tuple[np.ndarray, BoundarySpec]]:
-        """Right-hand sides and boundary specs of the order-n Eperp x and y
+                       rates: FieldRates | None) -> list[tuple[np.ndarray, dict[str, FaceBC]]]:
+        """Right-hand sides and face conditions of the order-n Eperp x and y
         solves; ``gauss`` is :meth:`gauss` of this order's Ez."""
         mesh, beta = self.mesh, self.beta
         gg = grad_perp(ScalarField(mesh, gauss), high_order=True)
@@ -351,7 +350,7 @@ class HierarchySolver:
         rhs_x = gg.x + d2_Ecal.x + curl_x + beta * dz_x
         rhs_y = gg.y + d2_Ecal.y + curl_y + beta * dz_y
 
-        def bc(c: int) -> BoundarySpec:
+        def bc(c: int) -> dict[str, FaceBC]:
             # component c vanishes on the faces it is tangential to; on the two
             # it is normal to it takes the Gauss constraint as a Neumann
             # condition, its outward derivative nu_c * gauss

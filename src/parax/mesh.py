@@ -111,19 +111,12 @@ class Mesh:
         Ordered along the face's own axis (increasing x for y-faces,
         increasing y for x-faces); both corner nodes are included.
         """
-        if face == "x_lo":
-            j = np.arange(self.ny)
-            return j, np.zeros(self.ny, dtype=int)
-        if face == "x_hi":
-            j = np.arange(self.ny)
-            return j, np.full(self.ny, self.nx - 1, dtype=int)
-        if face == "y_lo":
-            i = np.arange(self.nx)
-            return np.zeros(self.nx, dtype=int), i
-        if face == "y_hi":
-            i = np.arange(self.nx)
-            return np.full(self.nx, self.ny - 1, dtype=int), i
-        raise ValueError(f"unknown face {face!r}")
+        if face not in FACE_ORDER:
+            raise ValueError(f"unknown face {face!r}")
+        axis, end = FACE_AXIS[face]
+        along = np.arange(self.face_size(face))
+        across = np.full_like(along, end % (self.ny, self.nx)[axis])
+        return (along, across) if axis == -1 else (across, along)
 
     @cached_property
     def boundary_table(self):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .elliptic import (
-    BoundarySpec,
     DIRICHLET,
+    FaceBC,
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
     solve_poisson_2d,
@@ -37,7 +37,7 @@ from .hierarchy import (
     lower_rates,
     order_sources,
 )
-from .mesh import FACE_ORDER, Mesh, build_mesh
+from .mesh import FACE_AXIS, FACE_ORDER, Mesh, build_mesh
 from .operators import (
     boundary_normal_trace,
     boundary_tangential_trace,
@@ -204,7 +204,7 @@ def _mms_poisson2d(g: int, beta: float):
     kx, ky = np.pi / mesh.a, np.pi / mesh.b
     u = np.sin(kx * xt) * np.sin(ky * yt)
     got = solve_poisson_2d(ScalarField(mesh, -(kx**2 + ky**2) * u),
-                           BoundarySpec.uniform(DIRICHLET, 0.0))
+                           dict.fromkeys(FACE_ORDER, FaceBC(DIRICHLET)))
     return got.values - u, mesh
 
 
@@ -217,7 +217,7 @@ def _mms_aniso3d(g: int, beta: float):
     u = np.sin(kx * xt) * np.sin(ky * yt) * np.sin(kz * z)
     got = solve_anisotropic_poisson_3d(
         kappa, ScalarField(mesh, -(kx**2 + ky**2 + kappa * kz**2) * u),
-        BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True))
+        dict.fromkeys(FACE_AXIS, FaceBC(DIRICHLET)))
     return got.values - u, mesh
 
 

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from parax import elliptic, fields, hierarchy
 from parax.elliptic import (
     DIRICHLET,
-    BoundarySpec,
     FaceBC,
     _corner_bilinear,
     _gamma_dirichlet_from_tangential,
@@ -106,13 +105,14 @@ def _divcurl_with_q(div_src, curl_src, tangential_data):
     cc, curl_rem = _corner_bilinear(mesh, curl)
     A0 = _particular_field(mesh, dc, cc)
     t0 = boundary_tangential_trace(A0)
-    q = solve_poisson_2d(ScalarField(mesh, -curl_rem), BoundarySpec.uniform(DIRICHLET, 0.0))
+    q = solve_poisson_2d(ScalarField(mesh, -curl_rem),
+                         dict.fromkeys(FACE_ORDER, FaceBC(DIRICHLET)))
     A_q = curl_perp_scalar(q)
     t_q = boundary_tangential_trace(A_q)
     g_p = {f: np.asarray(tangential_data[f], dtype=float) - t0[f] - t_q[f]
            for f in FACE_ORDER}
     p_gamma = _gamma_dirichlet_from_tangential(mesh, g_p)
-    bc_p = BoundarySpec({f: FaceBC(DIRICHLET, p_gamma[f]) for f in FACE_ORDER})
+    bc_p = {f: FaceBC(DIRICHLET, p_gamma[f]) for f in FACE_ORDER}
     A_p = grad_perp(solve_poisson_2d(ScalarField(mesh, div_rem), bc_p))
     return VectorField2(mesh, A0.x + A_p.x + A_q.x, A0.y + A_p.y + A_q.y)
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from parax.elliptic import (
     DIRICHLET,
     NEUMANN,
-    BoundarySpec,
     FaceBC,
     SolverSettings,
     _axis_eig,
@@ -17,7 +16,7 @@ from parax.elliptic import (
     solve_poisson_2d,
 )
 from parax.fields import ScalarField, VectorField2
-from parax.mesh import FACE_AXIS, build_mesh
+from parax.mesh import FACE_AXIS, FACE_ORDER, build_mesh
 from parax.operators import boundary_tangential_trace, circulation, curl_perp_vector, div_perp, flux
 
 
@@ -26,7 +25,7 @@ def mesh2d(n, zlen=1.0, nzeta=3, x0=0.0, y0=0.0):
 
 
 def dirichlet0():
-    return BoundarySpec.uniform(DIRICHLET, 0.0)
+    return dict.fromkeys(FACE_ORDER, FaceBC(DIRICHLET))
 
 
 def test_poisson_zero():
@@ -52,12 +51,12 @@ def test_poisson_mixed_neumann():
     m = mesh2d(17)
     X, Y = m.xy()
     exact = X**2
-    bc = BoundarySpec({
+    bc = {
         "x_lo": FaceBC(NEUMANN, 0.0),
         "x_hi": FaceBC(NEUMANN, 2.0),
         "y_lo": FaceBC(DIRICHLET, exact[0, :]),
         "y_hi": FaceBC(DIRICHLET, exact[-1, :]),
-    })
+    }
     u = solve_poisson_2d(ScalarField(m, np.full_like(X, 2.0)), bc)
     np.testing.assert_allclose(u.values, exact, atol=5e-10)
 
@@ -67,7 +66,7 @@ def test_all_neumann_refused_by_name(volumetric):
     # no chain operator poses an all-Neumann problem: its solution is fixed
     # only up to a constant, and the kernel refuses it instead of choosing one
     m = build_mesh(1.0, 1.0, 1.0, 9, 9, 5)
-    bc = BoundarySpec.uniform(NEUMANN, 0.0, volumetric=volumetric)
+    bc = dict.fromkeys(FACE_AXIS if volumetric else FACE_ORDER, FaceBC(NEUMANN))
     with pytest.raises(ValueError, match="all faces Neumann"):
         if volumetric:
             solve_anisotropic_poisson_3d(0.75, ScalarField.zeros(m), bc)
@@ -77,7 +76,7 @@ def test_all_neumann_refused_by_name(volumetric):
 
 def test_aniso3d_zero_and_mms():
     m = build_mesh(1.0, 1.0, 1.0, 13, 13, 13)
-    bc = BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True)
+    bc = dict.fromkeys(FACE_AXIS, FaceBC(DIRICHLET))
     u0 = solve_anisotropic_poisson_3d(0.75, ScalarField.zeros(m), bc)
     np.testing.assert_allclose(u0.values, 0.0, atol=1e-14)
 
@@ -98,8 +97,7 @@ def test_aniso3d_slab_reduces_to_2d():
     m = build_mesh(1.0, 1.0, 1.0, 17, 17, 7)
     X, Y = m.xy()
     rhs2d = np.sin(np.pi * X) * np.sin(np.pi * Y)
-    bc3 = BoundarySpec({f: FaceBC(NEUMANN if f.startswith("zeta") else DIRICHLET, 0.0)
-                        for f in FACE_AXIS})
+    bc3 = {f: FaceBC(NEUMANN if f.startswith("zeta") else DIRICHLET, 0.0) for f in FACE_AXIS}
     u3 = solve_anisotropic_poisson_3d(0.5, ScalarField(m, np.broadcast_to(rhs2d, (m.nzeta, 17, 17)).copy()), bc3)
     u2 = solve_poisson_2d(ScalarField(m, rhs2d), dirichlet0())
     for k in range(m.nzeta):
@@ -108,7 +106,7 @@ def test_aniso3d_slab_reduces_to_2d():
 
 def test_aniso3d_kappa_validation():
     m = build_mesh(1.0, 1.0, 1.0, 5, 5, 5)
-    bc = BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True)
+    bc = dict.fromkeys(FACE_AXIS, FaceBC(DIRICHLET))
     with pytest.raises(ValueError):
         solve_anisotropic_poisson_3d(1.5, ScalarField.zeros(m), bc)
 
@@ -135,6 +133,25 @@ def test_divcurl_zero():
     )
     np.testing.assert_allclose(A.x, 0.0, atol=1e-12)
     np.testing.assert_allclose(A.y, 0.0, atol=1e-12)
+
+
+def test_missing_faces_refused_by_name():
+    # face conditions, or tangential data, that lack a face name what is
+    # missing; a face the solve has no axis for is named as well
+    m = mesh2d(5)
+    rhs = ScalarField(m, np.zeros((m.ny, m.nx)))
+    with pytest.raises(ValueError, match=r"missing \['x_hi', 'y_hi', 'y_lo'\]"):
+        solve_poisson_2d(rhs, {"x_lo": FaceBC(DIRICHLET)})
+    with pytest.raises(ValueError, match=r"missing \['zeta_hi', 'zeta_lo'\]"):
+        solve_anisotropic_poisson_3d(0.75, ScalarField.zeros(m), dirichlet0())
+    with pytest.raises(ValueError, match=r"missing \[\], not valid \['zeta_hi', 'zeta_lo'\]"):
+        solve_poisson_2d(rhs, dict.fromkeys(FACE_AXIS, FaceBC(DIRICHLET)))
+    trace = zero_trace(m)
+    del trace["y_lo"]
+    with pytest.raises(ValueError, match=r"missing for the faces \['y_lo'\]"):
+        solve_divcurl_2d(rhs, None, trace)
+    with pytest.raises(ValueError, match="unknown face 'zeta_lo'"):
+        m.face_nodes("zeta_lo")
 
 
 def trace_of(m, fx, fy):
@@ -271,14 +288,13 @@ def test_separable_kernel_solves_reference_operator(problem):
                 idx[d] = end
                 f_eff[tuple(idx)] -= 2.0 * coeffs[d] * faces[name].value / spacings[d]
 
-    bc = BoundarySpec(faces)
     if nd == 3:
         info = {}
-        u = solve_anisotropic_poisson_3d(kappa, ScalarField(m, f), bc, info_out=info).values
+        u = solve_anisotropic_poisson_3d(kappa, ScalarField(m, f), faces, info_out=info).values
         assert info["method"] == "fdm"
         assert info["relative_residual"] <= 1e-12
     else:
-        u = solve_poisson_2d(ScalarField(m, f), bc).values
+        u = solve_poisson_2d(ScalarField(m, f), faces).values
 
     unknown = np.ones(shape, dtype=bool)
     for d, (lo_hi, kk) in enumerate(zip(names, kinds)):
@@ -325,16 +341,16 @@ def test_poisson_volume_solves_each_slice():
     m = build_mesh(1.3, 0.7, 1.0, 11, 8, 5)
     rng = np.random.default_rng(3)
     rhs = rng.standard_normal((m.nzeta, m.ny, m.nx))
-    bc = BoundarySpec({
+    bc = {
         "x_lo": FaceBC(NEUMANN, rng.standard_normal((m.nzeta, m.ny))),
         "x_hi": FaceBC(DIRICHLET, rng.standard_normal((m.nzeta, m.ny))),
         "y_lo": FaceBC(DIRICHLET, 0.5),
         "y_hi": FaceBC(NEUMANN, rng.standard_normal((m.nzeta, m.nx))),
-    })
+    }
     u = solve_poisson_2d(ScalarField(m, rhs), bc).values
     for k in range(m.nzeta):
-        bc_k = BoundarySpec({f: FaceBC(v.kind, np.asarray(v.value)[k] if np.ndim(v.value) else v.value)
-                             for f, v in bc.faces.items()})
+        bc_k = {f: FaceBC(v.kind, np.asarray(v.value)[k] if np.ndim(v.value) else v.value)
+                for f, v in bc.items()}
         u_k = solve_poisson_2d(ScalarField(m, rhs[k]), bc_k).values
         np.testing.assert_allclose(u[k], u_k, rtol=0, atol=1e-12 * np.abs(u_k).max())
 

@@ -379,10 +379,10 @@ def test_3d_problems_pose_their_faces_by_one_rule():
                          else (NEUMANN, neumann[f][1]) if neumann[f][0] == c
                          else (DIRICHLET, 0.0) for f in FACE_AXIS})
         for bc, faces in zip([ez_bc, *eperp_bcs], want, strict=True):
-            assert set(bc.faces) == set(faces)
+            assert set(bc) == set(faces)
             for f, (kind, value) in faces.items():
-                assert bc.faces[f].kind == kind, (n, f)
-                assert np.array_equal(bc.faces[f].value, value), (n, f)
+                assert bc[f].kind == kind, (n, f)
+                assert np.array_equal(bc[f].value, value), (n, f)
 
 
 def test_order_0_reads_no_time_derivative():

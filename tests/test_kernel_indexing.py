@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parax.elliptic import DIRICHLET, NEUMANN, BoundarySpec, FaceBC, _axis_operator
+from parax.elliptic import DIRICHLET, NEUMANN, FaceBC, _axis_operator
 from parax.elliptic import _boundary_rhs, _end_weights, _solve_info, _unknown_range
 from parax.elliptic import solve_anisotropic_poisson_3d
 from parax.fields import ScalarField, VectorField2
@@ -132,10 +132,10 @@ def _boundary_rhs_ref(values, spacings, coeffs, bc):
     pass over the whole volume: f[inner] - _apply_ref(u)[inner]."""
     nd = len(spacings)
     axes = range(-nd, 0)
-    kinds = [tuple(bc.kind(f) for f in _AXIS_FACES[ax]) for ax in axes]
+    kinds = [tuple(bc[f].kind for f in _AXIS_FACES[ax]) for ax in axes]
     f = np.array(values, dtype=float)
     u = np.zeros(values.shape)
-    for name, fbc in bc.faces.items():
+    for name, fbc in bc.items():
         ax = _FACE_AXIS[name]
         face = [slice(None)] * nd
         face[ax] = 0 if name.endswith("_lo") else -1
@@ -277,14 +277,13 @@ def test_axis_operators_match_moveaxis_form(nd, n, ends, seed):
     # face data and right-hand side, against the one the references give
     faces = {f: FaceBC(k, drawn(seed + 1, shape[:nd + ax] + shape[nd + ax + 1:]))
              for ax, pair in zip(axes, kinds) for f, k in zip(_AXIS_FACES[ax], pair)}
-    bc = BoundarySpec(faces)
     values = drawn(seed + 2, shape)
-    u_full, g = _boundary_rhs_ref(values, spacings, coeffs, bc)
+    u_full, g = _boundary_rhs_ref(values, spacings, coeffs, faces)
     u_full[inner] = u[inner]
     w = math.prod(np.ix_(*(_end_weights(m, *k) for m, k in zip(want.shape[-nd:], kinds))))
     bn = np.linalg.norm(w * g)
     ref = np.linalg.norm(w * (want - g)) / bn if bn > 0 else 0.0
-    got = _solve_info(u_full, values, spacings, coeffs, bc)["relative_residual"]
+    got = _solve_info(u_full, values, spacings, coeffs, faces)["relative_residual"]
     assert abs(got - ref) <= 1e-13 * max(ref, 1.0)
 
 
@@ -318,8 +317,7 @@ def test_3d_solve_reads_no_zero_sign_of_its_rhs(nzeta, neumann_ends, seed):
     rhs[:, 2] = 0.0  # whole lines of zeros as well
     flipped = np.where(rhs == 0.0, np.where(np.signbit(rhs), 0.0, -0.0), rhs)
     kind = NEUMANN if neumann_ends else DIRICHLET
-    bc = BoundarySpec({f: FaceBC(kind if f.startswith("zeta") else DIRICHLET, 0.0)
-                       for f in _FACE_AXIS})
+    bc = {f: FaceBC(kind if f.startswith("zeta") else DIRICHLET, 0.0) for f in _FACE_AXIS}
     info_a, info_b = {}, {}
     a = solve_anisotropic_poisson_3d(0.75, ScalarField(mesh, rhs), bc, info_out=info_a)
     b = solve_anisotropic_poisson_3d(0.75, ScalarField(mesh, flipped), bc, info_out=info_b)
@@ -355,17 +353,17 @@ def test_face_layer_lift_matches_volume_form(nd, sizes, ends, forms, seed):
                  "array": drawn(seed + k + 1, face_shape)}[forms[k]]
         faces[name] = FaceBC(ends[k], value)
         magnitudes[name] = FaceBC(ends[k], np.abs(value))
-    bc = BoundarySpec(faces)
     values = drawn(seed, shape)
     spacings = tuple(float(h) for h in rng.uniform(0.05, 1.0, nd))
     coeffs = tuple(float(c) for c in rng.uniform(0.2, 1.0, nd))
-    u, g, kinds, inner = _boundary_rhs(values, spacings, coeffs, bc)
-    u_ref, g_ref = _boundary_rhs_ref(values, spacings, coeffs, bc)
+    u, g, kinds, inner = _boundary_rhs(values, spacings, coeffs, faces)
+    u_ref, g_ref = _boundary_rhs_ref(values, spacings, coeffs, faces)
     assert same_bits(u, u_ref)
-    assert kinds == [tuple(bc.kind(f) for f in _AXIS_FACES[ax]) for ax in range(-nd, 0)]
+    assert kinds == [tuple(faces[f].kind for f in _AXIS_FACES[ax]) for ax in range(-nd, 0)]
     assert same_bits(u[inner], np.zeros_like(g))
-    # the caller's array is never written
+    # the caller's array is never written, and the right-hand side is a copy
     assert same_bits(values, drawn(seed, shape))
+    assert not np.shares_memory(g, values)
 
     # how many faces with data each unknown is next to
     shared = np.zeros(g.shape, dtype=int)
@@ -384,5 +382,5 @@ def test_face_layer_lift_matches_volume_form(nd, sizes, ends, forms, seed):
     # next to several, the terms are subtracted one by one, not summed
     # first: equal to rounding of |f| plus the sum of the terms' magnitudes
     # (at most 2.3e-16 of it over 4000 draws)
-    _, scale = _boundary_rhs_ref(-np.abs(values), spacings, coeffs, BoundarySpec(magnitudes))
+    _, scale = _boundary_rhs_ref(-np.abs(values), spacings, coeffs, magnitudes)
     assert np.all(np.abs(g - g_ref) <= 1e-15 * np.abs(scale))

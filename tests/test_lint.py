@@ -7,6 +7,9 @@ from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "parax"
 ROOT = SRC.parents[1]
+# folders whose files count as users of the package's definitions; the
+# benchmark calls the package as any other caller does
+USER_FOLDERS = ("src", "tests", "scripts", "perfbench")
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -44,13 +47,17 @@ def _uses(tree: ast.AST) -> Counter:
                    if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _user_trees() -> dict:
+    """Parsed source of every Python file in USER_FOLDERS, by path."""
+    return {path: ast.parse(path.read_text(), filename=str(path))
+            for folder in USER_FOLDERS for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
 def test_no_dead_definitions():
-    # every module-level def/class of the package is used somewhere in src/,
-    # tests/ or scripts/ outside its own body; matching is by name, so a
-    # use of a same-named object elsewhere also counts
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for folder in ("src", "tests", "scripts")
-             for path in sorted((ROOT / folder).rglob("*.py"))}
+    # every module-level def/class of the package is used somewhere in
+    # USER_FOLDERS outside its own body; matching is by name, so a use of a
+    # same-named object elsewhere also counts
+    trees = _user_trees()
     used = sum((_uses(tree) for tree in trees.values()), Counter())
     dead = [f"{path.name}:{node.name}"
             for path in sorted(SRC.glob("*.py"))
@@ -93,9 +100,7 @@ def test_no_dead_module_names():
     # every module-level name of the package bound by assignment is read in
     # its own module or imported from it by another file; unlike the check
     # above, a read of a same-named variable in another module does not count
-    trees = {path: ast.parse(path.read_text(), filename=str(path))
-             for folder in ("src", "tests", "scripts", "perfbench")
-             for path in sorted((ROOT / folder).rglob("*.py"))}
+    trees = _user_trees()
     imports = {path: _imported_from(tree) for path, tree in trees.items()}
     dead = []
     for path in sorted(SRC.glob("*.py")):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from parax.elliptic import (
-    BoundarySpec,
     DIRICHLET,
+    FaceBC,
     solve_anisotropic_poisson_3d,
     solve_divcurl_2d,
     solve_poisson_2d,
@@ -16,7 +16,7 @@ from parax.hierarchy import (
     SourceTerms,
     backward_rate,
 )
-from parax.mesh import build_mesh
+from parax.mesh import FACE_AXIS, FACE_ORDER, build_mesh
 from parax.operators import (
     boundary_tangential_trace,
     cross_ez,
@@ -65,7 +65,7 @@ def grid_target_errors(g, beta):
     kx, ky = np.pi / mesh.a, np.pi / mesh.b
     u = np.sin(kx * xt) * np.sin(ky * yt)
     got = solve_poisson_2d(ScalarField(mesh, -(kx**2 + ky**2) * u),
-                           BoundarySpec.uniform(DIRICHLET, 0.0))
+                           dict.fromkeys(FACE_ORDER, FaceBC(DIRICHLET)))
     errors["poisson2d"] = got.values - u
     sx, cx, sy, cy = np.sin(kx * xt), np.cos(kx * xt), np.sin(ky * yt), np.cos(ky * yt)
     exact = VectorField2(mesh, kx * cx * sy - ky * cx * sy, ky * sx * cy + kx * sx * cy)
@@ -79,7 +79,7 @@ def grid_target_errors(g, beta):
     u = np.sin(kx * (X - mesh.x0)) * np.sin(ky * (Y - mesh.y0)) * np.sin(kz * Z)
     got = solve_anisotropic_poisson_3d(
         kappa, ScalarField(mesh, -(kx**2 + ky**2 + kappa * kz**2) * u),
-        BoundarySpec.uniform(DIRICHLET, 0.0, volumetric=True))
+        dict.fromkeys(FACE_AXIS, FaceBC(DIRICHLET)))
     errors["aniso3d"] = got.values - u
     return errors
 
